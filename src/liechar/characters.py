@@ -7,9 +7,7 @@ unbounded Python integers; all operations are exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import NonDominantError, NonInvariantError, RankMismatchError
+from .errors import LiecharError, NonDominantError, NonInvariantError, RankMismatchError
 from .rootdata import RootSystem
 
 
@@ -179,17 +177,13 @@ def weyl_character(lam, rs: RootSystem):
 
 def _freudenthal_character(lam, rs):
     dominants = rs.dominant_weights_below(lam)
-
-    def level(mu):
-        return sum(rs.root_coords(tuple(a - b for a, b in zip(lam, mu))))
-
     table = {lam: 1}
     lam_rho = tuple(c + 1 for c in lam)
     top_norm = rs.bilinear(lam_rho, lam_rho)
-    for mu in sorted(dominants, key=lambda m: (level(m), m)):
+    for mu in sorted(dominants, key=lambda m: (-rs.scaled_height(m), m)):
         if mu == lam:
             continue
-        acc = Fraction(0)
+        acc = 0
         for alpha in rs.positive_roots:
             k = 1
             while True:
@@ -201,9 +195,12 @@ def _freudenthal_character(lam, rs):
                 k += 1
         mu_rho = tuple(c + 1 for c in mu)
         denom = top_norm - rs.bilinear(mu_rho, mu_rho)
-        mult = 2 * acc / denom
-        assert mult.denominator == 1 and mult > 0
-        table[mu] = int(mult)
+        mult, rest = divmod(2 * acc, denom) if denom > 0 else (0, 0)
+        if rest or mult <= 0:
+            raise LiecharError(
+                f"Freudenthal multiplicity of {mu} in chi{lam} is {2 * acc}/{denom}"
+            )
+        table[mu] = mult
 
     support = {}
     for mu, mult in table.items():
@@ -212,41 +209,67 @@ def _freudenthal_character(lam, rs):
     return Character(rs.rank, support)
 
 
+def leading_weight(support, rs):
+    """The dominant support weight of greatest height, ties to the larger tuple.
+
+    It is maximal in dominance.  For a W-invariant character it leads the
+    whole support in the translation-invariant order (height, tuple), so the
+    lead of a product is the sum of the leads.  None when no weight is dominant.
+    """
+    dominants = (w for w in support if min(w) >= 0)
+    return max(dominants, key=lambda w: (rs.scaled_height(w), w), default=None)
+
+
 def leading_dominant_weights(support, rs):
-    """Dominant support weights maximal under dominance (possibly several)."""
+    """Dominant support weights maximal under dominance (possibly several).
+
+    In decreasing height, whatever lies above a weight comes before it.
+    """
     dominants = [w for w in support if rs.is_dominant(w)]
-    return [
-        w
-        for w in dominants
-        if not any(v != w and rs.dominance_leq(w, v) for v in dominants)
-    ]
+    maximal = []
+    for w in sorted(dominants, key=rs.scaled_height, reverse=True):
+        if not any(rs.dominance_leq(w, m) for m in maximal):
+            maximal.append(w)
+    return maximal
 
 
-def to_weyl_basis(chi, rs):
-    """Expand a W-invariant (possibly virtual) character in Weyl characters.
+def _not_invariant(weight, mult):
+    return NonInvariantError(
+        f"character is not W-invariant: residual leading weight {weight}"
+    )
 
-    Repeated leading-term elimination; raises NonInvariantError when the
-    residual has support with no dominant maximal weight.
+
+def expand(chi, rs, basis, failure=_not_invariant):
+    """Coefficients c with chi = sum c[lam] * basis(lam), by leading-term elimination.
+
+    basis(lam) is a character led by lam (see leading_weight), or None.
+    failure(weight, mult) builds the exception for a step that cannot
+    proceed: no dominant weight left, no basis element, or no exact division.
     """
     work = dict(chi.support)
     coeffs = {}
     while work:
-        leads = leading_dominant_weights(work, rs)
-        if not leads:
-            residual = max(work)
-            raise NonInvariantError(
-                f"character is not W-invariant: residual leading weight {residual}"
-            )
-        lead = max(leads)
-        c = work[lead]
-        coeffs[lead] = c
-        for w, m in weyl_character(lead, rs).support.items():
+        lead = leading_weight(work, rs)
+        if lead is None:
+            raise failure(*max(work.items()))
+        mult = work[lead]
+        element = basis(lead)
+        unit = element.support.get(lead) if element is not None else None
+        if not unit or mult % unit:
+            raise failure(lead, mult)
+        c = coeffs[lead] = mult // unit
+        for w, m in element.support.items():
             new = work.get(w, 0) - c * m
             if new:
                 work[w] = new
             else:
                 work.pop(w, None)
     return coeffs
+
+
+def to_weyl_basis(chi, rs):
+    """Weyl-basis coefficients of a W-invariant character, else NonInvariantError."""
+    return expand(chi, rs, lambda lam: weyl_character(lam, rs))
 
 
 def from_weyl_basis(coeffs, rs):

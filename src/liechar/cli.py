@@ -132,10 +132,13 @@ def build_config(args):
     )
 
 
+_DATA_FLAGS = {"provider": "--decomp-data", "qrdata": "--qhat-data"}
+
+
 def _require(config, attr, what):
     value = getattr(config, attr)
     if value is None:
-        raise CliError(f"{what} required: supply --{attr.replace('_', '-')} data")
+        raise CliError(f"{what} required: supply {_DATA_FLAGS[attr]}")
     return value
 
 
@@ -155,18 +158,13 @@ class _Tokens:
         self._skip_ws()
         if self.pos >= len(self.text):
             return None
-        ch = self.text[self.pos]
-        if ch.isalpha():
+        for kind in (str.isalpha, str.isdigit):
             end = self.pos
-            while end < len(self.text) and self.text[end].isalpha():
+            while end < len(self.text) and kind(self.text[end]):
                 end += 1
-            return self.text[self.pos:end]
-        if ch.isdigit():
-            end = self.pos
-            while end < len(self.text) and self.text[end].isdigit():
-                end += 1
-            return self.text[self.pos:end]
-        return ch
+            if end > self.pos:
+                return self.text[self.pos:end]
+        return self.text[self.pos]
 
     def take(self, expected=None):
         token = self.peek()
@@ -180,12 +178,21 @@ class _Tokens:
         self.pos += len(token)
         return token
 
+    def take_int(self):
+        token = self.take()
+        if not token.isdecimal():
+            raise CliError(
+                f"parse error at position {self.pos - len(token)}: expected an "
+                f"integer, got {token!r}"
+            )
+        return int(token)
+
 
 def _parse_weight(tokens, rank):
-    coords = [int(tokens.take())]
+    coords = [tokens.take_int()]
     while tokens.peek() == ",":
         tokens.take(",")
-        coords.append(int(tokens.take()))
+        coords.append(tokens.take_int())
     if len(coords) != rank:
         raise CliError(
             f"parse error at position {tokens.pos}: weight has {len(coords)} "
@@ -196,42 +203,30 @@ def _parse_weight(tokens, rank):
 
 def _parse_atom(tokens, config):
     token = tokens.peek()
-    if token == "(":
-        tokens.take("(")
-        value = _parse_expression(tokens, config)
-        tokens.take(")")
-        return value
     if token == "st":
         tokens.take()
         return steinberg_character(config.rs, config.p, config.r)
+    if token not in ("(", "weyl", "simple", "twist", "dual"):
+        what = "end" if token is None else repr(token)
+        raise CliError(f"parse error at position {tokens.pos}: unexpected {what}")
+    if token != "(":
+        tokens.take()
+    tokens.take("(")
     if token == "weyl":
-        tokens.take()
-        tokens.take("(")
+        value = weyl_character(_parse_weight(tokens, config.rs.rank), config.rs)
+    elif token == "simple":
         lam = _parse_weight(tokens, config.rs.rank)
-        tokens.take(")")
-        return weyl_character(lam, config.rs)
-    if token == "simple":
-        tokens.take()
-        tokens.take("(")
-        lam = _parse_weight(tokens, config.rs.rank)
-        tokens.take(")")
         provider = _require(config, "provider", "decomposition data")
-        return provider.simple_character(lam)
-    if token == "twist":
-        tokens.take()
-        tokens.take("(")
-        inner = _parse_expression(tokens, config)
-        tokens.take(",")
-        s = int(tokens.take())
-        tokens.take(")")
-        return frobenius_twist(inner, config.p, s)
-    if token == "dual":
-        tokens.take()
-        tokens.take("(")
-        inner = _parse_expression(tokens, config)
-        tokens.take(")")
-        return formal_dual(inner)
-    raise CliError(f"parse error at position {tokens.pos}: unexpected {token!r}")
+        value = provider.simple_character(lam)
+    else:
+        value = _parse_expression(tokens, config)
+        if token == "twist":
+            tokens.take(",")
+            value = frobenius_twist(value, config.p, tokens.take_int())
+        elif token == "dual":
+            value = formal_dual(value)
+    tokens.take(")")
+    return value
 
 
 def _parse_expression(tokens, config):

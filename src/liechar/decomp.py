@@ -10,22 +10,24 @@ from __future__ import annotations
 
 from .characters import (
     Character,
+    expand,
     frobenius_twist,
-    leading_dominant_weights,
     to_weyl_basis,
     weyl_character,
 )
 from .errors import (
     CoverageError,
     DataValidationError,
+    LiecharError,
     NonDominantError,
-    NonInvariantError,
 )
 from .rootdata import CartanMatrix, RootSystem
 
 
 def weight_digits(lam, p):
     """Per-coordinate base-p digits: lam = sum_i p^i lam_i, lam_i restricted."""
+    if any(c < 0 for c in lam):
+        raise NonDominantError(f"weight {tuple(lam)} has a negative coordinate")
     digits = []
     current = list(lam)
     while any(current):
@@ -115,7 +117,8 @@ class Sl2DecompositionProvider(DecompositionProvider):
         cached = self._row_cache.get(lam)
         if cached is None:
             cached = to_simple_basis(weyl_character(lam, self.rs), self)
-            assert all(m >= 0 for m in cached.values())
+            if any(m < 0 for m in cached.values()):
+                raise LiecharError(f"row {lam} has a negative entry: {cached}")
             self._row_cache[lam] = cached
         return dict(cached)
 
@@ -151,26 +154,7 @@ def simple_character(lam, provider):
 
 def to_simple_basis(chi, provider):
     """Coefficients [chi : chi_p(lam)]_G by leading-term elimination."""
-    rs = provider.rs
-    work = dict(chi.support)
-    coeffs = {}
-    while work:
-        leads = leading_dominant_weights(work, rs)
-        if not leads:
-            residual = max(work)
-            raise NonInvariantError(
-                f"character is not W-invariant: residual leading weight {residual}"
-            )
-        lead = max(leads)
-        c = work[lead]
-        coeffs[lead] = c
-        for w, mult in provider.simple_character(lead).support.items():
-            new = work.get(w, 0) - c * mult
-            if new:
-                work[w] = new
-            else:
-                work.pop(w, None)
-    return coeffs
+    return expand(chi, provider.rs, provider.simple_character)
 
 
 def from_simple_basis(coeffs, provider):

@@ -10,7 +10,6 @@ of the leading weight with rho, which guarantees termination.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .characters import frobenius_twist, steinberg_character, to_weyl_basis, weyl_character
 from .decomp import to_simple_basis, weight_digits
@@ -84,17 +83,16 @@ def contributing_nus(max_weights, base, p, r, rs, widen=False):
     if not max_weights:
         return []
     base = tuple(base)
-    q1 = p**r - 1
+    scale = (p**r - 1) * rs.det
     box = [0] * rs.rank
     for m in max_weights:
         diff = tuple(a - b for a, b in zip(m, base))
-        coords = rs.root_coords(diff)
+        coords = rs.scaled_root_coords(diff)
         if any(n < 0 for n in coords):
             continue
         for i in range(rs.rank):
             # nu_i <= 2 * n_i(nu) since the Cartan diagonal is 2.
-            limit = int(2 * coords[i] / q1)
-            box[i] = max(box[i], limit)
+            box[i] = max(box[i], 2 * coords[i] // scale)
     if widen:
         box = [2 * b + 1 for b in box]
     candidates = [tuple(nu) for nu in itertools.product(*(range(b + 1) for b in box))]

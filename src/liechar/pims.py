@@ -12,8 +12,10 @@ from dataclasses import dataclass, field
 
 from .characters import (
     Character,
+    expand,
     frobenius_twist,
-    leading_dominant_weights,
+    from_weyl_basis,
+    leading_weight,
     steinberg_character,
     weyl_character,
 )
@@ -26,33 +28,24 @@ from .rootdata import CartanMatrix, RootSystem
 def character_divide(num, den, rs):
     """Exact quotient q with den * q = num, by leading-term long division.
 
-    Works in the Weyl basis; unique when it exists.  Raises DivisionFailure
-    with the first obstructing remainder term otherwise.
+    Works in the basis den * chi(nu); unique when it exists.  Raises
+    DivisionFailure with the first obstructing remainder term otherwise.
     """
     if not den.support:
         raise ZeroDivisionError("division by the zero character")
-    den_leads = leading_dominant_weights(den.support, rs)
-    if not den_leads:
-        raise DivisionFailure(max(den.support), den.support[max(den.support)])
-    den_lead = max(den_leads)
-    den_coeff = den.support[den_lead]
-    remainder = num
-    quotient = Character(rs.rank)
-    while remainder.support:
-        leads = leading_dominant_weights(remainder.support, rs)
-        if not leads:
-            top = max(remainder.support)
-            raise DivisionFailure(top, remainder.support[top])
-        lead = max(leads)
-        coeff = remainder.support[lead]
-        term_weight = tuple(a - b for a, b in zip(lead, den_lead))
-        if any(c < 0 for c in term_weight) or coeff % den_coeff != 0:
-            raise DivisionFailure(lead, coeff)
-        c = coeff // den_coeff
-        term = c * weyl_character(term_weight, rs)
-        quotient = quotient + term
-        remainder = remainder - term * den
-    return quotient
+    den_lead = leading_weight(den.support, rs)
+    if den_lead is None:
+        raise DivisionFailure(*max(den.support.items()))
+
+    def shifted(lam):
+        return tuple(a - b for a, b in zip(lam, den_lead))
+
+    def basis(lam):
+        nu = shifted(lam)
+        return weyl_character(nu, rs) * den if rs.is_dominant(nu) else None
+
+    coeffs = expand(num, rs, basis, DivisionFailure)
+    return from_weyl_basis({shifted(lam): c for lam, c in coeffs.items()}, rs)
 
 
 @dataclass

@@ -3,15 +3,19 @@
 Weights are plain tuples of integers: the coefficients of the fundamental
 weights (omega_1, ..., omega_l).  A simple root alpha_i is represented by
 row i of the Cartan matrix, since <alpha_i, alpha_j^vee> is exactly its
-j-th fundamental coordinate.  All linear algebra is exact (Fraction).
+j-th fundamental coordinate.  All linear algebra is exact: construction
+derives det(C) * C^-1 and an integer form matrix once (Fraction), and every
+per-call lattice operation after that runs on plain integers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from operator import mul
 
-from .errors import NonDominantError, NotFiniteTypeError, RankMismatchError
+from .errors import LiecharError, NonDominantError, NotFiniteTypeError, RankMismatchError
 
 #: A weight in fundamental-weight coordinates.
 Weight = tuple
@@ -24,18 +28,20 @@ BUILTIN_CARTAN_MATRICES = {
 }
 
 
-def _invert(matrix):
-    """Exact inverse of a square matrix of Fractions (Gauss-Jordan)."""
+def _adjugate(matrix):
+    """det(M) and the integer matrix det(M) * M^-1, by exact Gauss-Jordan."""
     n = len(matrix)
     aug = [
         [Fraction(matrix[i][j]) for j in range(n)]
         + [Fraction(1 if i == j else 0) for j in range(n)]
         for i in range(n)
     ]
+    det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
             raise NotFiniteTypeError("Cartan matrix is singular")
+        det *= aug[pivot][col] if pivot == col else -aug[pivot][col]
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = Fraction(1) / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
@@ -43,7 +49,15 @@ def _invert(matrix):
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return int(det), tuple(tuple(int(det * x) for x in row[n:]) for row in aug)
+
+
+def _form_matrix(adj, det, symmetrizer):
+    """(omega_i, omega_j) with (alpha_k, alpha_k) = 2 d_k, times the least integer
+    that clears every denominator."""
+    gram = [[Fraction(a, det) * d for a, d in zip(row, symmetrizer)] for row in adj]
+    scale = math.lcm(*(x.denominator for row in gram for x in row))
+    return tuple(tuple(int(x * scale) for x in row) for row in gram)
 
 
 def _principal_minors_positive(sym):
@@ -173,10 +187,13 @@ class RootSystem:
             cartan = CartanMatrix(cartan)
         self.cartan = cartan
         self.rank = cartan.rank
-        self._cartan_inv = _invert(cartan.entries)
+        self.det, adj = _adjugate(cartan.entries)
+        self._adj_columns = tuple(zip(*adj))
+        self._height_vector = tuple(map(sum, adj))
+        self._form = _form_matrix(adj, self.det, cartan.symmetrizer)
         self.rho = (1,) * self.rank
         self.positive_roots = self._generate_positive_roots()
-        self._short_norm, self.highest_short_root = self._find_highest_short_root()
+        self.highest_short_root = self._find_highest_short_root()
         self.highest_short_coroot = self._coroot_pairing_vector(
             self.highest_short_root
         )
@@ -200,46 +217,35 @@ class RootSystem:
     def is_dominant(self, weight):
         return all(c >= 0 for c in weight)
 
+    def scaled_root_coords(self, weight):
+        """det(C) times the simple-root coordinates of a lattice vector (integers)."""
+        return tuple(sum(map(mul, weight, column)) for column in self._adj_columns)
+
     def root_coords(self, weight):
         """Coordinates of a lattice vector in the simple-root basis."""
-        return tuple(
-            sum(Fraction(weight[i]) * self._cartan_inv[i][j] for i in range(self.rank))
-            for j in range(self.rank)
-        )
+        return tuple(Fraction(x, self.det) for x in self.scaled_root_coords(weight))
+
+    def scaled_height(self, weight):
+        """det(C) times the height (sum of root coordinates); mu < lam raises it."""
+        return sum(map(mul, weight, self._height_vector))
 
     def bilinear(self, x, y):
-        """W-invariant symmetric form normalized so (alpha, alpha) = 2d."""
-        n = self.root_coords(y)
-        d = self.cartan.symmetrizer
-        return sum(n[j] * x[j] * d[j] for j in range(self.rank))
+        """W-invariant symmetric form, (alpha, alpha) proportional to d, scaled to be
+        the least positive multiple that is integral on the weight lattice."""
+        return sum(map(mul, x, (sum(map(mul, row, y)) for row in self._form)))
 
     def _coroot_pairing_vector(self, root):
         """m with <lam, root^vee> = sum_j lam_j * m_j, as integers."""
-        n = self.root_coords(root)
         norm = self.bilinear(root, root)
-        m = []
-        for j in range(self.rank):
-            value = 2 * n[j] * self.cartan.symmetrizer[j] / norm
-            if value.denominator != 1:
-                raise NotFiniteTypeError(f"non-integral coroot for root {root}")
-            m.append(int(value))
-        return tuple(m)
+        pairs = [divmod(2 * sum(map(mul, row, root)), norm) for row in self._form]
+        if any(rest for _, rest in pairs):
+            raise NotFiniteTypeError(f"non-integral coroot for root {root}")
+        return tuple(value for value, _ in pairs)
 
     # -- derived structure ------------------------------------------------
 
     def _generate_positive_roots(self):
-        simple = [self.cartan.entries[i] for i in range(self.rank)]
-        roots = set(map(tuple, simple))
-        frontier = set(roots)
-        while frontier:
-            new = set()
-            for root in frontier:
-                for i in range(self.rank):
-                    image = self.simple_reflection(i, root)
-                    if image not in roots:
-                        roots.add(image)
-                        new.add(image)
-            frontier = new
+        roots = set().union(*map(self.weyl_orbit, self.cartan.entries))
         positive = [r for r in roots if all(c >= 0 for c in self.root_coords(r))]
         return tuple(sorted(positive))
 
@@ -248,8 +254,7 @@ class RootSystem:
         short = min(norms.values())
         candidates = [r for r in self.positive_roots if norms[r] == short]
         # The highest short root is the one of maximal height.
-        best = max(candidates, key=lambda r: (sum(self.root_coords(r)), r))
-        return short, best
+        return max(candidates, key=lambda r: (sum(self.root_coords(r)), r))
 
     def _compute_w0_word(self):
         word = []
@@ -277,7 +282,7 @@ class RootSystem:
         self.check_rank(mu)
         self.check_rank(lam)
         diff = tuple(a - b for a, b in zip(lam, mu))
-        return all(n.denominator == 1 and n >= 0 for n in self.root_coords(diff))
+        return all(n >= 0 and not n % self.det for n in self.scaled_root_coords(diff))
 
     def dominant_representative(self, weight):
         self.check_rank(weight)
@@ -321,7 +326,7 @@ class RootSystem:
         self.check_rank(lam)
         if not self.is_dominant(lam):
             raise NonDominantError(f"weight {lam} is not dominant")
-        bounds = [int(n) for n in self.root_coords(lam)]
+        bounds = [n // self.det for n in self.scaled_root_coords(lam)]
         found = []
         for coeffs in itertools.product(*(range(b + 1) for b in bounds)):
             mu = tuple(
@@ -339,13 +344,14 @@ class RootSystem:
         if not self.is_dominant(lam):
             raise NonDominantError(f"weight {lam} is not dominant")
         lam_rho = tuple(c + 1 for c in lam)
-        value = Fraction(1)
+        num = den = 1
         for root in self.positive_roots:
-            value *= Fraction(
-                self.bilinear(lam_rho, root), self.bilinear(self.rho, root)
-            )
-        assert value.denominator == 1
-        return int(value)
+            num *= self.bilinear(lam_rho, root)
+            den *= self.bilinear(self.rho, root)
+        value, rest = divmod(num, den)
+        if rest:
+            raise LiecharError(f"Weyl dimension of {lam} is {num}/{den}")
+        return value
 
     def __repr__(self):
         return f"RootSystem(rank={self.rank}, positive_roots={len(self.positive_roots)})"

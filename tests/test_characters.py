@@ -5,6 +5,7 @@ import pytest
 
 from liechar import (
     Character,
+    LiecharError,
     NonDominantError,
     NonInvariantError,
     RankMismatchError,
@@ -16,6 +17,7 @@ from liechar import (
     weyl_character,
 )
 from liechar.characters import from_weyl_basis
+from liechar.rootdata import CartanMatrix, RootSystem
 
 
 def sl2_string(m):
@@ -103,6 +105,14 @@ class TestWeylCharacter:
     def test_highest_weight_multiplicity_one(self, rs_g2):
         for lam in itertools.product(range(2), repeat=2):
             assert weyl_character(lam, rs_g2).get(lam) == 1
+
+    def test_freudenthal_rejects_non_positive_multiplicity(self, monkeypatch):
+        # (0, 0) is not below (1, 0) in A2; the recursion gives it 0/8.
+        rs = RootSystem(CartanMatrix.builtin("A2"))
+        below = rs.dominant_weights_below
+        monkeypatch.setattr(rs, "dominant_weights_below", lambda lam: below(lam) + [(0, 0)])
+        with pytest.raises(LiecharError, match=r"\(0, 0\)"):
+            weyl_character((1, 0), rs)
 
 
 class TestFrobeniusTwist:

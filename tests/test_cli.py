@@ -75,6 +75,21 @@ class TestInputErrors:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize(
+        "expression, message",
+        [
+            ("weyl(1,)", "expected an integer, got ')'"),
+            ("twist(weyl(1), -1)", "expected an integer, got '-'"),
+            ("weyl(1) + ", "unexpected end"),
+        ],
+    )
+    def test_malformed_expression(self, capsys, expression, message):
+        code, out, err = run(capsys, ["char", expression])
+        assert code == 2
+        assert out == ""
+        assert "parse error" in err and message in err
+        assert "Traceback" not in err
+
     def test_trailing_garbage(self, capsys):
         code, _, err = run(capsys, ["char", "weyl(1))"])
         assert code == 2
@@ -100,7 +115,7 @@ class TestInputErrors:
     def test_rank_two_simple_needs_data(self, capsys):
         code, _, err = run(capsys, ["char", "--type", "B2", "simple(1,1)"])
         assert code == 2
-        assert "decomposition data" in err
+        assert "decomposition data required: supply --decomp-data" in err
 
     def test_corrupted_json(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
@@ -210,6 +225,14 @@ class TestCjTableCommand:
         code, _, err = run(capsys, ["cj-table", "--type", "A2", "-p", "2"])
         assert code == 2
         assert "data" in err
+
+    def test_missing_qhat_data_names_the_flag(self, capsys, tmp_path):
+        path = tmp_path / "a2p2.json"
+        path.write_text(json.dumps(a2_p2_document()))
+        argv = ["cj-table", "--type", "A2", "-p", "2", "--decomp-data", str(path)]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "Q-hat data required: supply --qhat-data" in err
 
 
 class TestDeterminism:

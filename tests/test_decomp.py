@@ -6,6 +6,8 @@ import pytest
 from liechar import (
     CoverageError,
     DataValidationError,
+    LiecharError,
+    NonDominantError,
     Sl2DecompositionProvider,
     basis_change_matrices,
     load_decomposition_data,
@@ -20,6 +22,12 @@ def test_weight_digits():
     assert weight_digits((0,), 3) == [(0,)]
     assert weight_digits((4,), 3) == [(1,), (1,)]
     assert weight_digits((3, 7), 2) == [(1, 1), (1, 1), (0, 1)]
+
+
+@pytest.mark.parametrize("lam", [(-1,), (2, -3)])
+def test_weight_digits_rejects_negative_coordinates(lam):
+    with pytest.raises(NonDominantError):
+        weight_digits(lam, 3)
 
 
 class TestSl2Rows:
@@ -44,6 +52,18 @@ class TestSl2Rows:
             row = provider.row((m,))
             assert from_simple_basis(row, provider) == weyl_character((m,), provider.rs)
             assert set(row.values()) <= {1}
+
+    def test_rejects_negative_entry(self, monkeypatch):
+        # A simple character too large by 2 L(0) leaves -1 at (0,) in row (4,).
+        provider = Sl2DecompositionProvider(3)
+        simple = provider.simple_character
+
+        def inflated(lam):
+            return simple(lam) + 2 * simple((0,)) if tuple(lam) == (4,) else simple(lam)
+
+        monkeypatch.setattr(provider, "simple_character", inflated)
+        with pytest.raises(LiecharError, match=r"\(4,\)"):
+            provider.row((4,))
 
 
 class TestSimpleCharacter:

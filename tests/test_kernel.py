@@ -1,0 +1,136 @@
+"""Property tests of the integer lattice kernel against exact Fraction references.
+
+Every reference below is computed here, from the Cartan matrix alone, by
+Fraction Gauss-Jordan elimination and the O(n^2) maximal-element scan.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liechar import character_divide, steinberg_character, to_weyl_basis
+from liechar.characters import from_weyl_basis, leading_dominant_weights
+from liechar.rootdata import RootSystem, build_root_system
+
+# A user-supplied rank-3 matrix (type B3/C3), next to the built-in types.
+RANK3_CARTAN = ((2, -1, 0), (-1, 2, -2), (0, -1, 2))
+ROOT_SYSTEMS = {
+    name: build_root_system(name) for name in ("A1", "A2", "B2", "G2")
+}
+ROOT_SYSTEMS["rank3"] = RootSystem(RANK3_CARTAN)
+NAMES = sorted(ROOT_SYSTEMS)
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def fraction_inverse(matrix):
+    n = len(matrix)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def reference_root_coords(rs, weight):
+    inverse = fraction_inverse(rs.cartan.entries)
+    return tuple(
+        sum(weight[i] * inverse[i][j] for i in range(rs.rank)) for j in range(rs.rank)
+    )
+
+
+def reference_bilinear(rs, x, y):
+    """(x, y) = sum_j n_j(y) x_j d_j, times the least integer clearing the
+    denominators of the fundamental-weight Gram matrix."""
+    d = rs.cartan.symmetrizer
+    inverse = fraction_inverse(rs.cartan.entries)
+    gram = [[inverse[i][j] * d[j] for j in range(rs.rank)] for i in range(rs.rank)]
+    scale = math.lcm(*(x.denominator for row in gram for x in row))
+    n = reference_root_coords(rs, y)
+    return scale * sum(n[j] * x[j] * d[j] for j in range(rs.rank))
+
+
+def reference_dominance_leq(rs, mu, lam):
+    diff = tuple(a - b for a, b in zip(lam, mu))
+    return all(n.denominator == 1 and n >= 0 for n in reference_root_coords(rs, diff))
+
+
+def reference_maximal(support, rs):
+    dominants = [w for w in support if all(c >= 0 for c in w)]
+    return {
+        w
+        for w in dominants
+        if not any(v != w and reference_dominance_leq(rs, w, v) for v in dominants)
+    }
+
+
+@st.composite
+def system_and_weights(draw, count, low=-6, high=6):
+    name = draw(st.sampled_from(NAMES))
+    rs = ROOT_SYSTEMS[name]
+    weight = st.tuples(*[st.integers(low, high)] * rs.rank)
+    return rs, [draw(weight) for _ in range(count)]
+
+
+@st.composite
+def invariant_coefficients(draw, max_weight=3, max_terms=4):
+    """A root system and Weyl-basis coefficients of a W-invariant virtual character."""
+    name = draw(st.sampled_from(NAMES))
+    rs = ROOT_SYSTEMS[name]
+    bound = 1 if rs.rank == 3 else max_weight
+    dominant = st.tuples(*[st.integers(0, bound)] * rs.rank)
+    coeffs = draw(
+        st.dictionaries(dominant, st.integers(-3, 3).filter(bool), max_size=max_terms)
+    )
+    return rs, coeffs
+
+
+@PROPERTY
+@given(system_and_weights(count=2))
+def test_root_coords_and_bilinear_match_reference(case):
+    rs, (x, y) = case
+    assert rs.root_coords(x) == reference_root_coords(rs, x)
+    assert rs.bilinear(x, y) == reference_bilinear(rs, x, y)
+    assert isinstance(rs.bilinear(x, y), int)
+
+
+@PROPERTY
+@given(system_and_weights(count=2, low=-4, high=4))
+def test_dominance_leq_matches_reference(case):
+    rs, (mu, lam) = case
+    assert rs.dominance_leq(mu, lam) == reference_dominance_leq(rs, mu, lam)
+
+
+@PROPERTY
+@given(system_and_weights(count=12, low=-2, high=8))
+def test_leading_dominant_weights_is_the_maximal_set(case):
+    rs, weights = case
+    support = dict.fromkeys(weights, 1)
+    found = leading_dominant_weights(support, rs)
+    assert len(found) == len(set(found))
+    assert set(found) == reference_maximal(support, rs)
+
+
+@PROPERTY
+@given(invariant_coefficients())
+def test_weyl_basis_roundtrip(case):
+    rs, coeffs = case
+    assert to_weyl_basis(from_weyl_basis(coeffs, rs), rs) == coeffs
+
+
+@settings(PROPERTY, max_examples=15)
+@given(invariant_coefficients(max_weight=2, max_terms=3))
+def test_divide_steinberg_multiple(case):
+    rs, coeffs = case
+    st_char = steinberg_character(rs, 2, 1)
+    q = from_weyl_basis(coeffs, rs)
+    assert character_divide(st_char * q, st_char, rs) == q

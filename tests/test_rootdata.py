@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from liechar import NonDominantError, NotFiniteTypeError, RankMismatchError
+from liechar import LiecharError, NonDominantError, NotFiniteTypeError, RankMismatchError
 from liechar.rootdata import BUILTIN_CARTAN_MATRICES, CartanMatrix, RootSystem, build_root_system
 
 
@@ -192,6 +192,13 @@ class TestWeylDimension:
         # dim of the rho-weight module is 2^{number of positive roots}.
         rs = build_root_system(name)
         assert rs.weyl_dimension(rs.rho) == 2 ** len(rs.positive_roots)
+
+    def test_rejects_non_integral_dimension(self, monkeypatch):
+        # Over alpha_1 + alpha_2 alone, the product for (1, 0) is 9/6.
+        rs = build_root_system("A2")
+        monkeypatch.setattr(rs, "positive_roots", ((1, 1),))
+        with pytest.raises(LiecharError, match=r"\(1, 0\)"):
+            rs.weyl_dimension((1, 0))
 
 
 def test_dominant_weights_below(rs_a2):
