@@ -1,13 +1,30 @@
 """Exact arithmetic in the ring of W-invariant characters.
 
 A Character is a finitely supported integer map on the weight lattice,
-stored over the full lattice (no orbit compression).  All coefficients are
-unbounded Python integers; all operations are exact.
+stored over the full lattice (no orbit compression) as a dict from weight
+tuples to multiplicities.  All coefficients are unbounded Python integers;
+all operations are exact.
+
+The product is a convolution on packed integer keys.  Both operands are
+shifted so that every coordinate starts at 0, and each weight becomes one
+mixed-radix integer whose coordinate i has radix span_a[i] + span_b[i] + 1
+(span = max - min of that coordinate over the operand's support).  A sum of
+two shifted coordinates is at most that radix minus one, so adding two keys
+never carries from one digit into the next and the sum of keys is the key
+of the sum of weights.  Only the product's own support is decoded back into
+tuples; tuple-keyed supports remain the only stored representation.
 """
 
 from __future__ import annotations
 
-from .errors import LiecharError, NonDominantError, NonInvariantError, RankMismatchError
+from .errors import (
+    LiecharError,
+    NonDominantError,
+    NonInvariantError,
+    RankMismatchError,
+    strict_int,
+    strict_int_tuple,
+)
 from .rootdata import RootSystem
 
 
@@ -29,8 +46,9 @@ class Character:
                     raise RankMismatchError(
                         f"weight {weight} has length {len(weight)}, expected {rank}"
                     )
+                mult = strict_int(mult, "multiplicity")
                 if mult != 0:
-                    self.support[tuple(weight)] = int(mult)
+                    self.support[strict_int_tuple(weight, "weight")] = mult
 
     def _check_compatible(self, other):
         if self.rank != other.rank:
@@ -70,6 +88,12 @@ class Character:
         return self + (-other)
 
     def __mul__(self, other):
+        """Scale by an int, or convolve with a Character of the same rank.
+
+        The convolution packs each weight into one mixed-radix integer key
+        (see the module docstring), accumulates ma * mb at key ka + kb, drops
+        zero coefficients once at the end and decodes the survivors.
+        """
         if isinstance(other, int):
             if other == 0:
                 return Character(self.rank)
@@ -77,17 +101,9 @@ class Character:
             result.support = {w: m * other for w, m in self.support.items()}
             return result
         self._check_compatible(other)
-        out = {}
-        for wa, ma in self.support.items():
-            for wb, mb in other.support.items():
-                w = tuple(a + b for a, b in zip(wa, wb))
-                new = out.get(w, 0) + ma * mb
-                if new:
-                    out[w] = new
-                else:
-                    del out[w]
         result = Character(self.rank)
-        result.support = out
+        if self.support and other.support:
+            result.support = _convolve(self.support, other.support)
         return result
 
     __rmul__ = __mul__
@@ -112,15 +128,67 @@ class Character:
 
     @classmethod
     def from_json_dict(cls, doc):
-        rank = doc["rank"]
+        rank = strict_int(doc["rank"], "rank")
         support = {}
         for entry in doc["entries"]:
-            support[tuple(entry["weight"])] = entry["mult"]
+            support[strict_int_tuple(entry["weight"], "weight")] = entry["mult"]
         return cls(rank, support)
 
     def __repr__(self):
         items = ", ".join(f"{w}: {m}" for w, m in self.sorted_items())
         return f"Character({{{items}}})"
+
+
+def _convolve(a, b):
+    """The support of the product of two nonempty supports of equal rank."""
+    low_a, span_a = _bounds(a)
+    low_b, span_b = _bounds(b)
+    radices = [sa + sb + 1 for sa, sb in zip(span_a, span_b)]
+    out = {}
+    get = out.get
+    packed_b = _pack(b, low_b, radices)
+    for ka, ma in _pack(a, low_a, radices):
+        for kb, mb in packed_b:
+            k = ka + kb
+            out[k] = get(k, 0) + ma * mb
+    low = [la + lb for la, lb in zip(low_a, low_b)]
+    radices.reverse()
+    low.reverse()
+    support = {}
+    for k, m in out.items():
+        if m:
+            coords = []
+            for radix, lo in zip(radices, low):
+                k, digit = divmod(k, radix)
+                coords.append(digit + lo)
+            coords.reverse()
+            support[tuple(coords)] = m
+    return support
+
+
+def _bounds(support):
+    """Per-coordinate minimum and span (max - min) over a nonempty support."""
+    low = []
+    span = []
+    for coords in zip(*support):
+        lo = min(coords)
+        low.append(lo)
+        span.append(max(coords) - lo)
+    return low, span
+
+
+def _pack(support, low, radices):
+    """(key, mult) pairs; w's key has digit w_i - low_i in radix radices[i].
+
+    The first coordinate is the most significant digit.
+    """
+    packed = []
+    for w, m in support.items():
+        k = 0
+        for c, lo, radix in zip(w, low, radices):
+            k = k * radix + (c - lo)
+        packed.append((k, m))
+    return packed
 
 
 def multiply(a, b):

@@ -50,7 +50,6 @@ class RunConfig:
     method: str
     fmt: str
     jobs: int
-    seed: int
     widen: bool
 
 
@@ -127,7 +126,6 @@ def build_config(args):
         method=args.method,
         fmt=args.format,
         jobs=args.jobs,
-        seed=args.seed,
         widen=args.widen,
     )
 
@@ -503,10 +501,7 @@ def cmd_verify(config, target, out=None):
         checks, mismatches = _verify_prop44delta(config)
     elapsed = time.monotonic() - start
     print(f"verify {target}: {elapsed:.2f}s", file=sys.stderr)
-    out.write(
-        f"target={target} checks={checks} mismatches={len(mismatches)} "
-        f"seed={config.seed}\n"
-    )
+    out.write(f"target={target} checks={checks} mismatches={len(mismatches)}\n")
     for line in mismatches:
         out.write(f"mismatch {line}\n")
     return EXIT_MISMATCH if mismatches else EXIT_OK
@@ -538,7 +533,6 @@ def build_parser():
         help="output format",
     )
     common.add_argument("--jobs", type=int, default=1, help="parallelism degree")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
     common.add_argument(
         "--widen",
         action="store_true",

@@ -20,6 +20,8 @@ from .errors import (
     DataValidationError,
     LiecharError,
     NonDominantError,
+    strict_int,
+    strict_int_tuple,
 )
 from .rootdata import CartanMatrix, RootSystem
 
@@ -228,8 +230,8 @@ def load_decomposition_data(doc, rs=None):
             rs = RootSystem(CartanMatrix.from_json_dict(doc["cartan"]))
         else:
             raise DataValidationError("document needs a 'type' or 'cartan' key")
-    p = doc.get("p")
-    if not isinstance(p, int) or p < 2:
+    p = strict_int(doc.get("p"), "p")
+    if p < 2:
         raise DataValidationError(f"invalid prime p: {p!r}")
     raw_rows = doc.get("rows")
     if not isinstance(raw_rows, list):
@@ -238,9 +240,11 @@ def load_decomposition_data(doc, rs=None):
     rows = {}
     for entry in raw_rows:
         try:
-            lam = tuple(int(c) for c in entry["lambda"])
+            lam = strict_int_tuple(entry["lambda"], "lambda")
             factors = {
-                tuple(int(c) for c in f["mu"]): int(f["mult"])
+                strict_int_tuple(f["mu"], f"row {lam}: mu"): strict_int(
+                    f["mult"], f"row {lam}: multiplicity"
+                )
                 for f in entry["factors"]
             }
         except (KeyError, TypeError, ValueError) as exc:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and strict integer parsing."""
 
 
 class LiecharError(Exception):
@@ -42,3 +42,27 @@ class DivisionFailure(LiecharError):
 
 class DataValidationError(LiecharError):
     """An external data document failed schema or consistency checks."""
+
+
+def strict_int(value, what):
+    """value itself if it is an int; DataValidationError naming `what` otherwise.
+
+    bool, float, str and every other type are rejected rather than
+    converted, so malformed data is never truncated or coerced.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DataValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def strict_int_tuple(value, what):
+    """A tuple from a sequence whose items all pass strict_int."""
+    try:
+        coords = tuple(value)
+    except TypeError:
+        raise DataValidationError(
+            f"{what} must be a list of integers, got {value!r}"
+        ) from None
+    for c in coords:
+        strict_int(c, what)
+    return coords

@@ -20,7 +20,13 @@ from .characters import (
     weyl_character,
 )
 from .decomp import to_simple_basis, weight_digits
-from .errors import CoverageError, DataValidationError, DivisionFailure
+from .errors import (
+    CoverageError,
+    DataValidationError,
+    DivisionFailure,
+    strict_int,
+    strict_int_tuple,
+)
 from .finite import contributing_nus, finite_composition_multiplicities, steinberg_multiplicity
 from .rootdata import CartanMatrix, RootSystem
 
@@ -137,9 +143,9 @@ class QrData:
                 rs = RootSystem(CartanMatrix.from_json_dict(doc["cartan"]))
             else:
                 raise DataValidationError("document needs a 'type' or 'cartan' key")
-        p = doc.get("p")
-        r = doc.get("r")
-        if not isinstance(p, int) or p < 2 or not isinstance(r, int) or r < 1:
+        p = strict_int(doc.get("p"), "p")
+        r = strict_int(doc.get("r"), "r")
+        if p < 2 or r < 1:
             raise DataValidationError(f"invalid (p, r): ({p!r}, {r!r})")
         raw = doc.get("entries")
         if not isinstance(raw, list):
@@ -147,7 +153,7 @@ class QrData:
         qhat_chars = {}
         for entry in raw:
             try:
-                lam = tuple(int(c) for c in entry["lambda"])
+                lam = strict_int_tuple(entry["lambda"], "lambda")
                 qhat = Character.from_json_dict(entry["qhat"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataValidationError(f"malformed entry {entry!r}") from exc

@@ -15,7 +15,13 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .errors import LiecharError, NonDominantError, NotFiniteTypeError, RankMismatchError
+from .errors import (
+    LiecharError,
+    NonDominantError,
+    NotFiniteTypeError,
+    RankMismatchError,
+    strict_int_tuple,
+)
 
 #: A weight in fundamental-weight coordinates.
 Weight = tuple
@@ -84,7 +90,7 @@ class CartanMatrix:
     """
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(strict_int_tuple(row, "Cartan matrix row") for row in entries)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise NotFiniteTypeError(f"matrix is not square: {entries!r}")

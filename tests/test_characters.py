@@ -5,6 +5,7 @@ import pytest
 
 from liechar import (
     Character,
+    DataValidationError,
     LiecharError,
     NonDominantError,
     NonInvariantError,
@@ -210,6 +211,27 @@ class TestSerialization:
         weights = [tuple(e["weight"]) for e in doc["entries"]]
         assert weights == sorted(weights)
         assert Character.from_json_dict(doc) == chi
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"weight": [2], "mult": 1.7},
+            {"weight": [2], "mult": True},
+            {"weight": [2], "mult": "3"},
+            {"weight": [1.9], "mult": 1},
+        ],
+    )
+    def test_from_json_rejects_non_integers(self, entry):
+        doc = {"rank": 1, "entries": [{"weight": [0], "mult": 1}, entry]}
+        with pytest.raises(DataValidationError, match="must be an integer"):
+            Character.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "support", [{(2,): 1.7}, {(2,): True}, {(2,): "3"}, {(1.9,): 1}]
+    )
+    def test_constructor_rejects_non_integers(self, support):
+        with pytest.raises(DataValidationError, match="must be an integer"):
+            Character(1, support)
 
     def test_dimension(self, rs_a1):
         assert weyl_character((2,), rs_a1).dimension() == 3

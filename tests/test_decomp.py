@@ -193,6 +193,21 @@ class TestLoadDecompositionData:
         with pytest.raises(DataValidationError):
             load_decomposition_data({"type": "A2", "p": 2, "rows": [{"bad": 1}]})
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"lambda": [0], "factors": [{"mu": [0], "mult": 1.7}]},
+            {"lambda": [0], "factors": [{"mu": [0], "mult": True}]},
+            {"lambda": [0], "factors": [{"mu": [0], "mult": "3"}]},
+            {"lambda": [1.9], "factors": [{"mu": [0], "mult": 1}]},
+            {"lambda": [0], "factors": [{"mu": [1.9], "mult": 1}]},
+        ],
+    )
+    def test_rejects_non_integers(self, row):
+        doc = {"type": "A1", "p": 3, "rows": [row]}
+        with pytest.raises(DataValidationError, match="must be an integer"):
+            load_decomposition_data(doc)
+
     def test_missing_row_is_coverage_error(self):
         provider = load_decomposition_data(a2_p2_document())
         with pytest.raises(CoverageError):

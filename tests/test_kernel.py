@@ -1,7 +1,8 @@
-"""Property tests of the integer lattice kernel against exact Fraction references.
+"""Property tests of the integer kernels against exact references.
 
-Every reference below is computed here, from the Cartan matrix alone, by
-Fraction Gauss-Jordan elimination and the O(n^2) maximal-element scan.
+Every reference below is computed here: the lattice kernel's from the
+Cartan matrix alone, by Fraction Gauss-Jordan elimination and the O(n^2)
+maximal-element scan; the packed-key product's by the tuple double loop.
 """
 
 import math
@@ -10,7 +11,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liechar import character_divide, steinberg_character, to_weyl_basis
+from liechar import (
+    Character,
+    character_divide,
+    frobenius_twist,
+    steinberg_character,
+    to_weyl_basis,
+)
 from liechar.characters import from_weyl_basis, leading_dominant_weights
 from liechar.rootdata import RootSystem, build_root_system
 
@@ -134,3 +141,68 @@ def test_divide_steinberg_multiple(case):
     st_char = steinberg_character(rs, 2, 1)
     q = from_weyl_basis(coeffs, rs)
     assert character_divide(st_char * q, st_char, rs) == q
+
+
+def reference_product(a, b):
+    """The convolution as a tuple-keyed double loop."""
+    out = {}
+    for wa, ma in a.support.items():
+        for wb, mb in b.support.items():
+            w = tuple(x + y for x, y in zip(wa, wb))
+            new = out.get(w, 0) + ma * mb
+            if new:
+                out[w] = new
+            else:
+                del out[w]
+    return out
+
+
+# p^s = 49, 64 and 125: twisted operands have wide, sparse coordinates.
+TWISTS = (None, (7, 2), (2, 6), (5, 3))
+
+
+@st.composite
+def virtual_characters(draw, count):
+    """count virtual characters of one rank in 1..3, possibly empty or twisted."""
+    rank = draw(st.integers(1, 3))
+    weight = st.tuples(*[st.integers(-5, 5)] * rank)
+    chars = []
+    for _ in range(count):
+        support = draw(
+            st.dictionaries(weight, st.integers(-4, 4).filter(bool), max_size=6)
+        )
+        chi = Character(rank, support)
+        twist = draw(st.sampled_from(TWISTS))
+        chars.append(chi if twist is None else frobenius_twist(chi, *twist))
+    return chars
+
+
+@PROPERTY
+@given(virtual_characters(count=2))
+def test_product_matches_reference(chars):
+    a, b = chars
+    product = a * b
+    assert product.support == reference_product(a, b)
+    assert 0 not in product.support.values()
+
+
+@PROPERTY
+@given(virtual_characters(count=2))
+def test_product_cancellation(chars):
+    x, y = chars
+    product = (x + y) * (x - y)
+    assert product == x * x - y * y
+    assert 0 not in product.support.values()
+    assert not x * (-x) + x * x
+
+
+@PROPERTY
+@given(virtual_characters(count=3), st.integers(-3, 3))
+def test_ring_axioms(chars, k):
+    a, b, c = chars
+    unit = Character(a.rank, {(0,) * a.rank: 1})
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * unit == a == unit * a
+    assert (a * k) * b == k * (a * b)

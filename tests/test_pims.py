@@ -102,6 +102,29 @@ class TestQrData:
         with pytest.raises(DataValidationError, match="not divisible"):
             QrData.from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "lam,weight,mult",
+        [
+            ([0], [2], 1.7),
+            ([0], [2], True),
+            ([0], [2], "3"),
+            ([0], [1.9], 1),
+            ([1.9], [2], 1),
+        ],
+    )
+    def test_rejects_non_integers(self, lam, weight, mult):
+        qhat = {"rank": 1, "entries": [{"weight": weight, "mult": mult}]}
+        doc = {"type": "A1", "p": 3, "r": 1, "entries": [{"lambda": lam, "qhat": qhat}]}
+        with pytest.raises(DataValidationError, match="must be an integer"):
+            QrData.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key", ["p", "r"])
+    def test_rejects_boolean_p_and_r(self, key):
+        doc = {"type": "A1", "p": 3, "r": 1, "entries": []}
+        doc[key] = True
+        with pytest.raises(DataValidationError, match="must be an integer"):
+            QrData.from_json_dict(doc)
+
     def test_missing_weight(self, qr3):
         from liechar import CoverageError
 

@@ -2,7 +2,13 @@ import itertools
 
 import pytest
 
-from liechar import LiecharError, NonDominantError, NotFiniteTypeError, RankMismatchError
+from liechar import (
+    DataValidationError,
+    LiecharError,
+    NonDominantError,
+    NotFiniteTypeError,
+    RankMismatchError,
+)
 from liechar.rootdata import BUILTIN_CARTAN_MATRICES, CartanMatrix, RootSystem, build_root_system
 
 
@@ -43,6 +49,11 @@ class TestCartanMatrix:
     def test_from_json_by_matrix(self):
         cm = CartanMatrix.from_json_dict({"rank": 1, "matrix": [[2]]})
         assert cm.rank == 1
+
+    @pytest.mark.parametrize("entry", [-1.5, True, "-1"])
+    def test_from_json_rejects_non_integers(self, entry):
+        with pytest.raises(DataValidationError, match="must be an integer"):
+            CartanMatrix.from_json_dict({"rank": 2, "matrix": [[2, entry], [-1, 2]]})
 
     def test_from_json_rank_mismatch(self):
         with pytest.raises(NotFiniteTypeError, match="rank"):
