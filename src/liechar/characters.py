@@ -13,11 +13,35 @@ two shifted coordinates is at most that radix minus one, so adding two keys
 never carries from one digit into the next and the sum of keys is the key
 of the sum of weights.  Only the product's own support is decoded back into
 tuples; tuple-keyed supports remain the only stored representation.
+
+Because keys add without carrying, the product is a polynomial product in
+one variable X: each operand is the sum of m * X**k over its (key, mult)
+pairs, and the product's coefficient at X**k is its multiplicity at key k.
+Two paths compute it, chosen by the size of the packed box, prod(radices)
+slots (every product key lies below it), against the term count
+len(a) * len(b):
+
+* box <= terms: Kronecker substitution.  X becomes 2**(8 * width) and the
+  product is one big-integer multiply.  By Cauchy-Schwarz every coefficient
+  is at most ||a||_2 * ||b||_2 <= isqrt(sum ma^2 * sum mb^2) in absolute
+  value, so width is the least of 1, 2, 4 or 8 bytes (beyond 8, the least
+  byte count) holding that bound and a sign bit.  Adding half =
+  2**(8 * width - 1) to every slot makes each slot c + half, in
+  [0, 2 * half), so no slot borrows from the next; the slots are read back
+  from the bytes of that sum, and those not equal to half are the nonzero
+  coefficients.
+* box > terms: a dict loop accumulating ma * mb at key ka + kb.  Sparse
+  boxes, such as Frobenius twists by p^s, would otherwise cost memory and
+  time in the box size rather than the term count.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+
 from .errors import (
+    DataValidationError,
     LiecharError,
     NonDominantError,
     NonInvariantError,
@@ -91,8 +115,9 @@ class Character:
         """Scale by an int, or convolve with a Character of the same rank.
 
         The convolution packs each weight into one mixed-radix integer key
-        (see the module docstring), accumulates ma * mb at key ka + kb, drops
-        zero coefficients once at the end and decodes the survivors.
+        (see the module docstring), forms the product of the packed
+        operands by one big-integer multiply or, for sparse boxes, a dict
+        loop, and decodes only the nonzero coefficients.
         """
         if isinstance(other, int):
             if other == 0:
@@ -131,7 +156,10 @@ class Character:
         rank = strict_int(doc["rank"], "rank")
         support = {}
         for entry in doc["entries"]:
-            support[strict_int_tuple(entry["weight"], "weight")] = entry["mult"]
+            weight = strict_int_tuple(entry["weight"], "weight")
+            if weight in support:
+                raise DataValidationError(f"duplicate weight {weight}")
+            support[weight] = entry["mult"]
         return cls(rank, support)
 
     def __repr__(self):
@@ -144,18 +172,18 @@ def _convolve(a, b):
     low_a, span_a = _bounds(a)
     low_b, span_b = _bounds(b)
     radices = [sa + sb + 1 for sa, sb in zip(span_a, span_b)]
-    out = {}
-    get = out.get
+    packed_a = _pack(a, low_a, radices)
     packed_b = _pack(b, low_b, radices)
-    for ka, ma in _pack(a, low_a, radices):
-        for kb, mb in packed_b:
-            k = ka + kb
-            out[k] = get(k, 0) + ma * mb
+    slots = math.prod(radices)
+    if slots <= len(a) * len(b):
+        terms = _kronecker_product(packed_a, packed_b, slots)
+    else:
+        terms = _loop_product(packed_a, packed_b)
     low = [la + lb for la, lb in zip(low_a, low_b)]
     radices.reverse()
     low.reverse()
     support = {}
-    for k, m in out.items():
+    for k, m in terms:
         if m:
             coords = []
             for radix, lo in zip(radices, low):
@@ -164,6 +192,75 @@ def _convolve(a, b):
             coords.reverse()
             support[tuple(coords)] = m
     return support
+
+
+def _loop_product(packed_a, packed_b):
+    """(key, coefficient) pairs of the product by a double loop over terms.
+
+    Coefficients that cancel to 0 are kept; the caller drops them.
+    """
+    out = {}
+    get = out.get
+    for ka, ma in packed_a:
+        for kb, mb in packed_b:
+            k = ka + kb
+            out[k] = get(k, 0) + ma * mb
+    return out.items()
+
+
+# memoryview formats of the unsigned native integers of 1, 2, 4 and 8 bytes.
+# Slots are laid out little-endian, so they are read this way only on
+# little-endian hosts; elsewhere (and for wider slots) by byte slices.
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+
+
+def _kronecker_product(packed_a, packed_b, slots):
+    """Nonzero (key, coefficient) pairs of the product by one integer multiply.
+
+    Each operand becomes the integer sum of m * X**k with X = 2**(8 * width):
+    the product's coefficient at key k sits in slot k of the product
+    integer, since keys below `slots` never carry (see the module docstring).
+    """
+    norm_a = sum(m * m for _, m in packed_a)
+    norm_b = sum(m * m for _, m in packed_b)
+    # Cauchy-Schwarz: every coefficient, and every operand multiplicity, is
+    # at most isqrt(norm_a * norm_b) in absolute value; one more bit holds
+    # the sign.
+    width = (math.isqrt(norm_a * norm_b).bit_length() + 8) // 8
+    width = next((w for w in (1, 2, 4, 8) if w >= width), width)
+    half = 1 << (8 * width - 1)
+    product = _kronecker_operand(packed_a, slots, width) * _kronecker_operand(
+        packed_b, slots, width
+    )
+    # Adding half to every slot makes each slot c + half, in [0, 2 * half):
+    # no slot borrows from the next, and a zero coefficient reads as half.
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    data = (product + offset).to_bytes(slots * width, "little")
+    fmt = _SLOT_FORMATS.get(width)
+    if fmt is None:
+        values = (
+            int.from_bytes(data[i : i + width], "little")
+            for i in range(0, len(data), width)
+        )
+    else:
+        values = memoryview(data).cast(fmt)
+    # A generator, not a list: a list of (key, coefficient) tuples would
+    # interleave with the result's weight tuples in the allocator's pools
+    # and raise the peak memory of the rest of the run.
+    return ((k, v - half) for k, v in enumerate(values) if v != half)
+
+
+def _kronecker_operand(packed, slots, width):
+    """The integer sum of m * 2**(8 * width * k) over (k, m) in packed."""
+    positive = bytearray(slots * width)
+    negative = bytearray(slots * width)
+    for k, m in packed:
+        start = k * width
+        if m > 0:
+            positive[start : start + width] = m.to_bytes(width, "little")
+        else:
+            negative[start : start + width] = (-m).to_bytes(width, "little")
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 
 def _bounds(support):

@@ -241,14 +241,16 @@ def load_decomposition_data(doc, rs=None):
     for entry in raw_rows:
         try:
             lam = strict_int_tuple(entry["lambda"], "lambda")
-            factors = {
-                strict_int_tuple(f["mu"], f"row {lam}: mu"): strict_int(
-                    f["mult"], f"row {lam}: multiplicity"
-                )
-                for f in entry["factors"]
-            }
+            factors = {}
+            for f in entry["factors"]:
+                mu = strict_int_tuple(f["mu"], f"row {lam}: mu")
+                if mu in factors:
+                    raise DataValidationError(f"row {lam}: duplicate factor {mu}")
+                factors[mu] = strict_int(f["mult"], f"row {lam}: multiplicity")
         except (KeyError, TypeError, ValueError) as exc:
             raise DataValidationError(f"malformed row entry {entry!r}") from exc
+        if lam in rows:
+            raise DataValidationError(f"duplicate row for lambda {lam}")
         rs.check_rank(lam)
         if factors.get(lam) != 1:
             raise DataValidationError(

@@ -226,6 +226,11 @@ class TestSerialization:
         with pytest.raises(DataValidationError, match="must be an integer"):
             Character.from_json_dict(doc)
 
+    def test_from_json_rejects_duplicate_weights(self):
+        entries = [{"weight": [0], "mult": 1}, {"weight": [0], "mult": 2}]
+        with pytest.raises(DataValidationError, match=r"duplicate weight \(0,\)"):
+            Character.from_json_dict({"rank": 1, "entries": entries})
+
     @pytest.mark.parametrize(
         "support", [{(2,): 1.7}, {(2,): True}, {(2,): "3"}, {(1.9,): 1}]
     )

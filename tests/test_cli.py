@@ -156,6 +156,65 @@ class TestInputErrors:
         assert "must be an integer, got 1.7" in err
 
 
+    @pytest.mark.parametrize(
+        "flag, doc, message",
+        [
+            (
+                "--decomp-data",
+                {
+                    "type": "A1",
+                    "p": 3,
+                    "rows": [
+                        {
+                            "lambda": [0],
+                            "factors": [{"mu": [0], "mult": 1}, {"mu": [0], "mult": 1}],
+                        }
+                    ],
+                },
+                "duplicate factor (0,)",
+            ),
+            (
+                "--decomp-data",
+                {
+                    "type": "A1",
+                    "p": 3,
+                    "rows": [{"lambda": [0], "factors": [{"mu": [0], "mult": 1}]}] * 2,
+                },
+                "duplicate row for lambda (0,)",
+            ),
+            (
+                "--qhat-data",
+                {
+                    "type": "A1",
+                    "p": 3,
+                    "r": 1,
+                    "entries": [
+                        {
+                            "lambda": [0],
+                            "qhat": {
+                                "rank": 1,
+                                "entries": [
+                                    {"weight": [0], "mult": 1},
+                                    {"weight": [0], "mult": 2},
+                                ],
+                            },
+                        }
+                    ],
+                },
+                "duplicate weight (0,)",
+            ),
+        ],
+        ids=["decomp-factor", "decomp-row", "qhat-weight"],
+    )
+    def test_duplicates_in_data(self, capsys, tmp_path, flag, doc, message):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["char", "-p", "3", flag, str(path), "weyl(1)"])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
 class TestDataResolution:
     def test_decomp_data_file(self, capsys, tmp_path):
         path = tmp_path / "a2p2.json"

@@ -208,6 +208,18 @@ class TestLoadDecompositionData:
         with pytest.raises(DataValidationError, match="must be an integer"):
             load_decomposition_data(doc)
 
+    def test_rejects_duplicate_factor(self):
+        doc = a2_p2_document()
+        doc["rows"][1]["factors"].append({"mu": [1, 0], "mult": 1})
+        with pytest.raises(DataValidationError, match=r"duplicate factor \(1, 0\)"):
+            load_decomposition_data(doc)
+
+    def test_rejects_duplicate_row(self):
+        doc = a2_p2_document()
+        doc["rows"].append(copy.deepcopy(doc["rows"][1]))
+        with pytest.raises(DataValidationError, match=r"duplicate row .*\(1, 0\)"):
+            load_decomposition_data(doc)
+
     def test_missing_row_is_coverage_error(self):
         provider = load_decomposition_data(a2_p2_document())
         with pytest.raises(CoverageError):

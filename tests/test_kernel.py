@@ -2,23 +2,27 @@
 
 Every reference below is computed here: the lattice kernel's from the
 Cartan matrix alone, by Fraction Gauss-Jordan elimination and the O(n^2)
-maximal-element scan; the packed-key product's by the tuple double loop.
+maximal-element scan; the product's, on both of its paths (dict loop and
+Kronecker substitution), by the tuple double loop.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liechar import (
     Character,
     character_divide,
+    characters,
     frobenius_twist,
     steinberg_character,
     to_weyl_basis,
 )
-from liechar.characters import from_weyl_basis, leading_dominant_weights
+from liechar.characters import _bounds, from_weyl_basis, leading_dominant_weights
 from liechar.rootdata import RootSystem, build_root_system
 
 # A user-supplied rank-3 matrix (type B3/C3), next to the built-in types.
@@ -206,3 +210,100 @@ def test_ring_axioms(chars, k):
     assert a * (b + c) == a * b + a * c
     assert a * unit == a == unit * a
     assert (a * k) * b == k * (a * b)
+
+
+def kronecker_applies(a, b):
+    """Whether _convolve multiplies a and b by Kronecker substitution."""
+    span_a = _bounds(a.support)[1]
+    span_b = _bounds(b.support)[1]
+    slots = math.prod(sa + sb + 1 for sa, sb in zip(span_a, span_b))
+    return slots <= len(a.support) * len(b.support)
+
+
+@st.composite
+def box_filling_pairs(draw, mult=st.integers(-(2**70), 2**70).filter(bool)):
+    """Two characters of one rank in 1..3 whose packed box fits in their term count.
+
+    Each fills a box of side at most 4 per coordinate with nonzero
+    multiplicities; drawn points are then removed only while the box stays
+    no larger than the term count, so the Kronecker product always runs.
+    """
+    rank = draw(st.integers(1, 3))
+    chars = []
+    for _ in range(2):
+        low = draw(st.tuples(*[st.integers(-3, 3)] * rank))
+        side = draw(st.tuples(*[st.integers(1, 4)] * rank))
+        box = itertools.product(*(range(lo, lo + n) for lo, n in zip(low, side)))
+        chars.append(Character(rank, {w: draw(mult) for w in box}))
+    a, b = chars
+    for w in draw(st.lists(st.sampled_from(sorted(a.support)), max_size=8)):
+        smaller = Character(rank, {v: m for v, m in a.support.items() if v != w})
+        if smaller and kronecker_applies(smaller, b):
+            a = smaller
+    return a, b
+
+
+@PROPERTY
+@given(box_filling_pairs())
+def test_kronecker_product_matches_reference(pair):
+    a, b = pair
+    assert kronecker_applies(a, b)
+    product = a * b
+    assert product.support == reference_product(a, b)
+    assert 0 not in product.support.values()
+    assert not a * (-a) + a * a
+    assert (a * (-a)).support == reference_product(a, -a)
+
+
+def spy(monkeypatch, name):
+    """Wrap characters.<name>; returns the list of each call's arguments."""
+    calls = []
+    original = getattr(characters, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(characters, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "bits, widths", [(7, (1, 2)), (15, (2, 4)), (31, (4, 8)), (63, (8, 9))]
+)
+def test_kronecker_slot_width_edges(monkeypatch, bits, widths, sign):
+    """||a|| * ||b|| = sqrt(t^2 + 2) for t = 2^bits - 1 (just below 2^bits) and
+    t = 2^bits (just above): the first fits a signed slot of widths[0] bytes,
+    the second needs widths[1]."""
+    operands = spy(monkeypatch, "_kronecker_operand")
+    for t, width in zip((2**bits - 1, 2**bits), widths):
+        a = Character(1, {(0,): 1, (1,): t, (2,): -1})
+        b = Character(1, {(0,): sign})
+        product = a * b
+        assert product.support == reference_product(a, b)
+        assert product.support[(1,)] == sign * t
+        assert [args[2] for args in operands] == [width, width]
+        operands.clear()
+
+
+@pytest.mark.parametrize(
+    "a, b, kronecker",
+    [
+        ({(0,): 1, (1,): 1}, {(0,): 1}, True),  # 2 slots, 2 terms
+        ({(0,): 1, (2,): 1}, {(0,): 1}, False),  # 3 slots, 2 terms
+        (
+            {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): -3},
+            {(0, 0): 1, (1, 0): 1},
+            True,
+        ),  # 6 slots, 8 terms
+        ({(0, 0): 2, (1, 1): -3}, {(0, 0): 1, (1, 0): 1}, False),  # 6 slots, 4 terms
+    ],
+)
+def test_convolve_takes_each_path(monkeypatch, a, b, kronecker):
+    big = spy(monkeypatch, "_kronecker_product")
+    loop = spy(monkeypatch, "_loop_product")
+    rank = len(next(iter(a)))
+    a, b = Character(rank, a), Character(rank, b)
+    assert (a * b).support == reference_product(a, b)
+    assert (len(big), len(loop)) == ((1, 0) if kronecker else (0, 1))
