@@ -9,7 +9,6 @@ from .characters import (
     Character,
     formal_dual,
     frobenius_twist,
-    multiply,
     steinberg_character,
     to_weyl_basis,
     weyl_character,
@@ -20,7 +19,6 @@ from .decomp import (
     Sl2DecompositionProvider,
     basis_change_matrices,
     load_decomposition_data,
-    simple_character,
     sl2_decomposition_row,
     to_simple_basis,
 )
@@ -51,7 +49,6 @@ from .pims import (
     gk_truncated_character,
     induced_socle_multiplicity,
     jantzen_identity_check,
-    qr_character,
     theorem45a_socle_check,
 )
 from .rootdata import BUILTIN_CARTAN_MATRICES, CartanMatrix, RootSystem, build_root_system

@@ -288,11 +288,6 @@ def _pack(support, low, radices):
     return packed
 
 
-def multiply(a, b):
-    """Convolution product in the character ring."""
-    return a * b
-
-
 def frobenius_twist(chi, p, s):
     """Scale every support weight by p^s, keeping multiplicities."""
     if s < 0:
@@ -312,10 +307,6 @@ def formal_dual(chi):
     result = Character(chi.rank)
     result.support = {tuple(-c for c in w): m for w, m in chi.support.items()}
     return result
-
-
-def dimension(chi):
-    return chi.dimension()
 
 
 def weyl_character(lam, rs: RootSystem):

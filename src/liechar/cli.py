@@ -12,12 +12,10 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import pims
 from .characters import (
-    Character,
     formal_dual,
     frobenius_twist,
     steinberg_character,
@@ -26,7 +24,7 @@ from .characters import (
 from .decomp import Sl2DecompositionProvider, load_decomposition_data
 from .errors import LiecharError
 from .finite import STEINBERG_METHODS, steinberg_multiplicity
-from .rootdata import CartanMatrix, RootSystem
+from .rootdata import RootSystem, root_system_of
 
 DATA_DIR_ENV = "LIECHAR_DATA_DIR"
 
@@ -49,7 +47,6 @@ class RunConfig:
     bound: int
     method: str
     fmt: str
-    jobs: int
     widen: bool
 
 
@@ -81,10 +78,9 @@ def _load_json(path):
 
 
 def build_config(args):
-    if args.cartan:
-        rs = RootSystem(CartanMatrix.from_json_dict(_load_json(args.cartan)))
-    else:
-        rs = RootSystem(CartanMatrix.builtin(args.type))
+    rs = root_system_of(
+        {"cartan": _load_json(args.cartan)} if args.cartan else {"type": args.type}
+    )
     if not _is_prime(args.p):
         raise CliError(f"p must be prime, got {args.p}")
     if args.r < 1:
@@ -125,7 +121,6 @@ def build_config(args):
         bound=bound,
         method=args.method,
         fmt=args.format,
-        jobs=args.jobs,
         widen=args.widen,
     )
 
@@ -314,31 +309,20 @@ def cmd_char(config, expression, out=None):
     return EXIT_OK
 
 
-def _table_mapper(config):
-    if config.jobs > 1:
-        executor = ThreadPoolExecutor(max_workers=config.jobs)
-        return executor, executor.map
-    return None, map
+def _cj_table(config):
+    return pims.cj_table(
+        config.p,
+        config.r,
+        _require(config, "provider", "decomposition data"),
+        _require(config, "qrdata", "Q-hat data"),
+        method=config.method,
+        widen=config.widen,
+    )
 
 
 def cmd_cj_table(config, out=None):
     out = out if out is not None else sys.stdout
-    provider = _require(config, "provider", "decomposition data")
-    qrdata = _require(config, "qrdata", "Q-hat data")
-    executor, mapper = _table_mapper(config)
-    try:
-        table = pims.cj_table(
-            config.p,
-            config.r,
-            provider,
-            qrdata,
-            method=config.method,
-            widen=config.widen,
-            cells=mapper,
-        )
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    table = _cj_table(config)
     render_table(table, config.fmt, out)
     if table.mismatches:
         for lam, mu, left, right in table.mismatches:
@@ -349,9 +333,6 @@ def cmd_cj_table(config, out=None):
             )
         return EXIT_MISMATCH
     return EXIT_OK
-
-
-VERIFY_TARGETS = ("prop31", "prop32", "lemma33", "thm41", "thm45a", "prop44delta")
 
 
 def _dominant_grid(rs, bound):
@@ -415,22 +396,7 @@ def _verify_lemma33(config):
 
 
 def _verify_thm41(config):
-    provider = _require(config, "provider", "decomposition data")
-    qrdata = _require(config, "qrdata", "Q-hat data")
-    executor, mapper = _table_mapper(config)
-    try:
-        table = pims.cj_table(
-            config.p,
-            config.r,
-            provider,
-            qrdata,
-            method=config.method,
-            widen=config.widen,
-            cells=mapper,
-        )
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    table = _cj_table(config)
     checks = len(table.row_labels) * len(table.col_labels)
     return checks, [
         f"lambda={_weight_label(lam)} mu={_weight_label(mu)} lhs={a} rhs={b}"
@@ -479,26 +445,26 @@ def _verify_prop44delta(config):
     return checks, mismatches
 
 
+VERIFY_TARGETS = {
+    "prop31": lambda config: _verify_route_agreement(config, "good_filtration"),
+    "prop32": lambda config: _verify_route_agreement(config, "simple_basis"),
+    "lemma33": _verify_lemma33,
+    "thm41": _verify_thm41,
+    "thm45a": _verify_thm45a,
+    "prop44delta": _verify_prop44delta,
+}
+
+
 def cmd_verify(config, target, out=None):
     out = out if out is not None else sys.stdout
-    if target not in VERIFY_TARGETS:
+    check = VERIFY_TARGETS.get(target)
+    if check is None:
         raise CliError(
             f"unknown verify target {target!r}; known: {', '.join(VERIFY_TARGETS)}"
         )
     print(f"verify {target}: running", file=sys.stderr)
     start = time.monotonic()
-    if target == "prop31":
-        checks, mismatches = _verify_route_agreement(config, "good_filtration")
-    elif target == "prop32":
-        checks, mismatches = _verify_route_agreement(config, "simple_basis")
-    elif target == "lemma33":
-        checks, mismatches = _verify_lemma33(config)
-    elif target == "thm41":
-        checks, mismatches = _verify_thm41(config)
-    elif target == "thm45a":
-        checks, mismatches = _verify_thm45a(config)
-    else:
-        checks, mismatches = _verify_prop44delta(config)
+    checks, mismatches = check(config)
     elapsed = time.monotonic() - start
     print(f"verify {target}: {elapsed:.2f}s", file=sys.stderr)
     out.write(f"target={target} checks={checks} mismatches={len(mismatches)}\n")
@@ -532,7 +498,6 @@ def build_parser():
         default="pretty",
         help="output format",
     )
-    common.add_argument("--jobs", type=int, default=1, help="parallelism degree")
     common.add_argument(
         "--widen",
         action="store_true",

@@ -23,7 +23,7 @@ from .errors import (
     strict_int,
     strict_int_tuple,
 )
-from .rootdata import CartanMatrix, RootSystem
+from .rootdata import CartanMatrix, RootSystem, root_system_of
 
 
 def weight_digits(lam, p):
@@ -150,10 +150,6 @@ def sl2_decomposition_row(m, p):
     return {mu[0]: mult for mu, mult in provider.row((m,)).items()}
 
 
-def simple_character(lam, provider):
-    return provider.simple_character(lam)
-
-
 def to_simple_basis(chi, provider):
     """Coefficients [chi : chi_p(lam)]_G by leading-term elimination."""
     return expand(chi, provider.rs, provider.simple_character)
@@ -220,16 +216,12 @@ def load_decomposition_data(doc, rs=None):
     Schema: {"type"/"cartan": ..., "p": prime, "rows":
     [{"lambda": [...], "factors": [{"mu": [...], "mult": n}, ...]}, ...]}.
     Unitriangularity and dimension consistency are checked per row.
+    Without rs the document must name its root system; with rs, a document
+    that names one must name rs's Cartan matrix (see root_system_of).
     """
     if not isinstance(doc, dict):
         raise DataValidationError("decomposition document must be an object")
-    if rs is None:
-        if "type" in doc:
-            rs = RootSystem(CartanMatrix.builtin(doc["type"]))
-        elif "cartan" in doc:
-            rs = RootSystem(CartanMatrix.from_json_dict(doc["cartan"]))
-        else:
-            raise DataValidationError("document needs a 'type' or 'cartan' key")
+    rs = root_system_of(doc, rs)
     p = strict_int(doc.get("p"), "p")
     if p < 2:
         raise DataValidationError(f"invalid prime p: {p!r}")

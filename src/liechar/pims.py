@@ -28,7 +28,7 @@ from .errors import (
     strict_int_tuple,
 )
 from .finite import contributing_nus, finite_composition_multiplicities, steinberg_multiplicity
-from .rootdata import CartanMatrix, RootSystem
+from .rootdata import CartanMatrix, RootSystem, root_system_of
 
 
 def character_divide(num, den, rs):
@@ -133,16 +133,15 @@ class QrData:
     @classmethod
     def from_json_dict(cls, doc, rs=None):
         """Load from {"type"/"cartan": ..., "p": ..., "r": ..., "entries":
-        [{"lambda": [...], "qhat": <character JSON>}, ...]}."""
+        [{"lambda": [...], "qhat": <character JSON>}, ...]}.
+
+        Each lambda may appear once.  Without rs the document must name its
+        root system; with rs, a document that names one must name rs's
+        Cartan matrix (see root_system_of).
+        """
         if not isinstance(doc, dict):
             raise DataValidationError("Q-hat document must be an object")
-        if rs is None:
-            if "type" in doc:
-                rs = RootSystem(CartanMatrix.builtin(doc["type"]))
-            elif "cartan" in doc:
-                rs = RootSystem(CartanMatrix.from_json_dict(doc["cartan"]))
-            else:
-                raise DataValidationError("document needs a 'type' or 'cartan' key")
+        rs = root_system_of(doc, rs)
         p = strict_int(doc.get("p"), "p")
         r = strict_int(doc.get("r"), "r")
         if p < 2 or r < 1:
@@ -159,13 +158,10 @@ class QrData:
                 raise DataValidationError(f"malformed entry {entry!r}") from exc
             if qhat.rank != rs.rank:
                 raise DataValidationError(f"entry {lam}: rank mismatch")
+            if lam in qhat_chars:
+                raise DataValidationError(f"duplicate entry for lambda {lam}")
             qhat_chars[lam] = qhat
         return cls(rs, p, r, qhat_chars, "file")
-
-
-def qr_character(lam, qrdata):
-    """q_r(lambda), the Steinberg quotient of the injective-hull character."""
-    return qrdata.q(lam)
 
 
 def cj_lhs(lam, mu, p, r, provider, qrdata, method="simple_basis", widen=False):
@@ -205,30 +201,16 @@ class MultiplicityTable:
         return not self.mismatches
 
 
-def cj_table(p, r, provider, qrdata, method="simple_basis", widen=False, cells=None):
-    """Assemble both CJ routes for every (lambda, mu) pair of restricted weights.
-
-    cells, when given, is a callable mapping a worker over the row labels
-    (used for parallel table assembly); the default is plain iteration.
-    """
-    rs = provider.rs
-    labels = rs.restricted_weights(p, r)
-
-    def compute_row(lam):
-        row = {}
-        for mu in labels:
-            row[mu] = (
-                cj_lhs(lam, mu, p, r, provider, qrdata, method=method, widen=widen),
-                cj_rhs(lam, mu, p, r, provider, widen=widen),
-            )
-        return row
-
-    mapper = cells or map
+def cj_table(p, r, provider, qrdata, method="simple_basis", widen=False):
+    """Assemble both CJ routes for every (lambda, mu) pair of restricted weights."""
+    labels = provider.rs.restricted_weights(p, r)
     lhs = {}
     rhs = {}
     mismatches = []
-    for lam, row in zip(labels, mapper(compute_row, labels)):
-        for mu, (left, right) in row.items():
+    for lam in labels:
+        for mu in labels:
+            left = cj_lhs(lam, mu, p, r, provider, qrdata, method=method, widen=widen)
+            right = cj_rhs(lam, mu, p, r, provider, widen=widen)
             lhs[(lam, mu)] = left
             rhs[(lam, mu)] = right
             if left != right:

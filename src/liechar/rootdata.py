@@ -16,6 +16,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import (
+    DataValidationError,
     LiecharError,
     NonDominantError,
     NotFiniteTypeError,
@@ -150,7 +151,7 @@ class CartanMatrix:
     def builtin(cls, name):
         try:
             return cls(BUILTIN_CARTAN_MATRICES[name])
-        except KeyError:
+        except (KeyError, TypeError):
             raise NotFiniteTypeError(
                 f"unknown built-in type {name!r}; known: "
                 + ", ".join(sorted(BUILTIN_CARTAN_MATRICES))
@@ -159,6 +160,8 @@ class CartanMatrix:
     @classmethod
     def from_json_dict(cls, doc):
         """Build from {"type": name} or {"rank": l, "matrix": [[...]]}."""
+        if not isinstance(doc, dict):
+            raise NotFiniteTypeError(f"Cartan document must be an object, got {doc!r}")
         if "type" in doc:
             return cls.builtin(doc["type"])
         matrix = doc.get("matrix")
@@ -361,6 +364,30 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem(rank={self.rank}, positive_roots={len(self.positive_roots)})"
+
+
+def root_system_of(doc, rs=None):
+    """The root system a data document names by its "type" or "cartan" key.
+
+    With rs given, a document that names no root system is read over rs,
+    and one that names a Cartan matrix other than rs.cartan raises
+    DataValidationError.  Without rs, the document must name one.
+    """
+    if "type" in doc:
+        cartan = CartanMatrix.builtin(doc["type"])
+    elif "cartan" in doc:
+        cartan = CartanMatrix.from_json_dict(doc["cartan"])
+    elif rs is None:
+        raise DataValidationError("document needs a 'type' or 'cartan' key")
+    else:
+        return rs
+    if rs is None:
+        return RootSystem(cartan)
+    if cartan != rs.cartan:
+        raise DataValidationError(
+            f"document is for {cartan!r}, but the root system is {rs.cartan!r}"
+        )
+    return rs
 
 
 def build_root_system(cartan):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from liechar import cli
+from liechar import QrData, cli
 
 from test_decomp import a2_p2_document
 
@@ -11,6 +11,18 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def a1_p3_document(flag, label):
+    """Valid A1 data at p = 3, r = 1 for `flag`, labelled with root system `label`."""
+    if flag == "--decomp-data":
+        rows = [{"lambda": [m], "factors": [{"mu": [m], "mult": 1}]} for m in range(3)]
+        return {"type": label, "p": 3, "rows": rows}
+    entries = [
+        {"lambda": list(lam), "qhat": entry.qhat_char.to_json_dict()}
+        for lam, entry in sorted(QrData.builtin_sl2(3, 1).entries.items())
+    ]
+    return {"type": label, "p": 3, "r": 1, "entries": entries}
 
 
 class TestCharCommand:
@@ -203,8 +215,29 @@ class TestInputErrors:
                 },
                 "duplicate weight (0,)",
             ),
+            (
+                "--qhat-data",
+                {
+                    "type": "A1",
+                    "p": 3,
+                    "r": 1,
+                    "entries": [
+                        {
+                            "lambda": [0],
+                            "qhat": {
+                                "rank": 1,
+                                "entries": [
+                                    {"weight": [w], "mult": mult} for w in (-2, 0, 2)
+                                ],
+                            },
+                        }
+                        for mult in (1, 2)
+                    ],
+                },
+                "duplicate entry for lambda (0,)",
+            ),
         ],
-        ids=["decomp-factor", "decomp-row", "qhat-weight"],
+        ids=["decomp-factor", "decomp-row", "qhat-weight", "qhat-lambda"],
     )
     def test_duplicates_in_data(self, capsys, tmp_path, flag, doc, message):
         path = tmp_path / "data.json"
@@ -254,6 +287,41 @@ class TestDataResolution:
         )
         assert code == 2
         assert "p=2" in err
+
+    @pytest.mark.parametrize("flag", ["--decomp-data", "--qhat-data"])
+    def test_data_for_another_root_system(self, capsys, tmp_path, flag):
+        path = tmp_path / "data.json"
+        argv = ["cj-table", "-p", "3", "-r", "1", "--format", "json", flag, str(path)]
+        path.write_text(json.dumps(a1_p3_document(flag, "A2")))
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "document is for" in err
+        path.write_text(json.dumps(a1_p3_document(flag, "A1")))
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["lhs"] == [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
+
+    @pytest.mark.parametrize("flag", ["--decomp-data", "--qhat-data"])
+    def test_data_matches_cartan_file(self, capsys, tmp_path, flag):
+        cartan = tmp_path / "cartan.json"
+        cartan.write_text(json.dumps({"rank": 1, "matrix": [[2]]}))
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(a1_p3_document(flag, "A1")))
+        argv = ["cj-table", "-p", "3", "--cartan", str(cartan), flag, str(data)]
+        assert run(capsys, argv)[0] == 0
+
+    @pytest.mark.parametrize(
+        "flag, doc",
+        [("--cartan", [[2]]), ("--decomp-data", {"type": ["A1"], "p": 3, "rows": []})],
+    )
+    def test_malformed_root_system_key(self, capsys, tmp_path, flag, doc):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["char", flag, str(path), "weyl(1)"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_cartan_file(self, capsys, tmp_path):
         path = tmp_path / "cartan.json"
@@ -317,12 +385,6 @@ class TestDeterminism:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
-
-    def test_jobs_do_not_change_output(self, capsys):
-        base = ["cj-table", "--format", "tsv", "-p", "3", "-r", "1"]
-        _, serial, _ = run(capsys, base + ["--jobs", "1"])
-        _, parallel, _ = run(capsys, base + ["--jobs", "4"])
-        assert serial == parallel
 
     def test_widen_does_not_change_output(self, capsys):
         argv = ["cj-table", "--format", "json"]

@@ -220,6 +220,16 @@ class TestLoadDecompositionData:
         with pytest.raises(DataValidationError, match=r"duplicate row .*\(1, 0\)"):
             load_decomposition_data(doc)
 
+    def test_given_root_system_must_match_the_document(self, rs_a1, rs_a2):
+        with pytest.raises(DataValidationError, match="document is for"):
+            load_decomposition_data(a2_p2_document(), rs=rs_a1)
+        assert load_decomposition_data(a2_p2_document(), rs=rs_a2).rs is rs_a2
+
+    def test_unlabelled_document_takes_the_given_root_system(self, rs_a2):
+        doc = a2_p2_document()
+        del doc["type"]
+        assert load_decomposition_data(doc, rs=rs_a2).rs is rs_a2
+
     def test_missing_row_is_coverage_error(self):
         provider = load_decomposition_data(a2_p2_document())
         with pytest.raises(CoverageError):

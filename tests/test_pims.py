@@ -16,7 +16,6 @@ from liechar import (
     gk_truncated_character,
     induced_socle_multiplicity,
     jantzen_identity_check,
-    qr_character,
     steinberg_character,
     theorem45a_socle_check,
     weyl_character,
@@ -55,9 +54,9 @@ class TestCharacterDivide:
 class TestQrData:
     def test_p3_examples(self, qr3):
         rs = qr3.rs
-        assert qr_character((2,), qr3) == weyl_character((0,), rs)
-        assert qr_character((1,), qr3) == weyl_character((1,), rs)
-        assert qr_character((0,), qr3) == weyl_character((2,), rs) - weyl_character(
+        assert qr3.q((2,)) == weyl_character((0,), rs)
+        assert qr3.q((1,)) == weyl_character((1,), rs)
+        assert qr3.q((0,)) == weyl_character((2,), rs) - weyl_character(
             (0,), rs
         )
 
@@ -117,6 +116,33 @@ class TestQrData:
         doc = {"type": "A1", "p": 3, "r": 1, "entries": [{"lambda": lam, "qhat": qhat}]}
         with pytest.raises(DataValidationError, match="must be an integer"):
             QrData.from_json_dict(doc)
+
+    def test_rejects_duplicate_lambda(self, rs_a1):
+        st = steinberg_character(rs_a1, 3, 1)
+        entries = [
+            {"lambda": [0], "qhat": st.to_json_dict()},
+            {"lambda": [0], "qhat": (2 * st).to_json_dict()},
+        ]
+        doc = {"type": "A1", "p": 3, "r": 1, "entries": entries}
+        with pytest.raises(DataValidationError, match=r"duplicate entry for lambda \(0,\)"):
+            QrData.from_json_dict(doc)
+
+    def test_given_root_system_must_match_the_document(self, qr3, rs_a1, rs_a2):
+        entries = [
+            {"lambda": list(lam), "qhat": entry.qhat_char.to_json_dict()}
+            for lam, entry in sorted(qr3.entries.items())
+        ]
+        doc = {"type": "A2", "p": 3, "r": 1, "entries": entries}
+        with pytest.raises(DataValidationError, match="document is for"):
+            QrData.from_json_dict(doc, rs=rs_a1)
+        doc["type"] = "A1"
+        assert QrData.from_json_dict(doc, rs=rs_a1).rs is rs_a1
+        del doc["type"]
+        assert QrData.from_json_dict(doc, rs=rs_a1).rs is rs_a1
+        doc["cartan"] = {"rank": 1, "matrix": [[2]]}
+        assert QrData.from_json_dict(doc, rs=rs_a1).rs is rs_a1
+        with pytest.raises(DataValidationError, match="document is for"):
+            QrData.from_json_dict(doc, rs=rs_a2)
 
     @pytest.mark.parametrize("key", ["p", "r"])
     def test_rejects_boolean_p_and_r(self, key):

@@ -55,6 +55,11 @@ class TestCartanMatrix:
         with pytest.raises(DataValidationError, match="must be an integer"):
             CartanMatrix.from_json_dict({"rank": 2, "matrix": [[2, entry], [-1, 2]]})
 
+    @pytest.mark.parametrize("doc", [[[2]], {"type": ["A1"]}])
+    def test_from_json_rejects_malformed_documents(self, doc):
+        with pytest.raises(NotFiniteTypeError):
+            CartanMatrix.from_json_dict(doc)
+
     def test_from_json_rank_mismatch(self):
         with pytest.raises(NotFiniteTypeError, match="rank"):
             CartanMatrix.from_json_dict({"rank": 2, "matrix": [[2]]})
