@@ -1,9 +1,17 @@
 """Exact arithmetic in the ring of W-invariant characters.
 
 A Character is a finitely supported integer map on the weight lattice,
-stored over the full lattice (no orbit compression) as a dict from weight
-tuples to multiplicities.  All coefficients are unbounded Python integers;
-all operations are exact.
+stored over the full lattice (no orbit compression) as a read-only mapping
+from weight tuples to multiplicities, so cached characters can be shared.
+All coefficients are unbounded Python integers; all operations are exact.
+
+Weyl characters and Weyl-basis coefficients both come from the Weyl
+denominator d = sum over w in W of sgn(w) e^{w rho} (Humphreys, GTM 9,
+section 24).  chi(lam) * d is the signed orbit of lam + rho: so chi(lam) is
+that orbit, shifted by -rho, divided exactly by (1 - e^{-alpha}) for each
+positive root alpha; and the coefficient of chi(lam) in a W-invariant
+character chi is the multiplicity of lam + rho in chi * d.  Leading-term
+elimination (expand) remains for bases that are not Weyl characters.
 
 The product is a convolution on packed integer keys.  Both operands are
 shifted so that every coordinate starts at 0, and each weight becomes one
@@ -39,6 +47,8 @@ from __future__ import annotations
 
 import math
 import sys
+from operator import add, sub
+from types import MappingProxyType
 
 from .errors import (
     DataValidationError,
@@ -62,8 +72,7 @@ class Character:
     __slots__ = ("rank", "support")
 
     def __init__(self, rank, support=None):
-        self.rank = rank
-        self.support = {}
+        checked = {}
         if support:
             for weight, mult in support.items():
                 if len(weight) != rank:
@@ -72,7 +81,18 @@ class Character:
                     )
                 mult = strict_int(mult, "multiplicity")
                 if mult != 0:
-                    self.support[strict_int_tuple(weight, "weight")] = mult
+                    checked[strict_int_tuple(weight, "weight")] = mult
+        self.rank = rank
+        self.support = MappingProxyType(checked)
+
+    @classmethod
+    def _wrap(cls, rank, support):
+        """The character over support, a new dict of nonzero multiplicities at
+        weight tuples of length rank; taken as it is, without checks or copy."""
+        chi = cls.__new__(cls)
+        chi.rank = rank
+        chi.support = MappingProxyType(support)
+        return chi
 
     def _check_compatible(self, other):
         if self.rank != other.rank:
@@ -99,14 +119,10 @@ class Character:
                 out[w] = new
             else:
                 out.pop(w, None)
-        result = Character(self.rank)
-        result.support = out
-        return result
+        return Character._wrap(self.rank, out)
 
     def __neg__(self):
-        result = Character(self.rank)
-        result.support = {w: -m for w, m in self.support.items()}
-        return result
+        return Character._wrap(self.rank, {w: -m for w, m in self.support.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -122,14 +138,13 @@ class Character:
         if isinstance(other, int):
             if other == 0:
                 return Character(self.rank)
-            result = Character(self.rank)
-            result.support = {w: m * other for w, m in self.support.items()}
-            return result
+            return Character._wrap(
+                self.rank, {w: m * other for w, m in self.support.items()}
+            )
         self._check_compatible(other)
-        result = Character(self.rank)
-        if self.support and other.support:
-            result.support = _convolve(self.support, other.support)
-        return result
+        if not (self.support and other.support):
+            return Character(self.rank)
+        return Character._wrap(self.rank, _convolve(self.support, other.support))
 
     __rmul__ = __mul__
 
@@ -295,25 +310,23 @@ def frobenius_twist(chi, p, s):
     if s == 0:
         return chi
     factor = p**s
-    result = Character(chi.rank)
-    result.support = {
-        tuple(factor * c for c in w): m for w, m in chi.support.items()
-    }
-    return result
+    return Character._wrap(
+        chi.rank, {tuple(factor * c for c in w): m for w, m in chi.support.items()}
+    )
 
 
 def formal_dual(chi):
     """Negate every support weight; an involution."""
-    result = Character(chi.rank)
-    result.support = {tuple(-c for c in w): m for w, m in chi.support.items()}
-    return result
+    return Character._wrap(
+        chi.rank, {tuple(-c for c in w): m for w, m in chi.support.items()}
+    )
 
 
 def weyl_character(lam, rs: RootSystem):
     """The full weight-multiplicity character of the costandard module.
 
-    Rank 1 uses the closed weight-string formula; higher ranks use
-    Freudenthal's recursion.  Memoized per (root system, highest weight).
+    Weyl's formula: sum_w sgn(w) e^{w(lam + rho) - rho}, divided by
+    (1 - e^{-alpha}) for each alpha > 0.  Memoized per (root system, lam).
     """
     lam = tuple(lam)
     rs.check_rank(lam)
@@ -322,47 +335,40 @@ def weyl_character(lam, rs: RootSystem):
         return cached
     if not rs.is_dominant(lam):
         raise NonDominantError(f"highest weight {lam} is not dominant")
-    if rs.rank == 1:
-        m = lam[0]
-        chi = Character(1, {(m - 2 * k,): 1 for k in range(m + 1)})
-    else:
-        chi = _freudenthal_character(lam, rs)
-    rs._weyl_char_cache[lam] = chi
+    orbit = rs.signed_orbit(tuple(c + 1 for c in lam))
+    support = {tuple(c - 1 for c in w): sign for w, sign in orbit.items()}
+    for alpha in rs.positive_roots:
+        support = _divide_by_root(support, alpha, lam)
+    chi = rs._weyl_char_cache[lam] = Character._wrap(rs.rank, support)
     return chi
 
 
-def _freudenthal_character(lam, rs):
-    dominants = rs.dominant_weights_below(lam)
-    table = {lam: 1}
-    lam_rho = tuple(c + 1 for c in lam)
-    top_norm = rs.bilinear(lam_rho, lam_rho)
-    for mu in sorted(dominants, key=lambda m: (-rs.scaled_height(m), m)):
-        if mu == lam:
-            continue
-        acc = 0
-        for alpha in rs.positive_roots:
-            k = 1
-            while True:
-                nu = tuple(c + k * a for c, a in zip(mu, alpha))
-                rep = rs.dominant_representative(nu)
-                if rep not in table:
-                    break
-                acc += table[rep] * rs.bilinear(nu, alpha)
-                k += 1
-        mu_rho = tuple(c + 1 for c in mu)
-        denom = top_norm - rs.bilinear(mu_rho, mu_rho)
-        mult, rest = divmod(2 * acc, denom) if denom > 0 else (0, 0)
-        if rest or mult <= 0:
+def _divide_by_root(f, alpha, lam):
+    """q with q * (1 - e^{-alpha}) = f: q(mu) = sum_{k >= 0} f(mu + k alpha),
+    summed down each alpha-string, whose total must be 0."""
+    j = next(i for i, a in enumerate(alpha) if a)
+    multiples = {}
+    strings = {}
+    for mu, m in f.items():
+        k = mu[j] // alpha[j]
+        if k not in multiples:
+            multiples[k] = tuple(k * a for a in alpha)
+        strings.setdefault(tuple(map(sub, mu, multiples[k])), {})[k] = m
+    q = {}
+    for base, string in strings.items():
+        top = max(string)
+        mu = tuple(map(add, base, multiples[top]))
+        total = 0
+        for k in range(top, min(string) - 1, -1):
+            total += string.get(k, 0)
+            if total:
+                q[mu] = total
+            mu = tuple(map(sub, mu, alpha))
+        if total:
             raise LiecharError(
-                f"Freudenthal multiplicity of {mu} in chi{lam} is {2 * acc}/{denom}"
+                f"Weyl numerator of chi{lam} is not divisible by 1 - e^-{alpha}"
             )
-        table[mu] = mult
-
-    support = {}
-    for mu, mult in table.items():
-        for w in rs.weyl_orbit(mu):
-            support[w] = mult
-    return Character(rs.rank, support)
+    return q
 
 
 def leading_weight(support, rs):
@@ -424,8 +430,14 @@ def expand(chi, rs, basis, failure=_not_invariant):
 
 
 def to_weyl_basis(chi, rs):
-    """Weyl-basis coefficients of a W-invariant character, else NonInvariantError."""
-    return expand(chi, rs, lambda lam: weyl_character(lam, rs))
+    """Weyl-basis coefficients of a W-invariant character, else NonInvariantError:
+    [chi : chi(lam)] is the multiplicity of lam + rho in chi * rs.weyl_denominator."""
+    support = chi.support
+    for w, m in support.items():
+        if any(support.get(rs.simple_reflection(i, w)) != m for i in range(rs.rank)):
+            raise NonInvariantError(f"character is not W-invariant at {w}")
+    product = _convolve(support, rs.weyl_denominator) if support else {}
+    return {tuple(c - 1 for c in w): m for w, m in product.items() if min(w) > 0}
 
 
 def from_weyl_basis(coeffs, rs):

@@ -156,6 +156,11 @@ class QrData:
                 qhat = Character.from_json_dict(entry["qhat"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataValidationError(f"malformed entry {entry!r}") from exc
+            if len(lam) != rs.rank or not all(0 <= c < p**r for c in lam):
+                raise DataValidationError(
+                    f"entry {lam}: lambda is not a {p**r}-restricted weight "
+                    f"of rank {rs.rank}"
+                )
             if qhat.rank != rs.rank:
                 raise DataValidationError(f"entry {lam}: rank mismatch")
             if lam in qhat_chars:

@@ -14,6 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import mul
+from types import MappingProxyType
 
 from .errors import (
     DataValidationError,
@@ -186,9 +187,9 @@ class CartanMatrix:
 class RootSystem:
     """Immutable root-system data derived from a Cartan matrix.
 
-    Carries the positive roots, rho, the Coxeter number, the longest-element
-    action and the highest short coroot.  The Coxeter number and highest
-    short coroot assume an irreducible system.
+    Carries the positive roots, rho, the Weyl denominator (read-only
+    {w rho: sgn(w)}), the Coxeter number, the longest-element action and the
+    highest short coroot.  The last two assume an irreducible system.
     """
 
     def __init__(self, cartan):
@@ -208,6 +209,7 @@ class RootSystem:
         )
         self.coxeter_number = sum(self.highest_short_coroot) + 1
         self._w0_word = self._compute_w0_word()
+        self.weyl_denominator = MappingProxyType(self.signed_orbit(self.rho))
         self._weyl_char_cache = {}
 
     # -- basic weight arithmetic ------------------------------------------
@@ -293,25 +295,23 @@ class RootSystem:
         diff = tuple(a - b for a, b in zip(lam, mu))
         return all(n >= 0 and not n % self.det for n in self.scaled_root_coords(diff))
 
-    def dominant_representative(self, weight):
-        self.check_rank(weight)
-        while not self.is_dominant(weight):
-            i = next(j for j in range(self.rank) if weight[j] < 0)
-            weight = self.simple_reflection(i, weight)
-        return weight
-
     def weyl_orbit(self, lam):
+        return set(self.signed_orbit(lam))
+
+    def signed_orbit(self, lam):
+        """The W-orbit of lam as {w(lam): sgn(w)}; signs are exact for regular lam."""
         self.check_rank(lam)
-        orbit = {lam}
-        frontier = {lam}
+        orbit = {lam: 1}
+        frontier = [lam]
         while frontier:
-            new = set()
+            new = []
             for w in frontier:
+                sign = -orbit[w]
                 for i in range(self.rank):
                     image = self.simple_reflection(i, w)
                     if image not in orbit:
-                        orbit.add(image)
-                        new.add(image)
+                        orbit[image] = sign
+                        new.append(image)
             frontier = new
         return orbit
 

@@ -106,13 +106,30 @@ class TestWeylCharacter:
         for lam in itertools.product(range(2), repeat=2):
             assert weyl_character(lam, rs_g2).get(lam) == 1
 
-    def test_freudenthal_rejects_non_positive_multiplicity(self, monkeypatch):
-        # (0, 0) is not below (1, 0) in A2; the recursion gives it 0/8.
+    def test_rejects_non_divisible_numerator(self, monkeypatch):
+        # Without one of its six terms, the signed orbit of (2, 1) = (1, 0) + rho
+        # is no multiple of the Weyl denominator.
         rs = RootSystem(CartanMatrix.builtin("A2"))
-        below = rs.dominant_weights_below
-        monkeypatch.setattr(rs, "dominant_weights_below", lambda lam: below(lam) + [(0, 0)])
-        with pytest.raises(LiecharError, match=r"\(0, 0\)"):
+        orbit = rs.signed_orbit
+
+        def short_orbit(lam):
+            signed = orbit(lam)
+            del signed[lam]
+            return signed
+
+        monkeypatch.setattr(rs, "signed_orbit", short_orbit)
+        with pytest.raises(LiecharError, match=r"chi\(1, 0\)"):
             weyl_character((1, 0), rs)
+        assert (1, 0) not in rs._weyl_char_cache
+
+    def test_cached_characters_are_read_only(self):
+        rs = RootSystem(CartanMatrix.builtin("A1"))
+        chi = weyl_character((1,), rs)
+        with pytest.raises(TypeError):
+            chi.support[(9,)] = 1
+        with pytest.raises(TypeError):
+            rs.weyl_denominator[(9,)] = 1
+        assert weyl_character((1,), rs).support == {(1,): 1, (-1,): 1}
 
 
 class TestFrobeniusTwist:

@@ -378,6 +378,17 @@ class TestCjTableCommand:
         assert code == 2
         assert "Q-hat data required: supply --qhat-data" in err
 
+    @pytest.mark.parametrize("lam", [[0, 0], [7]])
+    def test_qhat_lambda_out_of_range_exits_2(self, capsys, tmp_path, lam):
+        doc = a1_p3_document("--qhat-data", "A1")
+        doc["entries"][0]["lambda"] = lam
+        path = tmp_path / "qhat.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["cj-table", "-p", "3", "--qhat-data", str(path)])
+        assert code == 2
+        assert out == ""
+        assert f"entry {tuple(lam)}: lambda is not a 3-restricted weight" in err
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, capsys):

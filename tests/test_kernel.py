@@ -3,7 +3,9 @@
 Every reference below is computed here: the lattice kernel's from the
 Cartan matrix alone, by Fraction Gauss-Jordan elimination and the O(n^2)
 maximal-element scan; the product's, on both of its paths (dict loop and
-Kronecker substitution), by the tuple double loop.
+Kronecker substitution), by the tuple double loop; Weyl characters by
+Freudenthal's recursion, and Weyl-basis coefficients by leading-term
+elimination against those characters.
 """
 
 import itertools
@@ -16,13 +18,20 @@ from hypothesis import strategies as st
 
 from liechar import (
     Character,
+    NonInvariantError,
     character_divide,
     characters,
     frobenius_twist,
     steinberg_character,
     to_weyl_basis,
+    weyl_character,
 )
-from liechar.characters import _bounds, from_weyl_basis, leading_dominant_weights
+from liechar.characters import (
+    _bounds,
+    expand,
+    from_weyl_basis,
+    leading_dominant_weights,
+)
 from liechar.rootdata import RootSystem, build_root_system
 
 # A user-supplied rank-3 matrix (type B3/C3), next to the built-in types.
@@ -92,17 +101,20 @@ def system_and_weights(draw, count, low=-6, high=6):
     return rs, [draw(weight) for _ in range(count)]
 
 
+def weyl_coefficients(rs, max_weight, max_terms):
+    """Weyl-basis coefficients of a W-invariant virtual character on rs."""
+    bound = 1 if rs.rank == 3 else max_weight
+    dominant = st.tuples(*[st.integers(0, bound)] * rs.rank)
+    return st.dictionaries(
+        dominant, st.integers(-3, 3).filter(bool), max_size=max_terms
+    )
+
+
 @st.composite
 def invariant_coefficients(draw, max_weight=3, max_terms=4):
     """A root system and Weyl-basis coefficients of a W-invariant virtual character."""
-    name = draw(st.sampled_from(NAMES))
-    rs = ROOT_SYSTEMS[name]
-    bound = 1 if rs.rank == 3 else max_weight
-    dominant = st.tuples(*[st.integers(0, bound)] * rs.rank)
-    coeffs = draw(
-        st.dictionaries(dominant, st.integers(-3, 3).filter(bool), max_size=max_terms)
-    )
-    return rs, coeffs
+    rs = ROOT_SYSTEMS[draw(st.sampled_from(NAMES))]
+    return rs, draw(weyl_coefficients(rs, max_weight, max_terms))
 
 
 @PROPERTY
@@ -136,6 +148,93 @@ def test_leading_dominant_weights_is_the_maximal_set(case):
 def test_weyl_basis_roundtrip(case):
     rs, coeffs = case
     assert to_weyl_basis(from_weyl_basis(coeffs, rs), rs) == coeffs
+
+
+def dominant_representative(rs, weight):
+    while min(weight) < 0:
+        i = next(j for j, c in enumerate(weight) if c < 0)
+        weight = rs.simple_reflection(i, weight)
+    return weight
+
+
+def reference_weyl_character(lam, rs):
+    """chi(lam) by Freudenthal's recursion over the dominant weights below lam."""
+    table = {lam: 1}
+    lam_rho = tuple(c + 1 for c in lam)
+    top_norm = rs.bilinear(lam_rho, lam_rho)
+    below = rs.dominant_weights_below(lam)
+    for mu in sorted(below, key=lambda m: (-rs.scaled_height(m), m)):
+        if mu == lam:
+            continue
+        acc = 0
+        for alpha in rs.positive_roots:
+            k = 1
+            while True:
+                nu = tuple(c + k * a for c, a in zip(mu, alpha))
+                rep = dominant_representative(rs, nu)
+                if rep not in table:
+                    break
+                acc += table[rep] * rs.bilinear(nu, alpha)
+                k += 1
+        mu_rho = tuple(c + 1 for c in mu)
+        mult, rest = divmod(2 * acc, top_norm - rs.bilinear(mu_rho, mu_rho))
+        assert not rest and mult > 0
+        table[mu] = mult
+    return Character(
+        rs.rank,
+        {w: mult for mu, mult in table.items() for w in rs.weyl_orbit(mu)},
+    )
+
+
+@st.composite
+def system_and_dominant_weight(draw):
+    name = draw(st.sampled_from(NAMES))
+    rs = ROOT_SYSTEMS[name]
+    bound = {1: 12, 2: 5, 3: 2}[rs.rank]
+    return rs, draw(st.tuples(*[st.integers(0, bound)] * rs.rank))
+
+
+@PROPERTY
+@given(system_and_dominant_weight())
+def test_weyl_character_matches_freudenthal(case):
+    rs, lam = case
+    chi = weyl_character(lam, rs)
+    assert chi == reference_weyl_character(lam, rs)
+    assert chi.dimension() == rs.weyl_dimension(lam)
+
+
+@st.composite
+def invariant_characters(draw):
+    """A root system and a W-invariant virtual character on it: a sum of
+    +-chi(lam), possibly times another such sum or Frobenius-twisted."""
+    rs, coeffs = draw(invariant_coefficients(max_weight=2, max_terms=3))
+    chi = from_weyl_basis(coeffs, rs)
+    shape = draw(st.sampled_from(("sum", "product", "twist")))
+    if shape == "product":
+        chi = chi * from_weyl_basis(draw(weyl_coefficients(rs, 2, 2)), rs)
+    elif shape == "twist":
+        chi = frobenius_twist(chi, draw(st.sampled_from((2, 3))), 1)
+    return rs, chi
+
+
+@settings(PROPERTY, max_examples=30)
+@given(invariant_characters())
+def test_to_weyl_basis_matches_elimination(case):
+    rs, chi = case
+    reference = expand(chi, rs, lambda lam: reference_weyl_character(lam, rs))
+    assert to_weyl_basis(chi, rs) == reference
+
+
+@PROPERTY
+@given(invariant_characters(), st.data())
+def test_off_orbit_term_is_not_invariant(case, data):
+    rs, chi = case
+    weight = data.draw(
+        st.tuples(*[st.integers(-4, 4)] * rs.rank).filter(any), label="weight"
+    )
+    mult = data.draw(st.integers(-3, 3).filter(bool), label="mult")
+    with pytest.raises(NonInvariantError):
+        to_weyl_basis(chi + Character(rs.rank, {weight: mult}), rs)
 
 
 @settings(PROPERTY, max_examples=15)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -125,6 +126,19 @@ class TestQrData:
         ]
         doc = {"type": "A1", "p": 3, "r": 1, "entries": entries}
         with pytest.raises(DataValidationError, match=r"duplicate entry for lambda \(0,\)"):
+            QrData.from_json_dict(doc)
+
+    @pytest.mark.parametrize("lam", [[0, 0], [7], [3], [-1]])
+    def test_rejects_lambda_of_wrong_rank_or_unrestricted(self, rs_a1, lam):
+        st = steinberg_character(rs_a1, 3, 1)
+        doc = {
+            "type": "A1",
+            "p": 3,
+            "r": 1,
+            "entries": [{"lambda": lam, "qhat": st.to_json_dict()}],
+        }
+        message = f"entry {tuple(lam)}: lambda is not a 3-restricted weight of rank 1"
+        with pytest.raises(DataValidationError, match=re.escape(message)):
             QrData.from_json_dict(doc)
 
     def test_given_root_system_must_match_the_document(self, qr3, rs_a1, rs_a2):
