@@ -66,7 +66,8 @@ class Character:
     """Finitely supported integer-valued function on the weight lattice.
 
     Virtual characters (negative multiplicities) are allowed; W-invariance
-    is a property of most public inputs but is not enforced here.
+    is a property of most public inputs but is not enforced here.  rank and
+    support cannot be reassigned once set, so cached characters can be shared.
     """
 
     __slots__ = ("rank", "support")
@@ -82,17 +83,27 @@ class Character:
                 mult = strict_int(mult, "multiplicity")
                 if mult != 0:
                     checked[strict_int_tuple(weight, "weight")] = mult
-        self.rank = rank
-        self.support = MappingProxyType(checked)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "support", MappingProxyType(checked))
 
     @classmethod
     def _wrap(cls, rank, support):
         """The character over support, a new dict of nonzero multiplicities at
         weight tuples of length rank; taken as it is, without checks or copy."""
         chi = cls.__new__(cls)
-        chi.rank = rank
-        chi.support = MappingProxyType(support)
+        object.__setattr__(chi, "rank", rank)
+        object.__setattr__(chi, "support", MappingProxyType(support))
         return chi
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Character is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Character is read-only: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not by setattr.
+        return Character, (self.rank, dict(self.support))
 
     def _check_compatible(self, other):
         if self.rank != other.rank:

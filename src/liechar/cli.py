@@ -8,6 +8,7 @@ and deterministic.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -47,7 +48,6 @@ class RunConfig:
     bound: int
     method: str
     fmt: str
-    widen: bool
 
 
 def _is_prime(n):
@@ -121,7 +121,6 @@ def build_config(args):
         bound=bound,
         method=args.method,
         fmt=args.format,
-        widen=args.widen,
     )
 
 
@@ -316,7 +315,6 @@ def _cj_table(config):
         _require(config, "provider", "decomposition data"),
         _require(config, "qrdata", "Q-hat data"),
         method=config.method,
-        widen=config.widen,
     )
 
 
@@ -336,47 +334,34 @@ def cmd_cj_table(config, out=None):
 
 
 def _dominant_grid(rs, bound):
-    import itertools
-
-    return [
-        tuple(w)
-        for w in itertools.product(range(bound + 1), repeat=rs.rank)
-    ]
+    return list(itertools.product(range(bound + 1), repeat=rs.rank))
 
 
-def _verify_route_agreement(config, other_method):
-    provider = _require(config, "provider", "decomposition data")
-    rs = config.rs
-    mismatches = []
-    grid = _dominant_grid(rs, config.bound)
-    for lam in grid:
-        chi = weyl_character(lam, rs)
-        reference = steinberg_multiplicity(
-            chi, config.p, config.r, provider=provider, method="direct", rs=rs
-        )
-        value = steinberg_multiplicity(
-            chi,
-            config.p,
-            config.r,
-            provider=provider,
-            method=other_method,
-            rs=rs,
-            widen=config.widen,
-        )
-        if value != reference:
-            mismatches.append((lam, reference, value))
-    return len(grid), [
-        f"lambda={_weight_label(lam)} direct={a} {other_method}={b}"
-        for lam, a, b in mismatches
-    ]
+# A verify sweep takes the run's config and yields one (label, left, right)
+# record per check; cmd_verify compares left with right.
 
 
-def _verify_lemma33(config):
+def _route_agreement(route):
+    """The sweep comparing the direct route with route on each chi(lam)."""
+
+    def sweep(config):
+        provider = _require(config, "provider", "decomposition data")
+        p, r = config.p, config.r
+        for lam in _dominant_grid(config.rs, config.bound):
+            chi = weyl_character(lam, config.rs)
+            yield (
+                f"lambda={_weight_label(lam)}",
+                steinberg_multiplicity(chi, p, r, provider, method="direct"),
+                steinberg_multiplicity(chi, p, r, provider, method=route),
+            )
+
+    return sweep
+
+
+def _lemma33(config):
     provider = _require(config, "provider", "decomposition data")
     qrdata = _require(config, "qrdata", "Q-hat data")
     rs = config.rs
-    checks = 0
-    mismatches = []
     restricted = rs.restricted_weights(config.p, config.r)
     nus = _dominant_grid(rs, 3)
     for sigma in _dominant_grid(rs, config.bound):
@@ -386,90 +371,68 @@ def _verify_lemma33(config):
                 record = pims.jantzen_identity_check(
                     chi, lam, nu, config.p, config.r, provider, qrdata
                 )
-                checks += 1
-                if record["lhs"] != record["rhs"]:
-                    mismatches.append(
-                        f"sigma={_weight_label(sigma)} lambda={_weight_label(lam)} "
-                        f"nu={_weight_label(nu)} lhs={record['lhs']} rhs={record['rhs']}"
-                    )
-    return checks, mismatches
+                label = (
+                    f"sigma={_weight_label(sigma)} lambda={_weight_label(lam)} "
+                    f"nu={_weight_label(nu)}"
+                )
+                yield label, record["lhs"], record["rhs"]
 
 
-def _verify_thm41(config):
+def _thm41(config):
     table = _cj_table(config)
-    checks = len(table.row_labels) * len(table.col_labels)
-    return checks, [
-        f"lambda={_weight_label(lam)} mu={_weight_label(mu)} lhs={a} rhs={b}"
-        for lam, mu, a, b in table.mismatches
-    ]
+    for lam, mu in itertools.product(table.row_labels, table.col_labels):
+        label = f"lambda={_weight_label(lam)} mu={_weight_label(mu)}"
+        yield label, table.lhs[(lam, mu)], table.rhs[(lam, mu)]
 
 
-def _verify_thm45a(config):
+def _thm45a(config):
     provider = _require(config, "provider", "decomposition data")
-    rs = config.rs
-    restricted = rs.restricted_weights(config.p, config.r)
-    checks = 0
-    mismatches = []
-    for lam in restricted:
-        for mu in restricted:
-            record = pims.theorem45a_socle_check(
-                lam, mu, config.p, config.r, provider, widen=config.widen
-            )
-            checks += 1
-            if record["lhs"] != record["rhs"]:
-                mismatches.append(
-                    f"lambda={_weight_label(lam)} mu={_weight_label(mu)} "
-                    f"lhs={record['lhs']} rhs={record['rhs']}"
-                )
-    return checks, mismatches
+    restricted = config.rs.restricted_weights(config.p, config.r)
+    for lam, mu in itertools.product(restricted, repeat=2):
+        record = pims.theorem45a_socle_check(lam, mu, config.p, config.r, provider)
+        label = f"lambda={_weight_label(lam)} mu={_weight_label(mu)}"
+        yield label, record["lhs"], record["rhs"]
 
 
-def _verify_prop44delta(config):
+def _prop44delta(config):
     provider = _require(config, "provider", "decomposition data")
-    rs = config.rs
-    restricted = rs.restricted_weights(config.p, config.r)
-    checks = 0
-    mismatches = []
-    for mu in restricted:
-        for sigma in restricted:
-            value = pims.induced_socle_multiplicity(
-                mu, sigma, config.p, config.r, provider
-            )
-            expected = 1 if mu == sigma else 0
-            checks += 1
-            if value != expected:
-                mismatches.append(
-                    f"mu={_weight_label(mu)} sigma={_weight_label(sigma)} "
-                    f"value={value} expected={expected}"
-                )
-    return checks, mismatches
+    restricted = config.rs.restricted_weights(config.p, config.r)
+    for mu, sigma in itertools.product(restricted, repeat=2):
+        value = pims.induced_socle_multiplicity(mu, sigma, config.p, config.r, provider)
+        label = f"mu={_weight_label(mu)} sigma={_weight_label(sigma)}"
+        yield label, value, int(mu == sigma)
 
 
+# target -> (sweep, name of the left value, name of the right value)
 VERIFY_TARGETS = {
-    "prop31": lambda config: _verify_route_agreement(config, "good_filtration"),
-    "prop32": lambda config: _verify_route_agreement(config, "simple_basis"),
-    "lemma33": _verify_lemma33,
-    "thm41": _verify_thm41,
-    "thm45a": _verify_thm45a,
-    "prop44delta": _verify_prop44delta,
+    "prop31": (_route_agreement("good_filtration"), "direct", "good_filtration"),
+    "prop32": (_route_agreement("simple_basis"), "direct", "simple_basis"),
+    "lemma33": (_lemma33, "lhs", "rhs"),
+    "thm41": (_thm41, "lhs", "rhs"),
+    "thm45a": (_thm45a, "lhs", "rhs"),
+    "prop44delta": (_prop44delta, "value", "expected"),
 }
 
 
 def cmd_verify(config, target, out=None):
     out = out if out is not None else sys.stdout
-    check = VERIFY_TARGETS.get(target)
-    if check is None:
+    if target not in VERIFY_TARGETS:
         raise CliError(
             f"unknown verify target {target!r}; known: {', '.join(VERIFY_TARGETS)}"
         )
+    sweep, left, right = VERIFY_TARGETS[target]
     print(f"verify {target}: running", file=sys.stderr)
     start = time.monotonic()
-    checks, mismatches = check(config)
+    checks = 0
+    mismatches = []
+    for label, a, b in sweep(config):
+        checks += 1
+        if a != b:
+            mismatches.append(f"mismatch {label} {left}={a} {right}={b}\n")
     elapsed = time.monotonic() - start
     print(f"verify {target}: {elapsed:.2f}s", file=sys.stderr)
     out.write(f"target={target} checks={checks} mismatches={len(mismatches)}\n")
-    for line in mismatches:
-        out.write(f"mismatch {line}\n")
+    out.writelines(mismatches)
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
@@ -497,11 +460,6 @@ def build_parser():
         choices=("json", "tsv", "pretty"),
         default="pretty",
         help="output format",
-    )
-    common.add_argument(
-        "--widen",
-        action="store_true",
-        help="double every nu-range box (results must not change)",
     )
 
     parser = argparse.ArgumentParser(

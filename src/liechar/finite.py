@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import itertools
 
-from .characters import frobenius_twist, steinberg_character, to_weyl_basis, weyl_character
+from .characters import (
+    frobenius_twist,
+    leading_dominant_weights,
+    to_weyl_basis,
+    weyl_character,
+)
 from .decomp import to_simple_basis, weight_digits
 from .errors import LiecharError
 
@@ -71,13 +76,11 @@ def finite_composition_multiplicities(chi, p, r, provider):
     return result
 
 
-def contributing_nus(max_weights, base, p, r, rs, widen=False):
+def contributing_nus(max_weights, base, p, r, rs):
     """Dominant nu that can satisfy base + p^r nu <= m + nu for some m.
 
     Enumerates a sound coordinate box from the root-lattice inequality
     (p^r - 1) nu <= m - base, then filters by the exact dominance test.
-    With widen=True the box bounds are doubled (plus one) and the filter
-    is skipped; the extra candidates must contribute zero to any sum.
     """
     max_weights = [tuple(m) for m in max_weights]
     if not max_weights:
@@ -93,13 +96,8 @@ def contributing_nus(max_weights, base, p, r, rs, widen=False):
         for i in range(rs.rank):
             # nu_i <= 2 * n_i(nu) since the Cartan diagonal is 2.
             box[i] = max(box[i], 2 * coords[i] // scale)
-    if widen:
-        box = [2 * b + 1 for b in box]
-    candidates = [tuple(nu) for nu in itertools.product(*(range(b + 1) for b in box))]
-    if widen:
-        return candidates
     kept = []
-    for nu in candidates:
+    for nu in itertools.product(*(range(b + 1) for b in box)):
         shifted = tuple(b + p**r * n for b, n in zip(base, nu))
         if any(
             rs.dominance_leq(shifted, tuple(a + n for a, n in zip(m, nu)))
@@ -109,18 +107,16 @@ def contributing_nus(max_weights, base, p, r, rs, widen=False):
     return kept
 
 
-def nu_bound(chi, p, r, rs, widen=False):
+def nu_bound(chi, p, r, rs):
     """Finite dominant set covering every nu in the Steinberg-multiplicity sum."""
-    from .characters import leading_dominant_weights
-
     if not chi.support:
         return []
     max_weights = leading_dominant_weights(chi.support, rs)
     st_weight = tuple((p**r - 1) * c for c in rs.rho)
-    return contributing_nus(max_weights, st_weight, p, r, rs, widen=widen)
+    return contributing_nus(max_weights, st_weight, p, r, rs)
 
 
-def steinberg_multiplicity(chi, p, r, provider=None, method="simple_basis", rs=None, widen=False):
+def steinberg_multiplicity(chi, p, r, provider=None, method="simple_basis", rs=None):
     """[chi : St_r]_{G(F_q)} by one of three independent routes.
 
     direct: value of the finite composition multiplicities at (p^r-1) rho.
@@ -142,7 +138,7 @@ def steinberg_multiplicity(chi, p, r, provider=None, method="simple_basis", rs=N
         )
     if method == "good_filtration":
         total = 0
-        for nu in nu_bound(chi, p, r, rs, widen=widen):
+        for nu in nu_bound(chi, p, r, rs):
             product = chi * weyl_character(nu, rs)
             target = tuple(s + p**r * n for s, n in zip(st_weight, nu))
             total += to_weyl_basis(product, rs).get(target, 0)
@@ -151,7 +147,7 @@ def steinberg_multiplicity(chi, p, r, provider=None, method="simple_basis", rs=N
         if provider is None:
             raise ValueError("simple_basis route needs a decomposition provider")
         total = 0
-        for nu in nu_bound(chi, p, r, rs, widen=widen):
+        for nu in nu_bound(chi, p, r, rs):
             product = chi * provider.simple_character(nu)
             target = tuple(s + p**r * n for s, n in zip(st_weight, nu))
             total += to_simple_basis(product, provider).get(target, 0)

@@ -169,23 +169,21 @@ class QrData:
         return cls(rs, p, r, qhat_chars, "file")
 
 
-def cj_lhs(lam, mu, p, r, provider, qrdata, method="simple_basis", widen=False):
+def cj_lhs(lam, mu, p, r, provider, qrdata, method="simple_basis"):
     """[Q-hat_r(lambda) : U_r(mu)] = [chi_p(mu) . q_r(lambda*) : St_r]_{G(F_q)}."""
     rs = provider.rs
     chi = provider.simple_character(tuple(mu)) * qrdata.q(rs.dual_weight(tuple(lam)))
-    return steinberg_multiplicity(
-        chi, p, r, provider=provider, method=method, rs=rs, widen=widen
-    )
+    return steinberg_multiplicity(chi, p, r, provider=provider, method=method)
 
 
-def cj_rhs(lam, mu, p, r, provider, widen=False):
+def cj_rhs(lam, mu, p, r, provider):
     """sum over nu of [L(mu) x L(nu) : L(lambda + p^r nu)]_G."""
     rs = provider.rs
     lam = tuple(lam)
     mu = tuple(mu)
     total = 0
     chi_mu = provider.simple_character(mu)
-    for nu in contributing_nus([mu], lam, p, r, rs, widen=widen):
+    for nu in contributing_nus([mu], lam, p, r, rs):
         product = chi_mu * provider.simple_character(nu)
         target = tuple(a + p**r * n for a, n in zip(lam, nu))
         total += to_simple_basis(product, provider).get(target, 0)
@@ -206,7 +204,7 @@ class MultiplicityTable:
         return not self.mismatches
 
 
-def cj_table(p, r, provider, qrdata, method="simple_basis", widen=False):
+def cj_table(p, r, provider, qrdata, method="simple_basis"):
     """Assemble both CJ routes for every (lambda, mu) pair of restricted weights."""
     labels = provider.rs.restricted_weights(p, r)
     lhs = {}
@@ -214,8 +212,8 @@ def cj_table(p, r, provider, qrdata, method="simple_basis", widen=False):
     mismatches = []
     for lam in labels:
         for mu in labels:
-            left = cj_lhs(lam, mu, p, r, provider, qrdata, method=method, widen=widen)
-            right = cj_rhs(lam, mu, p, r, provider, widen=widen)
+            left = cj_lhs(lam, mu, p, r, provider, qrdata, method=method)
+            right = cj_rhs(lam, mu, p, r, provider)
             lhs[(lam, mu)] = left
             rhs[(lam, mu)] = right
             if left != right:
@@ -237,12 +235,12 @@ def jantzen_identity_check(chi, lam, nu, p, r, provider, qrdata):
     return {"lhs": lhs, "rhs": rhs}
 
 
-def barq_multiplicities(lam, p, r, provider, widen=False):
+def barq_multiplicities(lam, p, r, provider):
     """The PIM exponents defining bar-Q_r(lambda); zero entries dropped."""
     rs = provider.rs
     result = {}
     for mu in rs.restricted_weights(p, r):
-        value = cj_rhs(lam, mu, p, r, provider, widen=widen)
+        value = cj_rhs(lam, mu, p, r, provider)
         if value:
             result[mu] = value
     return result
@@ -290,7 +288,7 @@ def _dominant_weights_with_pairing_at_most(bound, rs):
     return sorted(found)
 
 
-def theorem45a_socle_check(lam, mu, p, r, provider, widen=False):
+def theorem45a_socle_check(lam, mu, p, r, provider):
     """Socle multiplicities of L(mu) on both sides of the induced bar-Q identity.
 
     lhs goes through the bar-Q multiset and the induced-hull socle counts;
@@ -298,10 +296,10 @@ def theorem45a_socle_check(lam, mu, p, r, provider, widen=False):
     """
     lam = tuple(lam)
     mu = tuple(mu)
-    barq = barq_multiplicities(lam, p, r, provider, widen=widen)
+    barq = barq_multiplicities(lam, p, r, provider)
     lhs = sum(
         count * induced_socle_multiplicity(mu_prime, mu, p, r, provider)
         for mu_prime, count in barq.items()
     )
-    rhs = cj_rhs(lam, mu, p, r, provider, widen=widen)
+    rhs = cj_rhs(lam, mu, p, r, provider)
     return {"lhs": lhs, "rhs": rhs}

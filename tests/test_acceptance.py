@@ -18,6 +18,7 @@ from liechar import (
     cli,
     induced_socle_multiplicity,
     jantzen_identity_check,
+    load_decomposition_data,
     steinberg_character,
     steinberg_multiplicity,
     theorem45a_socle_check,
@@ -26,6 +27,9 @@ from liechar import (
 )
 from liechar.characters import from_weyl_basis
 from liechar.finite import STEINBERG_METHODS
+
+from test_decomp import a2_p2_document
+from test_finite import oracle_covers, use_wide_box
 
 TABLE_CASES = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 
@@ -45,22 +49,20 @@ def report(number, label, ok):
     assert ok, f"criterion {number} failed"
 
 
-def routes_agree(p, r, widen=False):
+def routes_agree(p, r):
     provider = provider_for(p)
     for m in range(4 * p**r + 1):
         chi = weyl_character((m,), provider.rs)
         reference = steinberg_multiplicity(chi, p, r, provider=provider, method="direct")
         for method in ("good_filtration", "simple_basis"):
-            value = steinberg_multiplicity(
-                chi, p, r, provider=provider, method=method, widen=widen
-            )
+            value = steinberg_multiplicity(chi, p, r, provider=provider, method=method)
             if value != reference:
                 return False
     return True
 
 
-def golden_rows(p, r, widen=False):
-    table = cj_table(p, r, provider_for(p), qrdata_for(p, r), widen=widen)
+def golden_rows(p, r):
+    table = cj_table(p, r, provider_for(p), qrdata_for(p, r))
     return [
         [table.lhs[(lam, mu)] for mu in table.col_labels] for lam in table.row_labels
     ]
@@ -160,19 +162,37 @@ def test_criterion_08_engine_generics_rank_two():
     report(8, "rank-two engine generics", ok)
 
 
-def test_criterion_09_widening_invariance():
-    ok = all(routes_agree(p, r, widen=True) for p in (2, 3, 5, 7) for r in (1, 2))
+def rank_two_routes():
+    """Both nu-sum routes of [chi(lam) : St] for lam in [0,6]^2, on A2 at p = 2."""
+    provider = load_decomposition_data(a2_p2_document())
+    return [
+        steinberg_multiplicity(
+            weyl_character(lam, provider.rs), 2, 1, provider=provider, method=method
+        )
+        for lam in itertools.product(range(7), repeat=2)
+        for method in ("good_filtration", "simple_basis")
+    ]
+
+
+def test_criterion_09_widening_invariance(monkeypatch):
+    def results():
+        return (
+            [golden_rows(p, r) for p, r in TABLE_CASES],
+            [
+                theorem45a_socle_check((lam,), (mu,), 3, 1, provider_for(3))
+                for lam, mu in itertools.product(range(3), repeat=2)
+            ],
+            [barq_multiplicities((lam,), 3, 1, provider_for(3)) for lam in range(3)],
+            rank_two_routes(),
+        )
+
+    narrow = results()
+    calls = use_wide_box(monkeypatch)
+    ok = all(routes_agree(p, r) for p in (2, 3, 5, 7) for r in (1, 2))
     for p, r in TABLE_CASES:
-        table = cj_table(p, r, provider_for(p), qrdata_for(p, r), widen=True)
-        ok = ok and table.agrees()
-        ok = ok and golden_rows(p, r, widen=True) == golden_rows(p, r)
-    for lam, mu in itertools.product(range(3), repeat=2):
-        record = theorem45a_socle_check((lam,), (mu,), 3, 1, provider_for(3), widen=True)
-        ok = ok and record["lhs"] == record["rhs"]
-    for lam in range(3):
-        narrow = barq_multiplicities((lam,), 3, 1, provider_for(3))
-        wide = barq_multiplicities((lam,), 3, 1, provider_for(3), widen=True)
-        ok = ok and narrow == wide
+        ok = ok and cj_table(p, r, provider_for(p), qrdata_for(p, r)).agrees()
+    ok = ok and results() == narrow
+    ok = ok and oracle_covers(calls)
     report(9, "box widening changes no result", ok)
 
 

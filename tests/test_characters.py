@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -129,7 +130,15 @@ class TestWeylCharacter:
             chi.support[(9,)] = 1
         with pytest.raises(TypeError):
             rs.weyl_denominator[(9,)] = 1
+        for name, value in (("support", {}), ("rank", 2)):
+            with pytest.raises(AttributeError):
+                setattr(chi, name, value)
+            with pytest.raises(AttributeError):
+                delattr(chi, name)
         assert weyl_character((1,), rs).support == {(1,): 1, (-1,): 1}
+        assert weyl_character((1,), rs).rank == 1
+        assert (chi * weyl_character((0,), rs)) == chi
+        assert copy.copy(chi) == chi
 
 
 class TestFrobeniusTwist:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from liechar import QrData, cli
+from liechar import QrData, cli, pims
 
 from test_decomp import a2_p2_document
 
@@ -397,11 +397,13 @@ class TestDeterminism:
         _, second, _ = run(capsys, argv)
         assert first == second
 
-    def test_widen_does_not_change_output(self, capsys):
-        argv = ["cj-table", "--format", "json"]
-        _, narrow, _ = run(capsys, argv)
-        _, wide, _ = run(capsys, argv + ["--widen"])
-        assert narrow == wide
+    def test_widen_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cj-table", "--format", "json", "--widen"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --widen" in captured.err
 
 
 class TestVerifyCommand:
@@ -436,3 +438,86 @@ class TestVerifyCommand:
         assert "verify thm41" in err
         assert "running" in err
         assert "verify" not in out
+
+
+def off_by_one(monkeypatch, owner, name, when):
+    """Patch owner.name to add one to its value (to the "rhs" of a record)
+    on the calls where when(*args, **kwargs) holds."""
+    fn = getattr(owner, name)
+
+    def shifted(*args, **kwargs):
+        value = fn(*args, **kwargs)
+        if not when(*args, **kwargs):
+            return value
+        if isinstance(value, dict):
+            return {**value, "rhs": value["rhs"] + 1}
+        return value + 1
+
+    monkeypatch.setattr(owner, name, shifted)
+
+
+def mu_and_sigma_one(mu, sigma, *args):
+    return mu == sigma == (1,)
+
+
+class TestVerifyMismatchLines:
+    """One side off by one: the exact summary and mismatch lines, exit 1."""
+
+    @pytest.mark.parametrize(
+        "target, route", [("prop31", "good_filtration"), ("prop32", "simple_basis")]
+    )
+    def test_route_agreement(self, capsys, monkeypatch, target, route):
+        def route_at_chi_one(chi, *args, method="simple_basis", **kwargs):
+            return method == route and chi.dimension() == 2
+
+        off_by_one(monkeypatch, cli, "steinberg_multiplicity", route_at_chi_one)
+        code, out, _ = run(capsys, ["verify", target, "-p", "2", "--bound", "2"])
+        assert code == 1
+        assert out == (
+            f"target={target} checks=3 mismatches=1\n"
+            f"mismatch lambda=1 direct=1 {route}=2\n"
+        )
+
+    def test_lemma33(self, capsys, monkeypatch):
+        def nu_two(chi, lam, nu, *args):
+            return nu == (2,)
+
+        off_by_one(monkeypatch, pims, "jantzen_identity_check", nu_two)
+        code, out, _ = run(capsys, ["verify", "lemma33", "-p", "2", "--bound", "0"])
+        assert code == 1
+        assert out == (
+            "target=lemma33 checks=8 mismatches=2\n"
+            "mismatch sigma=0 lambda=0 nu=2 lhs=0 rhs=1\n"
+            "mismatch sigma=0 lambda=1 nu=2 lhs=0 rhs=1\n"
+        )
+
+    def test_thm41(self, capsys, monkeypatch):
+        def cell_zero_one(lam, mu, *args, **kwargs):
+            return (lam, mu) == ((0,), (1,))
+
+        off_by_one(monkeypatch, pims, "cj_rhs", cell_zero_one)
+        code, out, _ = run(capsys, ["verify", "thm41", "-p", "2"])
+        assert code == 1
+        assert out == (
+            "target=thm41 checks=4 mismatches=1\n"
+            "mismatch lambda=0 mu=1 lhs=1 rhs=2\n"
+        )
+
+    def test_thm45a(self, capsys, monkeypatch):
+        off_by_one(monkeypatch, pims, "induced_socle_multiplicity", mu_and_sigma_one)
+        code, out, _ = run(capsys, ["verify", "thm45a", "-p", "2"])
+        assert code == 1
+        assert out == (
+            "target=thm45a checks=4 mismatches=2\n"
+            "mismatch lambda=0 mu=1 lhs=2 rhs=1\n"
+            "mismatch lambda=1 mu=1 lhs=2 rhs=1\n"
+        )
+
+    def test_prop44delta(self, capsys, monkeypatch):
+        off_by_one(monkeypatch, pims, "induced_socle_multiplicity", mu_and_sigma_one)
+        code, out, _ = run(capsys, ["verify", "prop44delta", "-p", "2"])
+        assert code == 1
+        assert out == (
+            "target=prop44delta checks=4 mismatches=1\n"
+            "mismatch mu=1 sigma=1 value=2 expected=1\n"
+        )

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,17 +6,64 @@ import pytest
 from liechar import (
     Character,
     Sl2DecompositionProvider,
+    build_root_system,
+    finite,
     finite_composition_multiplicities,
     finite_simple_multiplicities,
     frobenius_twist,
     load_decomposition_data,
     nu_bound,
+    pims,
     steinberg_multiplicity,
     weyl_character,
 )
-from liechar.finite import STEINBERG_METHODS
+from liechar.finite import STEINBERG_METHODS, contributing_nus
 
 from test_decomp import a2_p2_document
+
+
+def wide_box_nus(max_weights, base, p, r, rs):
+    """Reference for contributing_nus, independent of its coordinate box.
+
+    base + p^r nu <= m + nu means that m - base - (p^r - 1) nu is a sum of
+    positive roots, so (p^r - 1) * height(nu) <= height(m - base).  Every
+    dominant nu meeting that height bound for some m is returned, with no
+    dominance filter: a superset of the nu that can contribute.
+    """
+    top = max(
+        (rs.scaled_height(tuple(a - b for a, b in zip(m, base))) for m in max_weights),
+        default=-1,
+    )
+    if top < 0:
+        return []
+    units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    ranges = [range(top // rs.scaled_height(unit) + 1) for unit in units]
+    return [
+        nu
+        for nu in itertools.product(*ranges)
+        if (p**r - 1) * rs.scaled_height(nu) <= top
+    ]
+
+
+def use_wide_box(monkeypatch):
+    """Run every sum over nu on wide_box_nus, at both bindings of
+    contributing_nus.  Returns the list of (kept, candidates) per call, where
+    kept is what contributing_nus itself returns for the same arguments."""
+    calls = []
+    narrow = finite.contributing_nus
+
+    def oracle(max_weights, base, p, r, rs):
+        candidates = wide_box_nus(max_weights, base, p, r, rs)
+        calls.append((narrow(max_weights, base, p, r, rs), candidates))
+        return candidates
+
+    monkeypatch.setattr(finite, "contributing_nus", oracle)
+    monkeypatch.setattr(pims, "contributing_nus", oracle)
+    return calls
+
+
+def oracle_covers(calls):
+    return all(set(kept) <= set(candidates) for kept, candidates in calls)
 
 
 class TestFiniteCompositionMultiplicities:
@@ -81,11 +129,35 @@ class TestNuBound:
     def test_empty_character(self, prov3):
         assert nu_bound(Character(1), 3, 1, prov3.rs) == []
 
-    def test_widening_is_superset(self, prov3):
+    def test_widening_is_superset(self, prov3, monkeypatch):
         chi = weyl_character((10,), prov3.rs)
         narrow = set(nu_bound(chi, 3, 1, prov3.rs))
-        wide = set(nu_bound(chi, 3, 1, prov3.rs, widen=True))
+        calls = use_wide_box(monkeypatch)
+        wide = set(nu_bound(chi, 3, 1, prov3.rs))
         assert narrow <= wide
+        assert len(calls) == 1 and oracle_covers(calls)
+
+
+class TestContributingNus:
+    @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+    @pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2)])
+    def test_box_keeps_every_contributing_nu(self, name, p, r):
+        # Filtering the wide box by the defining inequality finds every
+        # contributing nu: the coordinate box must miss none of them.
+        rs = build_root_system(name)
+        grid = list(itertools.product(range(2 * p**r + 2), repeat=rs.rank))
+        st_weight = tuple((p**r - 1) * c for c in rs.rho)
+        for base in [st_weight] + rs.restricted_weights(p, r)[:3]:
+            for m in grid[::5]:
+                expected = [
+                    nu
+                    for nu in wide_box_nus([m], base, p, r, rs)
+                    if rs.dominance_leq(
+                        tuple(b + p**r * n for b, n in zip(base, nu)),
+                        tuple(a + n for a, n in zip(m, nu)),
+                    )
+                ]
+                assert contributing_nus([m], base, p, r, rs) == expected
 
 
 class TestSteinbergMultiplicity:

@@ -23,6 +23,8 @@ from liechar import (
 )
 from liechar.pims import split_restricted
 
+from test_finite import oracle_covers, use_wide_box
+
 
 class TestCharacterDivide:
     def test_worked_example(self, rs_a1):
@@ -218,15 +220,17 @@ class TestChastkofskyJantzen:
         for method in ("direct", "good_filtration", "simple_basis"):
             assert cj_lhs((0,), (2,), 3, 1, prov3, qr3, method=method) == 1
 
-    def test_widening_changes_nothing(self, prov3, qr3):
-        for lam in range(3):
-            for mu in range(3):
-                narrow = cj_rhs((lam,), (mu,), 3, 1, prov3)
-                assert cj_rhs((lam,), (mu,), 3, 1, prov3, widen=True) == narrow
-                assert (
-                    cj_lhs((lam,), (mu,), 3, 1, prov3, qr3, widen=True)
-                    == cj_lhs((lam,), (mu,), 3, 1, prov3, qr3)
-                )
+    def test_widening_changes_nothing(self, prov3, qr3, monkeypatch):
+        def both_sides():
+            return [
+                (cj_rhs(lam, mu, 3, 1, prov3), cj_lhs(lam, mu, 3, 1, prov3, qr3))
+                for lam, mu in itertools.product([(0,), (1,), (2,)], repeat=2)
+            ]
+
+        narrow = both_sides()
+        calls = use_wide_box(monkeypatch)
+        assert both_sides() == narrow
+        assert calls and oracle_covers(calls)
 
 
 class TestJantzenIdentity:
