@@ -397,13 +397,16 @@ def leading_dominant_weights(support, rs):
     """Dominant support weights maximal under dominance (possibly several).
 
     In decreasing height, whatever lies above a weight comes before it.
+    Each weight's scaled_root_coords are computed once: their sum is its
+    scaled height, and w <= m is read off the coordinates of m minus w's.
     """
-    dominants = [w for w in support if rs.is_dominant(w)]
+    scaled = [(rs.scaled_root_coords(w), w) for w in support if rs.is_dominant(w)]
+    scaled.sort(key=lambda item: sum(item[0]), reverse=True)
     maximal = []
-    for w in sorted(dominants, key=rs.scaled_height, reverse=True):
-        if not any(rs.dominance_leq(w, m) for m in maximal):
-            maximal.append(w)
-    return maximal
+    for coords, w in scaled:
+        if not any(rs.is_scaled_nonnegative(map(sub, top, coords)) for top, _ in maximal):
+            maximal.append((coords, w))
+    return [w for _, w in maximal]
 
 
 def _not_invariant(weight, mult):

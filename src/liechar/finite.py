@@ -10,13 +10,9 @@ of the leading weight with rho, which guarantees termination.
 from __future__ import annotations
 
 import itertools
+from operator import add, sub
 
-from .characters import (
-    frobenius_twist,
-    leading_dominant_weights,
-    to_weyl_basis,
-    weyl_character,
-)
+from .characters import frobenius_twist, leading_dominant_weights, to_weyl_basis
 from .decomp import to_simple_basis, weight_digits
 from .errors import LiecharError
 
@@ -120,9 +116,19 @@ def steinberg_multiplicity(chi, p, r, provider=None, method="simple_basis", rs=N
     """[chi : St_r]_{G(F_q)} by one of three independent routes.
 
     direct: value of the finite composition multiplicities at (p^r-1) rho.
-    good_filtration: sum over nu of [chi . chi(nu) : chi((p^r-1) rho + p^r nu)]_G
-    (provider-free).
+    good_filtration: sum over nu of [chi . chi(nu) : chi(t)]_G with
+    t = (p^r-1) rho + p^r nu (provider-free).  chi is expanded once in the
+    Weyl basis, which raises NonInvariantError unless chi is W-invariant; the
+    maximal weights of that expansion are chi's leading dominant weights and
+    bound nu.  By Weyl's formula each term is then
+    sum_w sgn(w) chi(t + rho - w(nu + rho)), one lookup in chi per element of
+    the signed orbit of the regular weight nu + rho: no product and no
+    expansion per nu.
     simple_basis: the same sum with simple characters in place of Weyl ones.
+    Its input is not checked up front: a non-invariant chi times a nonzero
+    invariant L(nu) is not invariant, so the simple-basis expansion raises
+    NonInvariantError as soon as one nu is summed, and a full check would
+    add about 25 % to cj_table.
     """
     if rs is None:
         if provider is None:
@@ -137,11 +143,14 @@ def steinberg_multiplicity(chi, p, r, provider=None, method="simple_basis", rs=N
             st_weight, 0
         )
     if method == "good_filtration":
+        leads = leading_dominant_weights(to_weyl_basis(chi, rs), rs)
+        support = chi.support
         total = 0
-        for nu in nu_bound(chi, p, r, rs):
-            product = chi * weyl_character(nu, rs)
-            target = tuple(s + p**r * n for s, n in zip(st_weight, nu))
-            total += to_weyl_basis(product, rs).get(target, 0)
+        for nu in contributing_nus(leads, st_weight, p, r, rs):
+            t_rho = tuple(s + p**r * n + c for s, n, c in zip(st_weight, nu, rs.rho))
+            orbit = rs.signed_orbit(tuple(map(add, nu, rs.rho)))
+            for x, sign in orbit.items():
+                total += sign * support.get(tuple(map(sub, t_rho, x)), 0)
         return total
     if method == "simple_basis":
         if provider is None:

@@ -293,7 +293,13 @@ class RootSystem:
         self.check_rank(mu)
         self.check_rank(lam)
         diff = tuple(a - b for a, b in zip(lam, mu))
-        return all(n >= 0 and not n % self.det for n in self.scaled_root_coords(diff))
+        return self.is_scaled_nonnegative(self.scaled_root_coords(diff))
+
+    def is_scaled_nonnegative(self, scaled):
+        """True iff the lattice vector with these scaled_root_coords is a
+        nonnegative integral combination of simple roots."""
+        det = self.det
+        return all(n >= 0 and not n % det for n in scaled)
 
     def weyl_orbit(self, lam):
         return set(self.signed_orbit(lam))

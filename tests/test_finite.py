@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liechar import (
     Character,
+    NonInvariantError,
     Sl2DecompositionProvider,
     build_root_system,
     finite,
@@ -14,12 +17,14 @@ from liechar import (
     load_decomposition_data,
     nu_bound,
     pims,
+    steinberg_character,
     steinberg_multiplicity,
     weyl_character,
 )
 from liechar.finite import STEINBERG_METHODS, contributing_nus
 
 from test_decomp import a2_p2_document
+from test_kernel import PROPERTY, invariant_characters
 
 
 def wide_box_nus(max_weights, base, p, r, rs):
@@ -235,3 +240,48 @@ class TestSteinbergMultiplicity:
             steinberg_multiplicity(
                 weyl_character((2,), prov3.rs), 3, 1, provider=prov3, method="magic"
             )
+
+    def test_good_filtration_rejects_non_invariant_input(self, prov3):
+        # No nu lies in the box of e^(1) at p = 3, so only an up-front
+        # invariance check can reject it, as the direct route does.
+        chi = Character(1, {(1,): 1})
+        for method in ("direct", "good_filtration"):
+            with pytest.raises(NonInvariantError):
+                steinberg_multiplicity(chi, 3, 1, provider=prov3, method=method)
+
+
+@pytest.fixture(scope="module")
+def a2_p2_provider():
+    return load_decomposition_data(a2_p2_document())
+
+
+def route_values(chi, p, r, provider):
+    return {
+        method: steinberg_multiplicity(chi, p, r, provider=provider, method=method)
+        for method in STEINBERG_METHODS
+    }
+
+
+class TestRouteAgreementProperty:
+    """The three Steinberg routes agree on random W-invariant virtual
+    characters (sums of +-chi(lam), products, twists), some times St_r so
+    that the Steinberg constituent is often nonzero."""
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @settings(PROPERTY, max_examples=50)
+    @given(invariant_characters(names=("A1",)), st.booleans())
+    def test_a1_sl2_provider(self, prov3, r, case, times_steinberg):
+        rs, chi = case
+        if times_steinberg:
+            chi = chi * steinberg_character(rs, 3, r)
+        values = route_values(chi, 3, r, prov3)
+        assert len(set(values.values())) == 1, values
+
+    @settings(PROPERTY, max_examples=25)
+    @given(invariant_characters(names=("A2",)), st.booleans())
+    def test_a2_packaged_rows(self, a2_p2_provider, case, times_steinberg):
+        rs, chi = case
+        if times_steinberg:
+            chi = chi * steinberg_character(rs, 2, 1)
+        values = route_values(chi, 2, 1, a2_p2_provider)
+        assert len(set(values.values())) == 1, values

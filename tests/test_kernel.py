@@ -4,8 +4,9 @@ Every reference below is computed here: the lattice kernel's from the
 Cartan matrix alone, by Fraction Gauss-Jordan elimination and the O(n^2)
 maximal-element scan; the product's, on both of its paths (dict loop and
 Kronecker substitution), by the tuple double loop; Weyl characters by
-Freudenthal's recursion, and Weyl-basis coefficients by leading-term
-elimination against those characters.
+Freudenthal's recursion, Weyl-basis coefficients by leading-term
+elimination against those characters, and the good-filtration Steinberg
+route by the product and Weyl-basis expansion of each of its terms.
 """
 
 import itertools
@@ -22,7 +23,9 @@ from liechar import (
     character_divide,
     characters,
     frobenius_twist,
+    nu_bound,
     steinberg_character,
+    steinberg_multiplicity,
     to_weyl_basis,
     weyl_character,
 )
@@ -111,9 +114,9 @@ def weyl_coefficients(rs, max_weight, max_terms):
 
 
 @st.composite
-def invariant_coefficients(draw, max_weight=3, max_terms=4):
+def invariant_coefficients(draw, max_weight=3, max_terms=4, names=NAMES):
     """A root system and Weyl-basis coefficients of a W-invariant virtual character."""
-    rs = ROOT_SYSTEMS[draw(st.sampled_from(NAMES))]
+    rs = ROOT_SYSTEMS[draw(st.sampled_from(names))]
     return rs, draw(weyl_coefficients(rs, max_weight, max_terms))
 
 
@@ -204,10 +207,10 @@ def test_weyl_character_matches_freudenthal(case):
 
 
 @st.composite
-def invariant_characters(draw):
-    """A root system and a W-invariant virtual character on it: a sum of
-    +-chi(lam), possibly times another such sum or Frobenius-twisted."""
-    rs, coeffs = draw(invariant_coefficients(max_weight=2, max_terms=3))
+def invariant_characters(draw, names=NAMES):
+    """A root system among names and a W-invariant virtual character on it: a
+    sum of +-chi(lam), possibly times another such sum or Frobenius-twisted."""
+    rs, coeffs = draw(invariant_coefficients(max_weight=2, max_terms=3, names=names))
     chi = from_weyl_basis(coeffs, rs)
     shape = draw(st.sampled_from(("sum", "product", "twist")))
     if shape == "product":
@@ -244,6 +247,41 @@ def test_divide_steinberg_multiple(case):
     st_char = steinberg_character(rs, 2, 1)
     q = from_weyl_basis(coeffs, rs)
     assert character_divide(st_char * q, st_char, rs) == q
+
+
+def reference_good_filtration(chi, p, r, rs):
+    """[chi : St_r] by the good-filtration sum, term by term: each
+    [chi . chi(nu) : chi((p^r - 1) rho + p^r nu)] read off the Weyl-basis
+    expansion of the product."""
+    st_weight = tuple((p**r - 1) * c for c in rs.rho)
+    total = 0
+    for nu in nu_bound(chi, p, r, rs):
+        target = tuple(s + p**r * n for s, n in zip(st_weight, nu))
+        total += to_weyl_basis(chi * weyl_character(nu, rs), rs).get(target, 0)
+    return total
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2)])
+@PROPERTY
+@given(invariant_characters(names=("A1", "A2", "B2", "G2")), st.booleans())
+def test_good_filtration_route_matches_reference(p, r, case, times_steinberg):
+    # Characters this small mostly have no Steinberg constituent; a factor
+    # St_r often gives them one, with chi's weights around (p^r - 1) rho.
+    rs, chi = case
+    if times_steinberg:
+        chi = chi * steinberg_character(rs, p, r)
+    value = steinberg_multiplicity(chi, p, r, method="good_filtration", rs=rs)
+    assert value == reference_good_filtration(chi, p, r, rs)
+
+
+@PROPERTY
+@given(invariant_characters())
+def test_weyl_basis_leads_are_the_support_leads(case):
+    # The good-filtration route bounds nu by the maximal weights of chi's
+    # Weyl-basis expansion; they must be the support's maximal dominant weights.
+    rs, chi = case
+    leads = leading_dominant_weights(to_weyl_basis(chi, rs), rs)
+    assert set(leads) == reference_maximal(chi.support, rs)
 
 
 def reference_product(a, b):
