@@ -447,9 +447,12 @@ def to_weyl_basis(chi, rs):
     """Weyl-basis coefficients of a W-invariant character, else NonInvariantError:
     [chi : chi(lam)] is the multiplicity of lam + rho in chi * rs.weyl_denominator."""
     support = chi.support
+    indices = range(rs.rank)
     for w, m in support.items():
-        if any(support.get(rs.simple_reflection(i, w)) != m for i in range(rs.rank)):
-            raise NonInvariantError(f"character is not W-invariant at {w}")
+        # s_i fixes w when w_i = 0.
+        for i in indices:
+            if w[i] and support.get(rs.simple_reflection(i, w)) != m:
+                raise NonInvariantError(f"character is not W-invariant at {w}")
     product = _convolve(support, rs.weyl_denominator) if support else {}
     return {tuple(c - 1 for c in w): m for w, m in product.items() if min(w) > 0}
 

@@ -49,6 +49,8 @@ class DecompositionProvider:
         self._restricted_cache = {}
         self._simple_cache = {}
         self._finite_cache = {}
+        # (mu, nu) -> simple-basis coefficients of L(mu) * L(nu), for cj_rhs.
+        self._tensor_cache = {}
 
     def row(self, lam):
         """Map mu -> [nabla(lam) : L(mu)] over its nonzero entries."""

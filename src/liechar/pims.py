@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import add
 
 from .characters import (
     Character,
     expand,
     frobenius_twist,
     from_weyl_basis,
+    leading_dominant_weights,
     leading_weight,
     steinberg_character,
     weyl_character,
@@ -73,6 +75,7 @@ class QrData:
         self.r = r
         self.provenance = provenance
         self.entries = {}
+        self._leads = {}
         st = steinberg_character(rs, p, r)
         st_weight = tuple((p**r - 1) * c for c in rs.rho)
         for lam, qhat in qhat_chars.items():
@@ -102,6 +105,23 @@ class QrData:
             return self.entries[tuple(lam)].q_char
         except KeyError:
             raise CoverageError(tuple(lam), f"no Q-hat data for weight {lam}")
+
+    def leads(self, lam):
+        """The leading dominant weights of q_r(lam).
+
+        q_r(lam) is W-invariant (the Weyl-basis assembly of an exact
+        quotient), so every weight of its support lies below its dominant
+        W-conjugate, which is in the support, and hence below one of these;
+        cj_lhs bounds nu by them.  Computed on first use, not at
+        construction, so loading the data costs no more than before.
+        """
+        lam = tuple(lam)
+        cached = self._leads.get(lam)
+        if cached is None:
+            cached = self._leads[lam] = tuple(
+                leading_dominant_weights(self.q(lam).support, self.rs)
+            )
+        return cached
 
     @classmethod
     def builtin_sl2(cls, p, r, rs=None):
@@ -170,23 +190,50 @@ class QrData:
 
 
 def cj_lhs(lam, mu, p, r, provider, qrdata, method="simple_basis"):
-    """[Q-hat_r(lambda) : U_r(mu)] = [chi_p(mu) . q_r(lambda*) : St_r]_{G(F_q)}."""
+    """[Q-hat_r(lambda) : U_r(mu)] = [chi_p(mu) . q_r(lambda*) : St_r]_{G(F_q)}.
+
+    The two nu-sum routes first bound nu by the factors' leads, which is
+    sound: every weight of L(mu) lies below mu, and every weight of the
+    W-invariant q_r(lambda*) below some m in qrdata.leads(lambda*), so every
+    weight of the product lies below some mu + m.  The nu that nu_bound keeps
+    for the product are therefore among those contributing_nus keeps for the
+    weights mu + m; when there are none, the cell is 0 and the product is
+    not formed.  The direct route is the independent check of the other two,
+    so it forms the product on every cell and never reads the leads.
+    """
     rs = provider.rs
-    chi = provider.simple_character(tuple(mu)) * qrdata.q(rs.dual_weight(tuple(lam)))
+    mu = tuple(mu)
+    dual = rs.dual_weight(tuple(lam))
+    # Looked up before the bound, so that a bad mu raises on every cell.
+    chi_mu = provider.simple_character(mu)
+    if method in ("good_filtration", "simple_basis"):
+        st_weight = tuple((p**r - 1) * c for c in rs.rho)
+        leads = [tuple(map(add, mu, m)) for m in qrdata.leads(dual)]
+        if not contributing_nus(leads, st_weight, p, r, rs):
+            return 0
+    chi = chi_mu * qrdata.q(dual)
     return steinberg_multiplicity(chi, p, r, provider=provider, method=method)
 
 
 def cj_rhs(lam, mu, p, r, provider):
-    """sum over nu of [L(mu) x L(nu) : L(lambda + p^r nu)]_G."""
+    """sum over nu of [L(mu) x L(nu) : L(lambda + p^r nu)]_G.
+
+    The simple-basis expansion of L(mu) x L(nu) does not depend on lambda or
+    r, so it is memoized on the provider and read, never handed out.
+    """
     rs = provider.rs
     lam = tuple(lam)
     mu = tuple(mu)
     total = 0
     chi_mu = provider.simple_character(mu)
+    cache = provider._tensor_cache
     for nu in contributing_nus([mu], lam, p, r, rs):
-        product = chi_mu * provider.simple_character(nu)
+        coeffs = cache.get((mu, nu))
+        if coeffs is None:
+            product = chi_mu * provider.simple_character(nu)
+            coeffs = cache[(mu, nu)] = to_simple_basis(product, provider)
         target = tuple(a + p**r * n for a, n in zip(lam, nu))
-        total += to_simple_basis(product, provider).get(target, 0)
+        total += coeffs.get(target, 0)
     return total
 
 

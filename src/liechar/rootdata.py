@@ -222,8 +222,7 @@ class RootSystem:
 
     def simple_reflection(self, i, weight):
         c = weight[i]
-        row = self.cartan.entries[i]
-        return tuple(weight[j] - c * row[j] for j in range(self.rank))
+        return tuple([a - c * b for a, b in zip(weight, self.cartan.entries[i])])
 
     def is_dominant(self, weight):
         return all(c >= 0 for c in weight)

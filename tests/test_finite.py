@@ -21,6 +21,7 @@ from liechar import (
     steinberg_multiplicity,
     weyl_character,
 )
+from liechar.characters import leading_dominant_weights
 from liechar.finite import STEINBERG_METHODS, contributing_nus
 
 from test_decomp import a2_p2_document
@@ -47,6 +48,21 @@ def wide_box_nus(max_weights, base, p, r, rs):
         nu
         for nu in itertools.product(*ranges)
         if (p**r - 1) * rs.scaled_height(nu) <= top
+    ]
+
+
+def exact_contributing_nus(max_weights, base, p, r, rs):
+    """The nu of wide_box_nus that meet base + p^r nu <= m + nu for some m."""
+    return [
+        nu
+        for nu in wide_box_nus(max_weights, base, p, r, rs)
+        if any(
+            rs.dominance_leq(
+                tuple(b + p**r * n for b, n in zip(base, nu)),
+                tuple(a + n for a, n in zip(m, nu)),
+            )
+            for m in max_weights
+        )
     ]
 
 
@@ -154,15 +170,35 @@ class TestContributingNus:
         st_weight = tuple((p**r - 1) * c for c in rs.rho)
         for base in [st_weight] + rs.restricted_weights(p, r)[:3]:
             for m in grid[::5]:
-                expected = [
-                    nu
-                    for nu in wide_box_nus([m], base, p, r, rs)
-                    if rs.dominance_leq(
-                        tuple(b + p**r * n for b, n in zip(base, nu)),
-                        tuple(a + n for a, n in zip(m, nu)),
-                    )
-                ]
+                expected = exact_contributing_nus([m], base, p, r, rs)
                 assert contributing_nus([m], base, p, r, rs) == expected
+
+
+class TestFactorLeadBound:
+    """cj_lhs bounds nu by the weights mu + m, m a lead of q_r(lambda*), before
+    it forms the product L(mu) * q_r(lambda*); that bound must keep every nu
+    the product's own leading weights give."""
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_a1_every_cell(self, p, r):
+        provider = Sl2DecompositionProvider(p)
+        qrdata = pims.QrData.builtin_sl2(p, r)
+        rs = provider.rs
+        st_weight = tuple((p**r - 1) * c for c in rs.rho)
+        labels = rs.restricted_weights(p, r)
+        for lam in labels:
+            dual = rs.dual_weight(lam)
+            for mu in labels:
+                factor_leads = [
+                    tuple(a + b for a, b in zip(mu, m)) for m in qrdata.leads(dual)
+                ]
+                box = set(contributing_nus(factor_leads, st_weight, p, r, rs))
+                chi = provider.simple_character(mu) * qrdata.q(dual)
+                product_leads = leading_dominant_weights(chi.support, rs)
+                exact = exact_contributing_nus(product_leads, st_weight, p, r, rs)
+                assert set(nu_bound(chi, p, r, rs)) <= box, (lam, mu)
+                assert set(exact) <= box, (lam, mu)
 
 
 class TestSteinbergMultiplicity:

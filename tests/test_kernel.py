@@ -228,6 +228,15 @@ def test_to_weyl_basis_matches_elimination(case):
     assert to_weyl_basis(chi, rs) == reference
 
 
+def first_non_invariant_weight(chi, rs):
+    """The first support weight w, in support order, with chi(s_i w) != chi(w)."""
+    return next(
+        w
+        for w, m in chi.support.items()
+        if any(chi.get(rs.simple_reflection(i, w)) != m for i in range(rs.rank))
+    )
+
+
 @PROPERTY
 @given(invariant_characters(), st.data())
 def test_off_orbit_term_is_not_invariant(case, data):
@@ -236,8 +245,11 @@ def test_off_orbit_term_is_not_invariant(case, data):
         st.tuples(*[st.integers(-4, 4)] * rs.rank).filter(any), label="weight"
     )
     mult = data.draw(st.integers(-3, 3).filter(bool), label="mult")
-    with pytest.raises(NonInvariantError):
-        to_weyl_basis(chi + Character(rs.rank, {weight: mult}), rs)
+    chi = chi + Character(rs.rank, {weight: mult})
+    with pytest.raises(NonInvariantError) as info:
+        to_weyl_basis(chi, rs)
+    weight = first_non_invariant_weight(chi, rs)
+    assert str(info.value) == f"character is not W-invariant at {weight}"
 
 
 @settings(PROPERTY, max_examples=15)

@@ -5,11 +5,13 @@ import pytest
 
 from liechar import (
     Character,
+    CoverageError,
     DataValidationError,
     DivisionFailure,
     QrData,
     Sl2DecompositionProvider,
     barq_multiplicities,
+    build_root_system,
     character_divide,
     cj_lhs,
     cj_rhs,
@@ -18,9 +20,12 @@ from liechar import (
     induced_socle_multiplicity,
     jantzen_identity_check,
     steinberg_character,
+    steinberg_multiplicity,
     theorem45a_socle_check,
     weyl_character,
 )
+from liechar.decomp import to_simple_basis
+from liechar.finite import STEINBERG_METHODS, contributing_nus
 from liechar.pims import split_restricted
 
 from test_finite import oracle_covers, use_wide_box
@@ -231,6 +236,116 @@ class TestChastkofskyJantzen:
         calls = use_wide_box(monkeypatch)
         assert both_sides() == narrow
         assert calls and oracle_covers(calls)
+
+
+def two_lead_qrdata(p, r):
+    """User Q-hat data for lambda = 0 with q = chi(p^r) + chi(p^r - 1): two
+    leads of opposite parity, which are incomparable in A1."""
+    rs = build_root_system("A1")
+    q = weyl_character((p**r,), rs) + weyl_character((p**r - 1,), rs)
+    qhat = steinberg_character(rs, p, r) * q
+    doc = {
+        "type": "A1",
+        "p": p,
+        "r": r,
+        "entries": [{"lambda": [0], "qhat": qhat.to_json_dict()}],
+    }
+    return QrData.from_json_dict(doc), q
+
+
+class TestZeroCells:
+    """cj_lhs returns 0 without forming the product when no nu passes the
+    bound from mu + (leads of q); otherwise it is the Steinberg multiplicity
+    of the product."""
+
+    @pytest.mark.parametrize("p, r", [(3, 1), (2, 2), (5, 1)])
+    def test_incomparable_leads(self, p, r):
+        provider = Sl2DecompositionProvider(p)
+        rs = provider.rs
+        qrdata, q = two_lead_qrdata(p, r)
+        assert sorted(qrdata.leads((0,))) == [(p**r - 1,), (p**r,)]
+        st_weight = (p**r - 1,)
+        needed = set()
+        for mu in rs.restricted_weights(p, r):
+            chi = provider.simple_character(mu) * q
+            values = {
+                method: cj_lhs((0,), mu, p, r, provider, qrdata, method=method)
+                for method in STEINBERG_METHODS
+            }
+            assert values == {
+                method: steinberg_multiplicity(
+                    chi, p, r, provider=provider, method=method
+                )
+                for method in STEINBERG_METHODS
+            }, mu
+            if values["direct"]:
+                for (m,) in qrdata.leads((0,)):
+                    if not contributing_nus([(mu[0] + m,)], st_weight, p, r, rs):
+                        needed.add(m)
+        # Each lead alone would zero a nonzero cell: the bound uses both.
+        assert needed == {p**r - 1, p**r}
+
+    def test_direct_route_never_reads_leads(self, monkeypatch):
+        provider = Sl2DecompositionProvider(3)
+        qrdata = QrData.builtin_sl2(3, 2)
+        before = cj_table(3, 2, provider, qrdata, method="direct")
+        assert before.agrees()
+
+        def leads(self, lam):
+            raise AssertionError("the direct route read QrData.leads")
+
+        monkeypatch.setattr(QrData, "leads", leads)
+        after = cj_table(3, 2, Sl2DecompositionProvider(3), qrdata, method="direct")
+        assert after == before
+
+    def test_leads(self, qr3):
+        # q_1(0) = e^2 + e^-2 and q_1(2) = e^0 at p = 3.
+        assert qr3.leads((0,)) == ((2,),)
+        assert qr3.leads((2,)) == ((0,),)
+
+    def test_leads_of_missing_weight(self, qr3):
+        with pytest.raises(CoverageError):
+            qr3.leads((7,))
+
+
+class TestTensorCache:
+    """cj_rhs memoizes the simple-basis expansion of L(mu) * L(nu) on the
+    provider, for every r."""
+
+    P = 3
+
+    def sweep(self, provider_for, r):
+        labels = provider_for().rs.restricted_weights(self.P, r)
+        cells = list(itertools.product(labels, repeat=2))
+        return {
+            "cj_rhs": [cj_rhs(lam, mu, self.P, r, provider_for()) for lam, mu in cells],
+            "barq": [
+                barq_multiplicities(lam, self.P, r, provider_for()) for lam in labels
+            ],
+            "thm45a": [
+                theorem45a_socle_check(lam, mu, self.P, r, provider_for())
+                for lam, mu in cells
+            ],
+        }
+
+    def test_shared_provider_matches_fresh(self):
+        shared = Sl2DecompositionProvider(self.P)
+        for r in (1, 2, 1):
+            fresh = self.sweep(lambda: Sl2DecompositionProvider(self.P), r)
+            assert self.sweep(lambda: shared, r) == fresh
+        assert shared._tensor_cache
+
+    def test_no_cached_dict_is_handed_out(self):
+        provider = Sl2DecompositionProvider(self.P)
+        first = barq_multiplicities((0,), self.P, 2, provider)
+        assert all(first is not coeffs for coeffs in provider._tensor_cache.values())
+        first.clear()
+        assert barq_multiplicities((0,), self.P, 2, provider) == (
+            barq_multiplicities((0,), self.P, 2, Sl2DecompositionProvider(self.P))
+        )
+        for (mu, nu), coeffs in provider._tensor_cache.items():
+            product = provider.simple_character(mu) * provider.simple_character(nu)
+            assert coeffs == to_simple_basis(product, provider)
 
 
 class TestJantzenIdentity:

@@ -147,6 +147,27 @@ class TestWeylOrbit:
             dominant = [w for w in orbit if rs.is_dominant(w)]
             assert dominant == [lam]
 
+    @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+    def test_simple_reflection(self, name):
+        # Row i of the Cartan matrix is alpha_i in fundamental-weight
+        # coordinates: s_i alpha_i = -alpha_i, s_i omega_j = omega_j for
+        # j != i, and s_i is an involution that preserves the form.
+        rs = build_root_system(name)
+        rows = rs.cartan.entries
+        for i in range(rs.rank):
+            assert rs.simple_reflection(i, tuple(rows[i])) == tuple(-a for a in rows[i])
+            for j in range(rs.rank):
+                omega = tuple(int(k == j) for k in range(rs.rank))
+                image = rs.simple_reflection(i, omega)
+                if j != i:
+                    assert image == omega
+                else:
+                    assert image == tuple(a - b for a, b in zip(omega, rows[i]))
+            for w in itertools.product(range(-2, 3), repeat=rs.rank):
+                image = rs.simple_reflection(i, w)
+                assert rs.simple_reflection(i, image) == w
+                assert rs.bilinear(image, image) == rs.bilinear(w, w)
+
 
 class TestDualWeight:
     def test_examples(self, rs_a1, rs_a2, rs_b2):
