@@ -37,6 +37,7 @@ from .finite import (
     finite_simple_multiplicities,
     nu_bound,
     steinberg_multiplicity,
+    steinberg_nu_sum,
 )
 from .pims import (
     MultiplicityTable,

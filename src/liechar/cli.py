@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -177,7 +178,13 @@ class _Tokens:
                 f"parse error at position {self.pos - len(token)}: expected an "
                 f"integer, got {token!r}"
             )
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:
+            raise CliError(
+                f"parse error at position {self.pos - len(token)}: integer of "
+                f"{len(token)} digits is too long"
+            ) from None
 
 
 def _parse_weight(tokens, rank):
@@ -214,7 +221,15 @@ def _parse_atom(tokens, config):
         value = _parse_expression(tokens, config)
         if token == "twist":
             tokens.take(",")
-            value = frobenius_twist(value, config.p, tokens.take_int())
+            exponent = tokens.take_int()
+            # Checked before p**exponent is computed, which can run for minutes.
+            limit = sys.get_int_max_str_digits()
+            if limit and exponent * math.log10(config.p) >= limit:
+                raise CliError(
+                    f"twist exponent {exponent} is too large: {config.p}**"
+                    f"{exponent} has more than {limit} digits"
+                )
+            value = frobenius_twist(value, config.p, exponent)
         elif token == "dual":
             value = formal_dual(value)
     tokens.take(")")
@@ -301,9 +316,27 @@ def render_table(table, fmt, out):
 # -- commands --------------------------------------------------------------
 
 
+def _check_printable(chi):
+    """Raise CliError before any output if a number of chi cannot be printed."""
+    numbers = itertools.chain(
+        itertools.chain.from_iterable(chi.support),
+        chi.support.values(),
+        (chi.dimension(),),
+    )
+    widest = max(map(abs, numbers))
+    try:
+        str(widest)
+    except ValueError:
+        raise CliError(
+            f"result has a number of more than {sys.get_int_max_str_digits()} "
+            "digits, too long to print"
+        ) from None
+
+
 def cmd_char(config, expression, out=None):
     out = out if out is not None else sys.stdout
     chi = evaluate_expression(expression, config)
+    _check_printable(chi)
     render_character(chi, config.fmt, out)
     return EXIT_OK
 

@@ -104,64 +104,68 @@ def contributing_nus(max_weights, base, p, r, rs):
 
 
 def nu_bound(chi, p, r, rs):
-    """Finite dominant set covering every nu in the Steinberg-multiplicity sum."""
-    if not chi.support:
-        return []
-    max_weights = leading_dominant_weights(chi.support, rs)
-    st_weight = tuple((p**r - 1) * c for c in rs.rho)
-    return contributing_nus(max_weights, st_weight, p, r, rs)
+    """Finite dominant set covering every nu in the Steinberg-multiplicity sum.
 
-
-def steinberg_multiplicity(chi, p, r, provider=None, method="simple_basis", rs=None):
-    """[chi : St_r]_{G(F_q)} by one of three independent routes.
-
-    direct: value of the finite composition multiplicities at (p^r-1) rho.
-    good_filtration: sum over nu of [chi . chi(nu) : chi(t)]_G with
-    t = (p^r-1) rho + p^r nu (provider-free).  chi is expanded once in the
-    Weyl basis, which raises NonInvariantError unless chi is W-invariant; the
-    maximal weights of that expansion are chi's leading dominant weights and
-    bound nu.  By Weyl's formula each term is then
-    sum_w sgn(w) chi(t + rho - w(nu + rho)), one lookup in chi per element of
-    the signed orbit of the regular weight nu + rho: no product and no
-    expansion per nu.
-    simple_basis: the same sum with simple characters in place of Weyl ones.
-    Its input is not checked up front: a non-invariant chi times a nonzero
-    invariant L(nu) is not invariant, so the simple-basis expansion raises
-    NonInvariantError as soon as one nu is summed, and a full check would
-    add about 25 % to cj_table.
+    The only bound read off a character.  chi is expanded in the Weyl basis,
+    which raises NonInvariantError unless chi is W-invariant; the maximal
+    weights of that expansion are chi's leading dominant weights (every
+    weight of chi lies below one of them), and contributing_nus keeps the nu
+    with (p^r-1) rho + p^r nu below some of them plus nu.
     """
-    if rs is None:
-        if provider is None:
-            raise ValueError("need a provider or a root system")
-        rs = provider.rs
+    leads = leading_dominant_weights(to_weyl_basis(chi, rs), rs)
     st_weight = tuple((p**r - 1) * c for c in rs.rho)
+    return contributing_nus(leads, st_weight, p, r, rs)
 
-    if method == "direct":
-        if provider is None:
-            raise ValueError("direct route needs a decomposition provider")
-        return finite_composition_multiplicities(chi, p, r, provider).get(
-            st_weight, 0
-        )
+
+def steinberg_nu_sum(chi, nus, p, r, provider, method):
+    """sum over nu in nus of [chi . M(nu) : M(t)]_G, t = (p^r-1) rho + p^r nu.
+
+    good_filtration: M is the Weyl character chi(nu) (provider-free).  By
+    Weyl's formula each term is sum_w sgn(w) chi(t + rho - w(nu + rho)), one
+    lookup in chi per element of the signed orbit of the regular weight
+    nu + rho: no product and no expansion per nu.
+    simple_basis: M is the simple character L(nu), and each term is read off
+    the simple-basis expansion of the product.
+    nus must contain every nu whose term can be nonzero; a term outside
+    the range adds 0.  nu_bound(chi) is such a set, and so is
+    contributing_nus on any weights that each weight of chi lies below one
+    of (cj_lhs uses the factor leads of its product).
+    """
+    rs = provider.rs
+    st_weight = tuple((p**r - 1) * c for c in rs.rho)
+    total = 0
     if method == "good_filtration":
-        leads = leading_dominant_weights(to_weyl_basis(chi, rs), rs)
         support = chi.support
-        total = 0
-        for nu in contributing_nus(leads, st_weight, p, r, rs):
+        for nu in nus:
             t_rho = tuple(s + p**r * n + c for s, n, c in zip(st_weight, nu, rs.rho))
             orbit = rs.signed_orbit(tuple(map(add, nu, rs.rho)))
             for x, sign in orbit.items():
                 total += sign * support.get(tuple(map(sub, t_rho, x)), 0)
         return total
     if method == "simple_basis":
-        if provider is None:
-            raise ValueError("simple_basis route needs a decomposition provider")
-        total = 0
-        for nu in nu_bound(chi, p, r, rs):
+        for nu in nus:
             product = chi * provider.simple_character(nu)
             target = tuple(s + p**r * n for s, n in zip(st_weight, nu))
             total += to_simple_basis(product, provider).get(target, 0)
         return total
     raise ValueError(f"unknown method {method!r}")
+
+
+def steinberg_multiplicity(chi, p, r, provider, method="simple_basis"):
+    """[chi : St_r]_{G(F_q)} by one of three independent routes.
+
+    direct: value of the finite composition multiplicities at (p^r-1) rho.
+    good_filtration and simple_basis: steinberg_nu_sum over nu_bound(chi).
+    Every route raises NonInvariantError unless chi is W-invariant: direct
+    in its simple-basis expansion, the other two in nu_bound.
+    """
+    if method == "direct":
+        st_weight = tuple((p**r - 1) * c for c in provider.rs.rho)
+        return finite_composition_multiplicities(chi, p, r, provider).get(
+            st_weight, 0
+        )
+    nus = nu_bound(chi, p, r, provider.rs)
+    return steinberg_nu_sum(chi, nus, p, r, provider, method)
 
 
 STEINBERG_METHODS = ("direct", "good_filtration", "simple_basis")

@@ -29,7 +29,12 @@ from .errors import (
     strict_int,
     strict_int_tuple,
 )
-from .finite import contributing_nus, finite_composition_multiplicities, steinberg_multiplicity
+from .finite import (
+    contributing_nus,
+    finite_composition_multiplicities,
+    steinberg_multiplicity,
+    steinberg_nu_sum,
+)
 from .rootdata import CartanMatrix, RootSystem, root_system_of
 
 
@@ -192,14 +197,16 @@ class QrData:
 def cj_lhs(lam, mu, p, r, provider, qrdata, method="simple_basis"):
     """[Q-hat_r(lambda) : U_r(mu)] = [chi_p(mu) . q_r(lambda*) : St_r]_{G(F_q)}.
 
-    The two nu-sum routes first bound nu by the factors' leads, which is
-    sound: every weight of L(mu) lies below mu, and every weight of the
-    W-invariant q_r(lambda*) below some m in qrdata.leads(lambda*), so every
-    weight of the product lies below some mu + m.  The nu that nu_bound keeps
-    for the product are therefore among those contributing_nus keeps for the
-    weights mu + m; when there are none, the cell is 0 and the product is
-    not formed.  The direct route is the independent check of the other two,
-    so it forms the product on every cell and never reads the leads.
+    The two nu-sum routes bound nu by the factors' leads rather than by
+    nu_bound of the product, which would expand the product in the Weyl
+    basis on every cell.  The factor leads are sound: every weight of L(mu)
+    lies below mu, and every weight of the W-invariant q_r(lambda*) below
+    some m in qrdata.leads(lambda*), so every weight of the product lies
+    below some mu + m, and contributing_nus on the weights mu + m keeps
+    every nu that nu_bound keeps.  When it keeps none, the cell is 0 and
+    the product is not formed; otherwise steinberg_nu_sum runs over those
+    nu.  The direct route is the independent check of the other two, so it
+    forms the product on every cell and never reads the leads.
     """
     rs = provider.rs
     mu = tuple(mu)
@@ -209,10 +216,11 @@ def cj_lhs(lam, mu, p, r, provider, qrdata, method="simple_basis"):
     if method in ("good_filtration", "simple_basis"):
         st_weight = tuple((p**r - 1) * c for c in rs.rho)
         leads = [tuple(map(add, mu, m)) for m in qrdata.leads(dual)]
-        if not contributing_nus(leads, st_weight, p, r, rs):
+        nus = contributing_nus(leads, st_weight, p, r, rs)
+        if not nus:
             return 0
-    chi = chi_mu * qrdata.q(dual)
-    return steinberg_multiplicity(chi, p, r, provider=provider, method=method)
+        return steinberg_nu_sum(chi_mu * qrdata.q(dual), nus, p, r, provider, method)
+    return steinberg_multiplicity(chi_mu * qrdata.q(dual), p, r, provider, method)
 
 
 def cj_rhs(lam, mu, p, r, provider):

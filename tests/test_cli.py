@@ -248,6 +248,53 @@ class TestInputErrors:
         assert message in err
 
 
+class TestNumbersTooLongToPrint:
+    """Past sys.get_int_max_str_digits() (4300 by default) a number cannot
+    be printed: the CLI exits 2 with one error line and an empty stdout."""
+
+    @pytest.fixture(autouse=True)
+    def no_huge_twist(self, monkeypatch):
+        # Computing p**s for these exponents would not finish: the exponent
+        # must be rejected before frobenius_twist sees it.
+        twist = cli.frobenius_twist
+
+        def guarded(chi, p, s):
+            assert s <= 10**4, f"frobenius_twist called with exponent {s}"
+            return twist(chi, p, s)
+
+        monkeypatch.setattr(cli, "frobenius_twist", guarded)
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "tsv"])
+    @pytest.mark.parametrize(
+        "expression, message",
+        [
+            ("twist(weyl(1),9013)", "twist exponent 9013 is too large"),
+            ("twist(weyl(1),10000)", "twist exponent 10000 is too large"),
+            ("twist(weyl(1),1000000000)", "twist exponent 1000000000 is too large"),
+            ("twist(twist(twist(weyl(1),4000),4000),4000)", "too long to print"),
+            pytest.param(
+                "weyl(" + "1" * 5000 + ")",
+                "integer of 5000 digits is too long",
+                id="literal-of-5000-digits",
+            ),
+        ],
+    )
+    def test_exit_2_before_any_output(self, capsys, fmt, expression, message):
+        code, out, err = run(capsys, ["char", "-p", "3", "--format", fmt, expression])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("exponent", [9000, 9012])
+    def test_longest_printable_twist(self, capsys, exponent):
+        # 3**9012 has 4300 digits, 3**9013 has 4301.
+        code, out, _ = run(capsys, ["char", "-p", "3", f"twist(weyl(1),{exponent})"])
+        assert code == 0
+        top = 3**exponent
+        assert out == f"({-top}): 1\n({top}): 1\ndimension: 2\n"
+
+
 class TestDataResolution:
     def test_decomp_data_file(self, capsys, tmp_path):
         path = tmp_path / "a2p2.json"

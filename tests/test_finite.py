@@ -150,6 +150,12 @@ class TestNuBound:
     def test_empty_character(self, prov3):
         assert nu_bound(Character(1), 3, 1, prov3.rs) == []
 
+    def test_rejects_non_invariant_input(self, prov3):
+        # No nu lies in the box of e^(1) at p = 3: only the Weyl-basis
+        # expansion can reject it.
+        with pytest.raises(NonInvariantError):
+            nu_bound(Character(1, {(1,): 1}), 3, 1, prov3.rs)
+
     def test_widening_is_superset(self, prov3, monkeypatch):
         chi = weyl_character((10,), prov3.rs)
         narrow = set(nu_bound(chi, 3, 1, prov3.rs))
@@ -277,11 +283,11 @@ class TestSteinbergMultiplicity:
                 weyl_character((2,), prov3.rs), 3, 1, provider=prov3, method="magic"
             )
 
-    def test_good_filtration_rejects_non_invariant_input(self, prov3):
+    def test_every_route_rejects_non_invariant_input(self, prov3):
         # No nu lies in the box of e^(1) at p = 3, so only an up-front
         # invariance check can reject it, as the direct route does.
         chi = Character(1, {(1,): 1})
-        for method in ("direct", "good_filtration"):
+        for method in STEINBERG_METHODS:
             with pytest.raises(NonInvariantError):
                 steinberg_multiplicity(chi, 3, 1, provider=prov3, method=method)
 

@@ -6,7 +6,8 @@ maximal-element scan; the product's, on both of its paths (dict loop and
 Kronecker substitution), by the tuple double loop; Weyl characters by
 Freudenthal's recursion, Weyl-basis coefficients by leading-term
 elimination against those characters, and the good-filtration Steinberg
-route by the product and Weyl-basis expansion of each of its terms.
+route by the product and Weyl-basis expansion of each of its terms, over
+the nu bounded by the reference maximal-element scan.
 """
 
 import itertools
@@ -19,11 +20,11 @@ from hypothesis import strategies as st
 
 from liechar import (
     Character,
+    DecompositionProvider,
     NonInvariantError,
     character_divide,
     characters,
     frobenius_twist,
-    nu_bound,
     steinberg_character,
     steinberg_multiplicity,
     to_weyl_basis,
@@ -35,6 +36,7 @@ from liechar.characters import (
     from_weyl_basis,
     leading_dominant_weights,
 )
+from liechar.finite import contributing_nus
 from liechar.rootdata import RootSystem, build_root_system
 
 # A user-supplied rank-3 matrix (type B3/C3), next to the built-in types.
@@ -264,10 +266,12 @@ def test_divide_steinberg_multiple(case):
 def reference_good_filtration(chi, p, r, rs):
     """[chi : St_r] by the good-filtration sum, term by term: each
     [chi . chi(nu) : chi((p^r - 1) rho + p^r nu)] read off the Weyl-basis
-    expansion of the product."""
+    expansion of the product.  nu is bounded by the reference maximal
+    weights of chi's support, not by the route's own nu_bound."""
     st_weight = tuple((p**r - 1) * c for c in rs.rho)
+    leads = sorted(reference_maximal(chi.support, rs))
     total = 0
-    for nu in nu_bound(chi, p, r, rs):
+    for nu in contributing_nus(leads, st_weight, p, r, rs):
         target = tuple(s + p**r * n for s, n in zip(st_weight, nu))
         total += to_weyl_basis(chi * weyl_character(nu, rs), rs).get(target, 0)
     return total
@@ -282,7 +286,8 @@ def test_good_filtration_route_matches_reference(p, r, case, times_steinberg):
     rs, chi = case
     if times_steinberg:
         chi = chi * steinberg_character(rs, p, r)
-    value = steinberg_multiplicity(chi, p, r, method="good_filtration", rs=rs)
+    provider = DecompositionProvider(rs, p)
+    value = steinberg_multiplicity(chi, p, r, provider, method="good_filtration")
     assert value == reference_good_filtration(chi, p, r, rs)
 
 

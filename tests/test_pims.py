@@ -16,6 +16,7 @@ from liechar import (
     cj_lhs,
     cj_rhs,
     cj_table,
+    finite,
     gk_truncated_character,
     induced_socle_multiplicity,
     jantzen_identity_check,
@@ -297,6 +298,20 @@ class TestZeroCells:
         monkeypatch.setattr(QrData, "leads", leads)
         after = cj_table(3, 2, Sl2DecompositionProvider(3), qrdata, method="direct")
         assert after == before
+
+    def test_nu_sum_routes_never_call_nu_bound(self, monkeypatch):
+        # cj_lhs bounds nu by the factor leads alone; a second bound from
+        # the product would be wasted work on every nonzero cell.
+        qrdata = QrData.builtin_sl2(3, 2)
+        direct = cj_table(3, 2, Sl2DecompositionProvider(3), qrdata, method="direct")
+
+        def nu_bound(*args):
+            raise AssertionError("cj_lhs called nu_bound")
+
+        monkeypatch.setattr(finite, "nu_bound", nu_bound)
+        for method in ("simple_basis", "good_filtration"):
+            table = cj_table(3, 2, Sl2DecompositionProvider(3), qrdata, method=method)
+            assert table == direct, method
 
     def test_leads(self, qr3):
         # q_1(0) = e^2 + e^-2 and q_1(2) = e^0 at p = 3.
