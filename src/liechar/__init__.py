@@ -17,7 +17,6 @@ from .decomp import (
     DecompositionProvider,
     FileDecompositionProvider,
     Sl2DecompositionProvider,
-    basis_change_matrices,
     load_decomposition_data,
     sl2_decomposition_row,
     to_simple_basis,
@@ -52,6 +51,6 @@ from .pims import (
     jantzen_identity_check,
     theorem45a_socle_check,
 )
-from .rootdata import BUILTIN_CARTAN_MATRICES, CartanMatrix, RootSystem, build_root_system
+from .rootdata import BUILTIN_CARTAN_MATRICES, CartanMatrix, RootSystem
 
 __version__ = "0.1.0"

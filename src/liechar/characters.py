@@ -5,13 +5,20 @@ stored over the full lattice (no orbit compression) as a read-only mapping
 from weight tuples to multiplicities, so cached characters can be shared.
 All coefficients are unbounded Python integers; all operations are exact.
 
-Weyl characters and Weyl-basis coefficients both come from the Weyl
-denominator d = sum over w in W of sgn(w) e^{w rho} (Humphreys, GTM 9,
-section 24).  chi(lam) * d is the signed orbit of lam + rho: so chi(lam) is
-that orbit, shifted by -rho, divided exactly by (1 - e^{-alpha}) for each
-positive root alpha; and the coefficient of chi(lam) in a W-invariant
-character chi is the multiplicity of lam + rho in chi * d.  Leading-term
-elimination (expand) remains for bases that are not Weyl characters.
+Weyl characters, Weyl-basis coefficients and quotients by the Steinberg
+character all come from Weyl's formula (Humphreys, GTM 9, section 24;
+Jantzen, RAGS II.3).  Let d = sum over w in W of sgn(w) e^{w rho} be the
+Weyl denominator and d^(m) = sum_w sgn(w) e^{m w rho}, which is
+e^{m rho} times the product over alpha > 0 of (1 - e^{-m alpha}).  Two
+helpers are the only code that multiplies or divides by them:
+_times_denominator forms chi * d for a W-invariant chi, and
+_over_denominator divides by d^(m), shifting by -m rho and then dividing
+exactly by each (1 - e^{-m alpha}).  chi(lam) * d is the signed orbit of
+lam + rho, so chi(lam) is that orbit over d; the coefficient of chi(lam) in
+a W-invariant chi is the multiplicity of lam + rho in chi * d; and since
+ch St_r = chi((p^r - 1) rho) = d^(p^r) / d, the quotient chi / St_r is
+chi * d over d^(p^r) (pims.character_divide).  Leading-term elimination
+(expand) serves only the simple basis, which has no such formula.
 
 The product is a convolution on packed integer keys.  Both operands are
 shifted so that every coordinate starts at 0, and each weight becomes one
@@ -52,6 +59,7 @@ from types import MappingProxyType
 
 from .errors import (
     DataValidationError,
+    DivisionFailure,
     LiecharError,
     NonDominantError,
     NonInvariantError,
@@ -315,11 +323,21 @@ def _pack(support, low, radices):
 
 
 def frobenius_twist(chi, p, s):
-    """Scale every support weight by p^s, keeping multiplicities."""
+    """Scale every support weight by p^s, keeping multiplicities.
+
+    An exponent with p^s too long to print is rejected before p^s is
+    computed, which could run for minutes; the limit is
+    sys.get_int_max_str_digits(), or Python's default when that is 0.
+    """
     if s < 0:
         raise ValueError(f"twist exponent must be nonnegative, got {s}")
     if s == 0:
         return chi
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if s * math.log10(p) >= limit:
+        raise LiecharError(
+            f"twist exponent {s} is too large: {p}**{s} has more than {limit} digits"
+        )
     factor = p**s
     return Character._wrap(
         chi.rank, {tuple(factor * c for c in w): m for w, m in chi.support.items()}
@@ -333,11 +351,17 @@ def formal_dual(chi):
     )
 
 
+#: Largest support weyl_character builds, bounded before the orbit is formed
+#: by |W| times the box of root coordinates that dominant_weights_below scans.
+MAX_WEYL_WEIGHTS = 10**6
+
+
 def weyl_character(lam, rs: RootSystem):
     """The full weight-multiplicity character of the costandard module.
 
-    Weyl's formula: sum_w sgn(w) e^{w(lam + rho) - rho}, divided by
-    (1 - e^{-alpha}) for each alpha > 0.  Memoized per (root system, lam).
+    Weyl's formula: the signed orbit of lam + rho over the Weyl denominator.
+    Memoized per (root system, lam).  LiecharError when the support could
+    exceed MAX_WEYL_WEIGHTS.
     """
     lam = tuple(lam)
     rs.check_rank(lam)
@@ -346,17 +370,48 @@ def weyl_character(lam, rs: RootSystem):
         return cached
     if not rs.is_dominant(lam):
         raise NonDominantError(f"highest weight {lam} is not dominant")
+    box = math.prod(n // rs.det + 1 for n in rs.scaled_root_coords(lam))
+    bound = len(rs.weyl_denominator) * box
+    if bound > MAX_WEYL_WEIGHTS:
+        raise LiecharError(
+            f"chi{lam} is too large: up to {bound} weights, more than {MAX_WEYL_WEIGHTS}"
+        )
     orbit = rs.signed_orbit(tuple(c + 1 for c in lam))
-    support = {tuple(c - 1 for c in w): sign for w, sign in orbit.items()}
-    for alpha in rs.positive_roots:
-        support = _divide_by_root(support, alpha, lam)
-    chi = rs._weyl_char_cache[lam] = Character._wrap(rs.rank, support)
+    chi = rs._weyl_char_cache[lam] = Character._wrap(
+        rs.rank, _over_denominator(orbit, rs, 1)
+    )
     return chi
 
 
-def _divide_by_root(f, alpha, lam):
+def _times_denominator(chi, rs):
+    """The support of chi * d, d = rs.weyl_denominator, for a W-invariant chi;
+    NonInvariantError naming a weight w with chi(s_i w) != chi(w) otherwise."""
+    support = chi.support
+    indices = range(rs.rank)
+    for w, m in support.items():
+        # s_i fixes w when w_i = 0.
+        for i in indices:
+            if w[i] and support.get(rs.simple_reflection(i, w)) != m:
+                raise NonInvariantError(f"character is not W-invariant at {w}")
+    return _convolve(support, rs.weyl_denominator) if support else {}
+
+
+def _over_denominator(f, rs, m):
+    """The support of f / d^(m), where d^(m) = sum_w sgn(w) e^{m w rho} =
+    e^{m rho} * prod over alpha > 0 of (1 - e^{-m alpha}): f shifted by
+    -m rho, then divided by each factor.  DivisionFailure if one does not
+    divide exactly."""
+    q = {tuple(c - m for c in w): mult for w, mult in f.items()}  # rho = (1, ..., 1)
+    for alpha in rs.positive_roots:
+        q = _divide_by_root(q, tuple(m * a for a in alpha))
+    return q
+
+
+def _divide_by_root(f, alpha):
     """q with q * (1 - e^{-alpha}) = f: q(mu) = sum_{k >= 0} f(mu + k alpha),
-    summed down each alpha-string, whose total must be 0."""
+    summed down each alpha-string, whose total must be 0.  DivisionFailure
+    names the least of the lowest weights of the strings whose total is not,
+    so that it does not depend on the order of f."""
     j = next(i for i, a in enumerate(alpha) if a)
     multiples = {}
     strings = {}
@@ -366,6 +421,7 @@ def _divide_by_root(f, alpha, lam):
             multiples[k] = tuple(k * a for a in alpha)
         strings.setdefault(tuple(map(sub, mu, multiples[k])), {})[k] = m
     q = {}
+    leftovers = []
     for base, string in strings.items():
         top = max(string)
         mu = tuple(map(add, base, multiples[top]))
@@ -376,9 +432,9 @@ def _divide_by_root(f, alpha, lam):
                 q[mu] = total
             mu = tuple(map(sub, mu, alpha))
         if total:
-            raise LiecharError(
-                f"Weyl numerator of chi{lam} is not divisible by 1 - e^-{alpha}"
-            )
+            leftovers.append((tuple(map(add, mu, alpha)), total))
+    if leftovers:
+        raise DivisionFailure(*min(leftovers))
     return q
 
 
@@ -415,24 +471,24 @@ def _not_invariant(weight, mult):
     )
 
 
-def expand(chi, rs, basis, failure=_not_invariant):
+def expand(chi, rs, basis):
     """Coefficients c with chi = sum c[lam] * basis(lam), by leading-term elimination.
 
-    basis(lam) is a character led by lam (see leading_weight), or None.
-    failure(weight, mult) builds the exception for a step that cannot
-    proceed: no dominant weight left, no basis element, or no exact division.
+    basis(lam) is a character led by lam (see leading_weight).
+    NonInvariantError when no dominant weight is left or a lead's
+    multiplicity is not a multiple of basis(lead)'s.
     """
     work = dict(chi.support)
     coeffs = {}
     while work:
         lead = leading_weight(work, rs)
         if lead is None:
-            raise failure(*max(work.items()))
+            raise _not_invariant(*max(work.items()))
         mult = work[lead]
         element = basis(lead)
-        unit = element.support.get(lead) if element is not None else None
+        unit = element.support.get(lead)
         if not unit or mult % unit:
-            raise failure(lead, mult)
+            raise _not_invariant(lead, mult)
         c = coeffs[lead] = mult // unit
         for w, m in element.support.items():
             new = work.get(w, 0) - c * m
@@ -446,14 +502,7 @@ def expand(chi, rs, basis, failure=_not_invariant):
 def to_weyl_basis(chi, rs):
     """Weyl-basis coefficients of a W-invariant character, else NonInvariantError:
     [chi : chi(lam)] is the multiplicity of lam + rho in chi * rs.weyl_denominator."""
-    support = chi.support
-    indices = range(rs.rank)
-    for w, m in support.items():
-        # s_i fixes w when w_i = 0.
-        for i in indices:
-            if w[i] and support.get(rs.simple_reflection(i, w)) != m:
-                raise NonInvariantError(f"character is not W-invariant at {w}")
-    product = _convolve(support, rs.weyl_denominator) if support else {}
+    product = _times_denominator(chi, rs)
     return {tuple(c - 1 for c in w): m for w, m in product.items() if min(w) > 0}
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -221,15 +220,7 @@ def _parse_atom(tokens, config):
         value = _parse_expression(tokens, config)
         if token == "twist":
             tokens.take(",")
-            exponent = tokens.take_int()
-            # Checked before p**exponent is computed, which can run for minutes.
-            limit = sys.get_int_max_str_digits()
-            if limit and exponent * math.log10(config.p) >= limit:
-                raise CliError(
-                    f"twist exponent {exponent} is too large: {config.p}**"
-                    f"{exponent} has more than {limit} digits"
-                )
-            value = frobenius_twist(value, config.p, exponent)
+            value = frobenius_twist(value, config.p, tokens.take_int())
         elif token == "dual":
             value = formal_dual(value)
     tokens.take(")")

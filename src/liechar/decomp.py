@@ -1,4 +1,4 @@
-"""Decomposition numbers, simple characters, and basis-change matrices.
+"""Decomposition numbers, simple characters, and the simple basis.
 
 A DecompositionProvider answers [nabla(lam) : L(mu)] for a fixed root
 system and prime.  Restricted simple characters are recovered from the
@@ -8,13 +8,7 @@ the twisted tensor product over base-p digits.
 
 from __future__ import annotations
 
-from .characters import (
-    Character,
-    expand,
-    frobenius_twist,
-    to_weyl_basis,
-    weyl_character,
-)
+from .characters import Character, expand, frobenius_twist, weyl_character
 from .errors import (
     CoverageError,
     DataValidationError,
@@ -40,8 +34,6 @@ def weight_digits(lam, p):
 
 class DecompositionProvider:
     """Source of decomposition numbers [nabla(lam) : L(mu)] for fixed (rs, p)."""
-
-    provenance = "abstract"
 
     def __init__(self, rs: RootSystem, p: int):
         self.rs = rs
@@ -99,8 +91,6 @@ class Sl2DecompositionProvider(DecompositionProvider):
     simple-basis expansion of the costandard character.
     """
 
-    provenance = "built-in SL2"
-
     def __init__(self, p, rs=None):
         rs = rs or RootSystem(CartanMatrix.builtin("A1"))
         if rs.rank != 1:
@@ -130,8 +120,6 @@ class Sl2DecompositionProvider(DecompositionProvider):
 class FileDecompositionProvider(DecompositionProvider):
     """Provider backed by an explicit, validated table of rows."""
 
-    provenance = "file"
-
     def __init__(self, rs, p, rows):
         super().__init__(rs, p)
         self._rows = {tuple(lam): dict(factors) for lam, factors in rows.items()}
@@ -157,67 +145,14 @@ def to_simple_basis(chi, provider):
     return expand(chi, provider.rs, provider.simple_character)
 
 
-def from_simple_basis(coeffs, provider):
-    total = Character(provider.rs.rank)
-    for lam, c in coeffs.items():
-        total = total + c * provider.simple_character(tuple(lam))
-    return total
-
-
-class BasisChangeMatrices:
-    """The mutually inverse triangular matrices between the two bases.
-
-    a[(nu, gamma)] = [chi_p(nu) : chi(gamma)]_G,
-    b[(gamma, nu)] = [chi(gamma) : chi_p(nu)]_G, over a finite window.
-    """
-
-    def __init__(self, window, a, b):
-        self.window = tuple(window)
-        self.a = a
-        self.b = b
-
-    def check_inverse(self):
-        """b . a = identity on the window; raises on failure."""
-        for lam in self.window:
-            for mu in self.window:
-                total = sum(
-                    self.b.get((lam, gamma), 0) * self.a.get((gamma, mu), 0)
-                    for gamma in self.window
-                )
-                expected = 1 if lam == mu else 0
-                if total != expected:
-                    raise DataValidationError(
-                        f"basis matrices are not inverse at ({lam}, {mu}): {total}"
-                    )
-
-
-def basis_change_matrices(window, provider):
-    """Build both triangular matrices over a dominance-closed window."""
-    rs = provider.rs
-    window = [tuple(w) for w in window]
-    window_set = set(window)
-    for nu in window:
-        for mu in rs.dominant_weights_below(nu):
-            if mu not in window_set:
-                raise DataValidationError(
-                    f"window is not dominance-closed: missing {mu} below {nu}"
-                )
-    a = {}
-    b = {}
-    for nu in window:
-        for gamma, c in to_weyl_basis(provider.simple_character(nu), rs).items():
-            a[(nu, gamma)] = c
-        for mu, c in provider.row(nu).items():
-            b[(nu, mu)] = c
-    return BasisChangeMatrices(window, a, b)
-
-
 def load_decomposition_data(doc, rs=None):
     """Build a validated FileDecompositionProvider from a JSON document.
 
     Schema: {"type"/"cartan": ..., "p": prime, "rows":
     [{"lambda": [...], "factors": [{"mu": [...], "mult": n}, ...]}, ...]}.
-    Unitriangularity and dimension consistency are checked per row.
+    Unitriangularity and dimension consistency are checked per row.  The
+    dimension check binds only non-restricted rows: a restricted L(lam) is
+    built from its own row, so the row's dimensions always add up.
     Without rs the document must name its root system; with rs, a document
     that names one must name rs's Cartan matrix (see root_system_of).
     """

@@ -13,12 +13,10 @@ from operator import add
 
 from .characters import (
     Character,
-    expand,
+    _over_denominator,
+    _times_denominator,
     frobenius_twist,
-    from_weyl_basis,
     leading_dominant_weights,
-    leading_weight,
-    steinberg_character,
     weyl_character,
 )
 from .decomp import to_simple_basis, weight_digits
@@ -26,6 +24,7 @@ from .errors import (
     CoverageError,
     DataValidationError,
     DivisionFailure,
+    NonInvariantError,
     strict_int,
     strict_int_tuple,
 )
@@ -38,27 +37,20 @@ from .finite import (
 from .rootdata import CartanMatrix, RootSystem, root_system_of
 
 
-def character_divide(num, den, rs):
-    """Exact quotient q with den * q = num, by leading-term long division.
+def character_divide(num, rs, p, r):
+    """q_r with ch St_r * q_r = num, for a W-invariant num; St_r only.
 
-    Works in the basis den * chi(nu); unique when it exists.  Raises
-    DivisionFailure with the first obstructing remainder term otherwise.
+    By Weyl's formula ch St_r = chi((p^r - 1) rho) = d^(p^r) / d, so q_r is
+    num * d over d^(p^r): one product with the Weyl denominator, then one
+    exact root-string division per positive root (see the characters
+    module docstring).  NonInvariantError if num is not W-invariant (St_r * e^mu
+    is a multiple of St_r but is not); DivisionFailure, naming
+    the least lowest weight of a root string left over, if St_r does not
+    divide num.
     """
-    if not den.support:
-        raise ZeroDivisionError("division by the zero character")
-    den_lead = leading_weight(den.support, rs)
-    if den_lead is None:
-        raise DivisionFailure(*max(den.support.items()))
-
-    def shifted(lam):
-        return tuple(a - b for a, b in zip(lam, den_lead))
-
-    def basis(lam):
-        nu = shifted(lam)
-        return weyl_character(nu, rs) * den if rs.is_dominant(nu) else None
-
-    coeffs = expand(num, rs, basis, DivisionFailure)
-    return from_weyl_basis({shifted(lam): c for lam, c in coeffs.items()}, rs)
+    return Character._wrap(
+        rs.rank, _over_denominator(_times_denominator(num, rs), rs, p**r)
+    )
 
 
 @dataclass
@@ -70,24 +62,23 @@ class QrEntry:
 class QrData:
     """ch Q-hat_r(lambda) and the quotient q_r(lambda) over the restricted weights.
 
-    Validated at construction: ch St_r * q_r(lambda) reproduces the stored
-    Q-hat character exactly, and the Steinberg entry is trivial.
+    Validated at construction: each Q-hat character is W-invariant and
+    ch St_r * q_r(lambda) reproduces it exactly, and the Steinberg entry is
+    trivial.
     """
 
-    def __init__(self, rs, p, r, qhat_chars, provenance):
+    def __init__(self, rs, p, r, qhat_chars):
         self.rs = rs
         self.p = p
         self.r = r
-        self.provenance = provenance
         self.entries = {}
         self._leads = {}
-        st = steinberg_character(rs, p, r)
         st_weight = tuple((p**r - 1) * c for c in rs.rho)
         for lam, qhat in qhat_chars.items():
             lam = tuple(lam)
             try:
-                q = character_divide(qhat, st, rs)
-            except DivisionFailure as exc:
+                q = character_divide(qhat, rs, p, r)
+            except (DivisionFailure, NonInvariantError) as exc:
                 raise DataValidationError(
                     f"Q-hat character for {lam} is not divisible by the "
                     f"Steinberg character: {exc}"
@@ -114,8 +105,8 @@ class QrData:
     def leads(self, lam):
         """The leading dominant weights of q_r(lam).
 
-        q_r(lam) is W-invariant (the Weyl-basis assembly of an exact
-        quotient), so every weight of its support lies below its dominant
+        q_r(lam) is W-invariant (an exact quotient of W-invariant
+        characters), so every weight of its support lies below its dominant
         W-conjugate, which is in the support, and hence below one of these;
         cj_lhs bounds nu by them.  Computed on first use, not at
         construction, so loading the data costs no more than before.
@@ -153,7 +144,7 @@ class QrData:
             for i, digit in enumerate(digits):
                 chi = chi * frobenius_twist(qhat1(digit[0]), p, i)
             qhat_chars[lam] = chi
-        return cls(rs, p, r, qhat_chars, "built-in A1")
+        return cls(rs, p, r, qhat_chars)
 
     @classmethod
     def from_json_dict(cls, doc, rs=None):
@@ -191,7 +182,7 @@ class QrData:
             if lam in qhat_chars:
                 raise DataValidationError(f"duplicate entry for lambda {lam}")
             qhat_chars[lam] = qhat
-        return cls(rs, p, r, qhat_chars, "file")
+        return cls(rs, p, r, qhat_chars)
 
 
 def cj_lhs(lam, mu, p, r, provider, qrdata, method="simple_basis"):

@@ -394,9 +394,3 @@ def root_system_of(doc, rs=None):
         )
     return rs
 
-
-def build_root_system(cartan):
-    """Construct a RootSystem from a CartanMatrix, matrix rows, or a name."""
-    if isinstance(cartan, str):
-        cartan = CartanMatrix.builtin(cartan)
-    return RootSystem(cartan)

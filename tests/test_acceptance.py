@@ -10,10 +10,11 @@ import json
 import random
 
 from liechar import (
+    CartanMatrix,
     QrData,
+    RootSystem,
     Sl2DecompositionProvider,
     barq_multiplicities,
-    build_root_system,
     cj_table,
     cli,
     induced_socle_multiplicity,
@@ -142,7 +143,7 @@ def test_criterion_07_qhat_self_certification():
 def test_criterion_08_engine_generics_rank_two():
     ok = True
     for name in ("A2", "B2"):
-        rs = build_root_system(name)
+        rs = RootSystem(CartanMatrix.builtin(name))
         grid = list(itertools.product(range(4), repeat=2))
         chars = {lam: weyl_character(lam, rs) for lam in grid}
         for lam in grid:

@@ -1,16 +1,20 @@
 import copy
 import itertools
 import random
+import re
+import sys
 
 import pytest
 
 from liechar import (
     Character,
     DataValidationError,
+    DivisionFailure,
     LiecharError,
     NonDominantError,
     NonInvariantError,
     RankMismatchError,
+    characters,
     formal_dual,
     frobenius_twist,
     steinberg_character,
@@ -109,7 +113,8 @@ class TestWeylCharacter:
 
     def test_rejects_non_divisible_numerator(self, monkeypatch):
         # Without one of its six terms, the signed orbit of (2, 1) = (1, 0) + rho
-        # is no multiple of the Weyl denominator.
+        # is no multiple of the Weyl denominator.  Shifted by -rho, its term
+        # -e^(2, -2) is alone on its string of the first positive root (-1, 2).
         rs = RootSystem(CartanMatrix.builtin("A2"))
         orbit = rs.signed_orbit
 
@@ -119,9 +124,28 @@ class TestWeylCharacter:
             return signed
 
         monkeypatch.setattr(rs, "signed_orbit", short_orbit)
-        with pytest.raises(LiecharError, match=r"chi\(1, 0\)"):
+        with pytest.raises(DivisionFailure) as info:
             weyl_character((1, 0), rs)
+        assert (info.value.weight, info.value.mult) == ((2, -2), -1)
         assert (1, 0) not in rs._weyl_char_cache
+
+    @pytest.mark.parametrize(
+        "name, lam", [("A1", (10**9,)), ("G2", (10**3, 10**3))]
+    )
+    def test_rejects_a_support_past_the_bound(self, name, lam):
+        rs = RootSystem(CartanMatrix.builtin(name))
+        with pytest.raises(LiecharError, match=re.escape(f"chi{lam} is too large")):
+            weyl_character(lam, rs)
+        assert lam not in rs._weyl_char_cache
+
+    def test_size_bound_edge(self, monkeypatch):
+        # On A1 the bound |W| * (m // 2 + 1) is m + 1 or m + 2: chi(9) has 10
+        # weights and passes a limit of 10; chi(10), with 11, does not.
+        monkeypatch.setattr(characters, "MAX_WEYL_WEIGHTS", 10)
+        rs = RootSystem(CartanMatrix.builtin("A1"))
+        assert len(weyl_character((9,), rs).support) == 10
+        with pytest.raises(LiecharError, match=r"up to 12 weights, more than 10"):
+            weyl_character((10,), rs)
 
     def test_cached_characters_are_read_only(self):
         rs = RootSystem(CartanMatrix.builtin("A1"))
@@ -157,6 +181,25 @@ class TestFrobeniusTwist:
     def test_rejects_negative_exponent(self, rs_a1):
         with pytest.raises(ValueError):
             frobenius_twist(weyl_character((1,), rs_a1), 3, -1)
+
+    @pytest.mark.parametrize("s", [9013, 10**9])
+    def test_rejects_exponent_too_long_to_print(self, rs_a1, s):
+        # 3**9013 has 4301 digits.  Computing 3**(10**9) would take minutes,
+        # so the exponent is rejected before the power is formed.
+        with pytest.raises(LiecharError, match=f"twist exponent {s} is too large"):
+            frobenius_twist(weyl_character((1,), rs_a1), 3, s)
+
+    def test_exponent_bound_without_a_digit_limit(self, rs_a1):
+        # With the limit switched off (0), Python's default limit applies.
+        chi = weyl_character((1,), rs_a1)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert frobenius_twist(chi, 3, 9012).get((3**9012,)) == 1
+            with pytest.raises(LiecharError, match="more than 4300 digits"):
+                frobenius_twist(chi, 3, 10**9)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_twist_is_ring_homomorphism(self, rs_a2):
         a = weyl_character((1, 0), rs_a2)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from liechar import QrData, cli, pims
+from liechar import LiecharError, QrData, cli, pims
 
 from test_decomp import a2_p2_document
 
@@ -30,6 +30,12 @@ class TestCharCommand:
         code, out, _ = run(capsys, ["char", "weyl(2)"])
         assert code == 0
         assert out == "(-2): 1\n(0): 1\n(2): 1\ndimension: 3\n"
+
+    def test_weyl_character_past_the_size_bound(self, capsys):
+        code, out, err = run(capsys, ["char", "weyl(1000000000)"])
+        assert code == 2
+        assert out == ""
+        assert "error: chi(1000000000,) is too large" in err
 
     def test_tsv(self, capsys):
         code, out, _ = run(capsys, ["char", "--format", "tsv", "weyl(1)"])
@@ -254,13 +260,16 @@ class TestNumbersTooLongToPrint:
 
     @pytest.fixture(autouse=True)
     def no_huge_twist(self, monkeypatch):
-        # Computing p**s for these exponents would not finish: the exponent
-        # must be rejected before frobenius_twist sees it.
+        # Computing p**s for these exponents would not finish: frobenius_twist
+        # must reject them before computing p**s.
         twist = cli.frobenius_twist
 
         def guarded(chi, p, s):
-            assert s <= 10**4, f"frobenius_twist called with exponent {s}"
-            return twist(chi, p, s)
+            if s <= 10**4:
+                return twist(chi, p, s)
+            with pytest.raises(LiecharError) as info:
+                twist(chi, p, s)
+            raise info.value
 
         monkeypatch.setattr(cli, "frobenius_twist", guarded)
 

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liechar import (
+    CartanMatrix,
     Character,
     NonInvariantError,
+    RootSystem,
     Sl2DecompositionProvider,
-    build_root_system,
     finite,
     finite_composition_multiplicities,
     finite_simple_multiplicities,
@@ -171,7 +172,7 @@ class TestContributingNus:
     def test_box_keeps_every_contributing_nu(self, name, p, r):
         # Filtering the wide box by the defining inequality finds every
         # contributing nu: the coordinate box must miss none of them.
-        rs = build_root_system(name)
+        rs = RootSystem(CartanMatrix.builtin(name))
         grid = list(itertools.product(range(2 * p**r + 2), repeat=rs.rank))
         st_weight = tuple((p**r - 1) * c for c in rs.rho)
         for base in [st_weight] + rs.restricted_weights(p, r)[:3]:

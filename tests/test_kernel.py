@@ -13,6 +13,7 @@ the nu bounded by the reference maximal-element scan.
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from liechar import (
     Character,
     DecompositionProvider,
+    LiecharError,
     NonInvariantError,
     character_divide,
     characters,
@@ -37,12 +39,12 @@ from liechar.characters import (
     leading_dominant_weights,
 )
 from liechar.finite import contributing_nus
-from liechar.rootdata import RootSystem, build_root_system
+from liechar.rootdata import CartanMatrix, RootSystem
 
 # A user-supplied rank-3 matrix (type B3/C3), next to the built-in types.
 RANK3_CARTAN = ((2, -1, 0), (-1, 2, -2), (0, -1, 2))
 ROOT_SYSTEMS = {
-    name: build_root_system(name) for name in ("A1", "A2", "B2", "G2")
+    name: RootSystem(CartanMatrix.builtin(name)) for name in ("A1", "A2", "B2", "G2")
 }
 ROOT_SYSTEMS["rank3"] = RootSystem(RANK3_CARTAN)
 NAMES = sorted(ROOT_SYSTEMS)
@@ -208,6 +210,17 @@ def test_weyl_character_matches_freudenthal(case):
     assert chi.dimension() == rs.weyl_dimension(lam)
 
 
+@PROPERTY
+@given(system_and_dominant_weight())
+def test_size_bound_counts_every_weight(case):
+    # With the limit one below chi(lam)'s support size, the bound refuses it.
+    rs, lam = case
+    size = len(weyl_character(lam, rs).support)
+    with mock.patch.object(characters, "MAX_WEYL_WEIGHTS", size - 1):
+        with pytest.raises(LiecharError, match="is too large"):
+            weyl_character(lam, RootSystem(rs.cartan))
+
+
 @st.composite
 def invariant_characters(draw, names=NAMES):
     """A root system among names and a W-invariant virtual character on it: a
@@ -255,12 +268,11 @@ def test_off_orbit_term_is_not_invariant(case, data):
 
 
 @settings(PROPERTY, max_examples=15)
-@given(invariant_coefficients(max_weight=2, max_terms=3))
-def test_divide_steinberg_multiple(case):
+@given(invariant_coefficients(max_weight=2, max_terms=3), st.sampled_from((2, 3)))
+def test_divide_steinberg_multiple(case, p):
     rs, coeffs = case
-    st_char = steinberg_character(rs, 2, 1)
     q = from_weyl_basis(coeffs, rs)
-    assert character_divide(st_char * q, st_char, rs) == q
+    assert character_divide(steinberg_character(rs, p, 1) * q, rs, p, 1) == q
 
 
 def reference_good_filtration(chi, p, r, rs):

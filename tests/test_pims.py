@@ -1,21 +1,25 @@
 import itertools
+import json
 import re
 
 import pytest
 
 from liechar import (
+    CartanMatrix,
     Character,
     CoverageError,
     DataValidationError,
     DivisionFailure,
+    NonInvariantError,
     QrData,
+    RootSystem,
     Sl2DecompositionProvider,
     barq_multiplicities,
-    build_root_system,
     character_divide,
     cj_lhs,
     cj_rhs,
     cj_table,
+    cli,
     finite,
     gk_truncated_character,
     induced_socle_multiplicity,
@@ -34,30 +38,30 @@ from test_finite import oracle_covers, use_wide_box
 
 class TestCharacterDivide:
     def test_worked_example(self, rs_a1):
+        # chi(2) is St at p = 3.
         num = weyl_character((4,), rs_a1) + weyl_character((0,), rs_a1)
-        den = weyl_character((2,), rs_a1)
-        quotient = character_divide(num, den, rs_a1)
+        quotient = character_divide(num, rs_a1, 3, 1)
         assert quotient == weyl_character((2,), rs_a1) - weyl_character((0,), rs_a1)
-        assert den * quotient == num
-
-    def test_unit_divisor(self, rs_a1):
-        chi = weyl_character((5,), rs_a1)
-        assert character_divide(chi, weyl_character((0,), rs_a1), rs_a1) == chi
+        assert weyl_character((2,), rs_a1) * quotient == num
 
     def test_parity_obstruction(self, rs_a1):
-        with pytest.raises(DivisionFailure):
-            character_divide(
-                weyl_character((2,), rs_a1), weyl_character((1,), rs_a1), rs_a1
-            )
-
-    def test_zero_divisor(self, rs_a1):
-        with pytest.raises(ZeroDivisionError):
-            character_divide(weyl_character((2,), rs_a1), Character(1), rs_a1)
+        # St at p = 2 is chi(1).  chi(2) * d = e^3 - e^-3, shifted by -2 rho,
+        # is e^1 - e^-5: two strings of 2 alpha = (4,), neither totalling 0.
+        with pytest.raises(DivisionFailure) as info:
+            character_divide(weyl_character((2,), rs_a1), rs_a1, 2, 1)
+        assert (info.value.weight, info.value.mult) == ((-5,), -1)
 
     def test_rank_two(self, rs_a2):
+        # St at p = 2 is chi(1, 1).
         a = weyl_character((1, 0), rs_a2)
         b = weyl_character((1, 1), rs_a2)
-        assert character_divide(a * b, b, rs_a2) == a
+        assert character_divide(a * b, rs_a2, 2, 1) == a
+
+    def test_divisible_but_not_invariant(self, rs_a1):
+        # St * e^{(1)} is St times a Laurent polynomial, but not W-invariant.
+        num = steinberg_character(rs_a1, 3, 1) * Character(1, {(1,): 1})
+        with pytest.raises(NonInvariantError, match="not W-invariant"):
+            character_divide(num, rs_a1, 3, 1)
 
 
 class TestQrData:
@@ -94,7 +98,6 @@ class TestQrData:
             ],
         }
         loaded = QrData.from_json_dict(doc)
-        assert loaded.provenance == "file"
         for lam, entry in qr3.entries.items():
             assert loaded.q(lam) == entry.q_char
 
@@ -109,6 +112,45 @@ class TestQrData:
         }
         with pytest.raises(DataValidationError, match="not divisible"):
             QrData.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "p, qhat_of, message",
+        [
+            pytest.param(
+                3,
+                lambda rs: steinberg_character(rs, 3, 1) * Character(1, {(1,): 1}),
+                "not W-invariant at",
+                id="st-times-weight",
+            ),
+            pytest.param(
+                2,
+                lambda rs: weyl_character((2,), rs),
+                "non-divisible: remainder term -1 at weight (-5,)",
+                id="chi2-at-p2",
+            ),
+        ],
+    )
+    def test_rejects_qhat_that_st_does_not_divide(
+        self, rs_a1, capsys, tmp_path, p, qhat_of, message
+    ):
+        qhat = qhat_of(rs_a1)
+        doc = {
+            "type": "A1",
+            "p": p,
+            "r": 1,
+            "entries": [{"lambda": [0], "qhat": qhat.to_json_dict()}],
+        }
+        prefix = "Q-hat character for (0,) is not divisible by the Steinberg character"
+        with pytest.raises(DataValidationError, match=re.escape(prefix)) as info:
+            QrData.from_json_dict(doc)
+        assert message in str(info.value)
+        path = tmp_path / "qhat.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["cj-table", "-p", str(p), "--qhat-data", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert prefix in captured.err and message in captured.err
 
     @pytest.mark.parametrize(
         "lam,weight,mult",
@@ -242,7 +284,7 @@ class TestChastkofskyJantzen:
 def two_lead_qrdata(p, r):
     """User Q-hat data for lambda = 0 with q = chi(p^r) + chi(p^r - 1): two
     leads of opposite parity, which are incomparable in A1."""
-    rs = build_root_system("A1")
+    rs = RootSystem(CartanMatrix.builtin("A1"))
     q = weyl_character((p**r,), rs) + weyl_character((p**r - 1,), rs)
     qhat = steinberg_character(rs, p, r) * q
     doc = {

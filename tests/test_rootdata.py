@@ -9,7 +9,7 @@ from liechar import (
     NotFiniteTypeError,
     RankMismatchError,
 )
-from liechar.rootdata import BUILTIN_CARTAN_MATRICES, CartanMatrix, RootSystem, build_root_system
+from liechar.rootdata import BUILTIN_CARTAN_MATRICES, CartanMatrix, RootSystem
 
 
 class TestCartanMatrix:
@@ -86,18 +86,18 @@ class TestBuildRootSystem:
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN_MATRICES))
     def test_coxeter_number_from_rho(self, name):
-        rs = build_root_system(name)
+        rs = RootSystem(CartanMatrix.builtin(name))
         pairing = sum(c * m for c, m in zip(rs.rho, rs.highest_short_coroot))
         assert rs.coxeter_number == pairing + 1
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN_MATRICES))
     def test_positive_root_count(self, name):
-        rs = build_root_system(name)
+        rs = RootSystem(CartanMatrix.builtin(name))
         assert len(rs.positive_roots) == rs.coxeter_number * rs.rank // 2
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN_MATRICES))
     def test_w0_is_involution(self, name):
-        rs = build_root_system(name)
+        rs = RootSystem(CartanMatrix.builtin(name))
         for w in itertools.product(range(-2, 3), repeat=rs.rank):
             assert rs.w0_action(rs.w0_action(w)) == w
 
@@ -141,7 +141,7 @@ class TestWeylOrbit:
 
     @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
     def test_exactly_one_dominant_element(self, name):
-        rs = build_root_system(name)
+        rs = RootSystem(CartanMatrix.builtin(name))
         for lam in itertools.product(range(3), repeat=rs.rank):
             orbit = rs.weyl_orbit(lam)
             dominant = [w for w in orbit if rs.is_dominant(w)]
@@ -152,7 +152,7 @@ class TestWeylOrbit:
         # Row i of the Cartan matrix is alpha_i in fundamental-weight
         # coordinates: s_i alpha_i = -alpha_i, s_i omega_j = omega_j for
         # j != i, and s_i is an involution that preserves the form.
-        rs = build_root_system(name)
+        rs = RootSystem(CartanMatrix.builtin(name))
         rows = rs.cartan.entries
         for i in range(rs.rank):
             assert rs.simple_reflection(i, tuple(rows[i])) == tuple(-a for a in rows[i])
@@ -177,7 +177,7 @@ class TestDualWeight:
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN_MATRICES))
     def test_involution_preserving_dominance(self, name):
-        rs = build_root_system(name)
+        rs = RootSystem(CartanMatrix.builtin(name))
         for lam in itertools.product(range(4), repeat=rs.rank):
             dual = rs.dual_weight(lam)
             assert rs.is_dominant(dual)
@@ -227,12 +227,12 @@ class TestWeylDimension:
     @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN_MATRICES))
     def test_rho_dimension(self, name):
         # dim of the rho-weight module is 2^{number of positive roots}.
-        rs = build_root_system(name)
+        rs = RootSystem(CartanMatrix.builtin(name))
         assert rs.weyl_dimension(rs.rho) == 2 ** len(rs.positive_roots)
 
     def test_rejects_non_integral_dimension(self, monkeypatch):
         # Over alpha_1 + alpha_2 alone, the product for (1, 0) is 9/6.
-        rs = build_root_system("A2")
+        rs = RootSystem(CartanMatrix.builtin("A2"))
         monkeypatch.setattr(rs, "positive_roots", ((1, 1),))
         with pytest.raises(LiecharError, match=r"\(1, 0\)"):
             rs.weyl_dimension((1, 0))
