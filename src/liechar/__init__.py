@@ -15,10 +15,7 @@ from .characters import (
 )
 from .decomp import (
     DecompositionProvider,
-    FileDecompositionProvider,
-    Sl2DecompositionProvider,
     load_decomposition_data,
-    sl2_decomposition_row,
     to_simple_basis,
 )
 from .errors import (

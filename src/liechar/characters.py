@@ -67,7 +67,7 @@ from .errors import (
     strict_int,
     strict_int_tuple,
 )
-from .rootdata import RootSystem
+from .rootdata import MAX_WEYL_WEIGHTS, RootSystem
 
 
 class Character:
@@ -322,22 +322,29 @@ def _pack(support, low, radices):
     return packed
 
 
+def check_printable_power(p, s, what):
+    """LiecharError naming `what` s if p**s is too long to print.
+
+    Checked before p**s is computed, which could run for minutes; the limit
+    is sys.get_int_max_str_digits(), or Python's default when that is 0.
+    """
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if s * math.log10(p) >= limit:
+        raise LiecharError(
+            f"{what} {s} is too large: {p}**{s} has more than {limit} digits"
+        )
+
+
 def frobenius_twist(chi, p, s):
     """Scale every support weight by p^s, keeping multiplicities.
 
-    An exponent with p^s too long to print is rejected before p^s is
-    computed, which could run for minutes; the limit is
-    sys.get_int_max_str_digits(), or Python's default when that is 0.
+    An exponent with p^s too long to print is rejected (check_printable_power).
     """
     if s < 0:
         raise ValueError(f"twist exponent must be nonnegative, got {s}")
     if s == 0:
         return chi
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if s * math.log10(p) >= limit:
-        raise LiecharError(
-            f"twist exponent {s} is too large: {p}**{s} has more than {limit} digits"
-        )
+    check_printable_power(p, s, "twist exponent")
     factor = p**s
     return Character._wrap(
         chi.rank, {tuple(factor * c for c in w): m for w, m in chi.support.items()}
@@ -351,17 +358,13 @@ def formal_dual(chi):
     )
 
 
-#: Largest support weyl_character builds, bounded before the orbit is formed
-#: by |W| times the box of root coordinates that dominant_weights_below scans.
-MAX_WEYL_WEIGHTS = 10**6
-
-
 def weyl_character(lam, rs: RootSystem):
     """The full weight-multiplicity character of the costandard module.
 
     Weyl's formula: the signed orbit of lam + rho over the Weyl denominator.
     Memoized per (root system, lam).  LiecharError when the support could
-    exceed MAX_WEYL_WEIGHTS.
+    exceed MAX_WEYL_WEIGHTS, bounded before the orbit is formed by |W| times
+    the box of root coordinates that dominant_weights_below scans.
     """
     lam = tuple(lam)
     rs.check_rank(lam)
@@ -516,4 +519,4 @@ def from_weyl_basis(coeffs, rs):
 
 def steinberg_character(rs, p, r):
     """chi((p^r - 1) rho)."""
-    return weyl_character(tuple((p**r - 1) * c for c in rs.rho), rs)
+    return weyl_character(rs.steinberg_weight(p, r), rs)

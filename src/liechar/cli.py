@@ -17,15 +17,16 @@ from dataclasses import dataclass
 
 from . import pims
 from .characters import (
+    check_printable_power,
     formal_dual,
     frobenius_twist,
     steinberg_character,
     weyl_character,
 )
-from .decomp import Sl2DecompositionProvider, load_decomposition_data
+from .decomp import DecompositionProvider, load_decomposition_data
 from .errors import LiecharError
 from .finite import STEINBERG_METHODS, steinberg_multiplicity
-from .rootdata import RootSystem, root_system_of
+from .rootdata import MAX_WEYL_WEIGHTS, RootSystem, root_system_of
 
 DATA_DIR_ENV = "LIECHAR_DATA_DIR"
 
@@ -85,6 +86,7 @@ def build_config(args):
         raise CliError(f"p must be prime, got {args.p}")
     if args.r < 1:
         raise CliError(f"r must be >= 1, got {args.r}")
+    check_printable_power(args.p, args.r, "r =")
     if args.bound is not None and args.bound < 0:
         raise CliError(f"bound must be nonnegative, got {args.bound}")
 
@@ -95,7 +97,7 @@ def build_config(args):
                 f"decomposition data is for p={provider.p}, requested p={args.p}"
             )
     elif rs.rank == 1:
-        provider = Sl2DecompositionProvider(args.p, rs=rs)
+        provider = DecompositionProvider.builtin_sl2(args.p, rs=rs)
     else:
         provider = None
 
@@ -358,6 +360,11 @@ def cmd_cj_table(config, out=None):
 
 
 def _dominant_grid(rs, bound):
+    if (bound + 1) ** rs.rank > MAX_WEYL_WEIGHTS:
+        raise CliError(
+            f"a sweep grid of ({bound} + 1)^{rs.rank} weights is more than "
+            f"{MAX_WEYL_WEIGHTS}"
+        )
     return list(itertools.product(range(bound + 1), repeat=rs.rank))
 
 

@@ -1,9 +1,10 @@
 """Decomposition numbers, simple characters, and the simple basis.
 
-A DecompositionProvider answers [nabla(lam) : L(mu)] for a fixed root
-system and prime.  Restricted simple characters are recovered from the
-rows by triangular inversion; arbitrary simple characters then come from
-the twisted tensor product over base-p digits.
+A DecompositionProvider holds the rows [nabla(lam) : L(mu)] of the
+p-restricted lam for a fixed root system and prime.  Restricted simple
+characters are recovered from those rows by triangular inversion; every
+other simple character comes from the twisted tensor product over base-p
+digits, and every other row from the simple-basis expansion of chi(lam).
 """
 
 from __future__ import annotations
@@ -33,37 +34,61 @@ def weight_digits(lam, p):
 
 
 class DecompositionProvider:
-    """Source of decomposition numbers [nabla(lam) : L(mu)] for fixed (rs, p)."""
+    """Decomposition numbers [nabla(lam) : L(mu)] for fixed (rs, p).
 
-    def __init__(self, rs: RootSystem, p: int):
+    Holds a table of rows for p-restricted lam only: by Steinberg's tensor
+    product theorem (Jantzen, RAGS II.3.17) those are the only rows that
+    are data.  Every simple character and every other row is derived from
+    them (simple_character, row).
+    """
+
+    def __init__(self, rs: RootSystem, p: int, rows):
         self.rs = rs
         self.p = p
-        self._restricted_cache = {}
+        self._rows = {tuple(lam): dict(factors) for lam, factors in rows.items()}
         self._simple_cache = {}
         self._finite_cache = {}
         # (mu, nu) -> simple-basis coefficients of L(mu) * L(nu), for cj_rhs.
         self._tensor_cache = {}
 
-    def row(self, lam):
-        """Map mu -> [nabla(lam) : L(mu)] over its nonzero entries."""
-        raise NotImplementedError
+    @classmethod
+    def builtin_sl2(cls, p, rs=None):
+        """Rank-1 rows: every restricted nabla(m), m < p, is simple."""
+        rs = rs or RootSystem(CartanMatrix.builtin("A1"))
+        if rs.rank != 1:
+            raise DataValidationError("built-in provider supports only rank 1")
+        return cls(rs, p, {(m,): {(m,): 1} for m in range(p)})
 
-    def restricted_simple_character(self, lam):
-        """ch L(lam) for restricted lam, by triangular inversion of rows."""
+    def _table_row(self, lam):
+        try:
+            return self._rows[lam]
+        except KeyError:
+            raise CoverageError(lam, f"no decomposition row for weight {lam}")
+
+    def row(self, lam):
+        """Map mu -> [nabla(lam) : L(mu)] over its nonzero entries.
+
+        A restricted lam's row is a copy of the table's (CoverageError when
+        the table lacks it); any other row is the simple-basis expansion of
+        chi(lam), and LiecharError if that has a negative entry.
+        """
         lam = tuple(lam)
-        cached = self._restricted_cache.get(lam)
-        if cached is not None:
-            return cached
-        chi = weyl_character(lam, self.rs)
-        for mu, mult in self.row(lam).items():
-            if mu == lam:
-                continue
-            chi = chi - mult * self.simple_character(mu)
-        self._restricted_cache[lam] = chi
-        return chi
+        if all(0 <= c < self.p for c in lam):
+            return dict(self._table_row(lam))
+        row = to_simple_basis(weyl_character(lam, self.rs), self)
+        if any(m < 0 for m in row.values()):
+            raise LiecharError(f"row {lam} has a negative entry: {row}")
+        return row
 
     def simple_character(self, lam):
-        """ch L(lam) via the twisted tensor product over base-p digits."""
+        """ch L(lam), memoized.
+
+        For restricted lam, triangular inversion of the table's row:
+        chi(lam) minus [nabla(lam) : L(mu)] ch L(mu) over mu < lam
+        (CoverageError when the table lacks the row).  Otherwise the
+        twisted tensor product of ch L(lam_i)^(i) over the base-p digits
+        lam_i of lam.
+        """
         lam = tuple(lam)
         cached = self._simple_cache.get(lam)
         if cached is not None:
@@ -72,72 +97,16 @@ class DecompositionProvider:
             raise NonDominantError(f"highest weight {lam} is not dominant")
         digits = weight_digits(lam, self.p)
         if len(digits) == 1:
-            chi = self.restricted_simple_character(lam)
+            chi = weyl_character(lam, self.rs)
+            for mu, mult in self._table_row(lam).items():
+                if mu != lam:
+                    chi = chi - mult * self.simple_character(mu)
         else:
             chi = Character(self.rs.rank, {(0,) * self.rs.rank: 1})
             for i, digit in enumerate(digits):
-                chi = chi * frobenius_twist(
-                    self.restricted_simple_character(digit), self.p, i
-                )
+                chi = chi * frobenius_twist(self.simple_character(digit), self.p, i)
         self._simple_cache[lam] = chi
         return chi
-
-
-class Sl2DecompositionProvider(DecompositionProvider):
-    """Built-in algorithmic provider for rank 1.
-
-    For rank 1 the restricted costandard modules are simple, so restricted
-    simple characters are plain weight strings; rows then fall out of the
-    simple-basis expansion of the costandard character.
-    """
-
-    def __init__(self, p, rs=None):
-        rs = rs or RootSystem(CartanMatrix.builtin("A1"))
-        if rs.rank != 1:
-            raise DataValidationError("built-in provider supports only rank 1")
-        super().__init__(rs, p)
-        self._row_cache = {}
-
-    def restricted_simple_character(self, lam):
-        lam = tuple(lam)
-        if not 0 <= lam[0] < self.p:
-            raise CoverageError(lam, f"weight {lam} is not p-restricted")
-        return weyl_character(lam, self.rs)
-
-    def row(self, lam):
-        lam = tuple(lam)
-        if lam[0] < 0:
-            raise NonDominantError(f"weight {lam} is not dominant")
-        cached = self._row_cache.get(lam)
-        if cached is None:
-            cached = to_simple_basis(weyl_character(lam, self.rs), self)
-            if any(m < 0 for m in cached.values()):
-                raise LiecharError(f"row {lam} has a negative entry: {cached}")
-            self._row_cache[lam] = cached
-        return dict(cached)
-
-
-class FileDecompositionProvider(DecompositionProvider):
-    """Provider backed by an explicit, validated table of rows."""
-
-    def __init__(self, rs, p, rows):
-        super().__init__(rs, p)
-        self._rows = {tuple(lam): dict(factors) for lam, factors in rows.items()}
-
-    def row(self, lam):
-        lam = tuple(lam)
-        try:
-            return dict(self._rows[lam])
-        except KeyError:
-            raise CoverageError(lam, f"no decomposition row for weight {lam}")
-
-
-def sl2_decomposition_row(m, p):
-    """[nabla(m) : L(n)] for rank 1, as a map over the integer n."""
-    if m < 0:
-        raise NonDominantError(f"need m >= 0, got {m}")
-    provider = Sl2DecompositionProvider(p)
-    return {mu[0]: mult for mu, mult in provider.row((m,)).items()}
 
 
 def to_simple_basis(chi, provider):
@@ -146,13 +115,15 @@ def to_simple_basis(chi, provider):
 
 
 def load_decomposition_data(doc, rs=None):
-    """Build a validated FileDecompositionProvider from a JSON document.
+    """Build a validated DecompositionProvider from a JSON document.
 
     Schema: {"type"/"cartan": ..., "p": prime, "rows":
     [{"lambda": [...], "factors": [{"mu": [...], "mult": n}, ...]}, ...]}.
-    Unitriangularity and dimension consistency are checked per row.  The
-    dimension check binds only non-restricted rows: a restricted L(lam) is
-    built from its own row, so the row's dimensions always add up.
+    Each row must be unitriangular with a unit diagonal.  The restricted
+    rows become the provider's table, and each must determine its simple
+    character (DataValidationError naming the row when a row it needs is
+    missing).  A non-restricted row is not stored: it must equal the row
+    the provider derives from the restricted ones.
     Without rs the document must name its root system; with rs, a document
     that names one must name rs's Cartan matrix (see root_system_of).
     """
@@ -194,20 +165,21 @@ def load_decomposition_data(doc, rs=None):
                 )
         rows[lam] = {mu: m for mu, m in factors.items() if m}
 
-    provider = FileDecompositionProvider(rs, p, rows)
-    for lam in rows:
+    restricted = {
+        lam: f for lam, f in rows.items() if all(0 <= c < p for c in lam)
+    }
+    provider = DecompositionProvider(rs, p, restricted)
+    for lam, factors in rows.items():
         try:
-            total = sum(
-                mult * provider.simple_character(mu).dimension()
-                for mu, mult in rows[lam].items()
-            )
+            if lam in restricted:
+                provider.simple_character(lam)
+                continue
+            derived = provider.row(lam)
         except CoverageError as exc:
+            raise DataValidationError(f"row {lam}: incomplete data, {exc}") from exc
+        if derived != factors:
             raise DataValidationError(
-                f"row {lam}: incomplete data, {exc}"
-            ) from exc
-        expected = rs.weyl_dimension(lam)
-        if total != expected:
-            raise DataValidationError(
-                f"row {lam}: dimension mismatch, {total} != {expected}"
+                f"row {lam}: {factors} differs from the row derived from the "
+                f"restricted rows, {derived}"
             )
     return provider

@@ -36,9 +36,7 @@ def finite_simple_multiplicities(mu, p, r, provider):
         digits = weight_digits(mu, p)
         untwisted = None
         for i, digit in enumerate(digits):
-            factor = frobenius_twist(
-                provider.restricted_simple_character(digit), p, i % r
-            )
+            factor = frobenius_twist(provider.simple_character(digit), p, i % r)
             untwisted = factor if untwisted is None else untwisted * factor
         ceiling = _rho_pairing(mu, rs)
         result = {}
@@ -113,8 +111,7 @@ def nu_bound(chi, p, r, rs):
     with (p^r-1) rho + p^r nu below some of them plus nu.
     """
     leads = leading_dominant_weights(to_weyl_basis(chi, rs), rs)
-    st_weight = tuple((p**r - 1) * c for c in rs.rho)
-    return contributing_nus(leads, st_weight, p, r, rs)
+    return contributing_nus(leads, rs.steinberg_weight(p, r), p, r, rs)
 
 
 def steinberg_nu_sum(chi, nus, p, r, provider, method):
@@ -132,7 +129,7 @@ def steinberg_nu_sum(chi, nus, p, r, provider, method):
     of (cj_lhs uses the factor leads of its product).
     """
     rs = provider.rs
-    st_weight = tuple((p**r - 1) * c for c in rs.rho)
+    st_weight = rs.steinberg_weight(p, r)
     total = 0
     if method == "good_filtration":
         support = chi.support
@@ -160,10 +157,8 @@ def steinberg_multiplicity(chi, p, r, provider, method="simple_basis"):
     in its simple-basis expansion, the other two in nu_bound.
     """
     if method == "direct":
-        st_weight = tuple((p**r - 1) * c for c in provider.rs.rho)
-        return finite_composition_multiplicities(chi, p, r, provider).get(
-            st_weight, 0
-        )
+        st_weight = provider.rs.steinberg_weight(p, r)
+        return finite_composition_multiplicities(chi, p, r, provider).get(st_weight, 0)
     nus = nu_bound(chi, p, r, provider.rs)
     return steinberg_nu_sum(chi, nus, p, r, provider, method)
 

@@ -15,6 +15,7 @@ from .characters import (
     Character,
     _over_denominator,
     _times_denominator,
+    check_printable_power,
     frobenius_twist,
     leading_dominant_weights,
     weyl_character,
@@ -73,7 +74,6 @@ class QrData:
         self.r = r
         self.entries = {}
         self._leads = {}
-        st_weight = tuple((p**r - 1) * c for c in rs.rho)
         for lam, qhat in qhat_chars.items():
             lam = tuple(lam)
             try:
@@ -85,16 +85,11 @@ class QrData:
                 ) from exc
             self.entries[lam] = QrEntry(qhat, q)
         unit = Character(rs.rank, {(0,) * rs.rank: 1})
+        st_weight = rs.steinberg_weight(p, r)
         if st_weight in self.entries and self.entries[st_weight].q_char != unit:
             raise DataValidationError(
                 "Steinberg entry must divide to the trivial character"
             )
-
-    def qhat(self, lam):
-        try:
-            return self.entries[tuple(lam)].qhat_char
-        except KeyError:
-            raise CoverageError(tuple(lam), f"no Q-hat data for weight {lam}")
 
     def q(self, lam):
         try:
@@ -162,6 +157,7 @@ class QrData:
         r = strict_int(doc.get("r"), "r")
         if p < 2 or r < 1:
             raise DataValidationError(f"invalid (p, r): ({p!r}, {r!r})")
+        check_printable_power(p, r, "r =")
         raw = doc.get("entries")
         if not isinstance(raw, list):
             raise DataValidationError("document needs an 'entries' list")
@@ -205,9 +201,8 @@ def cj_lhs(lam, mu, p, r, provider, qrdata, method="simple_basis"):
     # Looked up before the bound, so that a bad mu raises on every cell.
     chi_mu = provider.simple_character(mu)
     if method in ("good_filtration", "simple_basis"):
-        st_weight = tuple((p**r - 1) * c for c in rs.rho)
         leads = [tuple(map(add, mu, m)) for m in qrdata.leads(dual)]
-        nus = contributing_nus(leads, st_weight, p, r, rs)
+        nus = contributing_nus(leads, rs.steinberg_weight(p, r), p, r, rs)
         if not nus:
             return 0
         return steinberg_nu_sum(chi_mu * qrdata.q(dual), nus, p, r, provider, method)
@@ -276,7 +271,7 @@ def jantzen_identity_check(chi, lam, nu, p, r, provider, qrdata):
     lhs_target = tuple(p**r * n + c for n, c in zip(nu, lam))
     lhs = to_simple_basis(chi, provider).get(lhs_target, 0)
     shifted = chi * qrdata.q(rs.dual_weight(lam))
-    rhs_target = tuple((p**r - 1) * c + p**r * n for c, n in zip(rs.rho, nu))
+    rhs_target = tuple(s + p**r * n for s, n in zip(rs.steinberg_weight(p, r), nu))
     rhs = to_simple_basis(shifted, provider).get(rhs_target, 0)
     return {"lhs": lhs, "rhs": rhs}
 

@@ -28,6 +28,11 @@ from .errors import (
 #: A weight in fundamental-weight coordinates.
 Weight = tuple
 
+#: Largest set of weights built at once: the support of a Weyl character
+#: (characters.weyl_character), the restricted weights X_r, or the weight
+#: grid of a CLI sweep.
+MAX_WEYL_WEIGHTS = 10**6
+
 BUILTIN_CARTAN_MATRICES = {
     "A1": ((2,),),
     "A2": ((2, -1), (-1, 2)),
@@ -320,10 +325,27 @@ class RootSystem:
             frontier = new
         return orbit
 
+    def steinberg_weight(self, p, r):
+        """(p^r - 1) rho, the highest weight of the Steinberg module St_r."""
+        return tuple((p**r - 1) * c for c in self.rho)
+
     def restricted_weights(self, p, r):
-        """All p^r-restricted weights in lexicographic order."""
+        """All p^r-restricted weights in lexicographic order.
+
+        LiecharError when there are more than MAX_WEYL_WEIGHTS of them.
+        There are p^(r * rank) >= 2^(r * rank), so a long r is refused before
+        p^r is computed.
+        """
         if p <= 1 or r < 1:
             raise ValueError(f"need p >= 2 and r >= 1, got p={p}, r={r}")
+        if (
+            r * self.rank >= MAX_WEYL_WEIGHTS.bit_length()
+            or (p**r) ** self.rank > MAX_WEYL_WEIGHTS
+        ):
+            raise LiecharError(
+                f"the {p}^{r}-restricted weights of rank {self.rank} number "
+                f"more than {MAX_WEYL_WEIGHTS}"
+            )
         bound = p**r
         return [tuple(w) for w in itertools.product(range(bound), repeat=self.rank)]
 

@@ -1,6 +1,6 @@
 import pytest
 
-from liechar import QrData, RootSystem, Sl2DecompositionProvider
+from liechar import DecompositionProvider, QrData, RootSystem
 from liechar.rootdata import CartanMatrix
 
 
@@ -26,7 +26,7 @@ def rs_g2():
 
 @pytest.fixture(scope="session")
 def prov3():
-    return Sl2DecompositionProvider(3)
+    return DecompositionProvider.builtin_sl2(3)
 
 
 @pytest.fixture(scope="session")

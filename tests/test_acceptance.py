@@ -11,9 +11,9 @@ import random
 
 from liechar import (
     CartanMatrix,
+    DecompositionProvider,
     QrData,
     RootSystem,
-    Sl2DecompositionProvider,
     barq_multiplicities,
     cj_table,
     cli,
@@ -37,7 +37,7 @@ TABLE_CASES = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 
 @functools.lru_cache(maxsize=None)
 def provider_for(p):
-    return Sl2DecompositionProvider(p)
+    return DecompositionProvider.builtin_sl2(p)
 
 
 @functools.lru_cache(maxsize=None)

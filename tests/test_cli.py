@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from liechar import LiecharError, QrData, cli, pims
 
-from test_decomp import a2_p2_document
+from test_decomp import a1_p3_nabla6_document, a2_p2_document
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, argv):
@@ -444,6 +449,73 @@ class TestCjTableCommand:
         assert code == 2
         assert out == ""
         assert f"entry {tuple(lam)}: lambda is not a 3-restricted weight" in err
+
+
+    def test_wrong_row_with_the_right_dimension_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad_a1_p3.json"
+        path.write_text(json.dumps(a1_p3_nabla6_document([6, 2, 0])))
+        argv = ["cj-table", "-p", "3", "--decomp-data", str(path)]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: row (6,)") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("p, r", [(3, 2), (5, 2)])
+    def test_file_of_restricted_rows_matches_builtin(self, capsys, tmp_path, p, r):
+        rows = [{"lambda": [m], "factors": [{"mu": [m], "mult": 1}]} for m in range(p)]
+        path = tmp_path / "a1.json"
+        path.write_text(json.dumps({"type": "A1", "p": p, "rows": rows}))
+        argv = ["cj-table", "--format", "json", "-p", str(p), "-r", str(r)]
+        builtin = run(capsys, argv)
+        assert builtin[0] == 0
+        assert run(capsys, argv + ["--decomp-data", str(path)]) == builtin
+
+
+class TestSizeLimits:
+    """A huge r or --bound is refused with exit 2, one error line and an
+    empty stdout.  Each case runs in a child process under a time limit and
+    a 2 GB address-space limit, so that a regression fails rather than
+    hanging or exhausting memory."""
+
+    CHILD = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9)); "
+        "from liechar.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["char", "-p", "3", "-r", "100000000", "weyl(1)"], "r = 100000000"),
+            (["cj-table", "-p", "2", "-r", "40"], "2^40-restricted weights"),
+            (["verify", "thm45a", "-p", "2", "-r", "40"], "2^40-restricted weights"),
+            (["verify", "prop31", "-p", "2", "--bound", "100000000"], "sweep grid"),
+        ],
+    )
+    def test_refused_with_exit_2(self, argv, message):
+        self.check_refused(argv, message)
+
+    def test_qhat_file_with_huge_r(self, tmp_path):
+        doc = a1_p3_document("--qhat-data", "A1")
+        doc["r"] = 100000000
+        path = tmp_path / "qhat.json"
+        path.write_text(json.dumps(doc))
+        argv = ["cj-table", "-p", "3", "--qhat-data", str(path)]
+        self.check_refused(argv, "r = 100000000")
+
+    def check_refused(self, argv, message):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        errors = [line for line in proc.stderr.splitlines() if "error" in line]
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert message in errors[0]
 
 
 class TestDeterminism:

@@ -7,11 +7,10 @@ from liechar import (
     Character,
     CoverageError,
     DataValidationError,
+    DecompositionProvider,
     LiecharError,
     NonDominantError,
-    Sl2DecompositionProvider,
     load_decomposition_data,
-    sl2_decomposition_row,
     to_simple_basis,
     weyl_character,
 )
@@ -32,22 +31,26 @@ def test_weight_digits_rejects_negative_coordinates(lam):
 
 class TestSl2Rows:
     def test_steinberg_weight(self):
-        assert sl2_decomposition_row(2, 3) == {2: 1}
+        assert DecompositionProvider.builtin_sl2(3).row((2,)) == {(2,): 1}
 
     def test_first_reducible(self):
-        assert sl2_decomposition_row(3, 3) == {3: 1, 1: 1}
+        assert DecompositionProvider.builtin_sl2(3).row((3,)) == {(3,): 1, (1,): 1}
 
     def test_m_four(self):
-        assert sl2_decomposition_row(4, 3) == {4: 1, 0: 1}
+        assert DecompositionProvider.builtin_sl2(3).row((4,)) == {(4,): 1, (0,): 1}
 
     def test_rejects_negative(self):
-        with pytest.raises(Exception):
-            sl2_decomposition_row(-1, 3)
+        with pytest.raises(NonDominantError):
+            DecompositionProvider.builtin_sl2(3).row((-1,))
+
+    def test_rejects_rank_two(self, rs_a2):
+        with pytest.raises(DataValidationError, match="only rank 1"):
+            DecompositionProvider.builtin_sl2(3, rs=rs_a2)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_row_reconstruction(self, p):
         # sum of [nabla(m):L(n)] * ch L(n) must recover ch nabla(m) exactly.
-        provider = Sl2DecompositionProvider(p)
+        provider = DecompositionProvider.builtin_sl2(p)
         for m in range(3 * p):
             row = provider.row((m,))
             total = sum(
@@ -58,7 +61,7 @@ class TestSl2Rows:
 
     def test_rejects_negative_entry(self, monkeypatch):
         # A simple character too large by 2 L(0) leaves -1 at (0,) in row (4,).
-        provider = Sl2DecompositionProvider(3)
+        provider = DecompositionProvider.builtin_sl2(3)
         simple = provider.simple_character
 
         def inflated(lam):
@@ -92,10 +95,14 @@ class TestSimpleCharacter:
             assert coeffs[(m,)] == 1
             assert all(n <= m for (n,) in coeffs)
 
-    def test_coverage_gap_reports_weight(self, prov3):
+    @pytest.mark.parametrize("lam", [(1, 1), (3, 3)])
+    def test_coverage_gap_reports_weight(self, lam):
+        # Without row (1, 1) neither L(1, 1) nor L(3, 3) = L(1, 1) L(1, 1)^(1)
+        # can be built; the gap is the restricted weight (1, 1).
+        provider = load_decomposition_data(a2_p2_document(without=(1, 1)))
         with pytest.raises(CoverageError) as info:
-            prov3.restricted_simple_character((7,))
-        assert info.value.weight == (7,)
+            provider.simple_character(lam)
+        assert info.value.weight == (1, 1)
 
 
 class TestToSimpleBasis:
@@ -139,8 +146,16 @@ A2_P2_ROWS = [
 ]
 
 
-def a2_p2_document():
-    return {"type": "A2", "p": 2, "rows": copy.deepcopy(A2_P2_ROWS)}
+def a2_p2_document(without=None):
+    rows = [row for row in A2_P2_ROWS if tuple(row["lambda"]) != without]
+    return {"type": "A2", "p": 2, "rows": copy.deepcopy(rows)}
+
+
+def a1_p3_nabla6_document(nabla6):
+    """The A1 rows at p = 3: the restricted ones and nabla(6) as given."""
+    rows = [{"lambda": [m], "factors": [{"mu": [m], "mult": 1}]} for m in range(3)]
+    factors = [{"mu": [mu], "mult": 1} for mu in nabla6]
+    return {"type": "A1", "p": 3, "rows": rows + [{"lambda": [6], "factors": factors}]}
 
 
 class TestLoadDecompositionData:
@@ -162,10 +177,24 @@ class TestLoadDecompositionData:
         with pytest.raises(DataValidationError, match="unitriangularity"):
             load_decomposition_data(doc)
 
-    def test_rejects_dimension_mismatch(self):
+    def test_rejects_row_that_differs_from_the_derived_row(self):
         doc = a2_p2_document()
         doc["rows"][4]["factors"] = [{"mu": [2, 0], "mult": 1}]
-        with pytest.raises(DataValidationError, match=r"\(2, 0\).*dimension"):
+        with pytest.raises(DataValidationError, match=r"row \(2, 0\).*derived"):
+            load_decomposition_data(doc)
+
+    def test_rejects_wrong_row_with_the_right_dimension(self):
+        # nabla(6) = L(6) + L(4) at p = 3.  L(6) + L(2) + L(0) has the same
+        # dimension, 3 + 3 + 1 = 7, and is unitriangular, but is not the row.
+        provider = load_decomposition_data(a1_p3_nabla6_document([6, 4]))
+        assert provider.row((6,)) == {(6,): 1, (4,): 1}
+        with pytest.raises(DataValidationError, match=r"row \(6,\).*derived"):
+            load_decomposition_data(a1_p3_nabla6_document([6, 2, 0]))
+
+    def test_non_restricted_row_needs_the_restricted_rows(self):
+        doc = a1_p3_nabla6_document([6, 4])
+        del doc["rows"][1]
+        with pytest.raises(DataValidationError, match=r"row \(6,\): incomplete data"):
             load_decomposition_data(doc)
 
     def test_rejects_missing_keys(self):
@@ -214,6 +243,7 @@ class TestLoadDecompositionData:
         assert load_decomposition_data(doc, rs=rs_a2).rs is rs_a2
 
     def test_missing_row_is_coverage_error(self):
-        provider = load_decomposition_data(a2_p2_document())
-        with pytest.raises(CoverageError):
-            provider.row((3, 3))
+        provider = load_decomposition_data(a2_p2_document(without=(1, 1)))
+        with pytest.raises(CoverageError) as info:
+            provider.row((1, 1))
+        assert info.value.weight == (1, 1)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from liechar import (
     CartanMatrix,
     Character,
+    DecompositionProvider,
     NonInvariantError,
     RootSystem,
-    Sl2DecompositionProvider,
     finite,
     finite_composition_multiplicities,
     finite_simple_multiplicities,
@@ -104,7 +104,7 @@ class TestFiniteCompositionMultiplicities:
     @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (3, 2)])
     def test_dimension_bookkeeping(self, p, r):
         # Restriction preserves dimension for genuine module characters.
-        provider = Sl2DecompositionProvider(p)
+        provider = DecompositionProvider.builtin_sl2(p)
         for m in range(3 * p**r):
             chi = weyl_character((m,), provider.rs)
             mults = finite_composition_multiplicities(chi, p, r, provider)
@@ -127,12 +127,12 @@ class TestUntwisting:
         assert finite_simple_multiplicities((3,), 3, 1, prov3) == {(1,): 1}
 
     def test_twist_reduced_mod_r(self):
-        provider = Sl2DecompositionProvider(2)
+        provider = DecompositionProvider.builtin_sl2(2)
         # L(4) = L(1)^{(2)}; over F_4 the square of Frobenius is trivial.
         assert finite_simple_multiplicities((4,), 2, 2, provider) == {(1,): 1}
 
     def test_p3_r2(self):
-        provider = Sl2DecompositionProvider(3)
+        provider = DecompositionProvider.builtin_sl2(3)
         assert finite_simple_multiplicities((9,), 3, 2, provider) == {(1,): 1}
 
     def test_restricted_is_delta(self, prov3):
@@ -189,7 +189,7 @@ class TestFactorLeadBound:
     @pytest.mark.parametrize("r", [1, 2])
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_a1_every_cell(self, p, r):
-        provider = Sl2DecompositionProvider(p)
+        provider = DecompositionProvider.builtin_sl2(p)
         qrdata = pims.QrData.builtin_sl2(p, r)
         rs = provider.rs
         st_weight = tuple((p**r - 1) * c for c in rs.rho)
@@ -226,7 +226,7 @@ class TestSteinbergMultiplicity:
 
     @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2)])
     def test_route_agreement_grid(self, p, r):
-        provider = Sl2DecompositionProvider(p)
+        provider = DecompositionProvider.builtin_sl2(p)
         for m in range(2 * p**r + 1):
             chi = weyl_character((m,), provider.rs)
             values = {

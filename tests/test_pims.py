@@ -9,11 +9,11 @@ from liechar import (
     Character,
     CoverageError,
     DataValidationError,
+    DecompositionProvider,
     DivisionFailure,
     NonInvariantError,
     QrData,
     RootSystem,
-    Sl2DecompositionProvider,
     barq_multiplicities,
     character_divide,
     cj_lhs,
@@ -245,7 +245,7 @@ class TestChastkofskyJantzen:
         assert rows == [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
 
     def test_golden_table_p2(self):
-        provider = Sl2DecompositionProvider(2)
+        provider = DecompositionProvider.builtin_sl2(2)
         table = cj_table(2, 1, provider, QrData.builtin_sl2(2, 1))
         assert table.agrees()
         rows = [
@@ -256,7 +256,7 @@ class TestChastkofskyJantzen:
 
     @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2)])
     def test_steinberg_row_is_delta(self, p, r):
-        provider = Sl2DecompositionProvider(p)
+        provider = DecompositionProvider.builtin_sl2(p)
         qrdata = QrData.builtin_sl2(p, r)
         st_weight = (p**r - 1,)
         for mu in provider.rs.restricted_weights(p, r):
@@ -303,7 +303,7 @@ class TestZeroCells:
 
     @pytest.mark.parametrize("p, r", [(3, 1), (2, 2), (5, 1)])
     def test_incomparable_leads(self, p, r):
-        provider = Sl2DecompositionProvider(p)
+        provider = DecompositionProvider.builtin_sl2(p)
         rs = provider.rs
         qrdata, q = two_lead_qrdata(p, r)
         assert sorted(qrdata.leads((0,))) == [(p**r - 1,), (p**r,)]
@@ -329,7 +329,7 @@ class TestZeroCells:
         assert needed == {p**r - 1, p**r}
 
     def test_direct_route_never_reads_leads(self, monkeypatch):
-        provider = Sl2DecompositionProvider(3)
+        provider = DecompositionProvider.builtin_sl2(3)
         qrdata = QrData.builtin_sl2(3, 2)
         before = cj_table(3, 2, provider, qrdata, method="direct")
         assert before.agrees()
@@ -338,21 +338,23 @@ class TestZeroCells:
             raise AssertionError("the direct route read QrData.leads")
 
         monkeypatch.setattr(QrData, "leads", leads)
-        after = cj_table(3, 2, Sl2DecompositionProvider(3), qrdata, method="direct")
+        fresh = DecompositionProvider.builtin_sl2(3)
+        after = cj_table(3, 2, fresh, qrdata, method="direct")
         assert after == before
 
     def test_nu_sum_routes_never_call_nu_bound(self, monkeypatch):
         # cj_lhs bounds nu by the factor leads alone; a second bound from
         # the product would be wasted work on every nonzero cell.
         qrdata = QrData.builtin_sl2(3, 2)
-        direct = cj_table(3, 2, Sl2DecompositionProvider(3), qrdata, method="direct")
+        new_provider = DecompositionProvider.builtin_sl2
+        direct = cj_table(3, 2, new_provider(3), qrdata, method="direct")
 
         def nu_bound(*args):
             raise AssertionError("cj_lhs called nu_bound")
 
         monkeypatch.setattr(finite, "nu_bound", nu_bound)
         for method in ("simple_basis", "good_filtration"):
-            table = cj_table(3, 2, Sl2DecompositionProvider(3), qrdata, method=method)
+            table = cj_table(3, 2, new_provider(3), qrdata, method=method)
             assert table == direct, method
 
     def test_leads(self, qr3):
@@ -386,19 +388,21 @@ class TestTensorCache:
         }
 
     def test_shared_provider_matches_fresh(self):
-        shared = Sl2DecompositionProvider(self.P)
+        shared = DecompositionProvider.builtin_sl2(self.P)
         for r in (1, 2, 1):
-            fresh = self.sweep(lambda: Sl2DecompositionProvider(self.P), r)
+            fresh = self.sweep(lambda: DecompositionProvider.builtin_sl2(self.P), r)
             assert self.sweep(lambda: shared, r) == fresh
         assert shared._tensor_cache
 
     def test_no_cached_dict_is_handed_out(self):
-        provider = Sl2DecompositionProvider(self.P)
+        provider = DecompositionProvider.builtin_sl2(self.P)
         first = barq_multiplicities((0,), self.P, 2, provider)
         assert all(first is not coeffs for coeffs in provider._tensor_cache.values())
         first.clear()
         assert barq_multiplicities((0,), self.P, 2, provider) == (
-            barq_multiplicities((0,), self.P, 2, Sl2DecompositionProvider(self.P))
+            barq_multiplicities(
+                (0,), self.P, 2, DecompositionProvider.builtin_sl2(self.P)
+            )
         )
         for (mu, nu), coeffs in provider._tensor_cache.items():
             product = provider.simple_character(mu) * provider.simple_character(nu)

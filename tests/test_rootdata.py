@@ -203,6 +203,25 @@ class TestRestrictedWeights:
         with pytest.raises(ValueError):
             rs_a1.restricted_weights(3, 0)
 
+    @pytest.mark.parametrize("name, p, r", [("A1", 2, 20), ("A2", 1009, 1)])
+    def test_refuses_more_than_the_weight_limit(self, name, p, r):
+        # 2^20 and 1009^2 are just past 10^6.
+        rs = RootSystem(CartanMatrix.builtin(name))
+        with pytest.raises(LiecharError, match="number more than 1000000"):
+            rs.restricted_weights(p, r)
+
+    def test_refuses_a_long_r_before_computing_p_to_the_r(self, rs_a1):
+        # 3**(10**9) would not finish; this p fails the test instead.
+        class NoPower(int):
+            def __pow__(self, exponent):
+                raise AssertionError(f"computed {int(self)}**{exponent}")
+
+        with pytest.raises(LiecharError, match="3\\^1000000000-restricted"):
+            rs_a1.restricted_weights(NoPower(3), 10**9)
+
+    def test_steinberg_weight(self, rs_g2):
+        assert rs_g2.steinberg_weight(3, 2) == (8, 8)
+
 
 class TestGammaH:
     def test_a1(self, rs_a1):
