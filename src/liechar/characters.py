@@ -20,6 +20,19 @@ ch St_r = chi((p^r - 1) rho) = d^(p^r) / d, the quotient chi / St_r is
 chi * d over d^(p^r) (pims.character_divide).  Leading-term elimination
 (expand) serves only the simple basis, which has no such formula.
 
+expand eliminates in the translation-invariant total order (scaled height,
+tuple), largest first.  Each basis element basis(lam) has lam as its only
+weight of the greatest height, and for a W-invariant chi the greatest
+weight of the support in that order is dominant.  The dominant weights of
+the residual are kept on a heap keyed by that order: a weight is pushed
+when it first gets a nonzero value and popped lazily, an entry whose weight
+has since cancelled being skipped.  Subtracting c * basis(lead) changes
+only weights below lead, so the leads come in strictly decreasing order and
+no later step touches a weight at or above the current lead.  Hence once a
+lead falls below a target weight t, t's coefficient is final (0 if t was
+never a lead), and a caller that wants one coefficient can stop there
+(decomp.simple_multiplicity).
+
 The product is a convolution on packed integer keys.  Both operands are
 shifted so that every coordinate starts at 0, and each weight becomes one
 mixed-radix integer whose coordinate i has radix span_a[i] + span_b[i] + 1
@@ -52,6 +65,7 @@ len(a) * len(b):
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from operator import add, sub
@@ -152,7 +166,9 @@ class Character:
         The convolution packs each weight into one mixed-radix integer key
         (see the module docstring), forms the product of the packed
         operands by one big-integer multiply or, for sparse boxes, a dict
-        loop, and decodes only the nonzero coefficients.
+        loop, and decodes only the nonzero coefficients.  A product with
+        the trivial character e^0 is the other factor itself, shared, since
+        characters are read-only.
         """
         if isinstance(other, int):
             if other == 0:
@@ -161,11 +177,19 @@ class Character:
                 self.rank, {w: m * other for w, m in self.support.items()}
             )
         self._check_compatible(other)
+        if other._is_unit():
+            return self
+        if self._is_unit():
+            return other
         if not (self.support and other.support):
             return Character(self.rank)
         return Character._wrap(self.rank, _convolve(self.support, other.support))
 
     __rmul__ = __mul__
+
+    def _is_unit(self):
+        """Whether this is the trivial character e^0."""
+        return len(self.support) == 1 and self.support.get((0,) * self.rank) == 1
 
     def dimension(self):
         """Value at the identity: the sum of all multiplicities."""
@@ -441,17 +465,6 @@ def _divide_by_root(f, alpha):
     return q
 
 
-def leading_weight(support, rs):
-    """The dominant support weight of greatest height, ties to the larger tuple.
-
-    It is maximal in dominance.  For a W-invariant character it leads the
-    whole support in the translation-invariant order (height, tuple), so the
-    lead of a product is the sum of the leads.  None when no weight is dominant.
-    """
-    dominants = (w for w in support if min(w) >= 0)
-    return max(dominants, key=lambda w: (rs.scaled_height(w), w), default=None)
-
-
 def leading_dominant_weights(support, rs):
     """Dominant support weights maximal under dominance (possibly several).
 
@@ -475,31 +488,49 @@ def _not_invariant(weight, mult):
 
 
 def expand(chi, rs, basis):
-    """Coefficients c with chi = sum c[lam] * basis(lam), by leading-term elimination.
+    """Yield (lam, c) with chi = sum c * basis(lam), by leading-term elimination.
 
-    basis(lam) is a character led by lam (see leading_weight).
-    NonInvariantError when no dominant weight is left or a lead's
+    basis(lam) is a character whose other weights lie strictly below lam in
+    the (scaled height, tuple) order, so the leads come in strictly
+    decreasing order and a coefficient, once yielded, is final (see the
+    module docstring).  The dominant weights of the residual sit on a heap
+    keyed by that order, pushed when they enter it and skipped when popped
+    after they have cancelled.  NonInvariantError, raised before the lead
+    it names is yielded, when no dominant weight is left or a lead's
     multiplicity is not a multiple of basis(lead)'s.
     """
+    height = rs.scaled_height
+
+    def entry(w):
+        return (-height(w), tuple(-c for c in w), w)
+
     work = dict(chi.support)
-    coeffs = {}
+    heap = [entry(w) for w in work if min(w) >= 0]
+    heapq.heapify(heap)
     while work:
-        lead = leading_weight(work, rs)
-        if lead is None:
+        while heap and heap[0][2] not in work:
+            heapq.heappop(heap)
+        if not heap:
             raise _not_invariant(*max(work.items()))
-        mult = work[lead]
+        lead = heapq.heappop(heap)[2]
+        mult = work.pop(lead)
         element = basis(lead)
         unit = element.support.get(lead)
         if not unit or mult % unit:
             raise _not_invariant(lead, mult)
-        c = coeffs[lead] = mult // unit
+        c = mult // unit
+        yield lead, c
         for w, m in element.support.items():
-            new = work.get(w, 0) - c * m
+            if w == lead:
+                continue
+            old = work.get(w, 0)
+            new = old - c * m
             if new:
                 work[w] = new
+                if not old and min(w) >= 0:
+                    heapq.heappush(heap, entry(w))
             else:
-                work.pop(w, None)
-    return coeffs
+                del work[w]
 
 
 def to_weyl_basis(chi, rs):

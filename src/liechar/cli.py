@@ -51,14 +51,34 @@ class RunConfig:
     fmt: str
 
 
+# The first 13 primes.  As Miller-Rabin bases they decide primality exactly
+# below MAX_PRIME_BOUND, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 86 (2017)).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Whether n is prime, by deterministic Miller-Rabin; n < MAX_PRIME_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -82,6 +102,8 @@ def build_config(args):
     rs = root_system_of(
         {"cartan": _load_json(args.cartan)} if args.cartan else {"type": args.type}
     )
+    if args.p >= MAX_PRIME_BOUND:
+        raise CliError(f"p must be less than {MAX_PRIME_BOUND}, got {args.p}")
     if not _is_prime(args.p):
         raise CliError(f"p must be prime, got {args.p}")
     if args.r < 1:
@@ -90,17 +112,17 @@ def build_config(args):
     if args.bound is not None and args.bound < 0:
         raise CliError(f"bound must be nonnegative, got {args.bound}")
 
+    # Data files are loaded and validated up front; the built-in rank-1
+    # data only when a command reads it (_require).
+    provider = None
     if args.decomp_data:
         provider = load_decomposition_data(_load_json(args.decomp_data), rs=rs)
         if provider.p != args.p:
             raise CliError(
                 f"decomposition data is for p={provider.p}, requested p={args.p}"
             )
-    elif rs.rank == 1:
-        provider = DecompositionProvider.builtin_sl2(args.p, rs=rs)
-    else:
-        provider = None
 
+    qrdata = None
     if args.qhat_data:
         qrdata = pims.QrData.from_json_dict(_load_json(args.qhat_data), rs=rs)
         if (qrdata.p, qrdata.r) != (args.p, args.r):
@@ -108,10 +130,6 @@ def build_config(args):
                 f"Q-hat data is for (p, r)=({qrdata.p}, {qrdata.r}), "
                 f"requested ({args.p}, {args.r})"
             )
-    elif rs.rank == 1:
-        qrdata = pims.QrData.builtin_sl2(args.p, args.r, rs=rs)
-    else:
-        qrdata = None
 
     bound = args.bound if args.bound is not None else 2 * args.p**args.r
     return RunConfig(
@@ -128,9 +146,20 @@ def build_config(args):
 
 _DATA_FLAGS = {"provider": "--decomp-data", "qrdata": "--qhat-data"}
 
+# The built-in rank-1 data of each config attribute.
+_BUILTIN_DATA = {
+    "provider": lambda c: DecompositionProvider.builtin_sl2(c.p, rs=c.rs),
+    "qrdata": lambda c: pims.QrData.builtin_sl2(c.p, c.r, rs=c.rs),
+}
+
 
 def _require(config, attr, what):
+    """config.<attr>: the data file's or, for rank 1 without one, the
+    built-in data, built on first use and kept; CliError for neither."""
     value = getattr(config, attr)
+    if value is None and config.rs.rank == 1:
+        value = _BUILTIN_DATA[attr](config)
+        setattr(config, attr, value)
     if value is None:
         raise CliError(f"{what} required: supply {_DATA_FLAGS[attr]}")
     return value

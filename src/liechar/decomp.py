@@ -53,11 +53,14 @@ class DecompositionProvider:
 
     @classmethod
     def builtin_sl2(cls, p, rs=None):
-        """Rank-1 rows: every restricted nabla(m), m < p, is simple."""
+        """Rank-1 rows: every restricted nabla(m), m < p, is simple.
+
+        LiecharError, from restricted_weights, for p > MAX_WEYL_WEIGHTS.
+        """
         rs = rs or RootSystem(CartanMatrix.builtin("A1"))
         if rs.rank != 1:
             raise DataValidationError("built-in provider supports only rank 1")
-        return cls(rs, p, {(m,): {(m,): 1} for m in range(p)})
+        return cls(rs, p, {m: {m: 1} for m in rs.restricted_weights(p, 1)})
 
     def _table_row(self, lam):
         try:
@@ -111,7 +114,30 @@ class DecompositionProvider:
 
 def to_simple_basis(chi, provider):
     """Coefficients [chi : chi_p(lam)]_G by leading-term elimination."""
-    return expand(chi, provider.rs, provider.simple_character)
+    return dict(expand(chi, provider.rs, provider.simple_character))
+
+
+def simple_multiplicity(chi, target, provider):
+    """[chi : L(target)]_G, eliminating only down to target.
+
+    The leads of expand come in strictly decreasing (scaled height, tuple)
+    order, so the elimination stops at the lead equal to target or at the
+    first lead below it, where the coefficient is 0.  Every lead processed
+    is checked as in to_simple_basis (NonInvariantError), but the weights
+    below the stop are not, so chi must be W-invariant, and the caller
+    certifies it: steinberg_multiplicity through nu_bound's to_weyl_basis,
+    and cj_lhs by its factors, a simple character times a q_r(lambda) that
+    QrData has checked to be W-invariant.
+    """
+    rs = provider.rs
+    target = tuple(target)
+    key = (rs.scaled_height(target), target)
+    for lead, c in expand(chi, rs, provider.simple_character):
+        if lead == target:
+            return c
+        if (rs.scaled_height(lead), lead) < key:
+            return 0
+    return 0
 
 
 def load_decomposition_data(doc, rs=None):

@@ -13,7 +13,7 @@ import itertools
 from operator import add, sub
 
 from .characters import frobenius_twist, leading_dominant_weights, to_weyl_basis
-from .decomp import to_simple_basis, weight_digits
+from .decomp import simple_multiplicity, to_simple_basis, weight_digits
 from .errors import LiecharError
 
 
@@ -121,8 +121,11 @@ def steinberg_nu_sum(chi, nus, p, r, provider, method):
     Weyl's formula each term is sum_w sgn(w) chi(t + rho - w(nu + rho)), one
     lookup in chi per element of the signed orbit of the regular weight
     nu + rho: no product and no expansion per nu.
-    simple_basis: M is the simple character L(nu), and each term is read off
-    the simple-basis expansion of the product.
+    simple_basis: M is the simple character L(nu), and each term is
+    simple_multiplicity of the product, which eliminates only down to t; for
+    nu = 0 the product with L(0) = e^0 is chi itself.  That route checks
+    W-invariance only on the leads it processes, so chi must be W-invariant:
+    steinberg_multiplicity certifies it by nu_bound, cj_lhs by its factors.
     nus must contain every nu whose term can be nonzero; a term outside
     the range adds 0.  nu_bound(chi) is such a set, and so is
     contributing_nus on any weights that each weight of chi lies below one
@@ -143,7 +146,7 @@ def steinberg_nu_sum(chi, nus, p, r, provider, method):
         for nu in nus:
             product = chi * provider.simple_character(nu)
             target = tuple(s + p**r * n for s, n in zip(st_weight, nu))
-            total += to_simple_basis(product, provider).get(target, 0)
+            total += simple_multiplicity(product, target, provider)
         return total
     raise ValueError(f"unknown method {method!r}")
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -127,6 +128,14 @@ class TestInputErrors:
         code, _, err = run(capsys, ["char", "-p", "4", "weyl(1)"])
         assert code == 2
         assert "prime" in err
+
+    def test_is_prime_matches_trial_division(self):
+        def trial_division(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert [cli._is_prime(n) for n in range(10**4)] == [
+            trial_division(n) for n in range(10**4)
+        ]
 
     def test_missing_data_file(self, capsys):
         code, _, err = run(
@@ -503,14 +512,51 @@ class TestSizeLimits:
         argv = ["cj-table", "-p", "3", "--qhat-data", str(path)]
         self.check_refused(argv, "r = 100000000")
 
-    def check_refused(self, argv, message):
-        proc = subprocess.run(
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # The built-in Q-hat data at 3^11 would take minutes; char never
+            # reads it.
+            ["char", "-p", "3", "-r", "11", "weyl(1)"],
+            # A prime of 19 digits, and no built-in table of 10^18 rows.
+            ["char", "-p", str(10**18 + 3), "weyl(1)"],
+        ],
+    )
+    def test_accepted_at_once(self, argv):
+        proc = self.run_child(argv, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "(-1): 1\n(1): 1\ndimension: 2\n"
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            # Carmichael, base-2 strong pseudoprime, and strong pseudoprime
+            # to bases 2, 3, 5 and 7.
+            (561, "p must be prime"),
+            (2047, "p must be prime"),
+            (3215031751, "p must be prime"),
+            (cli.MAX_PRIME_BOUND, "p must be less than"),
+            (10**30 + 57, "p must be less than"),
+        ],
+    )
+    def test_p_refused(self, p, message):
+        self.check_refused(["char", "-p", str(p), "weyl(1)"], message)
+
+    def test_built_in_table_of_a_huge_prime_refused(self):
+        argv = ["char", "-p", str(10**18 + 3), "simple(1)"]
+        self.check_refused(argv, "restricted weights of rank 1 number more than")
+
+    def run_child(self, argv, timeout=60):
+        return subprocess.run(
             [sys.executable, "-c", self.CHILD, *argv],
             capture_output=True,
             text=True,
-            timeout=60,
+            timeout=timeout,
             env={**os.environ, "PYTHONPATH": SRC},
         )
+
+    def check_refused(self, argv, message):
+        proc = self.run_child(argv)
         errors = [line for line in proc.stderr.splitlines() if "error" in line]
         assert proc.returncode == 2
         assert proc.stdout == ""

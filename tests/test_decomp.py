@@ -1,20 +1,28 @@
 import copy
+import functools
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liechar import (
+    BUILTIN_CARTAN_MATRICES,
     Character,
     CoverageError,
     DataValidationError,
     DecompositionProvider,
     LiecharError,
     NonDominantError,
+    NonInvariantError,
     load_decomposition_data,
     to_simple_basis,
     weyl_character,
 )
-from liechar.decomp import weight_digits
+from liechar.decomp import simple_multiplicity, weight_digits
+
+from test_kernel import PROPERTY, invariant_characters
 
 
 def test_weight_digits():
@@ -247,3 +255,65 @@ class TestLoadDecompositionData:
         with pytest.raises(CoverageError) as info:
             provider.row((1, 1))
         assert info.value.weight == (1, 1)
+
+
+@functools.cache
+def provider_for(rs):
+    """A provider on rs: A1 at p = 3 and A2 at p = 2 from their true rows,
+    B2 and G2 at p = 2 from the table whose restricted rows are all
+    nabla(lam) = L(lam).  Any unitriangular table gives a basis led by each
+    lam, which is all that the elimination uses."""
+    if rs.rank == 1:
+        return DecompositionProvider.builtin_sl2(3, rs=rs)
+    if rs.cartan.entries == BUILTIN_CARTAN_MATRICES["A2"]:
+        return load_decomposition_data(a2_p2_document(), rs=rs)
+    return DecompositionProvider(rs, 2, {lam: {lam: 1} for lam in rs.restricted_weights(2, 1)})
+
+
+SIMPLE_TYPES = ("A1", "A2", "B2", "G2")
+
+
+class TestSimpleMultiplicity:
+    """simple_multiplicity stops the elimination at its target; it must read
+    the coefficient that the full expansion has there."""
+
+    @settings(PROPERTY, max_examples=30)
+    @given(invariant_characters(names=SIMPLE_TYPES), st.data())
+    def test_matches_the_full_expansion(self, case, data):
+        rs, chi = case
+        provider = provider_for(rs)
+        # chi * L(nu), as steinberg_nu_sum forms it; nu = 0 is a unit product.
+        nu = data.draw(st.tuples(*[st.integers(0, 2)] * rs.rank), label="nu")
+        chi = chi * provider.simple_character(nu)
+        coeffs = to_simple_basis(chi, provider)
+        targets = {w for w in chi.support if min(w) >= 0}
+        # the Steinberg-sum target, r = 1
+        targets.add(tuple((provider.p - 1) + provider.p * n for n in nu))
+        if coeffs:
+            top = max(coeffs, key=lambda w: (rs.scaled_height(w), w))
+            targets.add((top[0] + 1,) + top[1:])  # above every lead
+        absent = [
+            w
+            for w in itertools.product(range(6), repeat=rs.rank)
+            if w not in chi.support
+        ]
+        targets.update(data.draw(st.lists(st.sampled_from(absent), max_size=3)))
+        for t in targets:
+            assert simple_multiplicity(chi, t, provider) == coeffs.get(t, 0), t
+
+    @settings(PROPERTY, max_examples=20)
+    @given(invariant_characters(names=SIMPLE_TYPES), st.data())
+    def test_off_orbit_input_raises_as_the_full_expansion(self, case, data):
+        # A target below every weight stops nothing, so every lead is
+        # processed and the residual's error is the full expansion's.
+        rs, chi = case
+        provider = provider_for(rs)
+        weight = data.draw(
+            st.tuples(*[st.integers(-4, 4)] * rs.rank).filter(any), label="weight"
+        )
+        chi = chi + Character(rs.rank, {weight: 1})
+        with pytest.raises(NonInvariantError) as full:
+            to_simple_basis(chi, provider)
+        with pytest.raises(NonInvariantError) as stopped:
+            simple_multiplicity(chi, (-100,) * rs.rank, provider)
+        assert str(stopped.value) == str(full.value)

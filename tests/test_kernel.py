@@ -5,9 +5,11 @@ Cartan matrix alone, by Fraction Gauss-Jordan elimination and the O(n^2)
 maximal-element scan; the product's, on both of its paths (dict loop and
 Kronecker substitution), by the tuple double loop; Weyl characters by
 Freudenthal's recursion, Weyl-basis coefficients by leading-term
-elimination against those characters, and the good-filtration Steinberg
-route by the product and Weyl-basis expansion of each of its terms, over
-the nu bounded by the reference maximal-element scan.
+elimination against those characters (an elimination that rescans the
+whole residual for each lead, the reference for expand's heap-ordered one),
+and the good-filtration Steinberg route by the product and Weyl-basis
+expansion of each of its terms, over the nu bounded by the reference
+maximal-element scan.
 """
 
 import itertools
@@ -24,6 +26,7 @@ from liechar import (
     DecompositionProvider,
     LiecharError,
     NonInvariantError,
+    RankMismatchError,
     character_divide,
     characters,
     frobenius_twist,
@@ -235,12 +238,97 @@ def invariant_characters(draw, names=NAMES):
     return rs, chi
 
 
+def leading_weight(support, rs):
+    """The dominant support weight of greatest height, ties to the larger
+    tuple, found by a scan of the whole support; None when none is dominant."""
+    dominants = (w for w in support if min(w) >= 0)
+    return max(dominants, key=lambda w: (rs.scaled_height(w), w), default=None)
+
+
+def reference_expand(chi, rs, basis):
+    """(lead, coefficient) pairs of chi in basis, in the order they are
+    found, by leading-term elimination that rescans the residual for each
+    lead (leading_weight).  NonInvariantError as expand words it."""
+
+    def not_invariant(weight):
+        return NonInvariantError(
+            f"character is not W-invariant: residual leading weight {weight}"
+        )
+
+    work = dict(chi.support)
+    found = []
+    while work:
+        lead = leading_weight(work, rs)
+        if lead is None:
+            raise not_invariant(max(work))
+        element = basis(lead)
+        unit = element.get(lead)
+        if not unit or work[lead] % unit:
+            raise not_invariant(lead)
+        c = work[lead] // unit
+        found.append((lead, c))
+        for w, m in element.support.items():
+            new = work.get(w, 0) - c * m
+            if new:
+                work[w] = new
+            else:
+                work.pop(w, None)
+    return found
+
+
 @settings(PROPERTY, max_examples=30)
 @given(invariant_characters())
 def test_to_weyl_basis_matches_elimination(case):
     rs, chi = case
-    reference = expand(chi, rs, lambda lam: reference_weyl_character(lam, rs))
-    assert to_weyl_basis(chi, rs) == reference
+    reference = reference_expand(chi, rs, lambda lam: reference_weyl_character(lam, rs))
+    assert to_weyl_basis(chi, rs) == dict(reference)
+
+
+TYPES = ("A1", "A2", "B2", "G2")
+
+
+@PROPERTY
+@given(invariant_characters(names=TYPES))
+def test_heap_expand_matches_rescanning_reference(case):
+    # Coefficient for coefficient and in yield order: strictly decreasing
+    # (scaled height, tuple).
+    rs, chi = case
+    basis = lambda lam: weyl_character(lam, rs)  # noqa: E731
+    found = list(expand(chi, rs, basis))
+    assert found == reference_expand(chi, rs, basis)
+    keys = [(rs.scaled_height(lam), lam) for lam, _ in found]
+    assert keys == sorted(keys, reverse=True) and len(set(keys)) == len(keys)
+
+
+@PROPERTY
+@given(invariant_characters(names=TYPES), st.data())
+def test_heap_expand_rejects_off_orbit_input_as_reference(case, data):
+    rs, chi = case
+    weight = data.draw(
+        st.tuples(*[st.integers(-4, 4)] * rs.rank).filter(any), label="weight"
+    )
+    mult = data.draw(st.integers(-3, 3).filter(bool), label="mult")
+    chi = chi + Character(rs.rank, {weight: mult})
+    basis = lambda lam: weyl_character(lam, rs)  # noqa: E731
+    with pytest.raises(NonInvariantError) as heap:
+        list(expand(chi, rs, basis))
+    with pytest.raises(NonInvariantError) as reference:
+        reference_expand(chi, rs, basis)
+    assert str(heap.value) == str(reference.value)
+
+
+@PROPERTY
+@given(invariant_characters(names=TYPES))
+def test_product_with_unit_is_the_other_factor(case):
+    rs, chi = case
+    unit = Character(rs.rank, {(0,) * rs.rank: 1})
+    assert chi * unit == chi == unit * chi
+    assert (chi * unit) is chi and (unit * chi) is chi
+    other_rank = Character(rs.rank + 1, {(0,) * (rs.rank + 1): 1})
+    with pytest.raises(RankMismatchError):
+        chi * other_rank
+    with pytest.raises(RankMismatchError):
+        other_rank * chi
 
 
 def first_non_invariant_weight(chi, rs):
@@ -445,10 +533,11 @@ def test_kronecker_slot_width_edges(monkeypatch, bits, widths, sign):
     operands = spy(monkeypatch, "_kronecker_operand")
     for t, width in zip((2**bits - 1, 2**bits), widths):
         a = Character(1, {(0,): 1, (1,): t, (2,): -1})
-        b = Character(1, {(0,): sign})
+        # b = sign * e^1: a product with e^0 would return a unconvolved.
+        b = Character(1, {(1,): sign})
         product = a * b
         assert product.support == reference_product(a, b)
-        assert product.support[(1,)] == sign * t
+        assert product.support[(2,)] == sign * t
         assert [args[2] for args in operands] == [width, width]
         operands.clear()
 
@@ -456,8 +545,9 @@ def test_kronecker_slot_width_edges(monkeypatch, bits, widths, sign):
 @pytest.mark.parametrize(
     "a, b, kronecker",
     [
-        ({(0,): 1, (1,): 1}, {(0,): 1}, True),  # 2 slots, 2 terms
-        ({(0,): 1, (2,): 1}, {(0,): 1}, False),  # 3 slots, 2 terms
+        # b = e^1, not e^0, whose products are not convolved.
+        ({(0,): 1, (1,): 1}, {(1,): 1}, True),  # 2 slots, 2 terms
+        ({(0,): 1, (2,): 1}, {(1,): 1}, False),  # 3 slots, 2 terms
         (
             {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): -3},
             {(0, 0): 1, (1, 0): 1},
