@@ -43,7 +43,6 @@ from .pims import (
     cj_lhs,
     cj_rhs,
     cj_table,
-    gk_truncated_character,
     induced_socle_multiplicity,
     jantzen_identity_check,
     theorem45a_socle_check,

@@ -94,8 +94,13 @@ def _resolve_data_path(path):
 
 
 def _load_json(path):
+    """The JSON document in path; CliError when it is not UTF-8 JSON, holds
+    an integer too long to convert or nests too deep to parse."""
     with open(_resolve_data_path(path), "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise CliError(f"{path}: {exc}") from None
 
 
 def build_config(args):
@@ -308,16 +313,12 @@ def render_character(chi, fmt, out):
 
 
 def render_table(table, fmt, out):
-    labels = table.col_labels
+    labels = table.labels
     if fmt == "json":
         doc = {
             "labels": [list(w) for w in labels],
-            "lhs": [
-                [table.lhs[(lam, mu)] for mu in labels] for lam in table.row_labels
-            ],
-            "rhs": [
-                [table.rhs[(lam, mu)] for mu in labels] for lam in table.row_labels
-            ],
+            "lhs": [[table.lhs[(lam, mu)] for mu in labels] for lam in labels],
+            "rhs": [[table.rhs[(lam, mu)] for mu in labels] for lam in labels],
             "mismatches": [
                 {"lambda": list(lam), "mu": list(mu), "lhs": a, "rhs": b}
                 for lam, mu, a, b in table.mismatches
@@ -330,7 +331,7 @@ def render_table(table, fmt, out):
         values = getattr(table, route)
         out.write(f"# route={route}\n")
         out.write("\t" + "\t".join(_weight_label(mu) for mu in labels) + "\n")
-        for lam in table.row_labels:
+        for lam in labels:
             cells = "\t".join(str(values[(lam, mu)]) for mu in labels)
             out.write(f"{_weight_label(lam)}\t{cells}\n")
 
@@ -422,36 +423,33 @@ def _lemma33(config):
     provider = _require(config, "provider", "decomposition data")
     qrdata = _require(config, "qrdata", "Q-hat data")
     rs = config.rs
-    restricted = rs.restricted_weights(config.p, config.r)
     nus = _dominant_grid(rs, 3)
     for sigma in _dominant_grid(rs, config.bound):
         chi = weyl_character(sigma, rs)
-        for lam in restricted:
-            for nu in nus:
-                record = pims.jantzen_identity_check(
-                    chi, lam, nu, config.p, config.r, provider, qrdata
-                )
-                label = (
-                    f"sigma={_weight_label(sigma)} lambda={_weight_label(lam)} "
-                    f"nu={_weight_label(nu)}"
-                )
-                yield label, record["lhs"], record["rhs"]
+        for lam, nu, lhs, rhs in pims.jantzen_identity_check(
+            chi, nus, config.p, config.r, provider, qrdata
+        ):
+            label = (
+                f"sigma={_weight_label(sigma)} lambda={_weight_label(lam)} "
+                f"nu={_weight_label(nu)}"
+            )
+            yield label, lhs, rhs
 
 
 def _thm41(config):
     table = _cj_table(config)
-    for lam, mu in itertools.product(table.row_labels, table.col_labels):
+    for lam, mu in itertools.product(table.labels, repeat=2):
         label = f"lambda={_weight_label(lam)} mu={_weight_label(mu)}"
         yield label, table.lhs[(lam, mu)], table.rhs[(lam, mu)]
 
 
 def _thm45a(config):
     provider = _require(config, "provider", "decomposition data")
-    restricted = config.rs.restricted_weights(config.p, config.r)
-    for lam, mu in itertools.product(restricted, repeat=2):
-        record = pims.theorem45a_socle_check(lam, mu, config.p, config.r, provider)
-        label = f"lambda={_weight_label(lam)} mu={_weight_label(mu)}"
-        yield label, record["lhs"], record["rhs"]
+    for lam in config.rs.restricted_weights(config.p, config.r):
+        for mu, lhs, rhs in pims.theorem45a_socle_check(
+            lam, config.p, config.r, provider
+        ):
+            yield f"lambda={_weight_label(lam)} mu={_weight_label(mu)}", lhs, rhs
 
 
 def _prop44delta(config):
@@ -549,7 +547,7 @@ def main(argv=None):
     except LiecharError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -9,6 +9,8 @@ digits, and every other row from the simple-basis expansion of chi(lam).
 
 from __future__ import annotations
 
+import math
+
 from .characters import Character, expand, frobenius_twist, weyl_character
 from .errors import (
     CoverageError,
@@ -18,7 +20,7 @@ from .errors import (
     strict_int,
     strict_int_tuple,
 )
-from .rootdata import CartanMatrix, RootSystem, root_system_of
+from .rootdata import MAX_WEYL_WEIGHTS, CartanMatrix, RootSystem, root_system_of
 
 
 def weight_digits(lam, p):
@@ -90,7 +92,9 @@ class DecompositionProvider:
         chi(lam) minus [nabla(lam) : L(mu)] ch L(mu) over mu < lam
         (CoverageError when the table lacks the row).  Otherwise the
         twisted tensor product of ch L(lam_i)^(i) over the base-p digits
-        lam_i of lam.
+        lam_i of lam, refused with LiecharError before any product when the
+        digit characters' support sizes multiply to more than
+        MAX_WEYL_WEIGHTS (that product bounds the support, exactly in rank 1).
         """
         lam = tuple(lam)
         cached = self._simple_cache.get(lam)
@@ -105,9 +109,15 @@ class DecompositionProvider:
                 if mu != lam:
                     chi = chi - mult * self.simple_character(mu)
         else:
+            factors = [self.simple_character(digit) for digit in digits]
+            if math.prod(len(f.support) for f in factors) > MAX_WEYL_WEIGHTS:
+                raise LiecharError(
+                    f"L{lam} is too large: its digit characters' supports "
+                    f"multiply to more than {MAX_WEYL_WEIGHTS} weights"
+                )
             chi = Character(self.rs.rank, {(0,) * self.rs.rank: 1})
-            for i, digit in enumerate(digits):
-                chi = chi * frobenius_twist(self.simple_character(digit), self.p, i)
+            for i, factor in enumerate(factors):
+                chi = chi * frobenius_twist(factor, self.p, i)
         self._simple_cache[lam] = chi
         return chi
 

@@ -1,10 +1,12 @@
 """Composition multiplicities over the finite group of Lie type.
 
 Restriction to the F_q-points is computed by recursive untwisting: base-p
-digits of a highest weight are regrouped so that Frobenius twists act with
-exponents reduced mod r, and the resulting product character is expanded
-again in the simple basis.  The recursion strictly decreases the pairing
-of the leading weight with rho, which guarantees termination.
+digits of a highest weight mu are regrouped so that Frobenius twists act
+with exponents reduced mod r, and the resulting product character is
+expanded again in the simple basis.  For mu not restricted, the product's
+top weight sum_i p^(i mod r) mu_i pairs with rho to less than mu does, and
+every weight of the product lies below that top weight in dominance, which
+can only lower the pairing; so the recursion terminates.
 """
 
 from __future__ import annotations
@@ -34,25 +36,19 @@ def finite_simple_multiplicities(mu, p, r, provider):
         result = {mu: 1}
     else:
         digits = weight_digits(mu, p)
+        top = tuple(
+            sum(p ** (i % r) * c for i, c in enumerate(column))
+            for column in zip(*digits)
+        )
+        if _rho_pairing(top, rs) >= _rho_pairing(mu, rs):
+            raise LiecharError(
+                f"untwisting failed to decrease weight {mu} (got {top})"
+            )
         untwisted = None
         for i, digit in enumerate(digits):
             factor = frobenius_twist(provider.simple_character(digit), p, i % r)
             untwisted = factor if untwisted is None else untwisted * factor
-        ceiling = _rho_pairing(mu, rs)
-        result = {}
-        for kappa, coeff in to_simple_basis(untwisted, provider).items():
-            if _rho_pairing(kappa, rs) >= ceiling:
-                raise LiecharError(
-                    f"untwisting failed to decrease weight {mu} (got {kappa})"
-                )
-            for lam, mult in finite_simple_multiplicities(
-                kappa, p, r, provider
-            ).items():
-                new = result.get(lam, 0) + coeff * mult
-                if new:
-                    result[lam] = new
-                else:
-                    del result[lam]
+        result = finite_composition_multiplicities(untwisted, p, r, provider)
     provider._finite_cache[key] = result
     return dict(result)
 

@@ -1,13 +1,12 @@
 """Injective-hull multiplicity calculus and the identity checks.
 
 Houses the q_r(lambda) characters, both sides of the Chastkofsky-Jantzen
-formula, Jantzen's basis identity, the bar-Q multiset, the truncated
-induced-filtration character, and the socle-multiplicity comparisons.
+formula, Jantzen's basis identity, the bar-Q multiset, and the
+socle-multiplicity comparisons.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from operator import add
 
@@ -235,14 +234,10 @@ def cj_rhs(lam, mu, p, r, provider):
 class MultiplicityTable:
     """Both routes of the Chastkofsky-Jantzen table over X_r x X_r."""
 
-    row_labels: list
-    col_labels: list
+    labels: list
     lhs: dict
     rhs: dict
     mismatches: list = field(default_factory=list)
-
-    def agrees(self):
-        return not self.mismatches
 
 
 def cj_table(p, r, provider, qrdata, method="simple_basis"):
@@ -259,21 +254,28 @@ def cj_table(p, r, provider, qrdata, method="simple_basis"):
             rhs[(lam, mu)] = right
             if left != right:
                 mismatches.append((lam, mu, left, right))
-    return MultiplicityTable(labels, labels, lhs, rhs, mismatches)
+    return MultiplicityTable(labels, lhs, rhs, mismatches)
 
 
-def jantzen_identity_check(chi, lam, nu, p, r, provider, qrdata):
+def jantzen_identity_check(chi, nus, p, r, provider, qrdata):
     """Both sides of [chi : chi_p(p^r nu + lam)]_G =
-    [chi . q_r(lambda*) : chi_p((p^r-1) rho + p^r nu)]_G."""
+    [chi . q_r(lambda*) : chi_p((p^r-1) rho + p^r nu)]_G, as one record
+    (lam, nu, lhs, rhs) per restricted lam and nu in nus, in that order.
+
+    chi is expanded once and chi . q_r(lambda*) once per lam, both fully:
+    chi comes in uncertified, so simple_multiplicity's shortcut, which
+    needs a W-invariant character, does not apply.
+    """
     rs = provider.rs
-    lam = tuple(lam)
-    nu = tuple(nu)
-    lhs_target = tuple(p**r * n + c for n, c in zip(nu, lam))
-    lhs = to_simple_basis(chi, provider).get(lhs_target, 0)
-    shifted = chi * qrdata.q(rs.dual_weight(lam))
-    rhs_target = tuple(s + p**r * n for s, n in zip(rs.steinberg_weight(p, r), nu))
-    rhs = to_simple_basis(shifted, provider).get(rhs_target, 0)
-    return {"lhs": lhs, "rhs": rhs}
+    st_weight = rs.steinberg_weight(p, r)
+    nus = [tuple(nu) for nu in nus]
+    coeffs = to_simple_basis(chi, provider)
+    for lam in rs.restricted_weights(p, r):
+        shifted = to_simple_basis(chi * qrdata.q(rs.dual_weight(lam)), provider)
+        for nu in nus:
+            lhs = coeffs.get(tuple(p**r * n + c for n, c in zip(nu, lam)), 0)
+            rhs = shifted.get(tuple(s + p**r * n for s, n in zip(st_weight, nu)), 0)
+            yield lam, nu, lhs, rhs
 
 
 def barq_multiplicities(lam, p, r, provider):
@@ -302,45 +304,18 @@ def induced_socle_multiplicity(mu, sigma, p, r, provider):
     return finite_composition_multiplicities(chi, p, r, provider).get(tuple(mu), 0)
 
 
-def gk_truncated_character(bound, p, r, rs):
-    """Character of the truncated induced-trivial filtration.
+def theorem45a_socle_check(lam, p, r, provider):
+    """Socle multiplicities of each restricted L(mu) on both sides of the
+    induced bar-Q identity, as one record (mu, lhs, rhs) per mu.
 
-    Sum over dominant lam with <lam, alpha_0^vee> <= bound of
-    chi(lam) . chi(lam*)^{(r)}, each section once.
-    """
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
-    total = Character(rs.rank)
-    for lam in _dominant_weights_with_pairing_at_most(bound, rs):
-        section = weyl_character(lam, rs) * frobenius_twist(
-            weyl_character(rs.dual_weight(lam), rs), p, r
-        )
-        total = total + section
-    return total
-
-
-def _dominant_weights_with_pairing_at_most(bound, rs):
-    coroot = rs.highest_short_coroot
-    box = [bound // m for m in coroot]
-    found = []
-    for lam in itertools.product(*(range(b + 1) for b in box)):
-        if sum(c * m for c, m in zip(lam, coroot)) <= bound:
-            found.append(tuple(lam))
-    return sorted(found)
-
-
-def theorem45a_socle_check(lam, mu, p, r, provider):
-    """Socle multiplicities of L(mu) on both sides of the induced bar-Q identity.
-
-    lhs goes through the bar-Q multiset and the induced-hull socle counts;
-    rhs is the direct tensor-decomposition sum.
+    lhs goes through the bar-Q multiset, built once per lam, and the
+    induced-hull socle counts; rhs is the direct tensor-decomposition sum.
     """
     lam = tuple(lam)
-    mu = tuple(mu)
     barq = barq_multiplicities(lam, p, r, provider)
-    lhs = sum(
-        count * induced_socle_multiplicity(mu_prime, mu, p, r, provider)
-        for mu_prime, count in barq.items()
-    )
-    rhs = cj_rhs(lam, mu, p, r, provider)
-    return {"lhs": lhs, "rhs": rhs}
+    for mu in provider.rs.restricted_weights(p, r):
+        lhs = sum(
+            count * induced_socle_multiplicity(mu_prime, mu, p, r, provider)
+            for mu_prime, count in barq.items()
+        )
+        yield mu, lhs, cj_rhs(lam, mu, p, r, provider)

@@ -25,12 +25,10 @@ from .errors import (
     strict_int_tuple,
 )
 
-#: A weight in fundamental-weight coordinates.
-Weight = tuple
-
 #: Largest set of weights built at once: the support of a Weyl character
-#: (characters.weyl_character), the restricted weights X_r, or the weight
-#: grid of a CLI sweep.
+#: (characters.weyl_character), the digit product bounding a non-restricted
+#: simple character (DecompositionProvider.simple_character), the
+#: restricted weights X_r, or the weight grid of a CLI sweep.
 MAX_WEYL_WEIGHTS = 10**6
 
 BUILTIN_CARTAN_MATRICES = {
@@ -193,8 +191,7 @@ class RootSystem:
     """Immutable root-system data derived from a Cartan matrix.
 
     Carries the positive roots, rho, the Weyl denominator (read-only
-    {w rho: sgn(w)}), the Coxeter number, the longest-element action and the
-    highest short coroot.  The last two assume an irreducible system.
+    {w rho: sgn(w)}) and the longest-element action.
     """
 
     def __init__(self, cartan):
@@ -208,11 +205,6 @@ class RootSystem:
         self._form = _form_matrix(adj, self.det, cartan.symmetrizer)
         self.rho = (1,) * self.rank
         self.positive_roots = self._generate_positive_roots()
-        self.highest_short_root = self._find_highest_short_root()
-        self.highest_short_coroot = self._coroot_pairing_vector(
-            self.highest_short_root
-        )
-        self.coxeter_number = sum(self.highest_short_coroot) + 1
         self._w0_word = self._compute_w0_word()
         self.weyl_denominator = MappingProxyType(self.signed_orbit(self.rho))
         self._weyl_char_cache = {}
@@ -249,27 +241,12 @@ class RootSystem:
         the least positive multiple that is integral on the weight lattice."""
         return sum(map(mul, x, (sum(map(mul, row, y)) for row in self._form)))
 
-    def _coroot_pairing_vector(self, root):
-        """m with <lam, root^vee> = sum_j lam_j * m_j, as integers."""
-        norm = self.bilinear(root, root)
-        pairs = [divmod(2 * sum(map(mul, row, root)), norm) for row in self._form]
-        if any(rest for _, rest in pairs):
-            raise NotFiniteTypeError(f"non-integral coroot for root {root}")
-        return tuple(value for value, _ in pairs)
-
     # -- derived structure ------------------------------------------------
 
     def _generate_positive_roots(self):
         roots = set().union(*map(self.weyl_orbit, self.cartan.entries))
         positive = [r for r in roots if all(c >= 0 for c in self.root_coords(r))]
         return tuple(sorted(positive))
-
-    def _find_highest_short_root(self):
-        norms = {root: self.bilinear(root, root) for root in self.positive_roots}
-        short = min(norms.values())
-        candidates = [r for r in self.positive_roots if norms[r] == short]
-        # The highest short root is the one of maximal height.
-        return max(candidates, key=lambda r: (sum(self.root_coords(r)), r))
 
     def _compute_w0_word(self):
         word = []
@@ -348,14 +325,6 @@ class RootSystem:
             )
         bound = p**r
         return [tuple(w) for w in itertools.product(range(bound), repeat=self.rank)]
-
-    def in_gamma_h(self, nu):
-        """True iff <nu, alpha_0^vee> < h, for dominant nu."""
-        self.check_rank(nu)
-        if not self.is_dominant(nu):
-            raise NonDominantError(f"weight {nu} is not dominant")
-        pairing = sum(c * m for c, m in zip(nu, self.highest_short_coroot))
-        return pairing < self.coxeter_number
 
     def dominant_weights_below(self, lam):
         """All dominant mu <= lam in dominance order (lam included)."""

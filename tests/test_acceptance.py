@@ -64,9 +64,7 @@ def routes_agree(p, r):
 
 def golden_rows(p, r):
     table = cj_table(p, r, provider_for(p), qrdata_for(p, r))
-    return [
-        [table.lhs[(lam, mu)] for mu in table.col_labels] for lam in table.row_labels
-    ]
+    return [[table.lhs[(lam, mu)] for mu in table.labels] for lam in table.labels]
 
 
 def test_criterion_01_steinberg_route_triangulation():
@@ -78,7 +76,7 @@ def test_criterion_02_cj_equality_on_restricted_square():
     ok = True
     for p, r in TABLE_CASES:
         table = cj_table(p, r, provider_for(p), qrdata_for(p, r))
-        ok = ok and table.agrees()
+        ok = ok and not table.mismatches
     report(2, "lhs equals rhs on the full restricted square", ok)
 
 
@@ -87,7 +85,7 @@ def test_criterion_03_golden_table_and_steinberg_row():
     for p, r in TABLE_CASES:
         table = cj_table(p, r, provider_for(p), qrdata_for(p, r))
         st_weight = (p**r - 1,)
-        for mu in table.col_labels:
+        for mu in table.labels:
             expected = 1 if mu == st_weight else 0
             ok = ok and table.lhs[(st_weight, mu)] == expected
     report(3, "golden table and Steinberg delta row", ok)
@@ -98,22 +96,21 @@ def test_criterion_04_identity_shift_sweep():
     for p in (3, 5):
         provider = provider_for(p)
         qrdata = qrdata_for(p, 1)
+        nus = [(nu,) for nu in range(4)]
         for sigma in range(4 * p + 1):
             chi = weyl_character((sigma,), provider.rs)
-            for lam in range(p):
-                for nu in range(4):
-                    record = jantzen_identity_check(
-                        chi, (lam,), (nu,), p, 1, provider, qrdata
-                    )
-                    ok = ok and record["lhs"] == record["rhs"]
+            records = list(jantzen_identity_check(chi, nus, p, 1, provider, qrdata))
+            ok = ok and len(records) == p * len(nus)
+            ok = ok and all(lhs == rhs for _, _, lhs, rhs in records)
     report(4, "basis-shift identity sweep", ok)
 
 
 def test_criterion_05_socle_comparison_sweep():
     ok = True
-    for lam, mu in itertools.product(range(3), repeat=2):
-        record = theorem45a_socle_check((lam,), (mu,), 3, 1, provider_for(3))
-        ok = ok and record["lhs"] == record["rhs"]
+    for lam in range(3):
+        records = list(theorem45a_socle_check((lam,), 3, 1, provider_for(3)))
+        ok = ok and len(records) == 3
+        ok = ok and all(lhs == rhs for _, lhs, rhs in records)
     report(5, "socle multiplicities agree on the restricted square", ok)
 
 
@@ -180,8 +177,8 @@ def test_criterion_09_widening_invariance(monkeypatch):
         return (
             [golden_rows(p, r) for p, r in TABLE_CASES],
             [
-                theorem45a_socle_check((lam,), (mu,), 3, 1, provider_for(3))
-                for lam, mu in itertools.product(range(3), repeat=2)
+                list(theorem45a_socle_check((lam,), 3, 1, provider_for(3)))
+                for lam in range(3)
             ],
             [barq_multiplicities((lam,), 3, 1, provider_for(3)) for lam in range(3)],
             rank_two_routes(),
@@ -191,7 +188,7 @@ def test_criterion_09_widening_invariance(monkeypatch):
     calls = use_wide_box(monkeypatch)
     ok = all(routes_agree(p, r) for p in (2, 3, 5, 7) for r in (1, 2))
     for p, r in TABLE_CASES:
-        ok = ok and cj_table(p, r, provider_for(p), qrdata_for(p, r)).agrees()
+        ok = ok and not cj_table(p, r, provider_for(p), qrdata_for(p, r)).mismatches
     ok = ok and results() == narrow
     ok = ok and oracle_covers(calls)
     report(9, "box widening changes no result", ok)

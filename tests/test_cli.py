@@ -150,13 +150,22 @@ class TestInputErrors:
         assert "decomposition data required: supply --decomp-data" in err
 
     def test_corrupted_json(self, capsys, tmp_path):
-        bad = tmp_path / "broken.json"
-        bad.write_text("{not json")
-        code, _, err = run(
-            capsys, ["char", "--decomp-data", str(bad), "weyl(1)"]
-        )
-        assert code == 2
-        assert "error" in err
+        # Invalid JSON, bytes that are not UTF-8, an integer past the
+        # conversion limit of 4300 digits, and nesting too deep to parse.
+        contents = [
+            b"{not json",
+            b'{"type": "A1"}\xff',
+            b'{"p": ' + b"1" * 5000 + b"}",
+            b"[" * 10**5 + b"]" * 10**5,
+        ]
+        for i, content in enumerate(contents):
+            bad = tmp_path / f"broken{i}.json"
+            bad.write_bytes(content)
+            for flag in ("--cartan", "--decomp-data", "--qhat-data"):
+                code, out, err = run(capsys, ["char", flag, str(bad), "weyl(1)"])
+                assert code == 2, (content[:20], flag)
+                assert out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_invalid_decomposition_data(self, capsys, tmp_path):
         doc = a2_p2_document()
@@ -499,6 +508,7 @@ class TestSizeLimits:
             (["cj-table", "-p", "2", "-r", "40"], "2^40-restricted weights"),
             (["verify", "thm45a", "-p", "2", "-r", "40"], "2^40-restricted weights"),
             (["verify", "prop31", "-p", "2", "--bound", "100000000"], "sweep grid"),
+            (["char", "-p", "3", "simple(100000000000000000000)"], "is too large"),
         ],
     )
     def test_refused_with_exit_2(self, argv, message):
@@ -615,17 +625,13 @@ class TestVerifyCommand:
 
 
 def off_by_one(monkeypatch, owner, name, when):
-    """Patch owner.name to add one to its value (to the "rhs" of a record)
-    on the calls where when(*args, **kwargs) holds."""
+    """Patch owner.name to add one to its value on the calls where
+    when(*args, **kwargs) holds."""
     fn = getattr(owner, name)
 
     def shifted(*args, **kwargs):
         value = fn(*args, **kwargs)
-        if not when(*args, **kwargs):
-            return value
-        if isinstance(value, dict):
-            return {**value, "rhs": value["rhs"] + 1}
-        return value + 1
+        return value + 1 if when(*args, **kwargs) else value
 
     monkeypatch.setattr(owner, name, shifted)
 
@@ -653,10 +659,13 @@ class TestVerifyMismatchLines:
         )
 
     def test_lemma33(self, capsys, monkeypatch):
-        def nu_two(chi, lam, nu, *args):
-            return nu == (2,)
+        check = pims.jantzen_identity_check
 
-        off_by_one(monkeypatch, pims, "jantzen_identity_check", nu_two)
+        def rhs_off_at_nu_two(*args):
+            for lam, nu, lhs, rhs in check(*args):
+                yield lam, nu, lhs, rhs + (nu == (2,))
+
+        monkeypatch.setattr(pims, "jantzen_identity_check", rhs_off_at_nu_two)
         code, out, _ = run(capsys, ["verify", "lemma33", "-p", "2", "--bound", "0"])
         assert code == 1
         assert out == (

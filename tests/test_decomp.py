@@ -2,6 +2,7 @@ import copy
 import functools
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from liechar import (
     LiecharError,
     NonDominantError,
     NonInvariantError,
+    decomp,
     load_decomposition_data,
     to_simple_basis,
     weyl_character,
@@ -102,6 +104,17 @@ class TestSimpleCharacter:
             coeffs = to_weyl_basis(prov3.simple_character((m,)), prov3.rs)
             assert coeffs[(m,)] == 1
             assert all(n <= m for (n,) in coeffs)
+
+    @pytest.mark.parametrize("lam", [(4,), (26,), (80,)])
+    def test_size_bound_counts_every_weight(self, lam):
+        # In rank 1 the digit characters' support sizes multiply to exactly
+        # the support size of L(lam): the limit one below refuses it.
+        size = len(DecompositionProvider.builtin_sl2(3).simple_character(lam).support)
+        with mock.patch.object(decomp, "MAX_WEYL_WEIGHTS", size - 1):
+            with pytest.raises(LiecharError, match="is too large"):
+                DecompositionProvider.builtin_sl2(3).simple_character(lam)
+        with mock.patch.object(decomp, "MAX_WEYL_WEIGHTS", size):
+            DecompositionProvider.builtin_sl2(3).simple_character(lam)
 
     @pytest.mark.parametrize("lam", [(1, 1), (3, 3)])
     def test_coverage_gap_reports_weight(self, lam):

@@ -115,6 +115,21 @@ class TestFiniteCompositionMultiplicities:
             )
             assert total == chi.dimension()
 
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_dimension_bookkeeping_rank_two(self, r):
+        # The same on A2 at p = 2, where untwisting multiplies characters
+        # whose weights have multiplicities, for every simple L(mu) with
+        # mu <= (7, 7) coordinatewise.
+        provider = load_decomposition_data(a2_p2_document())
+        for mu in itertools.product(range(8), repeat=2):
+            mults = finite_simple_multiplicities(mu, 2, r, provider)
+            assert all(v >= 0 for v in mults.values()), mu
+            total = sum(
+                v * provider.simple_character(lam).dimension()
+                for lam, v in mults.items()
+            )
+            assert total == provider.simple_character(mu).dimension(), mu
+
     def test_keys_are_restricted(self, prov3):
         chi = weyl_character((17,), prov3.rs)
         for (m,) in finite_composition_multiplicities(chi, 3, 1, prov3):

@@ -5,7 +5,6 @@ import pytest
 from liechar import (
     DataValidationError,
     LiecharError,
-    NonDominantError,
     NotFiniteTypeError,
     RankMismatchError,
 )
@@ -70,30 +69,15 @@ class TestBuildRootSystem:
         assert rs_a1.rank == 1
         assert rs_a1.positive_roots == ((2,),)
         assert rs_a1.rho == (1,)
-        assert rs_a1.coxeter_number == 2
 
     def test_a2(self, rs_a2):
         assert len(rs_a2.positive_roots) == 3
-        assert rs_a2.coxeter_number == 3
 
     def test_b2(self, rs_b2):
         assert len(rs_b2.positive_roots) == 4
-        assert rs_b2.coxeter_number == 4
 
     def test_g2(self, rs_g2):
         assert len(rs_g2.positive_roots) == 6
-        assert rs_g2.coxeter_number == 6
-
-    @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN_MATRICES))
-    def test_coxeter_number_from_rho(self, name):
-        rs = RootSystem(CartanMatrix.builtin(name))
-        pairing = sum(c * m for c, m in zip(rs.rho, rs.highest_short_coroot))
-        assert rs.coxeter_number == pairing + 1
-
-    @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN_MATRICES))
-    def test_positive_root_count(self, name):
-        rs = RootSystem(CartanMatrix.builtin(name))
-        assert len(rs.positive_roots) == rs.coxeter_number * rs.rank // 2
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN_MATRICES))
     def test_w0_is_involution(self, name):
@@ -221,20 +205,6 @@ class TestRestrictedWeights:
 
     def test_steinberg_weight(self, rs_g2):
         assert rs_g2.steinberg_weight(3, 2) == (8, 8)
-
-
-class TestGammaH:
-    def test_a1(self, rs_a1):
-        assert rs_a1.in_gamma_h((1,))
-        assert not rs_a1.in_gamma_h((2,))
-
-    def test_a2_rho(self, rs_a2):
-        # <rho, alpha_0^vee> = h - 1 = 2 < 3.
-        assert rs_a2.in_gamma_h((1, 1))
-
-    def test_rejects_non_dominant(self, rs_a2):
-        with pytest.raises(NonDominantError):
-            rs_a2.in_gamma_h((-1, 0))
 
 
 class TestWeylDimension:
