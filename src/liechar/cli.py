@@ -365,13 +365,9 @@ def cmd_char(config, expression, out=None):
 
 
 def _cj_table(config):
-    return pims.cj_table(
-        config.p,
-        config.r,
-        _require(config, "provider", "decomposition data"),
-        _require(config, "qrdata", "Q-hat data"),
-        method=config.method,
-    )
+    provider = _require(config, "provider", "decomposition data")
+    qrdata = _require(config, "qrdata", "Q-hat data")
+    return pims.cj_table(provider, qrdata, config.method)
 
 
 def cmd_cj_table(config, out=None):
@@ -407,13 +403,12 @@ def _route_agreement(route):
 
     def sweep(config):
         provider = _require(config, "provider", "decomposition data")
-        p, r = config.p, config.r
         for lam in _dominant_grid(config.rs, config.bound):
             chi = weyl_character(lam, config.rs)
             yield (
                 f"lambda={_weight_label(lam)}",
-                steinberg_multiplicity(chi, p, r, provider, method="direct"),
-                steinberg_multiplicity(chi, p, r, provider, method=route),
+                steinberg_multiplicity(chi, config.r, provider, "direct"),
+                steinberg_multiplicity(chi, config.r, provider, route),
             )
 
     return sweep
@@ -427,7 +422,7 @@ def _lemma33(config):
     for sigma in _dominant_grid(rs, config.bound):
         chi = weyl_character(sigma, rs)
         for lam, nu, lhs, rhs in pims.jantzen_identity_check(
-            chi, nus, config.p, config.r, provider, qrdata
+            chi, nus, provider, qrdata
         ):
             label = (
                 f"sigma={_weight_label(sigma)} lambda={_weight_label(lam)} "
@@ -446,9 +441,7 @@ def _thm41(config):
 def _thm45a(config):
     provider = _require(config, "provider", "decomposition data")
     for lam in config.rs.restricted_weights(config.p, config.r):
-        for mu, lhs, rhs in pims.theorem45a_socle_check(
-            lam, config.p, config.r, provider
-        ):
+        for mu, lhs, rhs in pims.theorem45a_socle_check(lam, config.r, provider):
             yield f"lambda={_weight_label(lam)} mu={_weight_label(mu)}", lhs, rhs
 
 
@@ -456,7 +449,7 @@ def _prop44delta(config):
     provider = _require(config, "provider", "decomposition data")
     restricted = config.rs.restricted_weights(config.p, config.r)
     for mu, sigma in itertools.product(restricted, repeat=2):
-        value = pims.induced_socle_multiplicity(mu, sigma, config.p, config.r, provider)
+        value = pims.induced_socle_multiplicity(mu, sigma, config.r, provider)
         label = f"mu={_weight_label(mu)} sigma={_weight_label(sigma)}"
         yield label, value, int(mu == sigma)
 

@@ -1,5 +1,6 @@
 """Composition multiplicities over the finite group of Lie type.
 
+The prime p is the decomposition provider's, so q = provider.p^r.
 Restriction to the F_q-points is computed by recursive untwisting: base-p
 digits of a highest weight mu are regrouped so that Frobenius twists act
 with exponents reduced mod r, and the resulting product character is
@@ -19,18 +20,14 @@ from .decomp import simple_multiplicity, to_simple_basis, weight_digits
 from .errors import LiecharError
 
 
-def _rho_pairing(weight, rs):
-    return rs.bilinear(weight, rs.rho)
-
-
-def finite_simple_multiplicities(mu, p, r, provider):
+def finite_simple_multiplicities(mu, r, provider):
     """[L(mu) : L(lam)]_{G(F_q)} as a map over restricted lam."""
     mu = tuple(mu)
     key = (r, mu)
     cached = provider._finite_cache.get(key)
     if cached is not None:
         return dict(cached)
-    rs = provider.rs
+    rs, p = provider.rs, provider.p
     bound = p**r
     if all(0 <= c < bound for c in mu):
         result = {mu: 1}
@@ -40,7 +37,7 @@ def finite_simple_multiplicities(mu, p, r, provider):
             sum(p ** (i % r) * c for i, c in enumerate(column))
             for column in zip(*digits)
         )
-        if _rho_pairing(top, rs) >= _rho_pairing(mu, rs):
+        if rs.bilinear(top, rs.rho) >= rs.bilinear(mu, rs.rho):
             raise LiecharError(
                 f"untwisting failed to decrease weight {mu} (got {top})"
             )
@@ -48,16 +45,19 @@ def finite_simple_multiplicities(mu, p, r, provider):
         for i, digit in enumerate(digits):
             factor = frobenius_twist(provider.simple_character(digit), p, i % r)
             untwisted = factor if untwisted is None else untwisted * factor
-        result = finite_composition_multiplicities(untwisted, p, r, provider)
+        result = finite_composition_multiplicities(untwisted, r, provider)
     provider._finite_cache[key] = result
     return dict(result)
 
 
-def finite_composition_multiplicities(chi, p, r, provider):
+def finite_composition_multiplicities(chi, r, provider):
     """[chi : L(lam)]_{G(F_q)} over restricted lam, for W-invariant chi."""
     result = {}
     for mu, coeff in to_simple_basis(chi, provider).items():
-        for lam, mult in finite_simple_multiplicities(mu, p, r, provider).items():
+        # r and provider by keyword: perfbench/tracer.py reads them by name
+        # when they are not at positions 2 and 3.
+        mults = finite_simple_multiplicities(mu, r=r, provider=provider)
+        for lam, mult in mults.items():
             new = result.get(lam, 0) + coeff * mult
             if new:
                 result[lam] = new
@@ -110,7 +110,7 @@ def nu_bound(chi, p, r, rs):
     return contributing_nus(leads, rs.steinberg_weight(p, r), p, r, rs)
 
 
-def steinberg_nu_sum(chi, nus, p, r, provider, method):
+def steinberg_nu_sum(chi, nus, r, provider, method):
     """sum over nu in nus of [chi . M(nu) : M(t)]_G, t = (p^r-1) rho + p^r nu.
 
     good_filtration: M is the Weyl character chi(nu) (provider-free).  By
@@ -127,7 +127,7 @@ def steinberg_nu_sum(chi, nus, p, r, provider, method):
     contributing_nus on any weights that each weight of chi lies below one
     of (cj_lhs uses the factor leads of its product).
     """
-    rs = provider.rs
+    rs, p = provider.rs, provider.p
     st_weight = rs.steinberg_weight(p, r)
     total = 0
     if method == "good_filtration":
@@ -147,7 +147,7 @@ def steinberg_nu_sum(chi, nus, p, r, provider, method):
     raise ValueError(f"unknown method {method!r}")
 
 
-def steinberg_multiplicity(chi, p, r, provider, method="simple_basis"):
+def steinberg_multiplicity(chi, r, provider, method):
     """[chi : St_r]_{G(F_q)} by one of three independent routes.
 
     direct: value of the finite composition multiplicities at (p^r-1) rho.
@@ -156,10 +156,10 @@ def steinberg_multiplicity(chi, p, r, provider, method="simple_basis"):
     in its simple-basis expansion, the other two in nu_bound.
     """
     if method == "direct":
-        st_weight = provider.rs.steinberg_weight(p, r)
-        return finite_composition_multiplicities(chi, p, r, provider).get(st_weight, 0)
-    nus = nu_bound(chi, p, r, provider.rs)
-    return steinberg_nu_sum(chi, nus, p, r, provider, method)
+        st_weight = provider.rs.steinberg_weight(provider.p, r)
+        return finite_composition_multiplicities(chi, r, provider).get(st_weight, 0)
+    nus = nu_bound(chi, provider.p, r, provider.rs)
+    return steinberg_nu_sum(chi, nus, r, provider, method)
 
 
 STEINBERG_METHODS = ("direct", "good_filtration", "simple_basis")

@@ -2,7 +2,8 @@
 
 Houses the q_r(lambda) characters, both sides of the Chastkofsky-Jantzen
 formula, Jantzen's basis identity, the bar-Q multiset, and the
-socle-multiplicity comparisons.
+socle-multiplicity comparisons.  The prime p is the decomposition
+provider's and, where Q-hat data is read, r is the QrData's: q = provider.p^r.
 """
 
 from __future__ import annotations
@@ -180,7 +181,18 @@ class QrData:
         return cls(rs, p, r, qhat_chars)
 
 
-def cj_lhs(lam, mu, p, r, provider, qrdata, method="simple_basis"):
+def _paired_p_r(provider, qrdata):
+    """qrdata's (p, r); DataValidationError, naming both, unless qrdata is
+    for provider's Cartan matrix and prime."""
+    if (qrdata.p, qrdata.rs.cartan) != (provider.p, provider.rs.cartan):
+        raise DataValidationError(
+            f"Q-hat data is for p={qrdata.p}, {qrdata.rs.cartan!r}; decomposition "
+            f"data is for p={provider.p}, {provider.rs.cartan!r}"
+        )
+    return qrdata.p, qrdata.r
+
+
+def cj_lhs(lam, mu, provider, qrdata, method):
     """[Q-hat_r(lambda) : U_r(mu)] = [chi_p(mu) . q_r(lambda*) : St_r]_{G(F_q)}.
 
     The two nu-sum routes bound nu by the factors' leads rather than by
@@ -194,6 +206,7 @@ def cj_lhs(lam, mu, p, r, provider, qrdata, method="simple_basis"):
     nu.  The direct route is the independent check of the other two, so it
     forms the product on every cell and never reads the leads.
     """
+    p, r = _paired_p_r(provider, qrdata)
     rs = provider.rs
     mu = tuple(mu)
     dual = rs.dual_weight(tuple(lam))
@@ -204,17 +217,17 @@ def cj_lhs(lam, mu, p, r, provider, qrdata, method="simple_basis"):
         nus = contributing_nus(leads, rs.steinberg_weight(p, r), p, r, rs)
         if not nus:
             return 0
-        return steinberg_nu_sum(chi_mu * qrdata.q(dual), nus, p, r, provider, method)
-    return steinberg_multiplicity(chi_mu * qrdata.q(dual), p, r, provider, method)
+        return steinberg_nu_sum(chi_mu * qrdata.q(dual), nus, r, provider, method)
+    return steinberg_multiplicity(chi_mu * qrdata.q(dual), r, provider, method)
 
 
-def cj_rhs(lam, mu, p, r, provider):
+def cj_rhs(lam, mu, r, provider):
     """sum over nu of [L(mu) x L(nu) : L(lambda + p^r nu)]_G.
 
     The simple-basis expansion of L(mu) x L(nu) does not depend on lambda or
     r, so it is memoized on the provider and read, never handed out.
     """
-    rs = provider.rs
+    rs, p = provider.rs, provider.p
     lam = tuple(lam)
     mu = tuple(mu)
     total = 0
@@ -240,16 +253,16 @@ class MultiplicityTable:
     mismatches: list = field(default_factory=list)
 
 
-def cj_table(p, r, provider, qrdata, method="simple_basis"):
+def cj_table(provider, qrdata, method):
     """Assemble both CJ routes for every (lambda, mu) pair of restricted weights."""
-    labels = provider.rs.restricted_weights(p, r)
+    labels = provider.rs.restricted_weights(qrdata.p, qrdata.r)
     lhs = {}
     rhs = {}
     mismatches = []
     for lam in labels:
         for mu in labels:
-            left = cj_lhs(lam, mu, p, r, provider, qrdata, method=method)
-            right = cj_rhs(lam, mu, p, r, provider)
+            left = cj_lhs(lam, mu, provider, qrdata, method)
+            right = cj_rhs(lam, mu, qrdata.r, provider)
             lhs[(lam, mu)] = left
             rhs[(lam, mu)] = right
             if left != right:
@@ -257,7 +270,7 @@ def cj_table(p, r, provider, qrdata, method="simple_basis"):
     return MultiplicityTable(labels, lhs, rhs, mismatches)
 
 
-def jantzen_identity_check(chi, nus, p, r, provider, qrdata):
+def jantzen_identity_check(chi, nus, provider, qrdata):
     """Both sides of [chi : chi_p(p^r nu + lam)]_G =
     [chi . q_r(lambda*) : chi_p((p^r-1) rho + p^r nu)]_G, as one record
     (lam, nu, lhs, rhs) per restricted lam and nu in nus, in that order.
@@ -266,6 +279,7 @@ def jantzen_identity_check(chi, nus, p, r, provider, qrdata):
     chi comes in uncertified, so simple_multiplicity's shortcut, which
     needs a W-invariant character, does not apply.
     """
+    p, r = _paired_p_r(provider, qrdata)
     rs = provider.rs
     st_weight = rs.steinberg_weight(p, r)
     nus = [tuple(nu) for nu in nus]
@@ -278,12 +292,11 @@ def jantzen_identity_check(chi, nus, p, r, provider, qrdata):
             yield lam, nu, lhs, rhs
 
 
-def barq_multiplicities(lam, p, r, provider):
+def barq_multiplicities(lam, r, provider):
     """The PIM exponents defining bar-Q_r(lambda); zero entries dropped."""
-    rs = provider.rs
     result = {}
-    for mu in rs.restricted_weights(p, r):
-        value = cj_rhs(lam, mu, p, r, provider)
+    for mu in provider.rs.restricted_weights(provider.p, r):
+        value = cj_rhs(lam, mu, r, provider)
         if value:
             result[mu] = value
     return result
@@ -297,25 +310,26 @@ def split_restricted(sigma, p, r):
     return sigma0, sigma1
 
 
-def induced_socle_multiplicity(mu, sigma, p, r, provider):
+def induced_socle_multiplicity(mu, sigma, r, provider):
     """Number of I(sigma) summands in the induced injective hull of L(mu)."""
-    sigma0, sigma1 = split_restricted(tuple(sigma), p, r)
+    sigma0, sigma1 = split_restricted(tuple(sigma), provider.p, r)
     chi = provider.simple_character(sigma0) * provider.simple_character(sigma1)
-    return finite_composition_multiplicities(chi, p, r, provider).get(tuple(mu), 0)
+    return finite_composition_multiplicities(chi, r, provider).get(tuple(mu), 0)
 
 
-def theorem45a_socle_check(lam, p, r, provider):
+def theorem45a_socle_check(lam, r, provider):
     """Socle multiplicities of each restricted L(mu) on both sides of the
     induced bar-Q identity, as one record (mu, lhs, rhs) per mu.
 
     lhs goes through the bar-Q multiset, built once per lam, and the
-    induced-hull socle counts; rhs is the direct tensor-decomposition sum.
+    induced-hull socle counts; rhs is the direct tensor-decomposition sum
+    cj_rhs(lam, mu), which the multiset already holds (0 where dropped).
     """
     lam = tuple(lam)
-    barq = barq_multiplicities(lam, p, r, provider)
-    for mu in provider.rs.restricted_weights(p, r):
+    barq = barq_multiplicities(lam, r, provider)
+    for mu in provider.rs.restricted_weights(provider.p, r):
         lhs = sum(
-            count * induced_socle_multiplicity(mu_prime, mu, p, r, provider)
+            count * induced_socle_multiplicity(mu_prime, mu, r, provider)
             for mu_prime, count in barq.items()
         )
-        yield mu, lhs, cj_rhs(lam, mu, p, r, provider)
+        yield mu, lhs, barq.get(mu, 0)

@@ -54,16 +54,16 @@ def routes_agree(p, r):
     provider = provider_for(p)
     for m in range(4 * p**r + 1):
         chi = weyl_character((m,), provider.rs)
-        reference = steinberg_multiplicity(chi, p, r, provider=provider, method="direct")
+        reference = steinberg_multiplicity(chi, r, provider=provider, method="direct")
         for method in ("good_filtration", "simple_basis"):
-            value = steinberg_multiplicity(chi, p, r, provider=provider, method=method)
+            value = steinberg_multiplicity(chi, r, provider=provider, method=method)
             if value != reference:
                 return False
     return True
 
 
 def golden_rows(p, r):
-    table = cj_table(p, r, provider_for(p), qrdata_for(p, r))
+    table = cj_table(provider_for(p), qrdata_for(p, r), "simple_basis")
     return [[table.lhs[(lam, mu)] for mu in table.labels] for lam in table.labels]
 
 
@@ -75,7 +75,7 @@ def test_criterion_01_steinberg_route_triangulation():
 def test_criterion_02_cj_equality_on_restricted_square():
     ok = True
     for p, r in TABLE_CASES:
-        table = cj_table(p, r, provider_for(p), qrdata_for(p, r))
+        table = cj_table(provider_for(p), qrdata_for(p, r), "simple_basis")
         ok = ok and not table.mismatches
     report(2, "lhs equals rhs on the full restricted square", ok)
 
@@ -83,7 +83,7 @@ def test_criterion_02_cj_equality_on_restricted_square():
 def test_criterion_03_golden_table_and_steinberg_row():
     ok = golden_rows(3, 1) == [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
     for p, r in TABLE_CASES:
-        table = cj_table(p, r, provider_for(p), qrdata_for(p, r))
+        table = cj_table(provider_for(p), qrdata_for(p, r), "simple_basis")
         st_weight = (p**r - 1,)
         for mu in table.labels:
             expected = 1 if mu == st_weight else 0
@@ -99,7 +99,7 @@ def test_criterion_04_identity_shift_sweep():
         nus = [(nu,) for nu in range(4)]
         for sigma in range(4 * p + 1):
             chi = weyl_character((sigma,), provider.rs)
-            records = list(jantzen_identity_check(chi, nus, p, 1, provider, qrdata))
+            records = list(jantzen_identity_check(chi, nus, provider, qrdata))
             ok = ok and len(records) == p * len(nus)
             ok = ok and all(lhs == rhs for _, _, lhs, rhs in records)
     report(4, "basis-shift identity sweep", ok)
@@ -108,7 +108,7 @@ def test_criterion_04_identity_shift_sweep():
 def test_criterion_05_socle_comparison_sweep():
     ok = True
     for lam in range(3):
-        records = list(theorem45a_socle_check((lam,), 3, 1, provider_for(3)))
+        records = list(theorem45a_socle_check((lam,), 1, provider_for(3)))
         ok = ok and len(records) == 3
         ok = ok and all(lhs == rhs for _, lhs, rhs in records)
     report(5, "socle multiplicities agree on the restricted square", ok)
@@ -116,11 +116,11 @@ def test_criterion_05_socle_comparison_sweep():
 
 def test_criterion_06_induced_socle_delta_and_spot():
     provider = provider_for(3)
-    ok = induced_socle_multiplicity((2,), (8,), 3, 1, provider) == 2
+    ok = induced_socle_multiplicity((2,), (8,), 1, provider) == 2
     for mu in range(3):
         for sigma in range(3):
             expected = 1 if mu == sigma else 0
-            value = induced_socle_multiplicity((mu,), (sigma,), 3, 1, provider)
+            value = induced_socle_multiplicity((mu,), (sigma,), 1, provider)
             ok = ok and value == expected
     report(6, "induced-socle delta property and spot value", ok)
 
@@ -165,7 +165,7 @@ def rank_two_routes():
     provider = load_decomposition_data(a2_p2_document())
     return [
         steinberg_multiplicity(
-            weyl_character(lam, provider.rs), 2, 1, provider=provider, method=method
+            weyl_character(lam, provider.rs), 1, provider=provider, method=method
         )
         for lam in itertools.product(range(7), repeat=2)
         for method in ("good_filtration", "simple_basis")
@@ -177,10 +177,10 @@ def test_criterion_09_widening_invariance(monkeypatch):
         return (
             [golden_rows(p, r) for p, r in TABLE_CASES],
             [
-                list(theorem45a_socle_check((lam,), 3, 1, provider_for(3)))
+                list(theorem45a_socle_check((lam,), 1, provider_for(3)))
                 for lam in range(3)
             ],
-            [barq_multiplicities((lam,), 3, 1, provider_for(3)) for lam in range(3)],
+            [barq_multiplicities((lam,), 1, provider_for(3)) for lam in range(3)],
             rank_two_routes(),
         )
 
@@ -188,7 +188,8 @@ def test_criterion_09_widening_invariance(monkeypatch):
     calls = use_wide_box(monkeypatch)
     ok = all(routes_agree(p, r) for p in (2, 3, 5, 7) for r in (1, 2))
     for p, r in TABLE_CASES:
-        ok = ok and not cj_table(p, r, provider_for(p), qrdata_for(p, r)).mismatches
+        table = cj_table(provider_for(p), qrdata_for(p, r), "simple_basis")
+        ok = ok and not table.mismatches
     ok = ok and results() == narrow
     ok = ok and oracle_covers(calls)
     report(9, "box widening changes no result", ok)

@@ -647,7 +647,7 @@ class TestVerifyMismatchLines:
         "target, route", [("prop31", "good_filtration"), ("prop32", "simple_basis")]
     )
     def test_route_agreement(self, capsys, monkeypatch, target, route):
-        def route_at_chi_one(chi, *args, method="simple_basis", **kwargs):
+        def route_at_chi_one(chi, r, provider, method):
             return method == route and chi.dimension() == 2
 
         off_by_one(monkeypatch, cli, "steinberg_multiplicity", route_at_chi_one)

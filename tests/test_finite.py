@@ -91,15 +91,15 @@ def oracle_covers(calls):
 class TestFiniteCompositionMultiplicities:
     def test_weyl_three(self, prov3):
         chi = weyl_character((3,), prov3.rs)
-        assert finite_composition_multiplicities(chi, 3, 1, prov3) == {(1,): 2}
+        assert finite_composition_multiplicities(chi, 1, prov3) == {(1,): 2}
 
     def test_weyl_four(self, prov3):
         chi = weyl_character((4,), prov3.rs)
-        assert finite_composition_multiplicities(chi, 3, 1, prov3) == {(2,): 1, (0,): 2}
+        assert finite_composition_multiplicities(chi, 1, prov3) == {(2,): 1, (0,): 2}
 
     def test_restricted_simple(self, prov3):
         chi = weyl_character((2,), prov3.rs)
-        assert finite_composition_multiplicities(chi, 3, 1, prov3) == {(2,): 1}
+        assert finite_composition_multiplicities(chi, 1, prov3) == {(2,): 1}
 
     @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (3, 2)])
     def test_dimension_bookkeeping(self, p, r):
@@ -107,7 +107,7 @@ class TestFiniteCompositionMultiplicities:
         provider = DecompositionProvider.builtin_sl2(p)
         for m in range(3 * p**r):
             chi = weyl_character((m,), provider.rs)
-            mults = finite_composition_multiplicities(chi, p, r, provider)
+            mults = finite_composition_multiplicities(chi, r, provider)
             assert all(v >= 0 for v in mults.values())
             total = sum(
                 v * provider.simple_character(lam).dimension()
@@ -122,7 +122,7 @@ class TestFiniteCompositionMultiplicities:
         # mu <= (7, 7) coordinatewise.
         provider = load_decomposition_data(a2_p2_document())
         for mu in itertools.product(range(8), repeat=2):
-            mults = finite_simple_multiplicities(mu, 2, r, provider)
+            mults = finite_simple_multiplicities(mu, r, provider)
             assert all(v >= 0 for v in mults.values()), mu
             total = sum(
                 v * provider.simple_character(lam).dimension()
@@ -132,26 +132,36 @@ class TestFiniteCompositionMultiplicities:
 
     def test_keys_are_restricted(self, prov3):
         chi = weyl_character((17,), prov3.rs)
-        for (m,) in finite_composition_multiplicities(chi, 3, 1, prov3):
+        for (m,) in finite_composition_multiplicities(chi, 1, prov3):
             assert 0 <= m < 3
 
 
 class TestUntwisting:
     def test_single_twist_drops(self, prov3):
         # L(3) = L(1)^{(1)} restricts to L(1) over F_3.
-        assert finite_simple_multiplicities((3,), 3, 1, prov3) == {(1,): 1}
+        assert finite_simple_multiplicities((3,), 1, prov3) == {(1,): 1}
 
     def test_twist_reduced_mod_r(self):
         provider = DecompositionProvider.builtin_sl2(2)
         # L(4) = L(1)^{(2)}; over F_4 the square of Frobenius is trivial.
-        assert finite_simple_multiplicities((4,), 2, 2, provider) == {(1,): 1}
+        assert finite_simple_multiplicities((4,), 2, provider) == {(1,): 1}
 
     def test_p3_r2(self):
         provider = DecompositionProvider.builtin_sl2(3)
-        assert finite_simple_multiplicities((9,), 3, 2, provider) == {(1,): 1}
+        assert finite_simple_multiplicities((9,), 2, provider) == {(1,): 1}
 
     def test_restricted_is_delta(self, prov3):
-        assert finite_simple_multiplicities((2,), 3, 1, prov3) == {(2,): 1}
+        assert finite_simple_multiplicities((2,), 1, prov3) == {(2,): 1}
+
+    def test_cache_shared_across_r(self):
+        # L(5) = L(2) x L(1)^{(1)} = L(3) + 2 L(1) over F_3, and L(3) gives
+        # one more L(1); over F_9, 5 is restricted.  The memo is keyed by
+        # (r, mu) alone, since p is the provider's.
+        provider = DecompositionProvider.builtin_sl2(3)
+        assert finite_simple_multiplicities((5,), 2, provider) == {(5,): 1}
+        assert finite_simple_multiplicities((5,), 1, provider) == {(1,): 3}
+        assert finite_simple_multiplicities((5,), 2, provider) == {(5,): 1}
+        assert set(provider._finite_cache) >= {(1, (5,)), (2, (5,))}
 
 
 class TestNuBound:
@@ -227,17 +237,17 @@ class TestSteinbergMultiplicity:
     def test_steinberg_itself(self, prov3):
         chi = weyl_character((2,), prov3.rs)
         for method in STEINBERG_METHODS:
-            assert steinberg_multiplicity(chi, 3, 1, provider=prov3, method=method) == 1
+            assert steinberg_multiplicity(chi, 1, provider=prov3, method=method) == 1
 
     def test_chi_four(self, prov3):
         chi = weyl_character((4,), prov3.rs)
         for method in STEINBERG_METHODS:
-            assert steinberg_multiplicity(chi, 3, 1, provider=prov3, method=method) == 1
+            assert steinberg_multiplicity(chi, 1, provider=prov3, method=method) == 1
 
     def test_chi_three(self, prov3):
         chi = weyl_character((3,), prov3.rs)
         for method in STEINBERG_METHODS:
-            assert steinberg_multiplicity(chi, 3, 1, provider=prov3, method=method) == 0
+            assert steinberg_multiplicity(chi, 1, provider=prov3, method=method) == 0
 
     @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2)])
     def test_route_agreement_grid(self, p, r):
@@ -246,7 +256,7 @@ class TestSteinbergMultiplicity:
             chi = weyl_character((m,), provider.rs)
             values = {
                 method: steinberg_multiplicity(
-                    chi, p, r, provider=provider, method=method
+                    chi, r, provider=provider, method=method
                 )
                 for method in STEINBERG_METHODS
             }
@@ -259,17 +269,17 @@ class TestSteinbergMultiplicity:
                 a = weyl_character((rng.randrange(9),), prov3.rs)
                 b = weyl_character((rng.randrange(9),), prov3.rs)
                 sep = steinberg_multiplicity(
-                    a, 3, 1, provider=prov3, method=method
-                ) + steinberg_multiplicity(b, 3, 1, provider=prov3, method=method)
+                    a, 1, provider=prov3, method=method
+                ) + steinberg_multiplicity(b, 1, provider=prov3, method=method)
                 joint = steinberg_multiplicity(
-                    a + b, 3, 1, provider=prov3, method=method
+                    a + b, 1, provider=prov3, method=method
                 )
                 assert joint == sep
 
     def test_virtual_input_accepted(self, prov3):
         chi = weyl_character((4,), prov3.rs) - weyl_character((2,), prov3.rs)
         for method in STEINBERG_METHODS:
-            assert steinberg_multiplicity(chi, 3, 1, provider=prov3, method=method) == 0
+            assert steinberg_multiplicity(chi, 1, provider=prov3, method=method) == 0
 
     def test_twisted_steinberg_tensor(self, prov3):
         # St_1 x nabla(nu)^{(1)}: the three routes must agree on these too.
@@ -277,7 +287,7 @@ class TestSteinbergMultiplicity:
         for nu in range(4):
             chi = st * frobenius_twist(weyl_character((nu,), prov3.rs), 3, 1)
             values = {
-                method: steinberg_multiplicity(chi, 3, 1, provider=prov3, method=method)
+                method: steinberg_multiplicity(chi, 1, provider=prov3, method=method)
                 for method in STEINBERG_METHODS
             }
             assert len(set(values.values())) == 1
@@ -289,14 +299,14 @@ class TestSteinbergMultiplicity:
             chi = weyl_character(lam, provider.rs)
             for method in STEINBERG_METHODS:
                 assert (
-                    steinberg_multiplicity(chi, 2, 1, provider=provider, method=method)
+                    steinberg_multiplicity(chi, 1, provider=provider, method=method)
                     == expected
                 ), (lam, method)
 
     def test_unknown_method(self, prov3):
         with pytest.raises(ValueError):
             steinberg_multiplicity(
-                weyl_character((2,), prov3.rs), 3, 1, provider=prov3, method="magic"
+                weyl_character((2,), prov3.rs), 1, provider=prov3, method="magic"
             )
 
     def test_every_route_rejects_non_invariant_input(self, prov3):
@@ -305,7 +315,7 @@ class TestSteinbergMultiplicity:
         chi = Character(1, {(1,): 1})
         for method in STEINBERG_METHODS:
             with pytest.raises(NonInvariantError):
-                steinberg_multiplicity(chi, 3, 1, provider=prov3, method=method)
+                steinberg_multiplicity(chi, 1, provider=prov3, method=method)
 
 
 @pytest.fixture(scope="module")
@@ -313,9 +323,9 @@ def a2_p2_provider():
     return load_decomposition_data(a2_p2_document())
 
 
-def route_values(chi, p, r, provider):
+def route_values(chi, r, provider):
     return {
-        method: steinberg_multiplicity(chi, p, r, provider=provider, method=method)
+        method: steinberg_multiplicity(chi, r, provider=provider, method=method)
         for method in STEINBERG_METHODS
     }
 
@@ -332,7 +342,7 @@ class TestRouteAgreementProperty:
         rs, chi = case
         if times_steinberg:
             chi = chi * steinberg_character(rs, 3, r)
-        values = route_values(chi, 3, r, prov3)
+        values = route_values(chi, r, prov3)
         assert len(set(values.values())) == 1, values
 
     @settings(PROPERTY, max_examples=25)
@@ -341,5 +351,5 @@ class TestRouteAgreementProperty:
         rs, chi = case
         if times_steinberg:
             chi = chi * steinberg_character(rs, 2, 1)
-        values = route_values(chi, 2, 1, a2_p2_provider)
+        values = route_values(chi, 1, a2_p2_provider)
         assert len(set(values.values())) == 1, values

@@ -387,7 +387,7 @@ def test_good_filtration_route_matches_reference(p, r, case, times_steinberg):
     if times_steinberg:
         chi = chi * steinberg_character(rs, p, r)
     provider = DecompositionProvider(rs, p, {})
-    value = steinberg_multiplicity(chi, p, r, provider, method="good_filtration")
+    value = steinberg_multiplicity(chi, r, provider, method="good_filtration")
     assert value == reference_good_filtration(chi, p, r, rs)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import re
@@ -22,6 +23,7 @@ from liechar import (
     cli,
     finite,
     induced_socle_multiplicity,
+    pims,
     jantzen_identity_check,
     steinberg_character,
     steinberg_multiplicity,
@@ -223,26 +225,26 @@ class TestQrData:
 
 class TestChastkofskyJantzen:
     def test_lhs_row_lambda_zero(self, prov3, qr3):
-        values = [cj_lhs((0,), (m,), 3, 1, prov3, qr3) for m in range(3)]
+        values = [cj_lhs((0,), (m,), prov3, qr3, "simple_basis") for m in range(3)]
         assert values == [1, 0, 1]
 
     def test_rhs_row_lambda_zero(self, prov3):
-        values = [cj_rhs((0,), (m,), 3, 1, prov3) for m in range(3)]
+        values = [cj_rhs((0,), (m,), 1, prov3) for m in range(3)]
         assert values == [1, 0, 1]
 
     def test_rhs_row_lambda_one(self, prov3):
-        values = [cj_rhs((1,), (m,), 3, 1, prov3) for m in range(3)]
+        values = [cj_rhs((1,), (m,), 1, prov3) for m in range(3)]
         assert values == [0, 1, 0]
 
     def test_golden_table_p3(self, prov3, qr3):
-        table = cj_table(3, 1, prov3, qr3)
+        table = cj_table(prov3, qr3, "simple_basis")
         assert not table.mismatches
         rows = [[table.lhs[(lam, mu)] for mu in table.labels] for lam in table.labels]
         assert rows == [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
 
     def test_golden_table_p2(self):
         provider = DecompositionProvider.builtin_sl2(2)
-        table = cj_table(2, 1, provider, QrData.builtin_sl2(2, 1))
+        table = cj_table(provider, QrData.builtin_sl2(2, 1), "simple_basis")
         assert not table.mismatches
         rows = [[table.lhs[(lam, mu)] for mu in table.labels] for lam in table.labels]
         assert rows == [[1, 1], [0, 1]]
@@ -254,17 +256,17 @@ class TestChastkofskyJantzen:
         st_weight = (p**r - 1,)
         for mu in provider.rs.restricted_weights(p, r):
             expected = 1 if mu == st_weight else 0
-            assert cj_lhs(st_weight, mu, p, r, provider, qrdata) == expected
-            assert cj_rhs(st_weight, mu, p, r, provider) == expected
+            assert cj_lhs(st_weight, mu, provider, qrdata, "simple_basis") == expected
+            assert cj_rhs(st_weight, mu, r, provider) == expected
 
     def test_method_flag(self, prov3, qr3):
         for method in ("direct", "good_filtration", "simple_basis"):
-            assert cj_lhs((0,), (2,), 3, 1, prov3, qr3, method=method) == 1
+            assert cj_lhs((0,), (2,), prov3, qr3, method) == 1
 
     def test_widening_changes_nothing(self, prov3, qr3, monkeypatch):
         def both_sides():
             return [
-                (cj_rhs(lam, mu, 3, 1, prov3), cj_lhs(lam, mu, 3, 1, prov3, qr3))
+                (cj_rhs(lam, mu, 1, prov3), cj_lhs(lam, mu, prov3, qr3, "simple_basis"))
                 for lam, mu in itertools.product([(0,), (1,), (2,)], repeat=2)
             ]
 
@@ -305,12 +307,12 @@ class TestZeroCells:
         for mu in rs.restricted_weights(p, r):
             chi = provider.simple_character(mu) * q
             values = {
-                method: cj_lhs((0,), mu, p, r, provider, qrdata, method=method)
+                method: cj_lhs((0,), mu, provider, qrdata, method)
                 for method in STEINBERG_METHODS
             }
             assert values == {
                 method: steinberg_multiplicity(
-                    chi, p, r, provider=provider, method=method
+                    chi, r, provider=provider, method=method
                 )
                 for method in STEINBERG_METHODS
             }, mu
@@ -324,7 +326,7 @@ class TestZeroCells:
     def test_direct_route_never_reads_leads(self, monkeypatch):
         provider = DecompositionProvider.builtin_sl2(3)
         qrdata = QrData.builtin_sl2(3, 2)
-        before = cj_table(3, 2, provider, qrdata, method="direct")
+        before = cj_table(provider, qrdata, "direct")
         assert not before.mismatches
 
         def leads(self, lam):
@@ -332,7 +334,7 @@ class TestZeroCells:
 
         monkeypatch.setattr(QrData, "leads", leads)
         fresh = DecompositionProvider.builtin_sl2(3)
-        after = cj_table(3, 2, fresh, qrdata, method="direct")
+        after = cj_table(fresh, qrdata, "direct")
         assert after == before
 
     def test_nu_sum_routes_never_call_nu_bound(self, monkeypatch):
@@ -340,14 +342,14 @@ class TestZeroCells:
         # the product would be wasted work on every nonzero cell.
         qrdata = QrData.builtin_sl2(3, 2)
         new_provider = DecompositionProvider.builtin_sl2
-        direct = cj_table(3, 2, new_provider(3), qrdata, method="direct")
+        direct = cj_table(new_provider(3), qrdata, "direct")
 
         def nu_bound(*args):
             raise AssertionError("cj_lhs called nu_bound")
 
         monkeypatch.setattr(finite, "nu_bound", nu_bound)
         for method in ("simple_basis", "good_filtration"):
-            table = cj_table(3, 2, new_provider(3), qrdata, method=method)
+            table = cj_table(new_provider(3), qrdata, method)
             assert table == direct, method
 
     def test_leads(self, qr3):
@@ -370,12 +372,10 @@ class TestTensorCache:
         labels = provider_for().rs.restricted_weights(self.P, r)
         cells = list(itertools.product(labels, repeat=2))
         return {
-            "cj_rhs": [cj_rhs(lam, mu, self.P, r, provider_for()) for lam, mu in cells],
-            "barq": [
-                barq_multiplicities(lam, self.P, r, provider_for()) for lam in labels
-            ],
+            "cj_rhs": [cj_rhs(lam, mu, r, provider_for()) for lam, mu in cells],
+            "barq": [barq_multiplicities(lam, r, provider_for()) for lam in labels],
             "thm45a": [
-                list(theorem45a_socle_check(lam, self.P, r, provider_for()))
+                list(theorem45a_socle_check(lam, r, provider_for()))
                 for lam in labels
             ],
         }
@@ -389,13 +389,11 @@ class TestTensorCache:
 
     def test_no_cached_dict_is_handed_out(self):
         provider = DecompositionProvider.builtin_sl2(self.P)
-        first = barq_multiplicities((0,), self.P, 2, provider)
+        first = barq_multiplicities((0,), 2, provider)
         assert all(first is not coeffs for coeffs in provider._tensor_cache.values())
         first.clear()
-        assert barq_multiplicities((0,), self.P, 2, provider) == (
-            barq_multiplicities(
-                (0,), self.P, 2, DecompositionProvider.builtin_sl2(self.P)
-            )
+        assert barq_multiplicities((0,), 2, provider) == (
+            barq_multiplicities((0,), 2, DecompositionProvider.builtin_sl2(self.P))
         )
         for (mu, nu), coeffs in provider._tensor_cache.items():
             product = provider.simple_character(mu) * provider.simple_character(nu)
@@ -406,9 +404,7 @@ def jantzen_records(chi, nus, provider, qrdata):
     """(lam, nu) -> (lhs, rhs) of jantzen_identity_check at p = 3, r = 1."""
     return {
         (lam, nu): (lhs, rhs)
-        for lam, nu, lhs, rhs in jantzen_identity_check(
-            chi, nus, 3, 1, provider, qrdata
-        )
+        for lam, nu, lhs, rhs in jantzen_identity_check(chi, nus, provider, qrdata)
     }
 
 
@@ -433,7 +429,7 @@ class TestJantzenIdentity:
         nus = [(nu,) for nu in range(3)]
         for sigma in range(9):
             chi = weyl_character((sigma,), prov3.rs)
-            records = list(jantzen_identity_check(chi, nus, 3, 1, prov3, qr3))
+            records = list(jantzen_identity_check(chi, nus, prov3, qr3))
             assert [(lam, nu) for lam, nu, _, _ in records] == list(
                 itertools.product([(0,), (1,), (2,)], nus)
             )
@@ -443,13 +439,13 @@ class TestJantzenIdentity:
 
 class TestBarQ:
     def test_rows_p3(self, prov3):
-        assert barq_multiplicities((0,), 3, 1, prov3) == {(0,): 1, (2,): 1}
-        assert barq_multiplicities((1,), 3, 1, prov3) == {(1,): 1}
-        assert barq_multiplicities((2,), 3, 1, prov3) == {(2,): 1}
+        assert barq_multiplicities((0,), 1, prov3) == {(0,): 1, (2,): 1}
+        assert barq_multiplicities((1,), 1, prov3) == {(1,): 1}
+        assert barq_multiplicities((2,), 1, prov3) == {(2,): 1}
 
     def test_total_positive(self, prov3):
         for lam in range(3):
-            assert sum(barq_multiplicities((lam,), 3, 1, prov3).values()) >= 1
+            assert sum(barq_multiplicities((lam,), 1, prov3).values()) >= 1
 
 
 class TestInducedSocle:
@@ -458,18 +454,18 @@ class TestInducedSocle:
         assert split_restricted((5, 7), 2, 1) == ((1, 1), (2, 3))
 
     def test_restricted_delta(self, prov3):
-        assert induced_socle_multiplicity((2,), (2,), 3, 1, prov3) == 1
-        assert induced_socle_multiplicity((0,), (2,), 3, 1, prov3) == 0
+        assert induced_socle_multiplicity((2,), (2,), 1, prov3) == 1
+        assert induced_socle_multiplicity((0,), (2,), 1, prov3) == 0
 
     def test_spot_value(self, prov3):
-        assert induced_socle_multiplicity((2,), (8,), 3, 1, prov3) == 2
+        assert induced_socle_multiplicity((2,), (8,), 1, prov3) == 2
 
     def test_delta_sweep(self, prov3):
         for mu in range(3):
             for sigma in range(3):
                 expected = 1 if mu == sigma else 0
                 assert (
-                    induced_socle_multiplicity((mu,), (sigma,), 3, 1, prov3)
+                    induced_socle_multiplicity((mu,), (sigma,), 1, prov3)
                     == expected
                 )
 
@@ -477,7 +473,7 @@ class TestInducedSocle:
 def socle_records(lam, provider):
     """mu -> (lhs, rhs) of theorem45a_socle_check at p = 3, r = 1."""
     return {
-        mu: (lhs, rhs) for mu, lhs, rhs in theorem45a_socle_check(lam, 3, 1, provider)
+        mu: (lhs, rhs) for mu, lhs, rhs in theorem45a_socle_check(lam, 1, provider)
     }
 
 
@@ -489,7 +485,63 @@ class TestTheorem45a:
 
     def test_sweep_p3(self, prov3):
         for lam in range(3):
-            records = list(theorem45a_socle_check((lam,), 3, 1, prov3))
+            records = list(theorem45a_socle_check((lam,), 1, prov3))
             assert [mu for mu, _, _ in records] == [(0,), (1,), (2,)]
             for mu, lhs, rhs in records:
                 assert lhs == rhs, (lam, mu)
+
+    @pytest.mark.parametrize("p, r", [(3, 1), (2, 2), (5, 2)])
+    def test_one_cj_rhs_per_mu(self, monkeypatch, p, r):
+        # rhs is read from the bar-Q multiset, which holds cj_rhs(lam, mu)
+        # for every restricted mu: |X_r| calls per lam, not twice that.
+        provider = DecompositionProvider.builtin_sl2(p)
+        restricted = provider.rs.restricted_weights(p, r)
+        calls = []
+        cj_rhs = pims.cj_rhs
+
+        def counted(lam, mu, *args):
+            calls.append((lam, mu))
+            return cj_rhs(lam, mu, *args)
+
+        monkeypatch.setattr(pims, "cj_rhs", counted)
+        for lam in restricted[:3]:
+            calls.clear()
+            records = list(theorem45a_socle_check(lam, r, provider))
+            assert sorted(calls) == [(lam, mu) for mu in restricted]
+            assert [rhs for _, _, rhs in records] == [
+                cj_rhs(lam, mu, r, provider) for mu in restricted
+            ]
+
+
+class TestDataPairing:
+    """p comes from the provider and r from the Q-hat data; the functions
+    that read both refuse a pair for different primes or Cartan matrices."""
+
+    def mismatched_calls(self, provider, qrdata):
+        chi = weyl_character((0,) * provider.rs.rank, provider.rs)
+        return [
+            lambda: cj_table(provider, qrdata, "direct"),
+            lambda: cj_lhs((0,) * qrdata.rs.rank, (0,), provider, qrdata, "direct"),
+            lambda: list(jantzen_identity_check(chi, [], provider, qrdata)),
+        ]
+
+    def test_other_prime(self, prov3):
+        qr5 = QrData.builtin_sl2(5, 1)
+        for call in self.mismatched_calls(prov3, qr5):
+            with pytest.raises(DataValidationError, match="p=5.*p=3"):
+                call()
+
+    def test_other_cartan_matrix(self, qr3):
+        provider = DecompositionProvider(RootSystem(CartanMatrix.builtin("A2")), 3, {})
+        for call in self.mismatched_calls(provider, qr3):
+            with pytest.raises(DataValidationError, match=r"\[\[2\]\].*\[\[2, -1\]"):
+                call()
+
+    @pytest.mark.parametrize("module", [finite, pims], ids=["finite", "pims"])
+    def test_one_source_for_each_value(self, module):
+        for name, fn in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(fn):
+                continue
+            params = inspect.signature(fn).parameters
+            assert not {"provider", "p"} <= set(params), name
+            assert not {"qrdata", "r"} <= set(params), name
