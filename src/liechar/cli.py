@@ -356,11 +356,10 @@ def _check_printable(chi):
         ) from None
 
 
-def cmd_char(config, expression, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_char(config, expression):
     chi = evaluate_expression(expression, config)
     _check_printable(chi)
-    render_character(chi, config.fmt, out)
+    render_character(chi, config.fmt, sys.stdout)
     return EXIT_OK
 
 
@@ -370,10 +369,9 @@ def _cj_table(config):
     return pims.cj_table(provider, qrdata, config.method)
 
 
-def cmd_cj_table(config, out=None):
-    out = out if out is not None else sys.stdout
+def cmd_cj_table(config):
     table = _cj_table(config)
-    render_table(table, config.fmt, out)
+    render_table(table, config.fmt, sys.stdout)
     if table.mismatches:
         for lam, mu, left, right in table.mismatches:
             print(
@@ -465,12 +463,7 @@ VERIFY_TARGETS = {
 }
 
 
-def cmd_verify(config, target, out=None):
-    out = out if out is not None else sys.stdout
-    if target not in VERIFY_TARGETS:
-        raise CliError(
-            f"unknown verify target {target!r}; known: {', '.join(VERIFY_TARGETS)}"
-        )
+def cmd_verify(config, target):
     sweep, left, right = VERIFY_TARGETS[target]
     print(f"verify {target}: running", file=sys.stderr)
     start = time.monotonic()
@@ -482,8 +475,8 @@ def cmd_verify(config, target, out=None):
             mismatches.append(f"mismatch {label} {left}={a} {right}={b}\n")
     elapsed = time.monotonic() - start
     print(f"verify {target}: {elapsed:.2f}s", file=sys.stderr)
-    out.write(f"target={target} checks={checks} mismatches={len(mismatches)}\n")
-    out.writelines(mismatches)
+    print(f"target={target} checks={checks} mismatches={len(mismatches)}")
+    sys.stdout.writelines(mismatches)
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 

@@ -623,6 +623,14 @@ class TestVerifyCommand:
         assert "running" in err
         assert "verify" not in out
 
+    def test_unknown_target_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "nope"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'nope'" in captured.err
+
 
 def off_by_one(monkeypatch, owner, name, when):
     """Patch owner.name to add one to its value on the calls where
