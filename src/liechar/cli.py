@@ -415,13 +415,9 @@ def _route_agreement(route):
 def _lemma33(config):
     provider = _require(config, "provider", "decomposition data")
     qrdata = _require(config, "qrdata", "Q-hat data")
-    rs = config.rs
-    nus = _dominant_grid(rs, 3)
-    for sigma in _dominant_grid(rs, config.bound):
-        chi = weyl_character(sigma, rs)
-        for lam, nu, lhs, rhs in pims.jantzen_identity_check(
-            chi, nus, provider, qrdata
-        ):
+    for sigma in _dominant_grid(config.rs, config.bound):
+        chi = weyl_character(sigma, config.rs)
+        for lam, nu, lhs, rhs in pims.jantzen_identity_check(chi, provider, qrdata):
             label = (
                 f"sigma={_weight_label(sigma)} lambda={_weight_label(lam)} "
                 f"nu={_weight_label(nu)}"

@@ -1,51 +1,55 @@
 """Composition multiplicities over the finite group of Lie type.
 
 The prime p is the decomposition provider's, so q = provider.p^r.
-Restriction to the F_q-points is computed by recursive untwisting: base-p
-digits of a highest weight mu are regrouped so that Frobenius twists act
-with exponents reduced mod r, and the resulting product character is
-expanded again in the simple basis.  For mu not restricted, the product's
-top weight sum_i p^(i mod r) mu_i pairs with rho to less than mu does, and
-every weight of the product lies below that top weight in dominance, which
-can only lower the pairing; so the recursion terminates.
+Restriction to G(F_q) has one rule.  By Steinberg's tensor product theorem
+(Jantzen, RAGS II.3.17) L(mu) is the tensor product of L(mu_k)^[q^k] over
+the base-q digits mu_k of mu, and F^r acts trivially on G(F_q), so
+L(mu)|_{G(F_q)} is the restriction of the product of the q-restricted
+L(mu_k).  That product is expanded again in the simple basis.  For mu not
+q-restricted, its top weight sum_k mu_k pairs with rho to less than mu
+does, and every weight of the product lies below that top weight in
+dominance, which can only lower the pairing; so the recursion terminates.
+By Frobenius reciprocity the number of I(sigma) summands in the induced
+injective hull of L(mu) is [L(sigma) : L(mu)]_{G(F_q)}, one lookup here
+(pims.induced_socle_multiplicity).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from operator import add, sub
+from operator import add, mul, sub
 
-from .characters import frobenius_twist, leading_dominant_weights, to_weyl_basis
+from .characters import leading_dominant_weights, to_weyl_basis
 from .decomp import simple_multiplicity, to_simple_basis, weight_digits
 from .errors import LiecharError
 
 
 def finite_simple_multiplicities(mu, r, provider):
-    """[L(mu) : L(lam)]_{G(F_q)} as a map over restricted lam."""
+    """[L(mu) : L(lam)]_{G(F_q)} as a map over q-restricted lam.
+
+    The simple-basis expansion of the product of ch L(mu_k) over the base-q
+    digits mu_k of mu (see the module docstring); {mu: 1} when mu is
+    q-restricted.  simple_character refuses a digit character too large to
+    build, with LiecharError.
+    """
     mu = tuple(mu)
     key = (r, mu)
     cached = provider._finite_cache.get(key)
     if cached is not None:
         return dict(cached)
-    rs, p = provider.rs, provider.p
-    bound = p**r
-    if all(0 <= c < bound for c in mu):
+    rs = provider.rs
+    digits = weight_digits(mu, provider.p**r)
+    if len(digits) == 1:
         result = {mu: 1}
     else:
-        digits = weight_digits(mu, p)
-        top = tuple(
-            sum(p ** (i % r) * c for i, c in enumerate(column))
-            for column in zip(*digits)
-        )
+        top = tuple(map(sum, zip(*digits)))
         if rs.bilinear(top, rs.rho) >= rs.bilinear(mu, rs.rho):
             raise LiecharError(
                 f"untwisting failed to decrease weight {mu} (got {top})"
             )
-        untwisted = None
-        for i, digit in enumerate(digits):
-            factor = frobenius_twist(provider.simple_character(digit), p, i % r)
-            untwisted = factor if untwisted is None else untwisted * factor
-        result = finite_composition_multiplicities(untwisted, r, provider)
+        product = functools.reduce(mul, map(provider.simple_character, digits))
+        result = finite_composition_multiplicities(product, r, provider)
     provider._finite_cache[key] = result
     return dict(result)
 

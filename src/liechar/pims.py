@@ -31,7 +31,7 @@ from .errors import (
 )
 from .finite import (
     contributing_nus,
-    finite_composition_multiplicities,
+    finite_simple_multiplicities,
     steinberg_multiplicity,
     steinberg_nu_sum,
 )
@@ -270,26 +270,39 @@ def cj_table(provider, qrdata, method):
     return MultiplicityTable(labels, lhs, rhs, mismatches)
 
 
-def jantzen_identity_check(chi, nus, provider, qrdata):
+def jantzen_identity_check(chi, provider, qrdata):
     """Both sides of [chi : chi_p(p^r nu + lam)]_G =
     [chi . q_r(lambda*) : chi_p((p^r-1) rho + p^r nu)]_G, as one record
-    (lam, nu, lhs, rhs) per restricted lam and nu in nus, in that order.
+    (lam, nu, lhs, rhs) per cell where either side is nonzero: restricted
+    lam in order, nu sorted within each lam.  A cell left out has 0 on both
+    sides.
 
-    chi is expanded once and chi . q_r(lambda*) once per lam, both fully:
-    chi comes in uncertified, so simple_multiplicity's shortcut, which
-    needs a W-invariant character, does not apply.
+    The cells are read off the two expansions: a coefficient of chi at w is
+    the lhs of (lam, nu) = (w mod q, w div q), and one of chi . q_r(lambda*)
+    at (q-1) rho + q nu is the rhs of (lam, nu).  chi is expanded once and
+    chi . q_r(lambda*) once per lam, both fully: chi comes in uncertified,
+    so simple_multiplicity's shortcut, which needs a W-invariant character,
+    does not apply.
     """
     p, r = _paired_p_r(provider, qrdata)
     rs = provider.rs
+    q = p**r
     st_weight = rs.steinberg_weight(p, r)
-    nus = [tuple(nu) for nu in nus]
-    coeffs = to_simple_basis(chi, provider)
+    lhs_cells = {}
+    for w, c in to_simple_basis(chi, provider).items():
+        lam = tuple(x % q for x in w)
+        lhs_cells.setdefault(lam, {})[tuple(x // q for x in w)] = c
     for lam in rs.restricted_weights(p, r):
+        lhs = lhs_cells.get(lam, {})
+        rhs = {}
         shifted = to_simple_basis(chi * qrdata.q(rs.dual_weight(lam)), provider)
-        for nu in nus:
-            lhs = coeffs.get(tuple(p**r * n + c for n, c in zip(nu, lam)), 0)
-            rhs = shifted.get(tuple(s + p**r * n for s, n in zip(st_weight, nu)), 0)
-            yield lam, nu, lhs, rhs
+        for w, c in shifted.items():
+            # w is dominant, so w = (q-1) rho mod q gives nu >= 0.
+            nu, rest = zip(*(divmod(x - s, q) for x, s in zip(w, st_weight)))
+            if not any(rest):
+                rhs[nu] = c
+        for nu in sorted(lhs.keys() | rhs.keys()):
+            yield lam, nu, lhs.get(nu, 0), rhs.get(nu, 0)
 
 
 def barq_multiplicities(lam, r, provider):
@@ -302,19 +315,15 @@ def barq_multiplicities(lam, r, provider):
     return result
 
 
-def split_restricted(sigma, p, r):
-    """sigma = sigma_0 + p^r sigma_1 with sigma_0 restricted, coordinatewise."""
-    bound = p**r
-    sigma0 = tuple(c % bound for c in sigma)
-    sigma1 = tuple(c // bound for c in sigma)
-    return sigma0, sigma1
-
-
 def induced_socle_multiplicity(mu, sigma, r, provider):
-    """Number of I(sigma) summands in the induced injective hull of L(mu)."""
-    sigma0, sigma1 = split_restricted(tuple(sigma), provider.p, r)
-    chi = provider.simple_character(sigma0) * provider.simple_character(sigma1)
-    return finite_composition_multiplicities(chi, r, provider).get(tuple(mu), 0)
+    """Number of I(sigma) summands in the induced injective hull of L(mu).
+
+    By Frobenius reciprocity it is [L(sigma) : L(mu)]_{G(F_q)}, read off
+    finite_simple_multiplicities(sigma) and memoized there.
+    """
+    # r and provider by keyword, as in finite_composition_multiplicities.
+    mults = finite_simple_multiplicities(sigma, r=r, provider=provider)
+    return mults.get(tuple(mu), 0)
 
 
 def theorem45a_socle_check(lam, r, provider):

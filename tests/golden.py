@@ -16,6 +16,9 @@ instead of exhausting the machine's memory.
 ``tests/data/bad_a1_p3.json`` gives nabla(6) = L(6) + L(2) + L(0) at p = 3.
 The row has the right dimension (3 + 3 + 1 = 7) and is unitriangular, but is
 wrong: nabla(6) = L(6) + L(4).  Loading it must exit 2.
+``tests/data/bad_a1_p5.json`` gives nabla(3) = L(3) + L(1) at p = 5, where
+nabla(3) = L(3).  It loads, since only restricted rows are given, and the
+routes that read it must disagree: those entries exit 1.
 """
 
 import hashlib

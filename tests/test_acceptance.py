@@ -31,6 +31,7 @@ from liechar.finite import STEINBERG_METHODS
 
 from test_decomp import a2_p2_document
 from test_finite import oracle_covers, use_wide_box
+from test_pims import grid_records
 
 TABLE_CASES = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 
@@ -96,11 +97,14 @@ def test_criterion_04_identity_shift_sweep():
     for p in (3, 5):
         provider = provider_for(p)
         qrdata = qrdata_for(p, 1)
-        nus = [(nu,) for nu in range(4)]
+        # Every nonzero cell of chi(sigma), sigma <= 4p, has nu <= 4.
+        nus = [(nu,) for nu in range(6)]
         for sigma in range(4 * p + 1):
             chi = weyl_character((sigma,), provider.rs)
-            records = list(jantzen_identity_check(chi, nus, provider, qrdata))
-            ok = ok and len(records) == p * len(nus)
+            records = list(jantzen_identity_check(chi, provider, qrdata))
+            grid = grid_records(chi, nus, provider, qrdata)
+            ok = ok and records == [rec for rec in grid if rec[2] or rec[3]]
+            ok = ok and bool(records)
             ok = ok and all(lhs == rhs for _, _, lhs, rhs in records)
     report(4, "basis-shift identity sweep", ok)
 

@@ -11,6 +11,8 @@ from liechar import LiecharError, QrData, cli, pims
 from test_decomp import a1_p3_nabla6_document, a2_p2_document
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# A1 at p = 5 with the wrong row nabla(3) = L(3) + L(1); the true row is L(3).
+BAD_A1_P5 = os.path.join(os.path.dirname(SRC), "tests", "data", "bad_a1_p5.json")
 
 
 def run(capsys, argv):
@@ -478,6 +480,21 @@ class TestCjTableCommand:
         assert out == ""
         assert err.startswith("error: row (6,)") and err.count("\n") == 1
 
+    def test_wrong_row_mismatch_exits_1(self, capsys):
+        # The file loads, so the table is printed in full; the one cell where
+        # the routes disagree goes to stderr.
+        argv = ["cj-table", "-p", "5", "--decomp-data", BAD_A1_P5]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        labels = "\t0\t1\t2\t3\t4\n"
+        assert out == (
+            "# route=lhs\n" + labels + "0\t1\t0\t0\t0\t1\n1\t0\t1\t0\t-1\t0\n"
+            "2\t0\t0\t1\t0\t0\n3\t0\t0\t0\t1\t0\n4\t0\t0\t0\t0\t1\n"
+            "# route=rhs\n" + labels + "0\t1\t0\t0\t0\t1\n1\t0\t1\t0\t0\t0\n"
+            "2\t0\t0\t1\t0\t0\n3\t0\t0\t0\t1\t0\n4\t0\t0\t0\t0\t1\n"
+        )
+        assert err == "mismatch at (lambda=1, mu=3): lhs=-1 rhs=0 method=simple_basis\n"
+
     @pytest.mark.parametrize("p, r", [(3, 2), (5, 2)])
     def test_file_of_restricted_rows_matches_builtin(self, capsys, tmp_path, p, r):
         rows = [{"lambda": [m], "factors": [{"mu": [m], "mult": 1}]} for m in range(p)]
@@ -669,17 +686,31 @@ class TestVerifyMismatchLines:
     def test_lemma33(self, capsys, monkeypatch):
         check = pims.jantzen_identity_check
 
-        def rhs_off_at_nu_two(*args):
+        def rhs_off_at_nu_one(*args):
             for lam, nu, lhs, rhs in check(*args):
-                yield lam, nu, lhs, rhs + (nu == (2,))
+                yield lam, nu, lhs, rhs + (nu == (1,))
 
-        monkeypatch.setattr(pims, "jantzen_identity_check", rhs_off_at_nu_two)
-        code, out, _ = run(capsys, ["verify", "lemma33", "-p", "2", "--bound", "0"])
+        monkeypatch.setattr(pims, "jantzen_identity_check", rhs_off_at_nu_one)
+        code, out, _ = run(capsys, ["verify", "lemma33", "-p", "2", "--bound", "3"])
         assert code == 1
         assert out == (
-            "target=lemma33 checks=8 mismatches=2\n"
-            "mismatch sigma=0 lambda=0 nu=2 lhs=0 rhs=1\n"
-            "mismatch sigma=0 lambda=1 nu=2 lhs=0 rhs=1\n"
+            "target=lemma33 checks=5 mismatches=2\n"
+            "mismatch sigma=2 lambda=0 nu=1 lhs=1 rhs=2\n"
+            "mismatch sigma=3 lambda=1 nu=1 lhs=1 rhs=2\n"
+        )
+
+    def test_lemma33_wrong_row(self, capsys):
+        # Only the cells where a side is nonzero are checked, and the wrong
+        # row shows in four of them.
+        argv = ["verify", "lemma33", "-p", "5", "--bound", "12"]
+        code, out, _ = run(capsys, argv + ["--decomp-data", BAD_A1_P5])
+        assert code == 1
+        assert out == (
+            "target=lemma33 checks=24 mismatches=4\n"
+            "mismatch sigma=3 lambda=1 nu=0 lhs=1 rhs=0\n"
+            "mismatch sigma=5 lambda=1 nu=0 lhs=1 rhs=0\n"
+            "mismatch sigma=8 lambda=1 nu=1 lhs=1 rhs=0\n"
+            "mismatch sigma=10 lambda=1 nu=1 lhs=1 rhs=0\n"
         )
 
     def test_thm41(self, capsys, monkeypatch):

@@ -116,6 +116,23 @@ class TestSimpleCharacter:
         with mock.patch.object(decomp, "MAX_WEYL_WEIGHTS", size):
             DecompositionProvider.builtin_sl2(3).simple_character(lam)
 
+    def test_triangular_inversion_subtracts_a_factor(self):
+        # A2 at p = 3: the scalars are a submodule of the adjoint module of
+        # SL3, so nabla(1, 1) = L(1, 1) + L(0, 0), and L(1, 1) has dimension
+        # 8 - 1.  The only restricted row here with a factor below its top.
+        rows = [
+            {"lambda": [0, 0], "factors": [{"mu": [0, 0], "mult": 1}]},
+            {
+                "lambda": [1, 1],
+                "factors": [{"mu": [1, 1], "mult": 1}, {"mu": [0, 0], "mult": 1}],
+            },
+        ]
+        provider = load_decomposition_data({"type": "A2", "p": 3, "rows": rows})
+        assert provider.simple_character((1, 1)).dimension() == 7
+        expected = {(1, 1): 1, (0, 0): 1}
+        assert provider.row((1, 1)) == expected
+        assert to_simple_basis(weyl_character((1, 1), provider.rs), provider) == expected
+
     @pytest.mark.parametrize("lam", [(1, 1), (3, 3)])
     def test_coverage_gap_reports_weight(self, lam):
         # Without row (1, 1) neither L(1, 1) nor L(3, 3) = L(1, 1) L(1, 1)^(1)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,10 @@ from liechar import (
     CartanMatrix,
     Character,
     DecompositionProvider,
+    LiecharError,
     NonInvariantError,
     RootSystem,
+    decomp,
     finite,
     finite_composition_multiplicities,
     finite_simple_multiplicities,
@@ -23,6 +26,7 @@ from liechar import (
     weyl_character,
 )
 from liechar.characters import leading_dominant_weights
+from liechar.decomp import weight_digits
 from liechar.finite import STEINBERG_METHODS, contributing_nus
 
 from test_decomp import a2_p2_document
@@ -136,6 +140,41 @@ class TestFiniteCompositionMultiplicities:
             assert 0 <= m < 3
 
 
+def untwisting_reference(mu, r, provider):
+    """[L(mu) : L(lam)]_{G(F_q)} by the base-p untwisting: the restriction of
+    the product of ch L(mu_i)^[p^(i mod r)] over the base-p digits mu_i of mu,
+    in place of the product of the q-restricted ch L(mu_k)."""
+    p = provider.p
+    product = Character(provider.rs.rank, {(0,) * provider.rs.rank: 1})
+    for i, digit in enumerate(weight_digits(mu, p)):
+        product = product * frobenius_twist(provider.simple_character(digit), p, i % r)
+    return finite_composition_multiplicities(product, r, provider)
+
+
+def digit_weights(rank, q, digits):
+    """Every weight whose coordinates have base-q digits (low first) from
+    the rows of digits, one row per digit position."""
+    coords = {
+        sum(d * q**k for k, d in enumerate(ds)) for ds in itertools.product(*digits)
+    }
+    return list(itertools.product(sorted(coords), repeat=rank))
+
+
+def untwisting_cases():
+    """(provider, r, weights) on A1 at p = 2, 3, 5 with r = 1, 2, 3, and on
+    A2 at p = 2 with r = 1, 2.  Each list includes weights with three base-q
+    digits, and in rank 1 every weight below 2q as well."""
+    for p, r in itertools.product((2, 3, 5), (1, 2, 3)):
+        q = p**r
+        provider = DecompositionProvider.builtin_sl2(p)
+        small = sorted({0, 1, p - 1, p, q - 1})
+        sparse = digit_weights(1, q, [small, small, [1, 2]])
+        yield provider, r, sorted(set(sparse) | {(m,) for m in range(2 * q)})
+    provider = load_decomposition_data(a2_p2_document())
+    yield provider, 1, digit_weights(2, 2, [(0, 1)] * 3)
+    yield provider, 2, digit_weights(2, 4, [(0, 1, 3), (0, 2), (0, 1)])
+
+
 class TestUntwisting:
     def test_single_twist_drops(self, prov3):
         # L(3) = L(1)^{(1)} restricts to L(1) over F_3.
@@ -162,6 +201,25 @@ class TestUntwisting:
         assert finite_simple_multiplicities((5,), 1, provider) == {(1,): 3}
         assert finite_simple_multiplicities((5,), 2, provider) == {(5,): 1}
         assert set(provider._finite_cache) >= {(1, (5,)), (2, (5,))}
+
+    def test_size_bound_on_a_base_q_digit(self):
+        # Over F_9, 13 has the base-9 digits 4 and 1, and L(4) = L(1) L(1)^(1)
+        # has 2 * 2 weights: one past the limit is refused before any product.
+        provider = DecompositionProvider.builtin_sl2(3)
+        with mock.patch.object(decomp, "MAX_WEYL_WEIGHTS", 3):
+            with pytest.raises(LiecharError, match=r"L\(4,\) is too large"):
+                finite_simple_multiplicities((13,), 2, provider)
+
+    def test_equals_base_p_untwisting(self):
+        checked = 0
+        for provider, r, weights in untwisting_cases():
+            for mu in weights:
+                expected = untwisting_reference(mu, r, provider)
+                assert finite_simple_multiplicities(mu, r, provider) == expected, (
+                    provider.rs.rank, provider.p, r, mu,
+                )
+                checked += len(weight_digits(mu, provider.p**r)) >= 3
+        assert checked > 100
 
 
 class TestNuBound:

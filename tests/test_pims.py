@@ -31,10 +31,13 @@ from liechar import (
     weyl_character,
 )
 from liechar.decomp import to_simple_basis
-from liechar.finite import STEINBERG_METHODS, contributing_nus
-from liechar.pims import split_restricted
+from liechar.finite import (
+    STEINBERG_METHODS,
+    contributing_nus,
+    finite_composition_multiplicities,
+)
 
-from test_finite import oracle_covers, use_wide_box
+from test_finite import oracle_covers, untwisting_cases, use_wide_box
 
 
 class TestCharacterDivide:
@@ -400,39 +403,57 @@ class TestTensorCache:
             assert coeffs == to_simple_basis(product, provider)
 
 
-def jantzen_records(chi, nus, provider, qrdata):
-    """(lam, nu) -> (lhs, rhs) of jantzen_identity_check at p = 3, r = 1."""
+def grid_records(chi, nus, provider, qrdata):
+    """Both sides of Jantzen's identity at every restricted lam and every nu
+    in nus, zero cells included: the reference for the cells that
+    jantzen_identity_check reads off its expansions."""
+    rs, p, r = provider.rs, provider.p, qrdata.r
+    st_weight = rs.steinberg_weight(p, r)
+    coeffs = to_simple_basis(chi, provider)
+    for lam in rs.restricted_weights(p, r):
+        shifted = to_simple_basis(chi * qrdata.q(rs.dual_weight(lam)), provider)
+        for nu in nus:
+            lhs = coeffs.get(tuple(p**r * n + c for n, c in zip(nu, lam)), 0)
+            rhs = shifted.get(tuple(s + p**r * n for s, n in zip(st_weight, nu)), 0)
+            yield lam, nu, lhs, rhs
+
+
+def jantzen_records(chi, provider, qrdata):
+    """(lam, nu) -> (lhs, rhs) of jantzen_identity_check."""
     return {
         (lam, nu): (lhs, rhs)
-        for lam, nu, lhs, rhs in jantzen_identity_check(chi, nus, provider, qrdata)
+        for lam, nu, lhs, rhs in jantzen_identity_check(chi, provider, qrdata)
     }
 
 
 class TestJantzenIdentity:
     def test_simple_input(self, prov3, qr3):
         chi = prov3.simple_character((1,))
-        records = jantzen_records(chi, [(0,)], prov3, qr3)
+        records = jantzen_records(chi, prov3, qr3)
         assert records[((1,), (0,))] == (1, 1)
 
     def test_twisted_input(self, prov3, qr3):
         chi = prov3.simple_character((4,))
-        lhs, rhs = jantzen_records(chi, [(1,)], prov3, qr3)[((1,), (1,))]
+        lhs, rhs = jantzen_records(chi, prov3, qr3)[((1,), (1,))]
         assert lhs == 1
         assert lhs == rhs
 
     def test_trivial_character(self, prov3, qr3):
+        # Only the cell (0, 0) is nonzero; (0, 1), with 0 on both sides, is
+        # left out.
         chi = weyl_character((0,), prov3.rs)
-        records = jantzen_records(chi, [(1,)], prov3, qr3)
-        assert records[((0,), (1,))] == (0, 0)
+        assert jantzen_records(chi, prov3, qr3) == {((0,), (0,)): (1, 1)}
 
     def test_sweep_p3(self, prov3, qr3):
-        nus = [(nu,) for nu in range(3)]
+        # The records are the nonzero cells of the grid, in its order; every
+        # nonzero cell of chi(sigma), sigma < 9, has nu < 6.
+        nus = [(nu,) for nu in range(6)]
         for sigma in range(9):
             chi = weyl_character((sigma,), prov3.rs)
-            records = list(jantzen_identity_check(chi, nus, prov3, qr3))
-            assert [(lam, nu) for lam, nu, _, _ in records] == list(
-                itertools.product([(0,), (1,), (2,)], nus)
-            )
+            records = list(jantzen_identity_check(chi, prov3, qr3))
+            grid = grid_records(chi, nus, prov3, qr3)
+            assert records == [rec for rec in grid if rec[2] or rec[3]], sigma
+            assert records, sigma
             for lam, nu, lhs, rhs in records:
                 assert lhs == rhs, (sigma, lam, nu)
 
@@ -448,10 +469,27 @@ class TestBarQ:
             assert sum(barq_multiplicities((lam,), 1, prov3).values()) >= 1
 
 
+def split_reference(sigma, r, provider):
+    """[L(sigma) : L(mu)]_{G(F_q)} over mu, from the one-step split
+    L(sigma mod q) . L(sigma div q), in place of sigma's base-q digits."""
+    q = provider.p**r
+    chi = provider.simple_character(tuple(c % q for c in sigma))
+    chi = chi * provider.simple_character(tuple(c // q for c in sigma))
+    return finite_composition_multiplicities(chi, r, provider)
+
+
 class TestInducedSocle:
-    def test_split(self):
-        assert split_restricted((8,), 3, 1) == ((2,), (2,))
-        assert split_restricted((5, 7), 2, 1) == ((1, 1), (2, 3))
+    def test_equals_one_step_split(self):
+        checked = 0
+        for provider, r, weights in untwisting_cases():
+            restricted = provider.rs.restricted_weights(provider.p, r)
+            for sigma in weights:
+                expected = split_reference(sigma, r, provider)
+                for mu in restricted:
+                    value = induced_socle_multiplicity(mu, sigma, r, provider)
+                    assert value == expected.get(mu, 0), (provider.p, r, mu, sigma)
+                    checked += 1
+        assert checked > 2000
 
     def test_restricted_delta(self, prov3):
         assert induced_socle_multiplicity((2,), (2,), 1, prov3) == 1
@@ -522,7 +560,7 @@ class TestDataPairing:
         return [
             lambda: cj_table(provider, qrdata, "direct"),
             lambda: cj_lhs((0,) * qrdata.rs.rank, (0,), provider, qrdata, "direct"),
-            lambda: list(jantzen_identity_check(chi, [], provider, qrdata)),
+            lambda: list(jantzen_identity_check(chi, provider, qrdata)),
         ]
 
     def test_other_prime(self, prov3):
