@@ -40,7 +40,10 @@ mixed-radix integer whose coordinate i has radix span_a[i] + span_b[i] + 1
 two shifted coordinates is at most that radix minus one, so adding two keys
 never carries from one digit into the next and the sum of keys is the key
 of the sum of weights.  Only the product's own support is decoded back into
-tuples; tuple-keyed supports remain the only stored representation.
+tuples, one coordinate at a time: coordinate i of every nonzero key is read
+in one pass as (key // stride_i) % radix_i plus the low corner, stride_i
+being the product of the later radices, and the columns are zipped into
+weight tuples.  Tuple-keyed supports remain the only stored representation.
 
 Because keys add without carrying, the product is a polynomial product in
 one variable X: each operand is the sum of m * X**k over its (key, mult)
@@ -237,19 +240,24 @@ def _convolve(a, b):
         terms = _kronecker_product(packed_a, packed_b, slots)
     else:
         terms = _loop_product(packed_a, packed_b)
-    low = [la + lb for la, lb in zip(low_a, low_b)]
-    radices.reverse()
-    low.reverse()
-    support = {}
+    keys = []
+    mults = []
     for k, m in terms:
         if m:
-            coords = []
-            for radix, lo in zip(radices, low):
-                k, digit = divmod(k, radix)
-                coords.append(digit + lo)
-            coords.reverse()
-            support[tuple(coords)] = m
-    return support
+            keys.append(k)
+            mults.append(m)
+    # Decode one coordinate at a time: coordinate i is digit i of the key,
+    # whose place value is the product of the later radices, plus the
+    # product's low corner.
+    low = [la + lb for la, lb in zip(low_a, low_b)]
+    strides = [math.prod(radices[i + 1 :]) for i in range(len(radices))]
+    columns = [
+        [k // stride % radix + lo for k in keys]
+        for stride, radix, lo in zip(strides, radices, low)
+    ]
+    # At rank 0 there are no columns, and the one weight is ().
+    weights = zip(*columns) if columns else [()] * len(mults)
+    return dict(zip(weights, mults))
 
 
 def _loop_product(packed_a, packed_b):

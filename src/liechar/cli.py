@@ -296,13 +296,22 @@ def evaluate_expression(text, config):
 
 
 def _weight_label(weight):
-    return ",".join(str(c) for c in weight)
+    return ",".join(map(str, weight))
+
+
+# The JSON renderers format their document as one string and write it once:
+# json.dump would encode in pure Python and call out.write once per token.
+# The output is byte for byte json.dumps(doc, sort_keys=True,
+# separators=(",", ":")), so each object's keys appear in sorted order.
 
 
 def render_character(chi, fmt, out):
     if fmt == "json":
-        json.dump(chi.to_json_dict(), out, sort_keys=True, separators=(",", ":"))
-        out.write("\n")
+        entries = ",".join(
+            f'{{"mult":{m},"weight":[{_weight_label(w)}]}}'
+            for w, m in chi.sorted_items()
+        )
+        out.write(f'{{"entries":[{entries}],"rank":{chi.rank}}}\n')
     elif fmt == "tsv":
         for weight, mult in chi.sorted_items():
             out.write(f"{_weight_label(weight)}\t{mult}\n")
@@ -312,20 +321,27 @@ def render_character(chi, fmt, out):
         out.write(f"dimension: {chi.dimension()}\n")
 
 
+def _json_matrix(values, labels):
+    rows = (
+        "[" + ",".join(str(values[(lam, mu)]) for mu in labels) + "]"
+        for lam in labels
+    )
+    return "[" + ",".join(rows) + "]"
+
+
 def render_table(table, fmt, out):
     labels = table.labels
     if fmt == "json":
-        doc = {
-            "labels": [list(w) for w in labels],
-            "lhs": [[table.lhs[(lam, mu)] for mu in labels] for lam in labels],
-            "rhs": [[table.rhs[(lam, mu)] for mu in labels] for lam in labels],
-            "mismatches": [
-                {"lambda": list(lam), "mu": list(mu), "lhs": a, "rhs": b}
-                for lam, mu, a, b in table.mismatches
-            ],
-        }
-        json.dump(doc, out, sort_keys=True, separators=(",", ":"))
-        out.write("\n")
+        label_list = ",".join(f"[{_weight_label(w)}]" for w in labels)
+        mismatches = ",".join(
+            f'{{"lambda":[{_weight_label(lam)}],"lhs":{a},'
+            f'"mu":[{_weight_label(mu)}],"rhs":{b}}}'
+            for lam, mu, a, b in table.mismatches
+        )
+        out.write(
+            f'{{"labels":[{label_list}],"lhs":{_json_matrix(table.lhs, labels)},'
+            f'"mismatches":[{mismatches}],"rhs":{_json_matrix(table.rhs, labels)}}}\n'
+        )
         return
     for route in ("lhs", "rhs"):
         values = getattr(table, route)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from liechar import LiecharError, QrData, cli, pims
+from liechar import Character, LiecharError, QrData, cli, pims
 
 from test_decomp import a1_p3_nabla6_document, a2_p2_document
 
@@ -53,10 +53,10 @@ class TestCharCommand:
     def test_json(self, capsys):
         code, out, _ = run(capsys, ["char", "--format", "json", "weyl(1)*weyl(1)"])
         assert code == 0
-        doc = json.loads(out)
-        assert doc["rank"] == 1
-        entries = {tuple(e["weight"]): e["mult"] for e in doc["entries"]}
-        assert entries == {(-2,): 1, (0,): 2, (2,): 1}
+        assert out == (
+            '{"entries":[{"mult":1,"weight":[-2]},{"mult":2,"weight":[0]},'
+            '{"mult":1,"weight":[2]}],"rank":1}\n'
+        )
 
     def test_st_and_twist(self, capsys):
         code, out, _ = run(capsys, ["char", "--format", "tsv", "twist(st,1)"])
@@ -88,6 +88,95 @@ class TestCharCommand:
         )
         assert code == 0
         assert "dimension: 8" in out
+
+
+def json_oracle(doc):
+    """The JSON renderers' output for doc, by the stdlib encoder."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def table_doc(table):
+    """The document render_table's json branch prints for table, as the
+    dict that the renderer passed to json.dump before it formatted its own
+    string."""
+    labels = table.labels
+    return {
+        "labels": [list(w) for w in labels],
+        "lhs": [[table.lhs[(lam, mu)] for mu in labels] for lam in labels],
+        "rhs": [[table.rhs[(lam, mu)] for mu in labels] for lam in labels],
+        "mismatches": [
+            {"lambda": list(lam), "mu": list(mu), "lhs": a, "rhs": b}
+            for lam, mu, a, b in table.mismatches
+        ],
+    }
+
+
+def hand_table(labels, value, mismatched=()):
+    """A MultiplicityTable over labels with lhs = value(lam, mu), and rhs equal
+    to lhs except at each (lam, mu) in mismatched, where it is -lhs - 1."""
+    lhs = {(lam, mu): value(lam, mu) for lam in labels for mu in labels}
+    rhs = dict(lhs)
+    mismatches = []
+    for lam, mu in mismatched:
+        rhs[(lam, mu)] = -lhs[(lam, mu)] - 1
+        mismatches.append((lam, mu, lhs[(lam, mu)], rhs[(lam, mu)]))
+    return pims.MultiplicityTable(labels, lhs, rhs, mismatches)
+
+
+class CountingOut:
+    """A stream that keeps what is written and counts the write calls."""
+
+    def __init__(self):
+        self.writes = 0
+        self.text = ""
+
+    def write(self, text):
+        self.writes += 1
+        self.text += text
+        return len(text)
+
+
+RANK_2_LABELS = [(0, 0), (1, 0), (0, 1), (1, 1)]
+RENDERED_CHARACTERS = {
+    "empty": Character(2),
+    "rank-1": Character(1, {(-3,): -2, (0,): 5, (3,): -2}),
+    "rank-2": Character(2, {(-1, 2): -7, (0, 0): 1, (3, -4): 12}),
+    "rank-3": Character(3, {(-1, 0, -2): 3, (0, -5, 1): -1, (2, 2, 2): -40}),
+    "4000-digit-mult": Character(2, {(0, -1): -(10**3999 + 7), (1, 1): 10**3999}),
+}
+RENDERED_TABLES = {
+    "rank-1": hand_table([(0,), (1,), (2,)], lambda lam, mu: lam[0] - mu[0]),
+    "rank-1-mismatched": hand_table(
+        [(0,), (1,), (2,)], lambda lam, mu: lam[0] * mu[0], [((1,), (2,))]
+    ),
+    "rank-2": hand_table(RANK_2_LABELS, lambda lam, mu: lam[0] - 2 * mu[1]),
+    "rank-2-mismatched": hand_table(
+        RANK_2_LABELS,
+        lambda lam, mu: lam[1] * mu[0] - 3,
+        [((0, 0), (1, 1)), ((1, 0), (0, 1))],
+    ),
+}
+
+
+class TestJsonRendering:
+    """The JSON renderers print json.dumps(doc, sort_keys=True, compact
+    separators) byte for byte, in one write call."""
+
+    @pytest.mark.parametrize("name", RENDERED_CHARACTERS)
+    def test_character_matches_stdlib_encoder(self, name):
+        chi = RENDERED_CHARACTERS[name]
+        out = CountingOut()
+        cli.render_character(chi, "json", out)
+        assert out.text == json_oracle(chi.to_json_dict())
+        assert out.writes == 1
+
+    @pytest.mark.parametrize("name", RENDERED_TABLES)
+    def test_table_matches_stdlib_encoder(self, name):
+        table = RENDERED_TABLES[name]
+        out = CountingOut()
+        cli.render_table(table, "json", out)
+        assert out.text == json_oracle(table_doc(table))
+        assert out.writes == 1
 
 
 class TestInputErrors:

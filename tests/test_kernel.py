@@ -563,3 +563,9 @@ def test_convolve_takes_each_path(monkeypatch, a, b, kronecker):
     a, b = Character(rank, a), Character(rank, b)
     assert (a * b).support == reference_product(a, b)
     assert (len(big), len(loop)) == ((1, 0) if kronecker else (0, 1))
+
+
+def test_rank_zero_product():
+    # The decode reads no coordinate at rank 0, where the one weight is ().
+    a, b = Character(0, {(): 2}), Character(0, {(): -3})
+    assert (a * b).support == {(): -6} == reference_product(a, b)
