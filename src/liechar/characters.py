@@ -93,9 +93,10 @@ class Character:
     Virtual characters (negative multiplicities) are allowed; W-invariance
     is a property of most public inputs but is not enforced here.  rank and
     support cannot be reassigned once set, so cached characters can be shared.
+    The only other state is the memo of by_height.
     """
 
-    __slots__ = ("rank", "support")
+    __slots__ = ("rank", "support", "_by_height")
 
     def __init__(self, rank, support=None):
         checked = {}
@@ -193,6 +194,17 @@ class Character:
     def _is_unit(self):
         """Whether this is the trivial character e^0."""
         return len(self.support) == 1 and self.support.get((0,) * self.rank) == 1
+
+    def by_height(self, rs):
+        """(scaled height on rs, weight, mult) over the support, in decreasing
+        height; memoized for the last root system asked."""
+        memo = getattr(self, "_by_height", None)
+        if memo is None or memo[0] is not rs:
+            height = rs.scaled_height
+            items = self.support.items()
+            memo = (rs, sorted(((height(w), w, m) for w, m in items), reverse=True))
+            object.__setattr__(self, "_by_height", memo)
+        return memo[1]
 
     def dimension(self):
         """Value at the identity: the sum of all multiplicities."""

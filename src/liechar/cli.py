@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import pims
 from .characters import (
@@ -26,7 +25,7 @@ from .characters import (
 from .decomp import DecompositionProvider, load_decomposition_data
 from .errors import LiecharError
 from .finite import STEINBERG_METHODS, steinberg_multiplicity
-from .rootdata import MAX_WEYL_WEIGHTS, RootSystem, root_system_of
+from .rootdata import MAX_WEYL_WEIGHTS, root_system_of
 
 DATA_DIR_ENV = "LIECHAR_DATA_DIR"
 
@@ -39,16 +38,20 @@ class CliError(LiecharError):
     """Input error surfaced as exit code 2."""
 
 
-@dataclass
 class RunConfig:
-    rs: RootSystem
-    p: int
-    r: int
-    provider: object
-    qrdata: object
-    bound: int
-    method: str
-    fmt: str
+    """The parsed options of one run; _require fills provider and qrdata in."""
+
+    __slots__ = ("rs", "p", "r", "provider", "qrdata", "bound", "method", "fmt")
+
+    def __init__(self, rs, p, r, provider, qrdata, bound, method, fmt):
+        self.rs = rs
+        self.p = p
+        self.r = r
+        self.provider = provider
+        self.qrdata = qrdata
+        self.bound = bound
+        self.method = method
+        self.fmt = fmt
 
 
 # The first 13 primes.  As Miller-Rabin bases they decide primality exactly

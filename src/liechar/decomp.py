@@ -10,6 +10,7 @@ digits, and every other row from the simple-basis expansion of chi(lam).
 from __future__ import annotations
 
 import math
+from operator import add
 
 from .characters import Character, expand, frobenius_twist, weyl_character
 from .errors import (
@@ -17,6 +18,7 @@ from .errors import (
     DataValidationError,
     LiecharError,
     NonDominantError,
+    RankMismatchError,
     strict_int,
     strict_int_tuple,
 )
@@ -49,6 +51,8 @@ class DecompositionProvider:
         self.p = p
         self._rows = {tuple(lam): dict(factors) for lam, factors in rows.items()}
         self._simple_cache = {}
+        # (lam, floor) -> ch L(lam) cut at scaled height floor.
+        self._above_cache = {}
         self._finite_cache = {}
         # (mu, nu) -> simple-basis coefficients of L(mu) * L(nu), for cj_rhs.
         self._tensor_cache = {}
@@ -121,33 +125,102 @@ class DecompositionProvider:
         self._simple_cache[lam] = chi
         return chi
 
+    def simple_character_above(self, lam, floor):
+        """ch L(lam) cut to its weights of scaled height at least floor, memoized.
+
+        L(lam) itself, shared, when nothing is cut.
+        """
+        key = (tuple(lam), floor)
+        cached = self._above_cache.get(key)
+        if cached is None:
+            chi = self.simple_character(lam)
+            height = self.rs.scaled_height
+            support = {w: m for w, m in chi.support.items() if height(w) >= floor}
+            if len(support) < len(chi.support):
+                chi = Character._wrap(self.rs.rank, support)
+            cached = self._above_cache[key] = chi
+        return cached
+
 
 def to_simple_basis(chi, provider):
     """Coefficients [chi : chi_p(lam)]_G by leading-term elimination."""
     return dict(expand(chi, provider.rs, provider.simple_character))
 
 
-def simple_multiplicity(chi, target, provider):
-    """[chi : L(target)]_G, eliminating only down to target.
+def simple_multiplicity(factors, target, provider):
+    """[prod of factors : L(target)]_G, forming only the part at or above target.
 
-    The leads of expand come in strictly decreasing (scaled height, tuple)
-    order, so the elimination stops at the lead equal to target or at the
-    first lead below it, where the coefficient is 0.  Every lead processed
-    is checked as in to_simple_basis (NonInvariantError), but the weights
-    below the stop are not, so chi must be W-invariant, and the caller
+    Only the weights of the product whose scaled height is at least
+    floor = scaled_height(target) are formed (_product_above), and the
+    elimination subtracts ch L(lam) cut at the same floor
+    (provider.simple_character_above).  Subtracting L(lam) changes only
+    weights below lam, so the cut residual is the full residual's part at
+    or above the floor at every step, and the leads come in the same
+    strictly decreasing (scaled height, tuple) order.  The elimination
+    stops at the lead equal to target or at the first lead below it, where
+    the coefficient is 0.
+
+    The cut is sound only for a W-invariant product, and the caller
     certifies it: steinberg_multiplicity through nu_bound's to_weyl_basis,
     and cj_lhs by its factors, a simple character times a q_r(lambda) that
-    QrData has checked to be W-invariant.
+    QrData has checked to be W-invariant.  Then the full residual stays
+    W-invariant, and the dominant conjugate of each of its weights lies
+    above that weight, so once no dominant weight at or above the floor is
+    left, nothing at or above the floor is.  Every lead processed is
+    checked as in to_simple_basis (NonInvariantError).  With a target below
+    every weight the elimination reaches, nothing is cut, so a character
+    that is not W-invariant raises the full expansion's error.
     """
     rs = provider.rs
     target = tuple(target)
-    key = (rs.scaled_height(target), target)
-    for lead, c in expand(chi, rs, provider.simple_character):
+    floor = rs.scaled_height(target)
+    key = (floor, target)
+    chi = Character._wrap(rs.rank, _product_above(factors, floor, rs))
+    for lead, c in expand(
+        chi, rs, lambda lam: provider.simple_character_above(lam, floor)
+    ):
         if lead == target:
             return c
         if (rs.scaled_height(lead), lead) < key:
             return 0
     return 0
+
+
+def _product_above(factors, floor, rs):
+    """The support of the product of factors, cut to the weights of scaled
+    height at least floor.
+
+    Height is additive, so a weight of a partial product can reach the
+    floor only if its height plus the top heights of the factors still to
+    come does: each partial product is cut at floor minus those.  Both
+    operands are walked in decreasing height, and each walk breaks at the
+    first pair below the cut.  A unit factor e^0 is skipped.
+    """
+    for f in factors:
+        if f.rank != rs.rank:
+            raise RankMismatchError(f"rank mismatch: {f.rank} versus {rs.rank}")
+    layers = [f.by_height(rs) for f in factors if not f._is_unit()]
+    if not all(layers):
+        return {}
+    rest = sum(layer[0][0] for layer in layers)
+    if rest < floor:
+        return {}
+    partial = [(0, (0,) * rs.rank, 1)]
+    for layer in layers:
+        top = layer[0][0]
+        rest -= top
+        cut = floor - rest
+        out = {}
+        for ha, wa, ma in partial:
+            if ha + top < cut:
+                break
+            for hb, wb, mb in layer:
+                if ha + hb < cut:
+                    break
+                key = (ha + hb, tuple(map(add, wa, wb)))
+                out[key] = out.get(key, 0) + ma * mb
+        partial = sorted(((h, w, m) for (h, w), m in out.items() if m), reverse=True)
+    return {w: m for _, w, m in partial}
 
 
 def load_decomposition_data(doc, rs=None):

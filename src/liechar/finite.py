@@ -74,28 +74,32 @@ def contributing_nus(max_weights, base, p, r, rs):
     """Dominant nu that can satisfy base + p^r nu <= m + nu for some m.
 
     Enumerates a sound coordinate box from the root-lattice inequality
-    (p^r - 1) nu <= m - base, then filters by the exact dominance test.
+    (p^r - 1) nu <= m - base, then filters by the exact dominance test
+    against the m that can pass.  A dominant nu has nonnegative root
+    coordinates, so an m for which m - base has a negative root coordinate
+    passes for no nu and is dropped first.
     """
-    max_weights = [tuple(m) for m in max_weights]
-    if not max_weights:
-        return []
     base = tuple(base)
     scale = (p**r - 1) * rs.det
     box = [0] * rs.rank
+    reachable = []
     for m in max_weights:
-        diff = tuple(a - b for a, b in zip(m, base))
-        coords = rs.scaled_root_coords(diff)
+        m = tuple(m)
+        coords = rs.scaled_root_coords(tuple(a - b for a, b in zip(m, base)))
         if any(n < 0 for n in coords):
             continue
+        reachable.append(m)
         for i in range(rs.rank):
             # nu_i <= 2 * n_i(nu) since the Cartan diagonal is 2.
             box[i] = max(box[i], 2 * coords[i] // scale)
+    if not reachable:
+        return []
     kept = []
     for nu in itertools.product(*(range(b + 1) for b in box)):
         shifted = tuple(b + p**r * n for b, n in zip(base, nu))
         if any(
             rs.dominance_leq(shifted, tuple(a + n for a, n in zip(m, nu)))
-            for m in max_weights
+            for m in reachable
         ):
             kept.append(nu)
     return kept
@@ -114,18 +118,21 @@ def nu_bound(chi, p, r, rs):
     return contributing_nus(leads, rs.steinberg_weight(p, r), p, r, rs)
 
 
-def steinberg_nu_sum(chi, nus, r, provider, method):
-    """sum over nu in nus of [chi . M(nu) : M(t)]_G, t = (p^r-1) rho + p^r nu.
+def steinberg_nu_sum(factors, nus, r, provider, method):
+    """sum over nu in nus of [chi . M(nu) : M(t)]_G, t = (p^r-1) rho + p^r nu,
+    where chi is the product of factors, a nonempty sequence of characters.
 
-    good_filtration: M is the Weyl character chi(nu) (provider-free).  By
-    Weyl's formula each term is sum_w sgn(w) chi(t + rho - w(nu + rho)), one
-    lookup in chi per element of the signed orbit of the regular weight
-    nu + rho: no product and no expansion per nu.
+    good_filtration: M is the Weyl character chi(nu) (provider-free).  chi
+    is formed once, and by Weyl's formula each term is
+    sum_w sgn(w) chi(t + rho - w(nu + rho)), one lookup in chi per element
+    of the signed orbit of the regular weight nu + rho: no product and no
+    expansion per nu.
     simple_basis: M is the simple character L(nu), and each term is
-    simple_multiplicity of the product, which eliminates only down to t; for
-    nu = 0 the product with L(0) = e^0 is chi itself.  That route checks
-    W-invariance only on the leads it processes, so chi must be W-invariant:
-    steinberg_multiplicity certifies it by nu_bound, cj_lhs by its factors.
+    simple_multiplicity of (*factors, L(nu)), which forms only the part of
+    that product at or above t and eliminates only down to t; chi itself is
+    never formed.  That route checks W-invariance only on the leads it
+    processes, so chi must be W-invariant, and the caller certifies it:
+    steinberg_multiplicity by nu_bound, cj_lhs by its factors.
     nus must contain every nu whose term can be nonzero; a term outside
     the range adds 0.  nu_bound(chi) is such a set, and so is
     contributing_nus on any weights that each weight of chi lies below one
@@ -135,7 +142,7 @@ def steinberg_nu_sum(chi, nus, r, provider, method):
     st_weight = rs.steinberg_weight(p, r)
     total = 0
     if method == "good_filtration":
-        support = chi.support
+        support = functools.reduce(mul, factors).support
         for nu in nus:
             t_rho = tuple(s + p**r * n + c for s, n, c in zip(st_weight, nu, rs.rho))
             orbit = rs.signed_orbit(tuple(map(add, nu, rs.rho)))
@@ -144,9 +151,10 @@ def steinberg_nu_sum(chi, nus, r, provider, method):
         return total
     if method == "simple_basis":
         for nu in nus:
-            product = chi * provider.simple_character(nu)
             target = tuple(s + p**r * n for s, n in zip(st_weight, nu))
-            total += simple_multiplicity(product, target, provider)
+            total += simple_multiplicity(
+                (*factors, provider.simple_character(nu)), target, provider
+            )
         return total
     raise ValueError(f"unknown method {method!r}")
 
@@ -163,7 +171,7 @@ def steinberg_multiplicity(chi, r, provider, method):
         st_weight = provider.rs.steinberg_weight(provider.p, r)
         return finite_composition_multiplicities(chi, r, provider).get(st_weight, 0)
     nus = nu_bound(chi, provider.p, r, provider.rs)
-    return steinberg_nu_sum(chi, nus, r, provider, method)
+    return steinberg_nu_sum((chi,), nus, r, provider, method)
 
 
 STEINBERG_METHODS = ("direct", "good_filtration", "simple_basis")

@@ -8,7 +8,6 @@ provider's and, where Q-hat data is read, r is the QrData's: q = provider.p^r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import add
 
 from .characters import (
@@ -54,10 +53,14 @@ def character_divide(num, rs, p, r):
     )
 
 
-@dataclass
 class QrEntry:
-    qhat_char: Character
-    q_char: Character
+    """ch Q-hat_r(lambda) and its quotient q_r(lambda) by ch St_r."""
+
+    __slots__ = ("qhat_char", "q_char")
+
+    def __init__(self, qhat_char, q_char):
+        self.qhat_char = qhat_char
+        self.q_char = q_char
 
 
 class QrData:
@@ -201,10 +204,13 @@ def cj_lhs(lam, mu, provider, qrdata, method):
     lies below mu, and every weight of the W-invariant q_r(lambda*) below
     some m in qrdata.leads(lambda*), so every weight of the product lies
     below some mu + m, and contributing_nus on the weights mu + m keeps
-    every nu that nu_bound keeps.  When it keeps none, the cell is 0 and
-    the product is not formed; otherwise steinberg_nu_sum runs over those
-    nu.  The direct route is the independent check of the other two, so it
-    forms the product on every cell and never reads the leads.
+    every nu that nu_bound keeps.  When it keeps none, the cell is 0;
+    otherwise steinberg_nu_sum runs over those nu on the factors
+    (L(mu), q_r(lambda*)), which certify the W-invariance of their product,
+    so the simple_basis route forms only the part of each product at or
+    above its target and good_filtration forms the product once.  The direct
+    route is the independent check of the other two, so it forms the whole
+    product on every cell and never reads the leads.
     """
     p, r = _paired_p_r(provider, qrdata)
     rs = provider.rs
@@ -217,7 +223,7 @@ def cj_lhs(lam, mu, provider, qrdata, method):
         nus = contributing_nus(leads, rs.steinberg_weight(p, r), p, r, rs)
         if not nus:
             return 0
-        return steinberg_nu_sum(chi_mu * qrdata.q(dual), nus, r, provider, method)
+        return steinberg_nu_sum((chi_mu, qrdata.q(dual)), nus, r, provider, method)
     return steinberg_multiplicity(chi_mu * qrdata.q(dual), r, provider, method)
 
 
@@ -243,14 +249,25 @@ def cj_rhs(lam, mu, r, provider):
     return total
 
 
-@dataclass
 class MultiplicityTable:
     """Both routes of the Chastkofsky-Jantzen table over X_r x X_r."""
 
-    labels: list
-    lhs: dict
-    rhs: dict
-    mismatches: list = field(default_factory=list)
+    __slots__ = ("labels", "lhs", "rhs", "mismatches")
+
+    def __init__(self, labels, lhs, rhs, mismatches=None):
+        self.labels = labels
+        self.lhs = lhs
+        self.rhs = rhs
+        self.mismatches = [] if mismatches is None else mismatches
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"MultiplicityTable({fields})"
 
 
 def cj_table(provider, qrdata, method):

@@ -832,3 +832,21 @@ class TestVerifyMismatchLines:
             "target=prop44delta checks=4 mismatches=1\n"
             "mismatch mu=1 sigma=1 value=2 expected=1\n"
         )
+
+
+def test_cli_imports_no_dataclasses():
+    # dataclasses imports inspect, which every CLI run would pay for at
+    # start-up.
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import liechar.cli, sys; print('dataclasses' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,6 +1,7 @@
 import copy
 import functools
 import itertools
+import operator
 import random
 from unittest import mock
 
@@ -17,14 +18,21 @@ from liechar import (
     LiecharError,
     NonDominantError,
     NonInvariantError,
+    RankMismatchError,
     decomp,
     load_decomposition_data,
     to_simple_basis,
     weyl_character,
 )
+from liechar.characters import from_weyl_basis
 from liechar.decomp import simple_multiplicity, weight_digits
 
-from test_kernel import PROPERTY, invariant_characters
+from test_kernel import (
+    PROPERTY,
+    ROOT_SYSTEMS,
+    invariant_characters,
+    weyl_coefficients,
+)
 
 
 def test_weight_digits():
@@ -303,18 +311,35 @@ def provider_for(rs):
 SIMPLE_TYPES = ("A1", "A2", "B2", "G2")
 
 
+@st.composite
+def invariant_factors(draw, names=SIMPLE_TYPES):
+    """A root system and 1-3 W-invariant factors on it, as steinberg_nu_sum
+    hands them to simple_multiplicity: a random invariant character, maybe a
+    second one, then L(nu) (the unit e^0 for nu = 0); maybe an extra e^0 at
+    a random place."""
+    rs, chi = draw(invariant_characters(names=names))
+    factors = [chi]
+    if draw(st.booleans()):
+        factors.append(from_weyl_basis(draw(weyl_coefficients(rs, 2, 2)), rs))
+    nu = draw(st.tuples(*[st.integers(0, 2)] * rs.rank), label="nu")
+    factors.append(provider_for(rs).simple_character(nu))
+    if draw(st.booleans()):
+        unit = Character(rs.rank, {(0,) * rs.rank: 1})
+        factors.insert(draw(st.integers(0, len(factors))), unit)
+    return rs, nu, factors
+
+
 class TestSimpleMultiplicity:
-    """simple_multiplicity stops the elimination at its target; it must read
-    the coefficient that the full expansion has there."""
+    """simple_multiplicity forms only the part of the product of its factors
+    at or above its target; it must read the coefficient that the full
+    expansion of the product has there."""
 
     @settings(PROPERTY, max_examples=30)
-    @given(invariant_characters(names=SIMPLE_TYPES), st.data())
+    @given(invariant_factors(), st.data())
     def test_matches_the_full_expansion(self, case, data):
-        rs, chi = case
+        rs, nu, factors = case
         provider = provider_for(rs)
-        # chi * L(nu), as steinberg_nu_sum forms it; nu = 0 is a unit product.
-        nu = data.draw(st.tuples(*[st.integers(0, 2)] * rs.rank), label="nu")
-        chi = chi * provider.simple_character(nu)
+        chi = functools.reduce(operator.mul, factors)
         coeffs = to_simple_basis(chi, provider)
         targets = {w for w in chi.support if min(w) >= 0}
         # the Steinberg-sum target, r = 1
@@ -322,19 +347,21 @@ class TestSimpleMultiplicity:
         if coeffs:
             top = max(coeffs, key=lambda w: (rs.scaled_height(w), w))
             targets.add((top[0] + 1,) + top[1:])  # above every lead
+        targets.add((-100,) * rs.rank)  # below every weight
         absent = [
             w
             for w in itertools.product(range(6), repeat=rs.rank)
             if w not in chi.support
         ]
-        targets.update(data.draw(st.lists(st.sampled_from(absent), max_size=3)))
+        if absent:
+            targets.update(data.draw(st.lists(st.sampled_from(absent), max_size=3)))
         for t in targets:
-            assert simple_multiplicity(chi, t, provider) == coeffs.get(t, 0), t
+            assert simple_multiplicity(factors, t, provider) == coeffs.get(t, 0), t
 
     @settings(PROPERTY, max_examples=20)
     @given(invariant_characters(names=SIMPLE_TYPES), st.data())
     def test_off_orbit_input_raises_as_the_full_expansion(self, case, data):
-        # A target below every weight stops nothing, so every lead is
+        # A target below every weight cuts nothing, so every lead is
         # processed and the residual's error is the full expansion's.
         rs, chi = case
         provider = provider_for(rs)
@@ -345,5 +372,17 @@ class TestSimpleMultiplicity:
         with pytest.raises(NonInvariantError) as full:
             to_simple_basis(chi, provider)
         with pytest.raises(NonInvariantError) as stopped:
-            simple_multiplicity(chi, (-100,) * rs.rank, provider)
+            simple_multiplicity((chi,), (-100,) * rs.rank, provider)
         assert str(stopped.value) == str(full.value)
+
+    def test_unit_factors_only(self):
+        provider = provider_for(ROOT_SYSTEMS["A2"])
+        unit = Character(2, {(0, 0): 1})
+        assert simple_multiplicity((unit, unit), (0, 0), provider) == 1
+        assert simple_multiplicity((), (0, 0), provider) == 1
+        assert simple_multiplicity((unit,), (1, 0), provider) == 0
+
+    def test_rank_mismatch(self):
+        provider = provider_for(ROOT_SYSTEMS["A2"])
+        with pytest.raises(RankMismatchError):
+            simple_multiplicity((Character(1, {(1,): 1}),), (0, 0), provider)

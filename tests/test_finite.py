@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 from unittest import mock
 
@@ -263,6 +265,30 @@ class TestContributingNus:
                 expected = exact_contributing_nus([m], base, p, r, rs)
                 assert contributing_nus([m], base, p, r, rs) == expected
 
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+    @pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2)])
+    def test_several_max_weights(self, name, p, r):
+        # Some of the m lie below base in a root coordinate: they pass for no
+        # nu, and dropping them must not change the result.
+        rs = RootSystem(CartanMatrix.builtin(name))
+        rng = random.Random(f"{name} {p} {r}")
+        st_weight = tuple((p**r - 1) * c for c in rs.rho)
+        for base in [st_weight] + rs.restricted_weights(p, r)[:3]:
+            for _ in range(20):
+                weights = [
+                    tuple(rng.randrange(2 * p**r + 2) for _ in range(rs.rank))
+                    for _ in range(rng.randrange(2, 5))
+                ]
+                expected = exact_contributing_nus(weights, base, p, r, rs)
+                assert contributing_nus(weights, base, p, r, rs) == expected
+
+    def test_no_max_weight_that_can_pass(self):
+        rs = RootSystem(CartanMatrix.builtin("A2"))
+        below = [(0, 0), (-2, 1), (3, -3)]
+        with mock.patch.object(rs, "dominance_leq") as dominance_leq:
+            assert contributing_nus(below, (1, 1), 2, 1, rs) == []
+        dominance_leq.assert_not_called()
+
 
 class TestFactorLeadBound:
     """cj_lhs bounds nu by the weights mu + m, m a lead of q_r(lambda*), before
@@ -289,6 +315,50 @@ class TestFactorLeadBound:
                 exact = exact_contributing_nus(product_leads, st_weight, p, r, rs)
                 assert set(nu_bound(chi, p, r, rs)) <= box, (lam, mu)
                 assert set(exact) <= box, (lam, mu)
+
+
+class TestSteinbergNuSum:
+    """steinberg_nu_sum takes the factors of chi; both nu-sum routes must
+    give what they give on the product itself, and what the direct route
+    gives."""
+
+    @pytest.mark.parametrize("p, r", [(3, 1), (2, 2), (5, 1)])
+    def test_a1_cells(self, p, r):
+        provider = DecompositionProvider.builtin_sl2(p)
+        qrdata = pims.QrData.builtin_sl2(p, r)
+        rs = provider.rs
+        for lam in rs.restricted_weights(p, r):
+            q = qrdata.q(rs.dual_weight(lam))
+            for mu in rs.restricted_weights(p, r):
+                factors = (provider.simple_character(mu), q)
+                chi = factors[0] * q
+                nus = nu_bound(chi, p, r, rs)
+                direct = steinberg_multiplicity(chi, r, provider, "direct")
+                for method in ("good_filtration", "simple_basis"):
+                    by_factors = finite.steinberg_nu_sum(factors, nus, r, provider, method)
+                    whole = finite.steinberg_nu_sum((chi,), nus, r, provider, method)
+                    assert by_factors == whole == direct, (lam, mu, method)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @settings(PROPERTY, max_examples=30)
+    @given(invariant_characters(names=("A1", "A2")), st.data())
+    def test_random_factors(self, r, case, data):
+        # St_r as a factor makes the Steinberg constituent often nonzero.
+        rs, chi = case
+        provider = (
+            DecompositionProvider.builtin_sl2(2, rs=rs)
+            if rs.rank == 1
+            else load_decomposition_data(a2_p2_document(), rs=rs)
+        )
+        factors = [chi, steinberg_character(rs, 2, r)]
+        if data.draw(st.booleans()):
+            factors.append(weyl_character((1,) * rs.rank, rs))
+        product = functools.reduce(operator.mul, factors)
+        nus = nu_bound(product, 2, r, rs)
+        direct = steinberg_multiplicity(product, r, provider, "direct")
+        for method in ("good_filtration", "simple_basis"):
+            value = finite.steinberg_nu_sum(factors, nus, r, provider, method)
+            assert value == direct, method
 
 
 class TestSteinbergMultiplicity:

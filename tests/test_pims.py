@@ -294,6 +294,24 @@ def two_lead_qrdata(p, r):
     return QrData.from_json_dict(doc), q
 
 
+class TestMultiplicityTable:
+    def test_equality_is_by_fields(self):
+        table = pims.MultiplicityTable([(0,)], {((0,), (0,)): 1}, {((0,), (0,)): 1})
+        assert table.mismatches == []
+        same = pims.MultiplicityTable([(0,)], {((0,), (0,)): 1}, {((0,), (0,)): 1}, [])
+        assert table == same
+        other = pims.MultiplicityTable(
+            [(0,)], {((0,), (0,)): 1}, {((0,), (0,)): 1}, [((0,), (0,), 1, 2)]
+        )
+        assert table != other
+        assert table != (table.labels, table.lhs, table.rhs, table.mismatches)
+
+    def test_entries_keep_their_fields(self, qr3):
+        entry = qr3.entries[(2,)]
+        assert entry.q_char == qr3.q((2,))
+        assert entry.qhat_char == weyl_character((2,), qr3.rs)
+
+
 class TestZeroCells:
     """cj_lhs returns 0 without forming the product when no nu passes the
     bound from mu + (leads of q); otherwise it is the Steinberg multiplicity
