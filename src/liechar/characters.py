@@ -408,7 +408,10 @@ def weyl_character(lam, rs: RootSystem):
     Weyl's formula: the signed orbit of lam + rho over the Weyl denominator.
     Memoized per (root system, lam).  LiecharError when the support could
     exceed MAX_WEYL_WEIGHTS, bounded before the orbit is formed by |W| times
-    the box of root coordinates that dominant_weights_below scans.
+    the number of dominant weights below lam.  Those are counted in the box
+    of root coordinates that dominant_weights_below scans; a box of more
+    than MAX_WEYL_WEIGHTS points is refused, bounded by |W| times its size,
+    without being scanned.
     """
     lam = tuple(lam)
     rs.check_rank(lam)
@@ -419,6 +422,8 @@ def weyl_character(lam, rs: RootSystem):
         raise NonDominantError(f"highest weight {lam} is not dominant")
     box = math.prod(n // rs.det + 1 for n in rs.scaled_root_coords(lam))
     bound = len(rs.weyl_denominator) * box
+    if bound > MAX_WEYL_WEIGHTS and box <= MAX_WEYL_WEIGHTS:
+        bound = len(rs.weyl_denominator) * rs.count_dominant_below(lam)
     if bound > MAX_WEYL_WEIGHTS:
         raise LiecharError(
             f"chi{lam} is too large: up to {bound} weights, more than {MAX_WEYL_WEIGHTS}"

@@ -38,22 +38,6 @@ class CliError(LiecharError):
     """Input error surfaced as exit code 2."""
 
 
-class RunConfig:
-    """The parsed options of one run; _require fills provider and qrdata in."""
-
-    __slots__ = ("rs", "p", "r", "provider", "qrdata", "bound", "method", "fmt")
-
-    def __init__(self, rs, p, r, provider, qrdata, bound, method, fmt):
-        self.rs = rs
-        self.p = p
-        self.r = r
-        self.provider = provider
-        self.qrdata = qrdata
-        self.bound = bound
-        self.method = method
-        self.fmt = fmt
-
-
 # The first 13 primes.  As Miller-Rabin bases they decide primality exactly
 # below MAX_PRIME_BOUND, the least strong pseudoprime to all of them
 # (Sorenson and Webster, Math. Comp. 86 (2017)).
@@ -107,6 +91,9 @@ def _load_json(path):
 
 
 def build_config(args):
+    """The parsed options args of one run, checked, with the root system rs,
+    the data files' provider and qrdata (None for none; _require fills them
+    in) and the default bound set on them."""
     rs = root_system_of(
         {"cartan": _load_json(args.cartan)} if args.cartan else {"type": args.type}
     )
@@ -139,17 +126,10 @@ def build_config(args):
                 f"requested ({args.p}, {args.r})"
             )
 
-    bound = args.bound if args.bound is not None else 2 * args.p**args.r
-    return RunConfig(
-        rs=rs,
-        p=args.p,
-        r=args.r,
-        provider=provider,
-        qrdata=qrdata,
-        bound=bound,
-        method=args.method,
-        fmt=args.format,
-    )
+    args.rs, args.provider, args.qrdata = rs, provider, qrdata
+    if args.bound is None:
+        args.bound = 2 * args.p**args.r
+    return args
 
 
 _DATA_FLAGS = {"provider": "--decomp-data", "qrdata": "--qhat-data"}
@@ -378,7 +358,7 @@ def _check_printable(chi):
 def cmd_char(config, expression):
     chi = evaluate_expression(expression, config)
     _check_printable(chi)
-    render_character(chi, config.fmt, sys.stdout)
+    render_character(chi, config.format, sys.stdout)
     return EXIT_OK
 
 
@@ -390,7 +370,7 @@ def _cj_table(config):
 
 def cmd_cj_table(config):
     table = _cj_table(config)
-    render_table(table, config.fmt, sys.stdout)
+    render_table(table, config.format, sys.stdout)
     if table.mismatches:
         for lam, mu, left, right in table.mismatches:
             print(
@@ -545,10 +525,7 @@ def main(argv=None):
         if args.command == "cj-table":
             return cmd_cj_table(config)
         return cmd_verify(config, args.target)
-    except LiecharError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (LiecharError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -108,7 +108,8 @@ def contributing_nus(max_weights, base, p, r, rs):
 def nu_bound(chi, p, r, rs):
     """Finite dominant set covering every nu in the Steinberg-multiplicity sum.
 
-    The only bound read off a character.  chi is expanded in the Weyl basis,
+    The range of steinberg_multiplicity (cj_lhs reads its own off the leads
+    of its two factors instead).  chi is expanded in the Weyl basis,
     which raises NonInvariantError unless chi is W-invariant; the maximal
     weights of that expansion are chi's leading dominant weights (every
     weight of chi lies below one of them), and contributing_nus keeps the nu

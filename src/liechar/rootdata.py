@@ -3,9 +3,11 @@
 Weights are plain tuples of integers: the coefficients of the fundamental
 weights (omega_1, ..., omega_l).  A simple root alpha_i is represented by
 row i of the Cartan matrix, since <alpha_i, alpha_j^vee> is exactly its
-j-th fundamental coordinate.  All linear algebra is exact: construction
-derives det(C) * C^-1 and an integer form matrix once (Fraction), and every
-per-call lattice operation after that runs on plain integers.
+j-th fundamental coordinate.  All linear algebra is exact: one
+fraction-free integer elimination per Cartan matrix gives det(C) and
+det(C) * C^-1, and every per-call lattice operation after that runs on
+plain integers.  Fraction remains only in _symmetrizer, _form_matrix and
+root_coords.
 """
 
 from __future__ import annotations
@@ -39,30 +41,6 @@ BUILTIN_CARTAN_MATRICES = {
 }
 
 
-def _adjugate(matrix):
-    """det(M) and the integer matrix det(M) * M^-1, by exact Gauss-Jordan."""
-    n = len(matrix)
-    aug = [
-        [Fraction(matrix[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise NotFiniteTypeError("Cartan matrix is singular")
-        det *= aug[pivot][col] if pivot == col else -aug[pivot][col]
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return int(det), tuple(tuple(int(det * x) for x in row[n:]) for row in aug)
-
-
 def _form_matrix(adj, det, symmetrizer):
     """(omega_i, omega_j) with (alpha_k, alpha_k) = 2 d_k, times the least integer
     that clears every denominator."""
@@ -71,19 +49,34 @@ def _form_matrix(adj, det, symmetrizer):
     return tuple(tuple(int(x * scale) for x in row) for row in gram)
 
 
-def _principal_minors_positive(sym):
-    """Leading principal minors of a symmetric Fraction matrix, all > 0."""
-    n = len(sym)
-    work = [list(row) for row in sym]
-    # Fraction-exact LDL^T sweep; pivots are ratios of consecutive minors.
+def _positive_definite_adjugate(rows):
+    """det(C) and the integer matrix det(C) * C^-1, by one fraction-free
+    (Bareiss) Gauss-Jordan pass over [C | I] without row exchanges.
+
+    The k-th pivot is the k-th leading principal minor of C, which has the
+    sign of that of C * D for the positive symmetrizer D, so the symmetrized
+    matrix is positive definite iff every pivot is positive (Sylvester);
+    NotFiniteTypeError at the first that is not.  Every division is exact.
+    """
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    previous = 1
     for k in range(n):
-        if work[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            factor = work[i][k] / work[k][k]
-            for j in range(k, n):
-                work[i][j] -= factor * work[k][j]
-    return True
+        pivot_row = aug[k]
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            raise NotFiniteTypeError(
+                "symmetrized matrix is not positive definite (not finite type)"
+            )
+        for i, row in enumerate(aug):
+            if i != k:
+                factor = row[k]
+                aug[i] = [
+                    (pivot * x - factor * y) // previous
+                    for x, y in zip(row, pivot_row)
+                ]
+        previous = pivot
+    return previous, tuple(tuple(row[n:]) for row in aug)
 
 
 class CartanMatrix:
@@ -91,7 +84,8 @@ class CartanMatrix:
 
     Validated at construction: square, 2 on the diagonal, nonpositive off
     the diagonal, zero-symmetric, symmetrizable with positive-definite
-    symmetrization.
+    symmetrization.  The elimination that checks the last also gives det
+    and adjugate, the integer matrix det * C^-1.
     """
 
     def __init__(self, entries):
@@ -118,14 +112,7 @@ class CartanMatrix:
         self.entries = rows
         self.rank = n
         self.symmetrizer = self._symmetrizer()
-        sym = tuple(
-            tuple(Fraction(rows[i][j]) * self.symmetrizer[j] for j in range(n))
-            for i in range(n)
-        )
-        if not _principal_minors_positive(sym):
-            raise NotFiniteTypeError(
-                "symmetrized matrix is not positive definite (not finite type)"
-            )
+        self.det, self.adjugate = _positive_definite_adjugate(rows)
 
     def _symmetrizer(self):
         """Positive d with d_j * a_ij = d_i * a_ji, by graph propagation."""
@@ -199,7 +186,7 @@ class RootSystem:
             cartan = CartanMatrix(cartan)
         self.cartan = cartan
         self.rank = cartan.rank
-        self.det, adj = _adjugate(cartan.entries)
+        self.det, adj = cartan.det, cartan.adjugate
         self._adj_columns = tuple(zip(*adj))
         self._height_vector = tuple(map(sum, adj))
         self._form = _form_matrix(adj, self.det, cartan.symmetrizer)
@@ -327,21 +314,42 @@ class RootSystem:
         return [tuple(w) for w in itertools.product(range(bound), repeat=self.rank)]
 
     def dominant_weights_below(self, lam):
-        """All dominant mu <= lam in dominance order (lam included)."""
+        """All dominant mu <= lam in lexicographic order (lam included)."""
+        last = self.cartan.entries[-1]
+        return sorted(
+            tuple(m - c * a for m, a in zip(mu, last))
+            for mu, k in self._dominant_strings(lam)
+            for c in range(k)
+        )
+
+    def count_dominant_below(self, lam):
+        """The number of dominant mu <= lam, without listing them."""
+        return sum(k for _, k in self._dominant_strings(lam))
+
+    def _dominant_strings(self, lam):
+        """Pairs (mu, k), k >= 1, such that the dominant weights below lam are
+        exactly the mu - c alpha_l, 0 <= c < k, alpha_l the last simple root.
+
+        The box of root coordinates of lam - mu is scanned in all but its last
+        coordinate c; mu - c alpha_l is dominant for c in an interval read off
+        row l of the Cartan matrix (2 on its diagonal, <= 0 elsewhere).
+        """
         self.check_rank(lam)
         if not self.is_dominant(lam):
             raise NonDominantError(f"weight {lam} is not dominant")
-        bounds = [n // self.det for n in self.scaled_root_coords(lam)]
-        found = []
+        *rows, last = self.cartan.entries
+        bounds = [n // self.det for n in self.scaled_root_coords(lam)[:-1]]
         for coeffs in itertools.product(*(range(b + 1) for b in bounds)):
-            mu = tuple(
-                lam[i]
-                - sum(coeffs[j] * self.cartan.entries[j][i] for j in range(self.rank))
+            top = [
+                lam[i] - sum(map(mul, coeffs, (row[i] for row in rows)))
                 for i in range(self.rank)
-            )
-            if all(c >= 0 for c in mu):
-                found.append(mu)
-        return sorted(found)
+            ]
+            if any(t < 0 for t, a in zip(top, last) if not a):
+                continue
+            low = max([0] + [-(t // -a) for t, a in zip(top, last) if a < 0])
+            high = top[-1] // 2
+            if low <= high:
+                yield tuple(t - low * a for t, a in zip(top, last)), high - low + 1
 
     def weyl_dimension(self, lam):
         """Weyl dimension formula, as an exact integer."""

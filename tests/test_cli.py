@@ -493,6 +493,15 @@ class TestDataResolution:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("matrix", [[[2, -2], [-2, 2]], [[2, -1], [-4, 2]]])
+    def test_cartan_file_not_of_finite_type(self, capsys, tmp_path, matrix):
+        path = tmp_path / "cartan.json"
+        path.write_text(json.dumps({"rank": 2, "matrix": matrix}))
+        code, out, err = run(capsys, ["char", "--cartan", str(path), "weyl(0,0)"])
+        assert code == 2
+        assert out == ""
+        assert "positive definite" in err
+
     def test_cartan_file(self, capsys, tmp_path):
         path = tmp_path / "cartan.json"
         path.write_text(json.dumps({"rank": 1, "matrix": [[2]]}))

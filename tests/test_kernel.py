@@ -2,8 +2,10 @@
 
 Every reference below is computed here: the lattice kernel's from the
 Cartan matrix alone, by Fraction Gauss-Jordan elimination and the O(n^2)
-maximal-element scan; the product's, on both of its paths (dict loop and
-Kronecker substitution), by the tuple double loop; Weyl characters by
+maximal-element scan; the finite-type test's by the Fraction LDL^T sweep of
+C * D; the dominant weights below lam by a filtered box scan; the
+product's, on both of its paths (dict loop and Kronecker substitution), by
+the tuple double loop; Weyl characters by
 Freudenthal's recursion, Weyl-basis coefficients by leading-term
 elimination against those characters (an elimination that rescans the
 whole residual for each lead, the reference for expand's heap-ordered one),
@@ -26,6 +28,7 @@ from liechar import (
     DecompositionProvider,
     LiecharError,
     NonInvariantError,
+    NotFiniteTypeError,
     RankMismatchError,
     character_divide,
     characters,
@@ -69,6 +72,94 @@ def fraction_inverse(matrix):
             if r != col:
                 aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def reference_symmetrized_det(matrix, d):
+    """det(C * D) when C * D is positive definite, else None: the Fraction
+    LDL^T sweep, whose pivots are ratios of consecutive leading principal
+    minors."""
+    n = len(matrix)
+    work = [[Fraction(matrix[i][j] * d[j]) for j in range(n)] for i in range(n)]
+    det = Fraction(1)
+    for k in range(n):
+        if work[k][k] <= 0:
+            return None
+        det *= work[k][k]
+        for i in range(k + 1, n):
+            factor = work[i][k] / work[k][k]
+            for j in range(k, n):
+                work[i][j] -= factor * work[k][j]
+    return det
+
+
+# Finite-type Cartan matrices with their determinants.
+LARGER_CARTAN = {
+    "A3": (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), 4),
+    "B3": (RANK3_CARTAN, 2),
+    "C3": (((2, -1, 0), (-1, 2, -1), (0, -2, 2)), 2),
+    "D4": (((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)), 4),
+    "F4": (((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)), 1),
+    "E8": (
+        (
+            (2, 0, -1, 0, 0, 0, 0, 0),
+            (0, 2, 0, -1, 0, 0, 0, 0),
+            (-1, 0, 2, -1, 0, 0, 0, 0),
+            (0, -1, -1, 2, -1, 0, 0, 0),
+            (0, 0, 0, -1, 2, -1, 0, 0),
+            (0, 0, 0, 0, -1, 2, -1, 0),
+            (0, 0, 0, 0, 0, -1, 2, -1),
+            (0, 0, 0, 0, 0, 0, -1, 2),
+        ),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_CARTAN))
+def test_adjugate_is_det_times_inverse(name):
+    matrix, det = LARGER_CARTAN[name]
+    cartan = CartanMatrix(matrix)
+    assert cartan.det == det
+    assert [list(row) for row in cartan.adjugate] == [
+        [det * x for x in row] for row in fraction_inverse(matrix)
+    ]
+
+
+# Off-diagonal pairs (a_ij, a_ji) of the random Cartan-like matrices.
+OFF_DIAGONAL_PAIRS = (
+    (-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4), (-4, -1),
+)
+
+
+@st.composite
+def symmetrizable_matrices(draw):
+    """A sign-valid matrix C of rank <= 4 and a positive d with C * diag(d)
+    symmetric: each linked pair is one that d_j a_ij = d_i a_ji allows, and
+    a pair that has one is linked two times in three."""
+    n = draw(st.integers(1, 4))
+    d = [draw(st.sampled_from((1, 2, 3, 4))) for _ in range(n)]
+    matrix = [[2 * int(i == j) for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        fits = [(a, b) for a, b in OFF_DIAGONAL_PAIRS if d[j] * a == d[i] * b]
+        if fits and draw(st.integers(0, 2)):
+            matrix[i][j], matrix[j][i] = draw(st.sampled_from(fits))
+    return matrix, d
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(symmetrizable_matrices())
+def test_cartan_matrix_accepts_exactly_the_positive_definite(case):
+    matrix, d = case
+    sym_det = reference_symmetrized_det(matrix, d)
+    if sym_det is None:
+        with pytest.raises(NotFiniteTypeError, match="positive definite"):
+            CartanMatrix(matrix)
+        return
+    cartan = CartanMatrix(matrix)
+    assert cartan.det == sym_det / math.prod(d)
+    assert [list(row) for row in cartan.adjugate] == [
+        [cartan.det * x for x in row] for row in fraction_inverse(matrix)
+    ]
 
 
 def reference_root_coords(rs, weight):
@@ -222,6 +313,31 @@ def test_size_bound_counts_every_weight(case):
     with mock.patch.object(characters, "MAX_WEYL_WEIGHTS", size - 1):
         with pytest.raises(LiecharError, match="is too large"):
             weyl_character(lam, RootSystem(rs.cartan))
+
+
+def test_size_bound_counts_dominant_weights():
+    # On B3, |W| times the root-coordinate box of (8,8,8), 48 * 25,641, is
+    # over the limit; |W| times the dominant weights below it is 58,896.
+    rs = RootSystem(RANK3_CARTAN)
+    chi = weyl_character((8, 8, 8), rs)
+    assert len(chi.support) == 47113
+    assert chi.dimension() == rs.weyl_dimension((8, 8, 8))
+
+
+@PROPERTY
+@given(system_and_dominant_weight())
+def test_dominant_weights_below_match_reference(case):
+    # A dominant mu <= lam has root coordinates 0 <= c_i <= those of lam,
+    # and mu_i <= 2 c_i, so the box below holds every such mu.
+    rs, lam = case
+    bounds = [2 * n // rs.det for n in rs.scaled_root_coords(lam)]
+    expected = [
+        mu
+        for mu in itertools.product(*(range(b + 1) for b in bounds))
+        if rs.dominance_leq(mu, lam)
+    ]
+    assert rs.dominant_weights_below(lam) == expected
+    assert rs.count_dominant_below(lam) == len(expected)
 
 
 @st.composite

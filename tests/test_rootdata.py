@@ -33,6 +33,11 @@ class TestCartanMatrix:
         with pytest.raises(NotFiniteTypeError, match="positive definite"):
             CartanMatrix([[2, -2], [-2, 2]])
 
+    def test_rejects_twisted_affine_matrix(self):
+        # Twisted affine A2: its second leading principal minor is 0.
+        with pytest.raises(NotFiniteTypeError, match="positive definite"):
+            CartanMatrix([[2, -1], [-4, 2]])
+
     def test_rejects_non_symmetrizable(self):
         with pytest.raises(NotFiniteTypeError):
             CartanMatrix([[2, -1, -2], [-1, 2, -1], [-1, -2, 2]])
