@@ -71,7 +71,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from operator import add, sub
+from operator import add, itemgetter, sub
 from types import MappingProxyType
 
 from .errors import (
@@ -83,6 +83,7 @@ from .errors import (
     RankMismatchError,
     strict_int,
     strict_int_tuple,
+    weight_keyed,
 )
 from .rootdata import MAX_WEYL_WEIGHTS, RootSystem
 
@@ -226,14 +227,12 @@ class Character:
 
     @classmethod
     def from_json_dict(cls, doc):
-        rank = strict_int(doc["rank"], "rank")
-        support = {}
-        for entry in doc["entries"]:
-            weight = strict_int_tuple(entry["weight"], "weight")
-            if weight in support:
-                raise DataValidationError(f"duplicate weight {weight}")
-            support[weight] = entry["mult"]
-        return cls(rank, support)
+        """Load from {"rank": l, "entries": [{"weight": [...], "mult": n}, ...]}."""
+        if not isinstance(doc, dict):
+            raise DataValidationError(f"character must be an object, got {doc!r}")
+        rank = strict_int(doc.get("rank"), "rank")
+        entries = doc.get("entries")
+        return cls(rank, weight_keyed(entries, "weight", itemgetter("mult"), "weight"))
 
     def __repr__(self):
         items = ", ".join(f"{w}: {m}" for w, m in self.sorted_items())

@@ -282,26 +282,33 @@ def _weight_label(weight):
     return ",".join(map(str, weight))
 
 
-# The JSON renderers format their document as one string and write it once:
+# Each renderer formats its whole output as one string and writes it once.
+# The JSON output is byte for byte json.dumps(doc, sort_keys=True,
+# separators=(",", ":")), so each object's keys appear in sorted order;
 # json.dump would encode in pure Python and call out.write once per token.
-# The output is byte for byte json.dumps(doc, sort_keys=True,
-# separators=(",", ":")), so each object's keys appear in sorted order.
 
 
 def render_character(chi, fmt, out):
-    if fmt == "json":
-        entries = ",".join(
-            f'{{"mult":{m},"weight":[{_weight_label(w)}]}}'
-            for w, m in chi.sorted_items()
-        )
-        out.write(f'{{"entries":[{entries}],"rank":{chi.rank}}}\n')
-    elif fmt == "tsv":
-        for weight, mult in chi.sorted_items():
-            out.write(f"{_weight_label(weight)}\t{mult}\n")
-    else:
-        for weight, mult in chi.sorted_items():
-            out.write(f"({_weight_label(weight)}): {mult}\n")
-        out.write(f"dimension: {chi.dimension()}\n")
+    """Write chi to out; CliError, before any output, when a number it
+    prints is past sys.get_int_max_str_digits()."""
+    items = chi.sorted_items()
+    try:
+        if fmt == "json":
+            entries = ",".join(
+                f'{{"mult":{m},"weight":[{_weight_label(w)}]}}' for w, m in items
+            )
+            text = f'{{"entries":[{entries}],"rank":{chi.rank}}}\n'
+        elif fmt == "tsv":
+            text = "".join(f"{_weight_label(w)}\t{m}\n" for w, m in items)
+        else:
+            text = "".join(f"({_weight_label(w)}): {m}\n" for w, m in items)
+            text += f"dimension: {chi.dimension()}\n"
+    except ValueError:
+        raise CliError(
+            f"result has a number of more than {sys.get_int_max_str_digits()} "
+            "digits, too long to print"
+        ) from None
+    out.write(text)
 
 
 def _json_matrix(values, labels):
@@ -326,38 +333,22 @@ def render_table(table, fmt, out):
             f'"mismatches":[{mismatches}],"rhs":{_json_matrix(table.rhs, labels)}}}\n'
         )
         return
+    lines = []
     for route in ("lhs", "rhs"):
         values = getattr(table, route)
-        out.write(f"# route={route}\n")
-        out.write("\t" + "\t".join(_weight_label(mu) for mu in labels) + "\n")
+        lines.append(f"# route={route}")
+        lines.append("\t" + "\t".join(_weight_label(mu) for mu in labels))
         for lam in labels:
             cells = "\t".join(str(values[(lam, mu)]) for mu in labels)
-            out.write(f"{_weight_label(lam)}\t{cells}\n")
+            lines.append(f"{_weight_label(lam)}\t{cells}")
+    out.write("\n".join(lines) + "\n")
 
 
 # -- commands --------------------------------------------------------------
 
 
-def _check_printable(chi):
-    """Raise CliError before any output if a number of chi cannot be printed."""
-    numbers = itertools.chain(
-        itertools.chain.from_iterable(chi.support),
-        chi.support.values(),
-        (chi.dimension(),),
-    )
-    widest = max(map(abs, numbers))
-    try:
-        str(widest)
-    except ValueError:
-        raise CliError(
-            f"result has a number of more than {sys.get_int_max_str_digits()} "
-            "digits, too long to print"
-        ) from None
-
-
 def cmd_char(config, expression):
     chi = evaluate_expression(expression, config)
-    _check_printable(chi)
     render_character(chi, config.format, sys.stdout)
     return EXIT_OK
 

@@ -10,7 +10,7 @@ digits, and every other row from the simple-basis expansion of chi(lam).
 from __future__ import annotations
 
 import math
-from operator import add
+from operator import add, itemgetter
 
 from .characters import Character, expand, frobenius_twist, weyl_character
 from .errors import (
@@ -20,13 +20,18 @@ from .errors import (
     NonDominantError,
     RankMismatchError,
     strict_int,
-    strict_int_tuple,
+    weight_keyed,
 )
 from .rootdata import MAX_WEYL_WEIGHTS, CartanMatrix, RootSystem, root_system_of
 
 
 def weight_digits(lam, p):
-    """Per-coordinate base-p digits: lam = sum_i p^i lam_i, lam_i restricted."""
+    """Per-coordinate base-p digits: lam = sum_i p^i lam_i, lam_i restricted.
+
+    ValueError for a base p < 2, in which the digits never end.
+    """
+    if p < 2:
+        raise ValueError(f"need a base of at least 2, got {p}")
     if any(c < 0 for c in lam):
         raise NonDominantError(f"weight {tuple(lam)} has a negative coordinate")
     digits = []
@@ -228,6 +233,8 @@ def load_decomposition_data(doc, rs=None):
 
     Schema: {"type"/"cartan": ..., "p": prime, "rows":
     [{"lambda": [...], "factors": [{"mu": [...], "mult": n}, ...]}, ...]}.
+    The rows, and the factors of each, are read by errors.weight_keyed, so a
+    malformed entry or a repeated lambda or mu raises DataValidationError.
     Each row must be unitriangular with a unit diagonal.  The restricted
     rows become the provider's table, and each must determine its simple
     character (DataValidationError naming the row when a row it needs is
@@ -242,36 +249,25 @@ def load_decomposition_data(doc, rs=None):
     p = strict_int(doc.get("p"), "p")
     if p < 2:
         raise DataValidationError(f"invalid prime p: {p!r}")
-    raw_rows = doc.get("rows")
-    if not isinstance(raw_rows, list):
-        raise DataValidationError("document needs a 'rows' list")
-
-    rows = {}
-    for entry in raw_rows:
-        try:
-            lam = strict_int_tuple(entry["lambda"], "lambda")
-            factors = {}
-            for f in entry["factors"]:
-                mu = strict_int_tuple(f["mu"], f"row {lam}: mu")
-                if mu in factors:
-                    raise DataValidationError(f"row {lam}: duplicate factor {mu}")
-                factors[mu] = strict_int(f["mult"], f"row {lam}: multiplicity")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataValidationError(f"malformed row entry {entry!r}") from exc
-        if lam in rows:
-            raise DataValidationError(f"duplicate row for lambda {lam}")
+    rows = weight_keyed(
+        doc.get("rows"),
+        "lambda",
+        lambda row: weight_keyed(row["factors"], "mu", itemgetter("mult"), "factor"),
+        "row for lambda",
+    )
+    for lam, factors in rows.items():
         rs.check_rank(lam)
-        if factors.get(lam) != 1:
-            raise DataValidationError(
-                f"row {lam}: [nabla(lam):L(lam)] must be 1, got {factors.get(lam)}"
-            )
         for mu, mult in factors.items():
-            if mult < 0:
+            if strict_int(mult, f"row {lam}: multiplicity") < 0:
                 raise DataValidationError(f"row {lam}: negative multiplicity at {mu}")
             if mult and not rs.dominance_leq(mu, lam):
                 raise DataValidationError(
                     f"row {lam}: factor {mu} violates unitriangularity"
                 )
+        if factors.get(lam) != 1:
+            raise DataValidationError(
+                f"row {lam}: [nabla(lam):L(lam)] must be 1, got {factors.get(lam)}"
+            )
         rows[lam] = {mu: m for mu, m in factors.items() if m}
 
     restricted = {

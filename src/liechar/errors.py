@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and strict integer parsing."""
+"""Exception types shared across the package, and strict parsing of JSON data."""
 
 
 class LiecharError(Exception):
@@ -66,3 +66,26 @@ def strict_int_tuple(value, what):
     for c in coords:
         strict_int(c, what)
     return coords
+
+
+def weight_keyed(entries, key, read_value, what):
+    """{weight: read_value(entry)} over entries, a JSON list of objects,
+    each weight being strict_int_tuple(entry[key]).
+
+    DataValidationError when entries is not a list, naming an entry that
+    raises KeyError, TypeError or ValueError (not an object, or a key
+    missing), and "duplicate <what> <weight>" on a repeated weight.
+    """
+    if not isinstance(entries, list):
+        raise DataValidationError(f"{key} entries must form a list, got {entries!r}")
+    result = {}
+    for entry in entries:
+        try:
+            weight = strict_int_tuple(entry[key], key)
+            value = read_value(entry)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataValidationError(f"malformed {what} entry {entry!r}") from exc
+        if weight in result:
+            raise DataValidationError(f"duplicate {what} {weight}")
+        result[weight] = value
+    return result

@@ -77,8 +77,10 @@ def contributing_nus(max_weights, base, p, r, rs):
     (p^r - 1) nu <= m - base, then filters by the exact dominance test
     against the m that can pass.  A dominant nu has nonnegative root
     coordinates, so an m for which m - base has a negative root coordinate
-    passes for no nu and is dropped first.
+    passes for no nu and is dropped first.  ValueError when p^r < 2.
     """
+    if p**r < 2:
+        raise ValueError(f"need p^r >= 2, got p={p}, r={r}")
     base = tuple(base)
     scale = (p**r - 1) * rs.det
     box = [0] * rs.rank

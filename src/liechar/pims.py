@@ -26,7 +26,7 @@ from .errors import (
     DivisionFailure,
     NonInvariantError,
     strict_int,
-    strict_int_tuple,
+    weight_keyed,
 )
 from .finite import (
     contributing_nus,
@@ -149,9 +149,10 @@ class QrData:
         """Load from {"type"/"cartan": ..., "p": ..., "r": ..., "entries":
         [{"lambda": [...], "qhat": <character JSON>}, ...]}.
 
-        Each lambda may appear once.  Without rs the document must name its
-        root system; with rs, a document that names one must name rs's
-        Cartan matrix (see root_system_of).
+        The entries are read by errors.weight_keyed, so a malformed entry or
+        a repeated lambda raises DataValidationError.  Without rs the
+        document must name its root system; with rs, a document that names
+        one must name rs's Cartan matrix (see root_system_of).
         """
         if not isinstance(doc, dict):
             raise DataValidationError("Q-hat document must be an object")
@@ -161,16 +162,13 @@ class QrData:
         if p < 2 or r < 1:
             raise DataValidationError(f"invalid (p, r): ({p!r}, {r!r})")
         check_printable_power(p, r, "r =")
-        raw = doc.get("entries")
-        if not isinstance(raw, list):
-            raise DataValidationError("document needs an 'entries' list")
-        qhat_chars = {}
-        for entry in raw:
-            try:
-                lam = strict_int_tuple(entry["lambda"], "lambda")
-                qhat = Character.from_json_dict(entry["qhat"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataValidationError(f"malformed entry {entry!r}") from exc
+        qhat_chars = weight_keyed(
+            doc.get("entries"),
+            "lambda",
+            lambda entry: Character.from_json_dict(entry["qhat"]),
+            "entry for lambda",
+        )
+        for lam, qhat in qhat_chars.items():
             if len(lam) != rs.rank or not all(0 <= c < p**r for c in lam):
                 raise DataValidationError(
                     f"entry {lam}: lambda is not a {p**r}-restricted weight "
@@ -178,9 +176,6 @@ class QrData:
                 )
             if qhat.rank != rs.rank:
                 raise DataValidationError(f"entry {lam}: rank mismatch")
-            if lam in qhat_chars:
-                raise DataValidationError(f"duplicate entry for lambda {lam}")
-            qhat_chars[lam] = qhat
         return cls(rs, p, r, qhat_chars)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
@@ -24,13 +25,16 @@ from .errors import (
     NonDominantError,
     NotFiniteTypeError,
     RankMismatchError,
+    strict_int,
     strict_int_tuple,
 )
 
 #: Largest set of weights built at once: the support of a Weyl character
 #: (characters.weyl_character), the digit product bounding a non-restricted
 #: simple character (DecompositionProvider.simple_character), the
-#: restricted weights X_r, or the weight grid of a CLI sweep.
+#: restricted weights X_r, the weight grid of a CLI sweep, or a W-orbit:
+#: RootSystem refuses a Weyl group of larger order, since its Weyl
+#: denominator is the signed orbit of rho, of |W| weights.
 MAX_WEYL_WEIGHTS = 10**6
 
 BUILTIN_CARTAN_MATRICES = {
@@ -150,15 +154,19 @@ class CartanMatrix:
 
     @classmethod
     def from_json_dict(cls, doc):
-        """Build from {"type": name} or {"rank": l, "matrix": [[...]]}."""
+        """Build from {"type": name} or {"rank": l, "matrix": [[...]]}; the
+        matrix must be a list of rows, and rank, if given, an integer equal
+        to its length (NotFiniteTypeError or DataValidationError otherwise)."""
         if not isinstance(doc, dict):
             raise NotFiniteTypeError(f"Cartan document must be an object, got {doc!r}")
         if "type" in doc:
             return cls.builtin(doc["type"])
         matrix = doc.get("matrix")
-        if matrix is None:
-            raise NotFiniteTypeError("document needs a 'type' or 'matrix' key")
-        if "rank" in doc and doc["rank"] != len(matrix):
+        if not isinstance(matrix, list):
+            raise NotFiniteTypeError(
+                f"Cartan document needs a 'type' or a 'matrix' list, got {doc!r}"
+            )
+        if "rank" in doc and strict_int(doc["rank"], "rank") != len(matrix):
             raise NotFiniteTypeError(
                 f"declared rank {doc['rank']} does not match matrix size {len(matrix)}"
             )
@@ -178,7 +186,8 @@ class RootSystem:
     """Immutable root-system data derived from a Cartan matrix.
 
     Carries the positive roots, rho, the Weyl denominator (read-only
-    {w rho: sgn(w)}) and the longest-element action.
+    {w rho: sgn(w)}) and the longest-element action.  LiecharError, before
+    the Weyl denominator is built, when |W| is more than MAX_WEYL_WEIGHTS.
     """
 
     def __init__(self, cartan):
@@ -192,6 +201,13 @@ class RootSystem:
         self._form = _form_matrix(adj, self.det, cartan.symmetrizer)
         self.rho = (1,) * self.rank
         self.positive_roots = self._generate_positive_roots()
+        # |W| is the product of the degrees m_j + 1, the exponent m_j being the
+        # number of heights that at least j positive roots have (Kostant's
+        # dual partition), so the Weyl denominator's size is known unbuilt.
+        heights = Counter(map(self.scaled_height, self.positive_roots)).values()
+        order = math.prod(sum(n > j for n in heights) + 1 for j in range(self.rank))
+        if order > MAX_WEYL_WEIGHTS:
+            raise LiecharError(f"Weyl group order {order} exceeds {MAX_WEYL_WEIGHTS}")
         self._w0_word = self._compute_w0_word()
         self.weyl_denominator = MappingProxyType(self.signed_orbit(self.rho))
         self._weyl_char_cache = {}

@@ -19,6 +19,10 @@ wrong: nabla(6) = L(6) + L(4).  Loading it must exit 2.
 ``tests/data/bad_a1_p5.json`` gives nabla(3) = L(3) + L(1) at p = 5, where
 nabla(3) = L(3).  It loads, since only restricted rows are given, and the
 routes that read it must disagree: those entries exit 1.
+``tests/data/bad_cartan_matrix.json`` declares rank 2 with a matrix that is
+not a list, and ``tests/data/e8_cartan.json`` is the Cartan matrix of E8,
+whose Weyl group of order 696,729,600 is past MAX_WEYL_WEIGHTS: both exit 2,
+the second before the Weyl denominator is built.
 """
 
 import hashlib

@@ -159,8 +159,8 @@ RENDERED_TABLES = {
 
 
 class TestJsonRendering:
-    """The JSON renderers print json.dumps(doc, sort_keys=True, compact
-    separators) byte for byte, in one write call."""
+    """Each renderer writes its whole output in one call, and the JSON ones
+    print json.dumps(doc, sort_keys=True, compact separators) byte for byte."""
 
     @pytest.mark.parametrize("name", RENDERED_CHARACTERS)
     def test_character_matches_stdlib_encoder(self, name):
@@ -169,6 +169,15 @@ class TestJsonRendering:
         cli.render_character(chi, "json", out)
         assert out.text == json_oracle(chi.to_json_dict())
         assert out.writes == 1
+        for fmt, line in (("tsv", "{}\t{}\n"), ("pretty", "({}): {}\n")):
+            out = CountingOut()
+            cli.render_character(chi, fmt, out)
+            items = [(",".join(map(str, w)), m) for w, m in chi.sorted_items()]
+            lines = [line.format(*item) for item in items]
+            if fmt == "pretty":
+                lines.append(f"dimension: {chi.dimension()}\n")
+            assert out.text == "".join(lines)
+            assert out.writes == 1
 
     @pytest.mark.parametrize("name", RENDERED_TABLES)
     def test_table_matches_stdlib_encoder(self, name):
@@ -177,6 +186,10 @@ class TestJsonRendering:
         cli.render_table(table, "json", out)
         assert out.text == json_oracle(table_doc(table))
         assert out.writes == 1
+        out = CountingOut()
+        cli.render_table(table, "pretty", out)
+        assert out.writes == 1
+        assert out.text.count("\n") == 2 * (len(table.labels) + 2)
 
 
 class TestInputErrors:
@@ -409,6 +422,18 @@ class TestNumbersTooLongToPrint:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    def test_only_a_printed_dimension_is_refused(self):
+        # Each multiplicity has 4300 digits; their sum, the dimension, 4301.
+        chi = Character(1, {(0,): 9 * 10**4299, (1,): 9 * 10**4299})
+        for fmt in ("json", "tsv"):
+            out = CountingOut()
+            cli.render_character(chi, fmt, out)
+            assert out.writes == 1
+        out = CountingOut()
+        with pytest.raises(cli.CliError, match="too long to print"):
+            cli.render_character(chi, "pretty", out)
+        assert out.writes == 0
+
     @pytest.mark.parametrize("exponent", [9000, 9012])
     def test_longest_printable_twist(self, capsys, exponent):
         # 3**9012 has 4300 digits, 3**9013 has 4301.
@@ -483,7 +508,15 @@ class TestDataResolution:
 
     @pytest.mark.parametrize(
         "flag, doc",
-        [("--cartan", [[2]]), ("--decomp-data", {"type": ["A1"], "p": 3, "rows": []})],
+        [
+            ("--cartan", [[2]]),
+            ("--decomp-data", {"type": ["A1"], "p": 3, "rows": []}),
+            ("--cartan", {"matrix": 5}),
+            ("--cartan", {"rank": 2, "matrix": 7}),
+            ("--decomp-data", {"cartan": {"matrix": 5}, "p": 3, "rows": []}),
+            ("--cartan", {"rank": True, "matrix": [[2]]}),
+            ("--cartan", {"rank": "2", "matrix": [[2, -1], [-1, 2]]}),
+        ],
     )
     def test_malformed_root_system_key(self, capsys, tmp_path, flag, doc):
         path = tmp_path / "data.json"

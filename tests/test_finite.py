@@ -1,7 +1,10 @@
 import functools
 import itertools
 import operator
+import os
 import random
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -481,3 +484,46 @@ class TestRouteAgreementProperty:
             chi = chi * steinberg_character(rs, 2, 1)
         values = route_values(chi, 1, a2_p2_provider)
         assert len(set(values.values())) == 1, values
+
+
+# Each helper called at r = 0 (base p^0 = 1), by a child process: a helper
+# that loops in base 1 then fails the test by the timeout instead of hanging
+# the suite.
+R_ZERO_PREAMBLE = """
+from liechar import *
+from liechar.decomp import weight_digits
+from liechar.finite import contributing_nus
+provider = DecompositionProvider.builtin_sl2(3)
+rs = provider.rs
+chi = weyl_character((1,), rs)
+"""
+R_ZERO_CALLS = [
+    "weight_digits((1,), 1)",
+    "finite_simple_multiplicities((1,), 0, provider)",
+    "steinberg_multiplicity(chi, 0, provider, 'direct')",
+    "steinberg_multiplicity(chi, 0, provider, 'simple_basis')",
+    "pims.induced_socle_multiplicity((0,), (1,), 0, provider)",
+    "pims.cj_rhs((0,), (0,), 0, provider)",
+    "nu_bound(chi, 3, 0, rs)",
+    "contributing_nus([(2,)], (0,), 3, 0, rs)",
+]
+
+
+@pytest.mark.parametrize("call", R_ZERO_CALLS)
+def test_base_below_two_raises_value_error(call):
+    script = R_ZERO_PREAMBLE + f"""
+try:
+    {call}
+except ValueError as exc:
+    print("ValueError:", exc)
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ValueError: need "), proc.stdout

@@ -33,6 +33,7 @@ from liechar import (
     character_divide,
     characters,
     frobenius_twist,
+    rootdata,
     steinberg_character,
     steinberg_multiplicity,
     to_weyl_basis,
@@ -123,6 +124,34 @@ def test_adjugate_is_det_times_inverse(name):
     assert [list(row) for row in cartan.adjugate] == [
         [det * x for x in row] for row in fraction_inverse(matrix)
     ]
+
+
+# The degrees of W (Humphreys, Reflection Groups and Coxeter Groups, 3.7).
+WEYL_DEGREES = {
+    "A3": (2, 3, 4),
+    "B3": (2, 4, 6),
+    "C3": (2, 4, 6),
+    "D4": (2, 4, 4, 6),
+    "F4": (2, 6, 8, 12),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_CARTAN))
+def test_weyl_group_order_bounds_the_weyl_denominator(name):
+    matrix, _ = LARGER_CARTAN[name]
+    order = math.prod(WEYL_DEGREES[name])
+    if order > rootdata.MAX_WEYL_WEIGHTS:
+        # E8: refused before its orbit of 696,729,600 weights is built.
+        with pytest.raises(LiecharError, match=f"order {order} exceeds"):
+            RootSystem(matrix)
+        return
+    assert len(RootSystem(matrix).weyl_denominator) == order
+    with mock.patch.object(rootdata, "MAX_WEYL_WEIGHTS", order - 1):
+        with pytest.raises(LiecharError, match=f"order {order} exceeds {order - 1}"):
+            RootSystem(matrix)
+    with mock.patch.object(rootdata, "MAX_WEYL_WEIGHTS", order):
+        RootSystem(matrix)
 
 
 # Off-diagonal pairs (a_ij, a_ji) of the random Cartan-like matrices.

@@ -59,10 +59,19 @@ class TestCartanMatrix:
         with pytest.raises(DataValidationError, match="must be an integer"):
             CartanMatrix.from_json_dict({"rank": 2, "matrix": [[2, entry], [-1, 2]]})
 
-    @pytest.mark.parametrize("doc", [[[2]], {"type": ["A1"]}])
+    @pytest.mark.parametrize(
+        "doc", [[[2]], {"type": ["A1"]}, {"matrix": 5}, {"rank": 2, "matrix": 7}]
+    )
     def test_from_json_rejects_malformed_documents(self, doc):
         with pytest.raises(NotFiniteTypeError):
             CartanMatrix.from_json_dict(doc)
+
+    @pytest.mark.parametrize("rank", [True, "2", 2.0])
+    def test_from_json_rejects_a_rank_that_is_not_an_integer(self, rank):
+        with pytest.raises(DataValidationError, match="rank must be an integer"):
+            CartanMatrix.from_json_dict({"rank": rank, "matrix": [[2, -1], [-1, 2]]})
+        with pytest.raises(DataValidationError, match="rank must be an integer"):
+            CartanMatrix.from_json_dict({"rank": rank, "matrix": [[2]]})
 
     def test_from_json_rank_mismatch(self):
         with pytest.raises(NotFiniteTypeError, match="rank"):
