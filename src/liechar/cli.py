@@ -11,6 +11,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 import time
 
@@ -155,123 +156,121 @@ def _require(config, attr, what):
 
 # -- expression grammar ----------------------------------------------------
 
+# One token: a run of letters, a run of digits, or one other character;
+# whitespace before a token is skipped.
+_TOKEN = re.compile(r"\s*([^\W\d_]+|\d+|\S)")
 
-class _Tokens:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+class _Parser:
+    """Recursive descent over the tokens of one expression:
+
+        expr   := atom ('+' atom)* | atom ('*' atom)*
+        atom   := 'st' | '(' expr ')' | 'weyl' '(' weight ')'
+                | 'simple' '(' weight ')' | 'twist' '(' expr ',' int ')'
+                | 'dual' '(' expr ')'
+        weight := int (',' int)*
+
+    Each method parses one production and evaluates it under config.
+    """
+
+    def __init__(self, text, config):
+        matches = list(_TOKEN.finditer(text))
+        self.tokens = [m[1] for m in matches] + [None]
+        self.starts = [m.start(1) for m in matches] + [len(text)]
+        self.i = 0
+        self.config = config
 
     def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        for kind in (str.isalpha, str.isdigit):
-            end = self.pos
-            while end < len(self.text) and kind(self.text[end]):
-                end += 1
-            if end > self.pos:
-                return self.text[self.pos:end]
-        return self.text[self.pos]
+        return self.tokens[self.i]
+
+    def error(self, message, back=0):
+        """CliError at the current token, or back tokens before it."""
+        return CliError(
+            f"parse error at position {self.starts[self.i - back]}: {message}"
+        )
 
     def take(self, expected=None):
         token = self.peek()
         if token is None:
-            raise CliError(f"parse error at position {self.pos}: unexpected end")
+            raise self.error("unexpected end")
         if expected is not None and token != expected:
-            raise CliError(
-                f"parse error at position {self.pos}: expected {expected!r}, "
-                f"got {token!r}"
-            )
-        self.pos += len(token)
+            raise self.error(f"expected {expected!r}, got {token!r}")
+        self.i += 1
         return token
 
-    def take_int(self):
+    def integer(self):
         token = self.take()
         if not token.isdecimal():
-            raise CliError(
-                f"parse error at position {self.pos - len(token)}: expected an "
-                f"integer, got {token!r}"
-            )
+            raise self.error(f"expected an integer, got {token!r}", back=1)
         try:
             return int(token)
         except ValueError:
-            raise CliError(
-                f"parse error at position {self.pos - len(token)}: integer of "
-                f"{len(token)} digits is too long"
+            raise self.error(
+                f"integer of {len(token)} digits is too long", back=1
             ) from None
 
+    def weight(self):
+        coords = [self.integer()]
+        while self.peek() == ",":
+            self.take()
+            coords.append(self.integer())
+        rank = self.config.rs.rank
+        if len(coords) != rank:
+            raise self.error(f"weight has {len(coords)} coordinates, rank is {rank}")
+        return tuple(coords)
 
-def _parse_weight(tokens, rank):
-    coords = [tokens.take_int()]
-    while tokens.peek() == ",":
-        tokens.take(",")
-        coords.append(tokens.take_int())
-    if len(coords) != rank:
-        raise CliError(
-            f"parse error at position {tokens.pos}: weight has {len(coords)} "
-            f"coordinates, rank is {rank}"
-        )
-    return tuple(coords)
-
-
-def _parse_atom(tokens, config):
-    token = tokens.peek()
-    if token == "st":
-        tokens.take()
-        return steinberg_character(config.rs, config.p, config.r)
-    if token not in ("(", "weyl", "simple", "twist", "dual"):
-        what = "end" if token is None else repr(token)
-        raise CliError(f"parse error at position {tokens.pos}: unexpected {what}")
-    if token != "(":
-        tokens.take()
-    tokens.take("(")
-    if token == "weyl":
-        value = weyl_character(_parse_weight(tokens, config.rs.rank), config.rs)
-    elif token == "simple":
-        lam = _parse_weight(tokens, config.rs.rank)
-        provider = _require(config, "provider", "decomposition data")
-        value = provider.simple_character(lam)
-    else:
-        value = _parse_expression(tokens, config)
-        if token == "twist":
-            tokens.take(",")
-            value = frobenius_twist(value, config.p, tokens.take_int())
-        elif token == "dual":
-            value = formal_dual(value)
-    tokens.take(")")
-    return value
-
-
-def _parse_expression(tokens, config):
-    value = _parse_atom(tokens, config)
-    op = tokens.peek()
-    if op not in ("+", "*"):
+    def atom(self):
+        config = self.config
+        token = self.peek()
+        if token == "st":
+            self.take()
+            return steinberg_character(config.rs, config.p, config.r)
+        if token not in ("(", "weyl", "simple", "twist", "dual"):
+            what = "end" if token is None else repr(token)
+            raise self.error(f"unexpected {what}")
+        if token != "(":
+            self.take()
+        self.take("(")
+        if token == "weyl":
+            value = weyl_character(self.weight(), config.rs)
+        elif token == "simple":
+            lam = self.weight()
+            provider = _require(config, "provider", "decomposition data")
+            value = provider.simple_character(lam)
+        else:
+            value = self.expression()
+            if token == "twist":
+                self.take(",")
+                value = frobenius_twist(value, config.p, self.integer())
+            elif token == "dual":
+                value = formal_dual(value)
+        self.take(")")
         return value
-    while True:
-        nxt = tokens.peek()
-        if nxt is None or nxt in (")", ","):
+
+    def expression(self):
+        value = self.atom()
+        op = self.peek()
+        if op not in ("+", "*"):
             return value
-        if nxt != op:
-            raise CliError(
-                f"parse error at position {tokens.pos}: mixed '+' and '*' "
-                "need explicit parentheses"
-            )
-        tokens.take(op)
-        rhs = _parse_atom(tokens, config)
-        value = value + rhs if op == "+" else value * rhs
+        while self.peek() not in (None, ")", ","):
+            if self.peek() != op:
+                raise self.error("mixed '+' and '*' need explicit parentheses")
+            self.take()
+            rhs = self.atom()
+            value = value + rhs if op == "+" else value * rhs
+        return value
 
 
 def evaluate_expression(text, config):
-    tokens = _Tokens(text)
-    value = _parse_expression(tokens, config)
-    if tokens.peek() is not None:
-        raise CliError(
-            f"parse error at position {tokens.pos}: trailing {tokens.peek()!r}"
-        )
+    """The character that text denotes under config; CliError when text is
+    not in the grammar (see _Parser) or nests too deep to parse."""
+    parser = _Parser(text, config)
+    try:
+        value = parser.expression()
+    except RecursionError:
+        raise parser.error("expression nests too deep") from None
+    if parser.peek() is not None:
+        raise parser.error(f"trailing {parser.peek()!r}")
     return value
 
 

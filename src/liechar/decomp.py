@@ -234,12 +234,13 @@ def load_decomposition_data(doc, rs=None):
     Schema: {"type"/"cartan": ..., "p": prime, "rows":
     [{"lambda": [...], "factors": [{"mu": [...], "mult": n}, ...]}, ...]}.
     The rows, and the factors of each, are read by errors.weight_keyed, so a
-    malformed entry or a repeated lambda or mu raises DataValidationError.
-    Each row must be unitriangular with a unit diagonal.  The restricted
-    rows become the provider's table, and each must determine its simple
-    character (DataValidationError naming the row when a row it needs is
-    missing).  A non-restricted row is not stored: it must equal the row
-    the provider derives from the restricted ones.
+    malformed entry or a repeated lambda or mu raises DataValidationError,
+    and a lambda or mu not of rs's rank, even at multiplicity 0, raises
+    RankMismatchError.  Each row must be unitriangular with a unit diagonal.
+    The restricted rows become the provider's table, and each must determine
+    its simple character (DataValidationError naming the row when a row it
+    needs is missing).  A non-restricted row is not stored: it must equal the
+    row the provider derives from the restricted ones.
     Without rs the document must name its root system; with rs, a document
     that names one must name rs's Cartan matrix (see root_system_of).
     """
@@ -258,6 +259,7 @@ def load_decomposition_data(doc, rs=None):
     for lam, factors in rows.items():
         rs.check_rank(lam)
         for mu, mult in factors.items():
+            rs.check_rank(mu)
             if strict_int(mult, f"row {lam}: multiplicity") < 0:
                 raise DataValidationError(f"row {lam}: negative multiplicity at {mu}")
             if mult and not rs.dominance_leq(mu, lam):

@@ -1,14 +1,33 @@
+import functools
+import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liechar import Character, LiecharError, QrData, cli, pims
+from liechar import (
+    Character,
+    DecompositionProvider,
+    LiecharError,
+    QrData,
+    cli,
+    formal_dual,
+    frobenius_twist,
+    load_decomposition_data,
+    pims,
+    steinberg_character,
+    weyl_character,
+)
 
 from test_decomp import a1_p3_nabla6_document, a2_p2_document
+from test_kernel import PROPERTY
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # A1 at p = 5 with the wrong row nabla(3) = L(3) + L(1); the true row is L(3).
@@ -381,6 +400,104 @@ class TestInputErrors:
         assert message in err
 
 
+def expression_trees(config):
+    """Expressions under config, each drawn as (tokens, value, is_chain): the
+    tokens that spell it, its character built without the parser, and
+    whether it is a chain of '+' or '*'."""
+    rs, p = config.rs, config.p
+    coordinate = st.integers(0, 6 // rs.rank)
+    weights = st.lists(coordinate, min_size=rs.rank, max_size=rs.rank)
+
+    def spell(weight):
+        # The coordinates, with a ',' token between each two.
+        return [token for c in weight for token in (",", str(c))][1:]
+
+    def weyl(lam):
+        tokens = ["weyl", "(", *spell(lam), ")"]
+        return tokens, weyl_character(tuple(lam), rs), False
+
+    def simple(lam):
+        tokens = ["simple", "(", *spell(lam), ")"]
+        return tokens, config.provider.simple_character(tuple(lam)), False
+
+    def twist(case):
+        (tokens, value, _), s = case
+        tokens = ["twist", "(", *tokens, ",", str(s), ")"]
+        return tokens, frobenius_twist(value, p, s), False
+
+    def dual(tree):
+        tokens, value, _ = tree
+        return ["dual", "(", *tokens, ")"], formal_dual(value), False
+
+    def chain(case):
+        # A chain inside a chain is parenthesized, so the operators may mix.
+        op, children = case
+        tokens = []
+        for child_tokens, _, is_chain in children:
+            tokens += [op] if tokens else []
+            tokens += ["(", *child_tokens, ")"] if is_chain else child_tokens
+        combine = operator.add if op == "+" else operator.mul
+        return tokens, functools.reduce(combine, (c[1] for c in children)), True
+
+    def nodes(trees):
+        operands = st.lists(trees, min_size=2, max_size=3)
+        chains = st.tuples(st.sampled_from("+*"), operands)
+        twists = st.tuples(trees, st.integers(0, 2))
+        return twists.map(twist) | trees.map(dual) | chains.map(chain)
+
+    steinberg = (["st"], steinberg_character(rs, p, config.r), False)
+    leaves = weights.map(weyl) | st.just(steinberg) | weights.map(simple)
+    return st.recursive(leaves, nodes, max_leaves=8)
+
+
+# Every token of the grammar, digits, whitespace and a few characters outside it.
+ALPHABET = (
+    "weyl", "simple", "twist", "dual", "st", "(", ")", ",", "+", "*",
+    "0", "1", "7", " ", "\t", "-", "x", "_", "\u00e9", "\u00b2",
+)
+
+
+class TestExpressionGrammar:
+    @settings(PROPERTY, max_examples=60)
+    @given(data=st.data())
+    def test_printed_tree_evaluates_to_its_character(self, data):
+        # On A1 every expression is its own dual; on A2 dual(weyl(1,0)) is
+        # weyl(0,1).
+        kind = data.draw(st.sampled_from(["A1", "A2"]))
+        p = data.draw(st.sampled_from((2, 3, 5))) if kind == "A1" else 2
+        r = data.draw(st.integers(1, 2))
+        argv = ["char", "--type", kind, "-p", str(p), "-r", str(r), "st"]
+        config = cli.build_config(cli.build_parser().parse_args(argv))
+        if kind == "A1":
+            config.provider = DecompositionProvider.builtin_sl2(p, rs=config.rs)
+        else:
+            config.provider = load_decomposition_data(a2_p2_document(), rs=config.rs)
+        tokens, value, _ = data.draw(expression_trees(config))
+        spaces = data.draw(
+            st.lists(
+                st.sampled_from(["", " ", "\t", "\n  "]),
+                min_size=len(tokens),
+                max_size=len(tokens),
+            )
+        )
+        text = "".join(space + token for space, token in zip(spaces, tokens))
+        assert cli.evaluate_expression(text, config) == value
+
+    @settings(PROPERTY, max_examples=200)
+    @given(text=st.lists(st.sampled_from(ALPHABET), max_size=16).map("".join))
+    def test_any_string_exits_0_or_2(self, text):
+        # Any other exception out of main would be a traceback and exit 1.
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(["char", text])
+            except SystemExit as exc:  # argparse refuses an option-like text
+                code = exc.code
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+
+
 class TestNumbersTooLongToPrint:
     """Past sys.get_int_max_str_digits() (4300 by default) a number cannot
     be printed: the CLI exits 2 with one error line and an empty stdout."""
@@ -496,6 +613,18 @@ class TestDataResolution:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert json.loads(out)["lhs"] == [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
+
+    def test_factor_of_another_rank(self, capsys, tmp_path):
+        factors = [{"mu": [0], "mult": 1}, {"mu": [5, 7, 9], "mult": 0}]
+        doc = {"type": "A1", "p": 3, "rows": [{"lambda": [0], "factors": factors}]}
+        path = tmp_path / "decomp.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, ["char", "-p", "3", "--decomp-data", str(path), "simple(0)"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "weight (5, 7, 9) has length 3, expected 1" in err
 
     @pytest.mark.parametrize("flag", ["--decomp-data", "--qhat-data"])
     def test_data_matches_cartan_file(self, capsys, tmp_path, flag):
@@ -638,10 +767,10 @@ class TestCjTableCommand:
 
 
 class TestSizeLimits:
-    """A huge r or --bound is refused with exit 2, one error line and an
-    empty stdout.  Each case runs in a child process under a time limit and
-    a 2 GB address-space limit, so that a regression fails rather than
-    hanging or exhausting memory."""
+    """A huge r, --bound or expression depth is refused with exit 2, one
+    error line, no traceback and an empty stdout.  Each case runs in a child
+    process under a time limit and a 2 GB address-space limit, so that a
+    regression fails rather than hanging or exhausting memory."""
 
     CHILD = (
         "import resource, sys; "
@@ -657,6 +786,8 @@ class TestSizeLimits:
             (["verify", "thm45a", "-p", "2", "-r", "40"], "2^40-restricted weights"),
             (["verify", "prop31", "-p", "2", "--bound", "100000000"], "sweep grid"),
             (["char", "-p", "3", "simple(100000000000000000000)"], "is too large"),
+            (["char", "(" * 5000 + "weyl(1)" + ")" * 5000], "nests too deep"),
+            (["char", "dual(" * 5000 + "weyl(1)" + ")" * 5000], "nests too deep"),
         ],
     )
     def test_refused_with_exit_2(self, argv, message):
@@ -718,6 +849,7 @@ class TestSizeLimits:
         errors = [line for line in proc.stderr.splitlines() if "error" in line]
         assert proc.returncode == 2
         assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
         assert len(errors) == 1 and errors[0].startswith("error: ")
         assert message in errors[0]
 

@@ -250,6 +250,12 @@ class TestLoadDecompositionData:
             load_decomposition_data({"type": "A2", "p": 1, "rows": []})
         with pytest.raises(DataValidationError):
             load_decomposition_data({"type": "A2", "p": 2, "rows": [{"bad": 1}]})
+        # A factor of another rank, even at multiplicity 0.
+        factors = [{"mu": [0], "mult": 1}, {"mu": [5, 7, 9], "mult": 0}]
+        with pytest.raises(RankMismatchError, match=r"\(5, 7, 9\) has length 3"):
+            load_decomposition_data(
+                {"type": "A1", "p": 3, "rows": [{"lambda": [0], "factors": factors}]}
+            )
 
     @pytest.mark.parametrize(
         "row",
