@@ -73,38 +73,51 @@ def finite_composition_multiplicities(chi, r, provider):
 def contributing_nus(max_weights, base, p, r, rs):
     """Dominant nu that can satisfy base + p^r nu <= m + nu for some m.
 
-    Enumerates a sound coordinate box from the root-lattice inequality
-    (p^r - 1) nu <= m - base, then filters by the exact dominance test
-    against the m that can pass.  A dominant nu has nonnegative root
-    coordinates, so an m for which m - base has a negative root coordinate
-    passes for no nu and is dropped first.  ValueError when p^r < 2.
+    That is (p^r - 1) nu <= m - base, so the answer depends only on p^r and
+    the set of differences m - base: it is memoized in rs._nu_cache under
+    (p^r, frozenset of the m - base), and each call returns a fresh list.
+    RankMismatchError when base or some m is not of rs's rank, checked
+    before the key is formed; ValueError when p^r < 2.
     """
-    if p**r < 2:
+    q = p**r
+    if q < 2:
         raise ValueError(f"need p^r >= 2, got p={p}, r={r}")
     base = tuple(base)
-    scale = (p**r - 1) * rs.det
+    rs.check_rank(base)
+    diffs = set()
+    for m in max_weights:
+        rs.check_rank(m)
+        diffs.add(tuple(map(sub, m, base)))
+    key = (q, frozenset(diffs))
+    nus = rs._nu_cache.get(key)
+    if nus is None:
+        nus = rs._nu_cache[key] = _nus_below(diffs, q - 1, rs)
+    return list(nus)
+
+
+def _nus_below(diffs, scale, rs):
+    """Dominant nu with scale * nu <= d for some d in diffs, in box order.
+
+    Enumerates a sound coordinate box from the root coordinates of the d,
+    then keeps each nu by the exact dominance test.  A dominant nu has
+    nonnegative root coordinates, so a d with a negative root coordinate
+    passes for no nu and is dropped first.
+    """
     box = [0] * rs.rank
     reachable = []
-    for m in max_weights:
-        m = tuple(m)
-        coords = rs.scaled_root_coords(tuple(a - b for a, b in zip(m, base)))
+    for d in diffs:
+        coords = rs.scaled_root_coords(d)
         if any(n < 0 for n in coords):
             continue
-        reachable.append(m)
+        reachable.append(d)
         for i in range(rs.rank):
             # nu_i <= 2 * n_i(nu) since the Cartan diagonal is 2.
-            box[i] = max(box[i], 2 * coords[i] // scale)
-    if not reachable:
-        return []
-    kept = []
-    for nu in itertools.product(*(range(b + 1) for b in box)):
-        shifted = tuple(b + p**r * n for b, n in zip(base, nu))
-        if any(
-            rs.dominance_leq(shifted, tuple(a + n for a, n in zip(m, nu)))
-            for m in reachable
-        ):
-            kept.append(nu)
-    return kept
+            box[i] = max(box[i], 2 * coords[i] // (scale * rs.det))
+    return tuple(
+        nu
+        for nu in itertools.product(*(range(b + 1) for b in box))
+        if any(rs.dominance_leq(tuple(scale * n for n in nu), d) for d in reachable)
+    )
 
 
 def nu_bound(chi, p, r, rs):

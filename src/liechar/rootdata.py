@@ -211,6 +211,7 @@ class RootSystem:
         self._w0_word = self._compute_w0_word()
         self.weyl_denominator = MappingProxyType(self.signed_orbit(self.rho))
         self._weyl_char_cache = {}
+        self._nu_cache = {}
 
     # -- basic weight arithmetic ------------------------------------------
 

@@ -17,6 +17,7 @@ from liechar import (
     DecompositionProvider,
     LiecharError,
     NonInvariantError,
+    RankMismatchError,
     RootSystem,
     decomp,
     finite,
@@ -254,6 +255,11 @@ class TestNuBound:
         assert len(calls) == 1 and oracle_covers(calls)
 
 
+CACHE_SYSTEMS = {
+    name: RootSystem(CartanMatrix.builtin(name)) for name in ("A1", "A2", "B2", "G2")
+}
+
+
 class TestContributingNus:
     @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
     @pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2)])
@@ -291,6 +297,72 @@ class TestContributingNus:
         with mock.patch.object(rs, "dominance_leq") as dominance_leq:
             assert contributing_nus(below, (1, 1), 2, 1, rs) == []
         dominance_leq.assert_not_called()
+
+    @PROPERTY
+    @given(st.data())
+    def test_cached_answer_is_exact_and_shift_invariant(self, data):
+        # The answer depends only on p^r and the differences m - base, so a
+        # repeated call and a call with every weight shifted by the same w
+        # are cache hits, and each must still equal the reference.  The same
+        # weights at another p^r are a miss.
+        rs = CACHE_SYSTEMS[data.draw(st.sampled_from(sorted(CACHE_SYSTEMS)))]
+        weight = st.tuples(*[st.integers(-2, 10)] * rs.rank)
+        weights = data.draw(st.lists(weight, min_size=1, max_size=3))
+        base, shift = data.draw(weight), data.draw(weight)
+        moved = [tuple(map(operator.add, m, shift)) for m in weights]
+        moved_base = tuple(map(operator.add, base, shift))
+        rs._nu_cache.clear()
+        for p, r in [(2, 1), (3, 1), (2, 2)]:
+            expected = exact_contributing_nus(weights, base, p, r, rs)
+            assert contributing_nus(weights, base, p, r, rs) == expected
+            assert contributing_nus(weights, base, p, r, rs) == expected
+            assert contributing_nus(moved, moved_base, p, r, rs) == expected
+        assert len(rs._nu_cache) == 3
+
+    def test_returns_a_fresh_list(self):
+        rs = RootSystem(CartanMatrix.builtin("A1"))
+        first = contributing_nus([(6,)], (0,), 3, 1, rs)
+        assert first == [(0,), (1,), (2,), (3,)]
+        first.append((9,))
+        first[0] = (7,)
+        assert contributing_nus([(6,)], (0,), 3, 1, rs) == [(0,), (1,), (2,), (3,)]
+
+    def test_r_zero_raises_with_a_warm_cache(self):
+        rs = RootSystem(CartanMatrix.builtin("A1"))
+        contributing_nus([(2,)], (0,), 3, 1, rs)
+        with pytest.raises(ValueError, match="need p"):
+            contributing_nus([(2,)], (0,), 3, 0, rs)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rs: contributing_nus([(4,)], (0, 0), 3, 1, rs),
+            lambda rs: contributing_nus([(4, 7, 9)], (0,), 3, 1, rs),
+        ],
+        ids=["base", "max weight"],
+    )
+    def test_wrong_rank_raises(self, call):
+        # zip would truncate the difference to the rank of the shorter
+        # weight, and the truncated key would alias a right-rank entry.
+        rs = RootSystem(CartanMatrix.builtin("A1"))
+        contributing_nus([(4,)], (0,), 3, 1, rs)
+        with pytest.raises(RankMismatchError):
+            call(rs)
+
+    def test_cj_rhs_wrong_rank_lambda_raises(self):
+        provider = DecompositionProvider.builtin_sl2(3)
+        assert pims.cj_rhs((0,), (2,), 1, provider) == 1
+        with pytest.raises(RankMismatchError):
+            pims.cj_rhs((0, 2), (2,), 1, provider)
+
+    def test_cj_table_shares_the_cache(self):
+        # 4,802 calls over the 2,401 cells at p = 7, r = 2 (one per route)
+        # have 97 distinct keys.
+        provider = DecompositionProvider.builtin_sl2(7)
+        qrdata = pims.QrData.builtin_sl2(7, 2, provider.rs)
+        table = pims.cj_table(provider, qrdata, "simple_basis")
+        assert table.mismatches == []
+        assert len(provider.rs._nu_cache) == 97
 
 
 class TestFactorLeadBound:
