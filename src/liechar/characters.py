@@ -64,6 +64,26 @@ len(a) * len(b):
 * box > terms: a dict loop accumulating ma * mb at key ka + kb.  Sparse
   boxes, such as Frobenius twists by p^s, would otherwise cost memory and
   time in the box size rather than the term count.
+
+The division by d^(m) runs on the same packed keys.  f is packed once; a
+key is linear in the weight, so each root m alpha becomes one integer
+offset and mu + m alpha has key k + offset.  For each root the keys are
+visited so that mu + m alpha comes before mu, q(mu) = f(mu) + q(mu + m
+alpha) is one dict lookup, a nonzero running total is carried down a gap
+of the alpha-string to the next weight of f, and a string whose total is
+not 0 at its lowest weight of f is a DivisionFailure.  Only the quotient,
+or the failing weight, is decoded, by the product's column decoder.  A key
+names one weight only inside the box of its radices.  The quotient stays
+in f's box (each string's sums lie between its weights of f), but the
+division also reads one step above a string's top and, when a total does
+not reach 0, walks down towards the string's end, and both can leave the
+box.  So a weight's index on its string, k = digit_j // (m alpha_j) for a
+coordinate j with alpha_j > 0, is read from its packed digit (0 <= k <=
+span_j // (m alpha_j)), a walk stops after k steps, and the radices are
+padded by the farthest such step.  Every weight met then lies in the padded
+box and no two share a key; near -p^r rho, where pims.character_divide's
+supports sit, an index read from the absolute coordinate would be negative,
+and an unpadded box lets one string's step land on another string's key.
 """
 
 from __future__ import annotations
@@ -71,7 +91,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from operator import add, itemgetter, sub
+from operator import itemgetter, mul, sub
 from types import MappingProxyType
 
 from .errors import (
@@ -257,17 +277,24 @@ def _convolve(a, b):
         if m:
             keys.append(k)
             mults.append(m)
-    # Decode one coordinate at a time: coordinate i is digit i of the key,
-    # whose place value is the product of the later radices, plus the
-    # product's low corner.
     low = [la + lb for la, lb in zip(low_a, low_b)]
-    strides = [math.prod(radices[i + 1 :]) for i in range(len(radices))]
-    columns = [
-        [k // stride % radix + lo for k in keys]
-        for stride, radix, lo in zip(strides, radices, low)
-    ]
+    return _unpack(keys, mults, low, radices)
+
+
+def _unpack(keys, mults, low, radices):
+    """The support {weight: mult} of packed keys and their multiplicities.
+
+    Decoded one coordinate at a time, the last first: coordinate i is digit
+    i of the key, whose place value (stride) is the product of the later
+    radices, plus low_i.
+    """
+    columns = []
+    stride = 1
+    for radix, lo in zip(reversed(radices), reversed(low)):
+        columns.append([k // stride % radix + lo for k in keys])
+        stride *= radix
     # At rank 0 there are no columns, and the one weight is ().
-    weights = zip(*columns) if columns else [()] * len(mults)
+    weights = zip(*reversed(columns)) if columns else [()] * len(mults)
     return dict(zip(weights, mults))
 
 
@@ -450,43 +477,65 @@ def _times_denominator(chi, rs):
 def _over_denominator(f, rs, m):
     """The support of f / d^(m), where d^(m) = sum_w sgn(w) e^{m w rho} =
     e^{m rho} * prod over alpha > 0 of (1 - e^{-m alpha}): f shifted by
-    -m rho, then divided by each factor.  DivisionFailure if one does not
-    divide exactly."""
-    q = {tuple(c - m for c in w): mult for w, mult in f.items()}  # rho = (1, ..., 1)
+    -m rho, then divided by each factor on packed keys (see the module
+    docstring).  DivisionFailure if one does not divide exactly."""
+    if not f:
+        return {}
+    low, span = _bounds(f)
+    # A weight's index on its m alpha-string is digit_j // (m alpha_j) for a
+    # coordinate j with alpha_j > 0.  pad bounds how far one step up or a
+    # walk of that many steps down leaves the box (see the module docstring).
+    roots = []
+    pad = 0
     for alpha in rs.positive_roots:
-        q = _divide_by_root(q, tuple(m * a for a in alpha))
-    return q
+        j = next(i for i, a in enumerate(alpha) if a > 0)
+        step = m * alpha[j]
+        pad = max(pad, max(span[j] // step, 1) * m * max(map(abs, alpha)))
+        roots.append((alpha, j, step))
+    radices = [s + 2 * pad + 1 for s in span]
+    strides = [math.prod(radices[i + 1 :]) for i in range(len(radices))]
+    # Keys count from low, so the weights, shifted by -m rho (rho =
+    # (1, ..., 1)), are decoded from low - m.
+    shifted = [c - m for c in low]
+    q = dict(_pack(f, low, radices))
+    for alpha, j, step in roots:
+        offset = m * sum(map(mul, alpha, strides))
+        q, leftover = _divide_strings(q, offset, strides[j], radices[j], step)
+        if leftover:
+            key, total = leftover
+            [weight] = _unpack([key], [total], shifted, radices)
+            raise DivisionFailure(weight, total)
+    return _unpack(list(q), list(q.values()), shifted, radices)
 
 
-def _divide_by_root(f, alpha):
-    """q with q * (1 - e^{-alpha}) = f: q(mu) = sum_{k >= 0} f(mu + k alpha),
-    summed down each alpha-string, whose total must be 0.  DivisionFailure
-    names the least of the lowest weights of the strings whose total is not,
-    so that it does not depend on the order of f."""
-    j = next(i for i, a in enumerate(alpha) if a)
-    multiples = {}
-    strings = {}
-    for mu, m in f.items():
-        k = mu[j] // alpha[j]
-        if k not in multiples:
-            multiples[k] = tuple(k * a for a in alpha)
-        strings.setdefault(tuple(map(sub, mu, multiples[k])), {})[k] = m
+def _divide_strings(f, offset, stride, radix, step):
+    """q with q * (1 - e^{-alpha}) = f on packed keys, alpha's key being
+    offset: q(mu) = f(mu) + q(mu + alpha), summed down each alpha-string,
+    whose total must be 0.  Keys are visited so that mu + alpha comes before
+    mu; a nonzero total is carried down the gap below a weight of f until the
+    next one, at most k steps for a weight of index k = (its digit at
+    stride, in radix) // step.  Returns q and, if some string's total is not
+    0, the least (lowest key, total) of such strings, else None; keys of
+    weights in the box order as those weights do."""
     q = {}
     leftovers = []
-    for base, string in strings.items():
-        top = max(string)
-        mu = tuple(map(add, base, multiples[top]))
-        total = 0
-        for k in range(top, min(string) - 1, -1):
-            total += string.get(k, 0)
-            if total:
-                q[mu] = total
-            mu = tuple(map(sub, mu, alpha))
-        if total:
-            leftovers.append((tuple(map(add, mu, alpha)), total))
-    if leftovers:
-        raise DivisionFailure(*min(leftovers))
-    return q
+    for key in sorted(f, reverse=offset > 0):
+        total = f[key] + q.get(key + offset, 0)
+        if not total:
+            continue
+        q[key] = total
+        below = key - offset
+        if below in f:
+            continue
+        # Indices k - 1, ..., 0 lie below key on its string.
+        for _ in range(key // stride % radix // step):
+            if below in f:
+                break
+            q[below] = total
+            below -= offset
+        else:
+            leftovers.append((key, total))
+    return q, min(leftovers, default=None)
 
 
 def leading_dominant_weights(support, rs):
