@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import re
 import sys
 import time
 
-from . import pims
+# Only what every command runs is imported here; decomp, finite, pims and
+# json are imported where a command first needs them, so a run compiles and
+# loads no module it does not execute.
+from . import STEINBERG_METHODS
 from .characters import (
     check_printable_power,
     formal_dual,
@@ -23,9 +25,7 @@ from .characters import (
     steinberg_character,
     weyl_character,
 )
-from .decomp import DecompositionProvider, load_decomposition_data
 from .errors import LiecharError
-from .finite import STEINBERG_METHODS, steinberg_multiplicity
 from .rootdata import MAX_WEYL_WEIGHTS, root_system_of
 
 DATA_DIR_ENV = "LIECHAR_DATA_DIR"
@@ -84,6 +84,8 @@ def _resolve_data_path(path):
 def _load_json(path):
     """The JSON document in path; CliError when it is not UTF-8 JSON, holds
     an integer too long to convert or nests too deep to parse."""
+    import json
+
     with open(_resolve_data_path(path), "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
@@ -112,6 +114,8 @@ def build_config(args):
     # data only when a command reads it (_require).
     provider = None
     if args.decomp_data:
+        from .decomp import load_decomposition_data
+
         provider = load_decomposition_data(_load_json(args.decomp_data), rs=rs)
         if provider.p != args.p:
             raise CliError(
@@ -120,7 +124,9 @@ def build_config(args):
 
     qrdata = None
     if args.qhat_data:
-        qrdata = pims.QrData.from_json_dict(_load_json(args.qhat_data), rs=rs)
+        from .pims import QrData
+
+        qrdata = QrData.from_json_dict(_load_json(args.qhat_data), rs=rs)
         if (qrdata.p, qrdata.r) != (args.p, args.r):
             raise CliError(
                 f"Q-hat data is for (p, r)=({qrdata.p}, {qrdata.r}), "
@@ -135,11 +141,21 @@ def build_config(args):
 
 _DATA_FLAGS = {"provider": "--decomp-data", "qrdata": "--qhat-data"}
 
+
+def _builtin_provider(config):
+    from .decomp import DecompositionProvider
+
+    return DecompositionProvider.builtin_sl2(config.p, rs=config.rs)
+
+
+def _builtin_qrdata(config):
+    from .pims import QrData
+
+    return QrData.builtin_sl2(config.p, config.r, rs=config.rs)
+
+
 # The built-in rank-1 data of each config attribute.
-_BUILTIN_DATA = {
-    "provider": lambda c: DecompositionProvider.builtin_sl2(c.p, rs=c.rs),
-    "qrdata": lambda c: pims.QrData.builtin_sl2(c.p, c.r, rs=c.rs),
-}
+_BUILTIN_DATA = {"provider": _builtin_provider, "qrdata": _builtin_qrdata}
 
 
 def _require(config, attr, what):
@@ -353,6 +369,8 @@ def cmd_char(config, expression):
 
 
 def _cj_table(config):
+    from . import pims
+
     provider = _require(config, "provider", "decomposition data")
     qrdata = _require(config, "qrdata", "Q-hat data")
     return pims.cj_table(provider, qrdata, config.method)
@@ -389,6 +407,8 @@ def _route_agreement(route):
     """The sweep comparing the direct route with route on each chi(lam)."""
 
     def sweep(config):
+        from .finite import steinberg_multiplicity
+
         provider = _require(config, "provider", "decomposition data")
         for lam in _dominant_grid(config.rs, config.bound):
             chi = weyl_character(lam, config.rs)
@@ -402,6 +422,8 @@ def _route_agreement(route):
 
 
 def _lemma33(config):
+    from . import pims
+
     provider = _require(config, "provider", "decomposition data")
     qrdata = _require(config, "qrdata", "Q-hat data")
     for sigma in _dominant_grid(config.rs, config.bound):
@@ -422,6 +444,8 @@ def _thm41(config):
 
 
 def _thm45a(config):
+    from . import pims
+
     provider = _require(config, "provider", "decomposition data")
     for lam in config.rs.restricted_weights(config.p, config.r):
         for mu, lhs, rhs in pims.theorem45a_socle_check(lam, config.r, provider):
@@ -429,6 +453,8 @@ def _thm45a(config):
 
 
 def _prop44delta(config):
+    from . import pims
+
     provider = _require(config, "provider", "decomposition data")
     restricted = config.rs.restricted_weights(config.p, config.r)
     for mu, sigma in itertools.product(restricted, repeat=2):

@@ -20,6 +20,9 @@ import functools
 import itertools
 from operator import add, mul, sub
 
+# The routes of steinberg_multiplicity, defined in the package so that the
+# CLI parser reads them without loading this module.
+from . import STEINBERG_METHODS  # noqa: F401
 from .characters import leading_dominant_weights, to_weyl_basis
 from .decomp import simple_multiplicity, to_simple_basis, weight_digits
 from .errors import LiecharError
@@ -189,5 +192,3 @@ def steinberg_multiplicity(chi, r, provider, method):
     nus = nu_bound(chi, provider.p, r, provider.rs)
     return steinberg_nu_sum((chi,), nus, r, provider, method)
 
-
-STEINBERG_METHODS = ("direct", "good_filtration", "simple_basis")

@@ -6,8 +6,9 @@ row i of the Cartan matrix, since <alpha_i, alpha_j^vee> is exactly its
 j-th fundamental coordinate.  All linear algebra is exact: one
 fraction-free integer elimination per Cartan matrix gives det(C) and
 det(C) * C^-1, and every per-call lattice operation after that runs on
-plain integers.  Fraction remains only in _symmetrizer, _form_matrix and
-root_coords.
+plain integers.  The symmetrizer and the invariant form are integral too,
+so setting up a root system imports no fractions; Fraction remains only in
+root_coords, which imports it when called.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
 
@@ -45,12 +45,16 @@ BUILTIN_CARTAN_MATRICES = {
 }
 
 
-def _form_matrix(adj, det, symmetrizer):
-    """(omega_i, omega_j) with (alpha_k, alpha_k) = 2 d_k, times the least integer
-    that clears every denominator."""
-    gram = [[Fraction(a, det) * d for a, d in zip(row, symmetrizer)] for row in adj]
-    scale = math.lcm(*(x.denominator for row in gram for x in row))
-    return tuple(tuple(int(x * scale) for x in row) for row in gram)
+def _form_matrix(adj, symmetrizer):
+    """(omega_i, omega_j) with (alpha_k, alpha_k) = 2 d_k, scaled to the least
+    positive multiple that is integral.
+
+    det(C) * (omega_i, omega_j) = adj_ij * d_j is an integer matrix, so the
+    least integral multiple is that matrix over the gcd of its entries.
+    """
+    gram = [[a * d for a, d in zip(row, symmetrizer)] for row in adj]
+    scale = math.gcd(*(x for row in gram for x in row))
+    return tuple(tuple(x // scale for x in row) for row in gram)
 
 
 def _positive_definite_adjugate(rows):
@@ -119,20 +123,31 @@ class CartanMatrix:
         self.det, self.adjugate = _positive_definite_adjugate(rows)
 
     def _symmetrizer(self):
-        """Positive d with d_j * a_ij = d_i * a_ji, by graph propagation."""
+        """Positive integers d with d_j * a_ij = d_i * a_ji.
+
+        Graph propagation from d = 1 at the first node of each component,
+        each d_j kept as a reduced pair (numerator, denominator); the result
+        is that rational vector times the lcm of its denominators, one scale
+        for all components.
+        """
         n = self.rank
         d = [None] * n
         for start in range(n):
             if d[start] is not None:
                 continue
-            d[start] = Fraction(1)
+            d[start] = (1, 1)
             queue = [start]
             while queue:
                 i = queue.pop()
+                num, den = d[i]
                 for j in range(n):
                     if i == j or self.entries[i][j] == 0:
                         continue
-                    required = d[i] * self.entries[j][i] / self.entries[i][j]
+                    # Both entries are negative here.
+                    num_j = num * -self.entries[j][i]
+                    den_j = den * -self.entries[i][j]
+                    g = math.gcd(num_j, den_j)
+                    required = (num_j // g, den_j // g)
                     if d[j] is None:
                         d[j] = required
                         queue.append(j)
@@ -140,7 +155,8 @@ class CartanMatrix:
                         raise NotFiniteTypeError(
                             f"matrix is not symmetrizable at entry ({i},{j})"
                         )
-        return tuple(d)
+        scale = math.lcm(*(den for _, den in d))
+        return tuple(num * scale // den for num, den in d)
 
     @classmethod
     def builtin(cls, name):
@@ -198,7 +214,7 @@ class RootSystem:
         self.det, adj = cartan.det, cartan.adjugate
         self._adj_columns = tuple(zip(*adj))
         self._height_vector = tuple(map(sum, adj))
-        self._form = _form_matrix(adj, self.det, cartan.symmetrizer)
+        self._form = _form_matrix(adj, cartan.symmetrizer)
         self.rho = (1,) * self.rank
         self.positive_roots = self._generate_positive_roots()
         # |W| is the product of the degrees m_j + 1, the exponent m_j being the
@@ -208,7 +224,7 @@ class RootSystem:
         order = math.prod(sum(n > j for n in heights) + 1 for j in range(self.rank))
         if order > MAX_WEYL_WEIGHTS:
             raise LiecharError(f"Weyl group order {order} exceeds {MAX_WEYL_WEIGHTS}")
-        self._w0_word = self._compute_w0_word()
+        self._dual_index = self._compute_dual_index()
         self.weyl_denominator = MappingProxyType(self.signed_orbit(self.rho))
         self._weyl_char_cache = {}
         self._nu_cache = {}
@@ -234,6 +250,8 @@ class RootSystem:
 
     def root_coords(self, weight):
         """Coordinates of a lattice vector in the simple-root basis."""
+        from fractions import Fraction
+
         return tuple(Fraction(x, self.det) for x in self.scaled_root_coords(weight))
 
     def scaled_height(self, weight):
@@ -249,29 +267,41 @@ class RootSystem:
 
     def _generate_positive_roots(self):
         roots = set().union(*map(self.weyl_orbit, self.cartan.entries))
-        positive = [r for r in roots if all(c >= 0 for c in self.root_coords(r))]
+        positive = [
+            r for r in roots if all(c >= 0 for c in self.scaled_root_coords(r))
+        ]
         return tuple(sorted(positive))
 
-    def _compute_w0_word(self):
+    def _compute_dual_index(self):
+        """The coordinate permutation k with -w0(nu) = (nu[k_0], ..., nu[k_l-1]).
+
+        -w0 maps the dominant chamber onto itself, so it permutes the
+        fundamental weights; a reduced word for w0 (the one taking -rho to
+        rho) is walked once per omega_i to find its image.
+        """
         word = []
         v = tuple(-c for c in self.rho)
         while not self.is_dominant(v):
             i = next(j for j in range(self.rank) if v[j] < 0)
             v = self.simple_reflection(i, v)
             word.append(i)
-        return tuple(word)
+        index = [None] * self.rank
+        for i in range(self.rank):
+            v = tuple(int(i == j) for j in range(self.rank))
+            for k in word:
+                v = self.simple_reflection(k, v)
+            index[v.index(-1)] = i
+        return tuple(index)
 
     # -- weight operations ------------------------------------------------
 
     def w0_action(self, weight):
-        self.check_rank(weight)
-        for i in self._w0_word:
-            weight = self.simple_reflection(i, weight)
-        return weight
+        return tuple(-c for c in self.dual_weight(weight))
 
     def dual_weight(self, nu):
         """-w0 . nu; an involution preserving dominance."""
-        return tuple(-c for c in self.w0_action(nu))
+        self.check_rank(nu)
+        return tuple(nu[k] for k in self._dual_index)
 
     def dominance_leq(self, mu, lam):
         """True iff lam - mu is a nonnegative integral combination of simple roots."""

@@ -18,6 +18,7 @@ from liechar import (
     LiecharError,
     QrData,
     cli,
+    finite,
     formal_dual,
     frobenius_twist,
     load_decomposition_data,
@@ -938,7 +939,7 @@ class TestVerifyMismatchLines:
         def route_at_chi_one(chi, r, provider, method):
             return method == route and chi.dimension() == 2
 
-        off_by_one(monkeypatch, cli, "steinberg_multiplicity", route_at_chi_one)
+        off_by_one(monkeypatch, finite, "steinberg_multiplicity", route_at_chi_one)
         code, out, _ = run(capsys, ["verify", target, "-p", "2", "--bound", "2"])
         assert code == 1
         assert out == (

@@ -1,6 +1,10 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liechar import (
     DataValidationError,
@@ -8,7 +12,14 @@ from liechar import (
     NotFiniteTypeError,
     RankMismatchError,
 )
-from liechar.rootdata import BUILTIN_CARTAN_MATRICES, CartanMatrix, RootSystem
+from liechar.rootdata import (
+    BUILTIN_CARTAN_MATRICES,
+    CartanMatrix,
+    RootSystem,
+    _form_matrix,
+)
+
+from test_kernel import LARGER_CARTAN, PROPERTY, ROOT_SYSTEMS
 
 
 class TestCartanMatrix:
@@ -251,3 +262,128 @@ def test_dominant_weights_below(rs_a2):
         (2, 2),
         (3, 0),
     ]
+
+
+# -- integer set-up against the Fraction references ------------------------
+
+
+def block_sum(*matrices):
+    """The Cartan matrix of the reducible system with these components."""
+    n = sum(map(len, matrices))
+    rows = [[0] * n for _ in range(n)]
+    offset = 0
+    for matrix in matrices:
+        for i, row in enumerate(matrix):
+            rows[offset + i][offset : offset + len(row)] = row
+        offset += len(matrix)
+    return tuple(map(tuple, rows))
+
+
+B2_LONG_LAST = ((2, -1), (-2, 2))
+SETUP_CARTAN = {
+    **BUILTIN_CARTAN_MATRICES,
+    **{name: matrix for name, (matrix, _) in LARGER_CARTAN.items()},
+    "B2+A2": block_sum(BUILTIN_CARTAN_MATRICES["B2"], BUILTIN_CARTAN_MATRICES["A2"]),
+    "A1+C3": block_sum(BUILTIN_CARTAN_MATRICES["A1"], LARGER_CARTAN["C3"][0]),
+    "G2+B2'+A1": block_sum(
+        BUILTIN_CARTAN_MATRICES["G2"], B2_LONG_LAST, BUILTIN_CARTAN_MATRICES["A1"]
+    ),
+}
+
+
+def reference_symmetrizer(entries):
+    """Positive Fractions d, 1 at the first node of each component, with
+    d_j * a_ij = d_i * a_ji."""
+    n = len(entries)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for j in range(n):
+                if i != j and entries[i][j] and d[j] is None:
+                    d[j] = d[i] * entries[j][i] / entries[i][j]
+                    queue.append(j)
+    return tuple(d)
+
+
+def reference_form_matrix(adj, det, symmetrizer):
+    """(omega_i, omega_j) times the least integer clearing every denominator."""
+    gram = [[Fraction(a, det) * d for a, d in zip(row, symmetrizer)] for row in adj]
+    scale = math.lcm(*(x.denominator for row in gram for x in row))
+    return tuple(tuple(int(x * scale) for x in row) for row in gram)
+
+
+@pytest.mark.parametrize("name", sorted(SETUP_CARTAN))
+def test_integer_symmetrizer_and_form_match_fractions(name):
+    cartan = CartanMatrix(SETUP_CARTAN[name])
+    a, d = cartan.entries, cartan.symmetrizer
+    assert all(type(x) is int and x > 0 for x in d)
+    for i, j in itertools.product(range(cartan.rank), repeat=2):
+        assert d[j] * a[i][j] == d[i] * a[j][i]
+    reference = reference_symmetrizer(a)
+    scale = math.lcm(*(x.denominator for x in reference))
+    assert d == tuple(x * scale for x in reference)
+    form = reference_form_matrix(cartan.adjugate, cartan.det, reference)
+    assert _form_matrix(cartan.adjugate, d) == form
+    if name != "E8":  # RootSystem refuses E8's Weyl group order
+        assert RootSystem(cartan)._form == form
+
+
+def test_b2_symmetrizer_is_integral():
+    assert CartanMatrix.builtin("B2").symmetrizer == (2, 1)
+
+
+@pytest.mark.parametrize("name", sorted(set(SETUP_CARTAN) - {"E8"}))
+def test_positive_roots_match_the_fraction_filter(name):
+    rs = RootSystem(SETUP_CARTAN[name])
+    roots = set().union(*map(rs.weyl_orbit, rs.cartan.entries))
+    positive = [r for r in roots if all(c >= 0 for c in rs.root_coords(r))]
+    assert rs.positive_roots == tuple(sorted(positive))
+
+
+# -- -w0 as a coordinate permutation ----------------------------------------
+
+DUAL_SYSTEMS = {
+    **ROOT_SYSTEMS,
+    **{name: RootSystem(SETUP_CARTAN[name]) for name in ("A3", "D4", "B2+A2")},
+}
+
+
+def reference_dual_weight(rs, nu):
+    """-w0(nu) by w0's reflection word, the one taking -rho to rho."""
+    word = []
+    v = tuple(-c for c in rs.rho)
+    while not rs.is_dominant(v):
+        i = next(j for j in range(rs.rank) if v[j] < 0)
+        v = rs.simple_reflection(i, v)
+        word.append(i)
+    for i in word:
+        nu = rs.simple_reflection(i, nu)
+    return tuple(-c for c in nu)
+
+
+@st.composite
+def dual_cases(draw):
+    rs = DUAL_SYSTEMS[draw(st.sampled_from(sorted(DUAL_SYSTEMS)))]
+    return rs, draw(st.tuples(*[st.integers(-6, 6)] * rs.rank))
+
+
+@PROPERTY
+@given(dual_cases())
+def test_dual_weight_is_the_reflection_word_action(case):
+    rs, nu = case
+    dual = reference_dual_weight(rs, nu)
+    assert rs.dual_weight(nu) == dual
+    assert rs.w0_action(nu) == tuple(-c for c in dual)
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_SYSTEMS))
+def test_dual_weight_checks_rank(name):
+    rs = DUAL_SYSTEMS[name]
+    for method in (rs.dual_weight, rs.w0_action):
+        with pytest.raises(RankMismatchError):
+            method((0,) * (rs.rank + 1))
