@@ -9,8 +9,6 @@ imported from its submodule on first access (PEP 562), so a CLI command
 compiles and runs only the modules it uses.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 #: The routes of finite.steinberg_multiplicity, here so that the CLI parser
@@ -72,7 +70,9 @@ def __getattr__(name):
     module = _SOURCE.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = importlib.import_module(f"{__name__}.{module}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")
     if name != module:
         value = getattr(value, name)
     globals()[name] = value

@@ -6,9 +6,8 @@ row i of the Cartan matrix, since <alpha_i, alpha_j^vee> is exactly its
 j-th fundamental coordinate.  All linear algebra is exact: one
 fraction-free integer elimination per Cartan matrix gives det(C) and
 det(C) * C^-1, and every per-call lattice operation after that runs on
-plain integers.  The symmetrizer and the invariant form are integral too,
-so setting up a root system imports no fractions; Fraction remains only in
-root_coords, which imports it when called.
+plain integers.  The symmetrizer and the invariant form are integral too;
+Fraction remains only in root_coords, whose signs pick the positive roots.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
 
@@ -250,8 +250,6 @@ class RootSystem:
 
     def root_coords(self, weight):
         """Coordinates of a lattice vector in the simple-root basis."""
-        from fractions import Fraction
-
         return tuple(Fraction(x, self.det) for x in self.scaled_root_coords(weight))
 
     def scaled_height(self, weight):
@@ -267,9 +265,7 @@ class RootSystem:
 
     def _generate_positive_roots(self):
         roots = set().union(*map(self.weyl_orbit, self.cartan.entries))
-        positive = [
-            r for r in roots if all(c >= 0 for c in self.scaled_root_coords(r))
-        ]
+        positive = [r for r in roots if all(c >= 0 for c in self.root_coords(r))]
         return tuple(sorted(positive))
 
     def _compute_dual_index(self):

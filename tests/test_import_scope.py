@@ -54,14 +54,7 @@ def test_char_loads_no_data_or_finite_group_code():
     assert code == 0
     assert out.endswith("dimension: 7\n")
     assert {"liechar.characters", "liechar.rootdata"} <= modules
-    loaded = modules & {
-        "liechar.decomp",
-        "liechar.finite",
-        "liechar.pims",
-        "json",
-        "fractions",
-        "decimal",
-    }
+    loaded = modules & {"liechar.decomp", "liechar.finite", "liechar.pims", "json"}
     assert loaded == set()
 
 
