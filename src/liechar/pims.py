@@ -107,7 +107,7 @@ class QrData:
         characters), so every weight of its support lies below its dominant
         W-conjugate, which is in the support, and hence below one of these;
         cj_lhs bounds nu by them.  Computed on first use, not at
-        construction, so loading the data costs no more than before.
+        construction.
         """
         lam = tuple(lam)
         cached = self._leads.get(lam)

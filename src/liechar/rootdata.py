@@ -6,8 +6,10 @@ row i of the Cartan matrix, since <alpha_i, alpha_j^vee> is exactly its
 j-th fundamental coordinate.  All linear algebra is exact: one
 fraction-free integer elimination per Cartan matrix gives det(C) and
 det(C) * C^-1, and every per-call lattice operation after that runs on
-plain integers.  The symmetrizer and the invariant form are integral too;
-Fraction remains only in root_coords, whose signs pick the positive roots.
+plain integers.  The symmetrizer is read off that adjugate, and the
+invariant form is integral too; Fraction remains only in root_coords, whose
+signs pick the positive roots.  -w0 is read off the dominant chamber, and
+every W-orbit comes from one routine, signed_orbit.
 """
 
 from __future__ import annotations
@@ -61,10 +63,12 @@ def _positive_definite_adjugate(rows):
     """det(C) and the integer matrix det(C) * C^-1, by one fraction-free
     (Bareiss) Gauss-Jordan pass over [C | I] without row exchanges.
 
-    The k-th pivot is the k-th leading principal minor of C, which has the
-    sign of that of C * D for the positive symmetrizer D, so the symmetrized
-    matrix is positive definite iff every pivot is positive (Sylvester);
-    NotFiniteTypeError at the first that is not.  Every division is exact.
+    The k-th pivot is the k-th leading principal minor of C.  For a positive
+    diagonal D, minor_k(C * D) = minor_k(C) * d_1 ... d_k, so when C is
+    symmetrizable, C * D is positive definite iff every pivot is positive
+    (Sylvester); NotFiniteTypeError at the first that is not.  A C that is
+    not symmetrizable is refused right after, by _symmetrizer.  Every
+    division is exact.
     """
     n = len(rows)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
@@ -74,7 +78,8 @@ def _positive_definite_adjugate(rows):
         pivot = pivot_row[k]
         if pivot <= 0:
             raise NotFiniteTypeError(
-                "symmetrized matrix is not positive definite (not finite type)"
+                f"leading principal minor {k + 1} is {pivot}, so no symmetrization "
+                "of the matrix is positive definite (not finite type)"
             )
         for i, row in enumerate(aug):
             if i != k:
@@ -87,13 +92,42 @@ def _positive_definite_adjugate(rows):
     return previous, tuple(tuple(row[n:]) for row in aug)
 
 
+def _symmetrizer(rows, adj):
+    """Positive integers d with d_j * a_ij = d_i * a_ji, read off adj, a
+    nonzero multiple of C^-1.
+
+    C * diag(d) is symmetric iff diag(d)^-1 * adj is, so d_i / d_k is
+    adj_ik / adj_ki.  For k take the first nonzero column of row i: every
+    entry of the inverse of an indecomposable finite-type Cartan matrix is
+    positive (Lusztig-Tits), so k is the first node of i's component, where
+    d is 1.  The ratios are scaled by the lcm of their denominators, one
+    scale for all components.  NotFiniteTypeError when a ratio is not
+    positive or d does not symmetrize C.
+    """
+    ratios = []
+    for i, row in enumerate(adj):
+        k = next(k for k, x in enumerate(row) if x)
+        num, den = row[k], adj[k][i]
+        if num * den <= 0:
+            raise NotFiniteTypeError(f"matrix is not symmetrizable at entry ({i},{k})")
+        g = math.gcd(num, den)
+        ratios.append((abs(num) // g, abs(den) // g))
+    scale = math.lcm(*(den for _, den in ratios))
+    d = tuple(num * scale // den for num, den in ratios)
+    for i, j in itertools.product(range(len(rows)), repeat=2):
+        if d[j] * rows[i][j] != d[i] * rows[j][i]:
+            raise NotFiniteTypeError(f"matrix is not symmetrizable at entry ({i},{j})")
+    return d
+
+
 class CartanMatrix:
     """A finite-type Cartan matrix; entry (i, j) is <alpha_i, alpha_j^vee>.
 
     Validated at construction: square, 2 on the diagonal, nonpositive off
     the diagonal, zero-symmetric, symmetrizable with positive-definite
     symmetrization.  The elimination that checks the last also gives det
-    and adjugate, the integer matrix det * C^-1.
+    and adjugate, the integer matrix det * C^-1, and the symmetrizer is read
+    off the adjugate.
     """
 
     def __init__(self, entries):
@@ -119,44 +153,8 @@ class CartanMatrix:
                     )
         self.entries = rows
         self.rank = n
-        self.symmetrizer = self._symmetrizer()
         self.det, self.adjugate = _positive_definite_adjugate(rows)
-
-    def _symmetrizer(self):
-        """Positive integers d with d_j * a_ij = d_i * a_ji.
-
-        Graph propagation from d = 1 at the first node of each component,
-        each d_j kept as a reduced pair (numerator, denominator); the result
-        is that rational vector times the lcm of its denominators, one scale
-        for all components.
-        """
-        n = self.rank
-        d = [None] * n
-        for start in range(n):
-            if d[start] is not None:
-                continue
-            d[start] = (1, 1)
-            queue = [start]
-            while queue:
-                i = queue.pop()
-                num, den = d[i]
-                for j in range(n):
-                    if i == j or self.entries[i][j] == 0:
-                        continue
-                    # Both entries are negative here.
-                    num_j = num * -self.entries[j][i]
-                    den_j = den * -self.entries[i][j]
-                    g = math.gcd(num_j, den_j)
-                    required = (num_j // g, den_j // g)
-                    if d[j] is None:
-                        d[j] = required
-                        queue.append(j)
-                    elif d[j] != required:
-                        raise NotFiniteTypeError(
-                            f"matrix is not symmetrizable at entry ({i},{j})"
-                        )
-        scale = math.lcm(*(den for _, den in d))
-        return tuple(num * scale // den for num, den in d)
+        self.symmetrizer = _symmetrizer(rows, self.adjugate)
 
     @classmethod
     def builtin(cls, name):
@@ -202,7 +200,7 @@ class RootSystem:
     """Immutable root-system data derived from a Cartan matrix.
 
     Carries the positive roots, rho, the Weyl denominator (read-only
-    {w rho: sgn(w)}) and the longest-element action.  LiecharError, before
+    {w rho: sgn(w)}) and -w0 as a coordinate permutation.  LiecharError, before
     the Weyl denominator is built, when |W| is more than MAX_WEYL_WEIGHTS.
     """
 
@@ -264,35 +262,26 @@ class RootSystem:
     # -- derived structure ------------------------------------------------
 
     def _generate_positive_roots(self):
-        roots = set().union(*map(self.weyl_orbit, self.cartan.entries))
+        roots = set().union(*map(self.signed_orbit, self.cartan.entries))
         positive = [r for r in roots if all(c >= 0 for c in self.root_coords(r))]
         return tuple(sorted(positive))
 
     def _compute_dual_index(self):
         """The coordinate permutation k with -w0(nu) = (nu[k_0], ..., nu[k_l-1]).
 
-        -w0 maps the dominant chamber onto itself, so it permutes the
-        fundamental weights; a reduced word for w0 (the one taking -rho to
-        rho) is walked once per omega_i to find its image.
+        -w0 permutes the fundamental weights, and -w0(omega_i) is the one
+        dominant weight in the W-orbit of -omega_i.  Reflecting -omega_i at a
+        negative coordinate until none is left reaches it, omega_sigma(i).
         """
-        word = []
-        v = tuple(-c for c in self.rho)
-        while not self.is_dominant(v):
-            i = next(j for j in range(self.rank) if v[j] < 0)
-            v = self.simple_reflection(i, v)
-            word.append(i)
         index = [None] * self.rank
         for i in range(self.rank):
-            v = tuple(int(i == j) for j in range(self.rank))
-            for k in word:
-                v = self.simple_reflection(k, v)
-            index[v.index(-1)] = i
+            v = tuple(-int(i == j) for j in range(self.rank))
+            while not self.is_dominant(v):
+                v = self.simple_reflection(next(j for j, c in enumerate(v) if c < 0), v)
+            index[v.index(1)] = i
         return tuple(index)
 
     # -- weight operations ------------------------------------------------
-
-    def w0_action(self, weight):
-        return tuple(-c for c in self.dual_weight(weight))
 
     def dual_weight(self, nu):
         """-w0 . nu; an involution preserving dominance."""
@@ -311,9 +300,6 @@ class RootSystem:
         nonnegative integral combination of simple roots."""
         det = self.det
         return all(n >= 0 and not n % det for n in scaled)
-
-    def weyl_orbit(self, lam):
-        return set(self.signed_orbit(lam))
 
     def signed_orbit(self, lam):
         """The W-orbit of lam as {w(lam): sgn(w)}; signs are exact for regular lam."""

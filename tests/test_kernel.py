@@ -177,6 +177,18 @@ def symmetrizable_matrices(draw):
     return matrix, d
 
 
+@st.composite
+def sign_valid_matrices(draw):
+    """A sign-valid, zero-symmetric matrix of rank <= 5, symmetrizable or not:
+    each pair is linked one time in two, by any of the OFF_DIAGONAL_PAIRS."""
+    n = draw(st.integers(1, 5))
+    matrix = [[2 * int(i == j) for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            matrix[i][j], matrix[j][i] = draw(st.sampled_from(OFF_DIAGONAL_PAIRS))
+    return matrix
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(symmetrizable_matrices())
 def test_cartan_matrix_accepts_exactly_the_positive_definite(case):
@@ -314,7 +326,7 @@ def reference_weyl_character(lam, rs):
         table[mu] = mult
     return Character(
         rs.rank,
-        {w: mult for mu, mult in table.items() for w in rs.weyl_orbit(mu)},
+        {w: mult for mu, mult in table.items() for w in rs.signed_orbit(mu)},
     )
 
 

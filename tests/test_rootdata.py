@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liechar import (
@@ -17,9 +17,21 @@ from liechar.rootdata import (
     CartanMatrix,
     RootSystem,
     _form_matrix,
+    _symmetrizer,
 )
 
-from test_kernel import LARGER_CARTAN, PROPERTY, ROOT_SYSTEMS
+from test_kernel import (
+    LARGER_CARTAN,
+    PROPERTY,
+    ROOT_SYSTEMS,
+    fraction_inverse,
+    reference_symmetrized_det,
+    sign_valid_matrices,
+)
+
+# Sign-valid and zero-symmetric, but d_1 a_01 = d_0 a_10 and d_2 a_12 = d_1 a_21
+# force d = (1, 1, 2), which fails at (0,2); its third leading minor is -7.
+NON_SYMMETRIZABLE = ((2, -1, -2), (-1, 2, -1), (-1, -2, 2))
 
 
 class TestCartanMatrix:
@@ -50,8 +62,35 @@ class TestCartanMatrix:
             CartanMatrix([[2, -1], [-4, 2]])
 
     def test_rejects_non_symmetrizable(self):
-        with pytest.raises(NotFiniteTypeError):
-            CartanMatrix([[2, -1, -2], [-1, 2, -1], [-1, -2, 2]])
+        # The elimination runs first: a negative leading minor rules out every
+        # positive definite symmetrization, whether or not there is one.
+        with pytest.raises(
+            NotFiniteTypeError,
+            match="leading principal minor 3 is -7, so no symmetrization of the "
+            r"matrix is positive definite \(not finite type\)",
+        ):
+            CartanMatrix(NON_SYMMETRIZABLE)
+
+    @pytest.mark.parametrize(
+        "matrix, entry",
+        [
+            (NON_SYMMETRIZABLE, "(0,1)"),
+            # adj_01 and adj_10 differ in sign: no positive ratio d_1 / d_0.
+            (((2, -3, -1, 0), (-2, 2, -3, 0), (-3, -2, 2, -3), (0, 0, -2, 2)), "(1,0)"),
+            # adj_02 is 0 and adj_20 is not: no ratio d_2 / d_0 at all.
+            (((2, -3, -3, 0), (-2, 2, -1, -3), (-3, -2, 2, 0), (0, -2, 0, 2)), "(2,0)"),
+        ],
+    )
+    def test_symmetrizer_refuses_non_symmetrizable(self, matrix, entry):
+        # CartanMatrix refuses these matrices before their symmetrizer is
+        # read, so the adjugate is passed in: the inverse times the lcm of its
+        # denominators, a nonzero multiple with the same ratios.
+        inverse = fraction_inverse(matrix)
+        scale = math.lcm(*(x.denominator for row in inverse for x in row))
+        adj = [[int(x * scale) for x in row] for row in inverse]
+        with pytest.raises(NotFiniteTypeError, match="not symmetrizable") as e:
+            _symmetrizer(matrix, adj)
+        assert str(e.value).endswith(f"at entry {entry}")
 
     def test_unknown_builtin(self):
         with pytest.raises(NotFiniteTypeError, match="unknown built-in"):
@@ -108,7 +147,7 @@ class TestBuildRootSystem:
     def test_w0_is_involution(self, name):
         rs = RootSystem(CartanMatrix.builtin(name))
         for w in itertools.product(range(-2, 3), repeat=rs.rank):
-            assert rs.w0_action(rs.w0_action(w)) == w
+            assert rs.dual_weight(rs.dual_weight(w)) == w
 
 
 class TestDominance:
@@ -139,20 +178,20 @@ class TestDominance:
 
 class TestWeylOrbit:
     def test_a1_examples(self, rs_a1):
-        assert rs_a1.weyl_orbit((2,)) == {(2,), (-2,)}
-        assert rs_a1.weyl_orbit((0,)) == {(0,)}
+        assert set(rs_a1.signed_orbit((2,))) == {(2,), (-2,)}
+        assert set(rs_a1.signed_orbit((0,))) == {(0,)}
 
     def test_a2_regular_orbit(self, rs_a2):
-        assert len(rs_a2.weyl_orbit((1, 1))) == 6
+        assert len(set(rs_a2.signed_orbit((1, 1)))) == 6
 
     def test_b2_regular_orbit(self, rs_b2):
-        assert len(rs_b2.weyl_orbit((1, 1))) == 8
+        assert len(set(rs_b2.signed_orbit((1, 1)))) == 8
 
     @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
     def test_exactly_one_dominant_element(self, name):
         rs = RootSystem(CartanMatrix.builtin(name))
         for lam in itertools.product(range(3), repeat=rs.rank):
-            orbit = rs.weyl_orbit(lam)
+            orbit = set(rs.signed_orbit(lam))
             dominant = [w for w in orbit if rs.is_dominant(w)]
             assert dominant == [lam]
 
@@ -333,6 +372,22 @@ def test_integer_symmetrizer_and_form_match_fractions(name):
         assert RootSystem(cartan)._form == form
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sign_valid_matrices())
+def test_cartan_matrix_accepts_exactly_the_reference_finite_types(matrix):
+    reference = reference_symmetrizer(matrix)
+    symmetrizes = all(
+        reference[j] * matrix[i][j] == reference[i] * matrix[j][i]
+        for i, j in itertools.product(range(len(matrix)), repeat=2)
+    )
+    if not symmetrizes or reference_symmetrized_det(matrix, reference) is None:
+        with pytest.raises(NotFiniteTypeError):
+            CartanMatrix(matrix)
+        return
+    scale = math.lcm(*(x.denominator for x in reference))
+    assert CartanMatrix(matrix).symmetrizer == tuple(x * scale for x in reference)
+
+
 def test_b2_symmetrizer_is_integral():
     assert CartanMatrix.builtin("B2").symmetrizer == (2, 1)
 
@@ -340,7 +395,7 @@ def test_b2_symmetrizer_is_integral():
 @pytest.mark.parametrize("name", sorted(set(SETUP_CARTAN) - {"E8"}))
 def test_positive_roots_match_the_fraction_filter(name):
     rs = RootSystem(SETUP_CARTAN[name])
-    roots = set().union(*map(rs.weyl_orbit, rs.cartan.entries))
+    roots = set().union(*map(rs.signed_orbit, rs.cartan.entries))
     positive = [r for r in roots if all(c >= 0 for c in rs.root_coords(r))]
     assert rs.positive_roots == tuple(sorted(positive))
 
@@ -376,14 +431,11 @@ def dual_cases(draw):
 @given(dual_cases())
 def test_dual_weight_is_the_reflection_word_action(case):
     rs, nu = case
-    dual = reference_dual_weight(rs, nu)
-    assert rs.dual_weight(nu) == dual
-    assert rs.w0_action(nu) == tuple(-c for c in dual)
+    assert rs.dual_weight(nu) == reference_dual_weight(rs, nu)
 
 
 @pytest.mark.parametrize("name", sorted(DUAL_SYSTEMS))
 def test_dual_weight_checks_rank(name):
     rs = DUAL_SYSTEMS[name]
-    for method in (rs.dual_weight, rs.w0_action):
-        with pytest.raises(RankMismatchError):
-            method((0,) * (rs.rank + 1))
+    with pytest.raises(RankMismatchError):
+        rs.dual_weight((0,) * (rs.rank + 1))
