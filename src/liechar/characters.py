@@ -31,7 +31,10 @@ only weights below lead, so the leads come in strictly decreasing order and
 no later step touches a weight at or above the current lead.  Hence once a
 lead falls below a target weight t, t's coefficient is final (0 if t was
 never a lead), and a caller that wants one coefficient can stop there
-(decomp.simple_multiplicity).
+(decomp.simple_multiplicity).  Nor does a weight below a given scaled
+height ever change one above it, so a caller that wants only the
+coefficients at or above a floor passes the floor, and each basis element
+is subtracted only down to it (decomp.expand_above).
 
 The product is a convolution on packed integer keys.  Both operands are
 shifted so that every coordinate starts at 0, and each weight becomes one
@@ -560,25 +563,25 @@ def _not_invariant(weight, mult):
     )
 
 
-def expand(chi, rs, basis):
-    """Yield (lam, c) with chi = sum c * basis(lam), by leading-term elimination.
+def expand(chi, rs, basis, floor=-math.inf):
+    """Yield (lam, c) with chi = sum c * basis(lam), by leading-term elimination,
+    formed only at or above scaled height floor.
 
     basis(lam) is a character whose other weights lie strictly below lam in
     the (scaled height, tuple) order, so the leads come in strictly
     decreasing order and a coefficient, once yielded, is final (see the
-    module docstring).  The dominant weights of the residual sit on a heap
-    keyed by that order, pushed when they enter it and skipped when popped
-    after they have cancelled.  NonInvariantError, raised before the lead
-    it names is yielded, when no dominant weight is left or a lead's
-    multiplicity is not a multiple of basis(lead)'s.
+    module docstring).  Each basis(lead) is walked in decreasing height
+    (Character.by_height) and subtracted only down to floor, so with a
+    floor chi must have no weight below it, and the residual stays the full
+    residual's part at or above the floor.  The dominant weights of the
+    residual sit on a heap keyed by that order, pushed when they enter it
+    and skipped when popped after they have cancelled.  NonInvariantError,
+    raised before the lead it names is yielded, when no dominant weight is
+    left or a lead's multiplicity is not a multiple of basis(lead)'s.
     """
     height = rs.scaled_height
-
-    def entry(w):
-        return (-height(w), tuple(-c for c in w), w)
-
     work = dict(chi.support)
-    heap = [entry(w) for w in work if min(w) >= 0]
+    heap = [(-height(w), tuple(-x for x in w), w) for w in work if min(w) >= 0]
     heapq.heapify(heap)
     while work:
         while heap and heap[0][2] not in work:
@@ -593,7 +596,9 @@ def expand(chi, rs, basis):
             raise _not_invariant(lead, mult)
         c = mult // unit
         yield lead, c
-        for w, m in element.support.items():
+        for h, w, m in element.by_height(rs):
+            if h < floor:
+                break
             if w == lead:
                 continue
             old = work.get(w, 0)
@@ -601,7 +606,7 @@ def expand(chi, rs, basis):
             if new:
                 work[w] = new
                 if not old and min(w) >= 0:
-                    heapq.heappush(heap, entry(w))
+                    heapq.heappush(heap, (-h, tuple(-x for x in w), w))
             else:
                 del work[w]
 

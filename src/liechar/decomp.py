@@ -56,8 +56,6 @@ class DecompositionProvider:
         self.p = p
         self._rows = {tuple(lam): dict(factors) for lam, factors in rows.items()}
         self._simple_cache = {}
-        # (lam, floor) -> ch L(lam) cut at scaled height floor.
-        self._above_cache = {}
         self._finite_cache = {}
         # (mu, nu) -> simple-basis coefficients of L(mu) * L(nu), for cj_rhs.
         self._tensor_cache = {}
@@ -130,60 +128,52 @@ class DecompositionProvider:
         self._simple_cache[lam] = chi
         return chi
 
-    def simple_character_above(self, lam, floor):
-        """ch L(lam) cut to its weights of scaled height at least floor, memoized.
-
-        L(lam) itself, shared, when nothing is cut.
-        """
-        key = (tuple(lam), floor)
-        cached = self._above_cache.get(key)
-        if cached is None:
-            chi = self.simple_character(lam)
-            height = self.rs.scaled_height
-            support = {w: m for w, m in chi.support.items() if height(w) >= floor}
-            if len(support) < len(chi.support):
-                chi = Character._wrap(self.rs.rank, support)
-            cached = self._above_cache[key] = chi
-        return cached
-
 
 def to_simple_basis(chi, provider):
     """Coefficients [chi : chi_p(lam)]_G by leading-term elimination."""
     return dict(expand(chi, provider.rs, provider.simple_character))
 
 
+def expand_above(factors, floor, provider):
+    """Yield the (lam, c) of the simple-basis expansion of the product of
+    factors with lam at or above scaled height floor, in decreasing
+    (scaled height, tuple) order.
+
+    Only the product's weights at or above the floor are formed
+    (_product_above), and expand subtracts each ch L(lam) only down to the
+    floor.  Subtracting L(lam) changes only weights below lam, so the cut
+    residual is the full residual's part at or above the floor at every
+    step, and the leads are the full expansion's down to the floor.
+
+    The cut is sound only for a W-invariant product, and the caller
+    certifies it.  Then the full residual stays W-invariant, and the
+    dominant conjugate of each of its weights lies above that weight, so
+    once no dominant weight at or above the floor is left, nothing at or
+    above the floor is.  Every lead processed is checked as in
+    to_simple_basis (NonInvariantError).  With a floor below every weight
+    nothing is cut, so a character that is not W-invariant raises the full
+    expansion's error.
+    """
+    rs = provider.rs
+    chi = Character._wrap(rs.rank, _product_above(factors, floor, rs))
+    return expand(chi, rs, provider.simple_character, floor)
+
+
 def simple_multiplicity(factors, target, provider):
     """[prod of factors : L(target)]_G, forming only the part at or above target.
 
-    Only the weights of the product whose scaled height is at least
-    floor = scaled_height(target) are formed (_product_above), and the
-    elimination subtracts ch L(lam) cut at the same floor
-    (provider.simple_character_above).  Subtracting L(lam) changes only
-    weights below lam, so the cut residual is the full residual's part at
-    or above the floor at every step, and the leads come in the same
-    strictly decreasing (scaled height, tuple) order.  The elimination
-    stops at the lead equal to target or at the first lead below it, where
-    the coefficient is 0.
-
-    The cut is sound only for a W-invariant product, and the caller
-    certifies it: steinberg_multiplicity through nu_bound's to_weyl_basis,
+    A loop over expand_above at floor = scaled_height(target), which stops
+    at the lead equal to target or at the first lead below it, where the
+    coefficient is 0.  The caller certifies that the product is
+    W-invariant: steinberg_multiplicity through nu_bound's to_weyl_basis,
     and cj_lhs by its factors, a simple character times a q_r(lambda) that
-    QrData has checked to be W-invariant.  Then the full residual stays
-    W-invariant, and the dominant conjugate of each of its weights lies
-    above that weight, so once no dominant weight at or above the floor is
-    left, nothing at or above the floor is.  Every lead processed is
-    checked as in to_simple_basis (NonInvariantError).  With a target below
-    every weight the elimination reaches, nothing is cut, so a character
-    that is not W-invariant raises the full expansion's error.
+    QrData has checked to be W-invariant.
     """
     rs = provider.rs
     target = tuple(target)
     floor = rs.scaled_height(target)
     key = (floor, target)
-    chi = Character._wrap(rs.rank, _product_above(factors, floor, rs))
-    for lead, c in expand(
-        chi, rs, lambda lam: provider.simple_character_above(lam, floor)
-    ):
+    for lead, c in expand_above(factors, floor, provider):
         if lead == target:
             return c
         if (rs.scaled_height(lead), lead) < key:

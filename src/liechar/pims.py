@@ -19,7 +19,7 @@ from .characters import (
     leading_dominant_weights,
     weyl_character,
 )
-from .decomp import to_simple_basis, weight_digits
+from .decomp import expand_above, to_simple_basis, weight_digits
 from .errors import (
     CoverageError,
     DataValidationError,
@@ -291,15 +291,18 @@ def jantzen_identity_check(chi, provider, qrdata):
 
     The cells are read off the two expansions: a coefficient of chi at w is
     the lhs of (lam, nu) = (w mod q, w div q), and one of chi . q_r(lambda*)
-    at (q-1) rho + q nu is the rhs of (lam, nu).  chi is expanded once and
-    chi . q_r(lambda*) once per lam, both fully: chi comes in uncertified,
-    so simple_multiplicity's shortcut, which needs a W-invariant character,
-    does not apply.
+    at (q-1) rho + q nu is the rhs of (lam, nu).  chi is expanded once,
+    fully, before any rhs is read: a chi that is not W-invariant raises
+    NonInvariantError there.  So chi . q_r(lambda*), W-invariant since
+    QrData checks q_r(lambda*), is expanded once per lam only at or above
+    the Steinberg weight's scaled height (decomp.expand_above), where every
+    (q-1) rho + q nu with nu dominant lies.
     """
     p, r = _paired_p_r(provider, qrdata)
     rs = provider.rs
     q = p**r
     st_weight = rs.steinberg_weight(p, r)
+    floor = rs.scaled_height(st_weight)
     lhs_cells = {}
     for w, c in to_simple_basis(chi, provider).items():
         lam = tuple(x % q for x in w)
@@ -307,8 +310,8 @@ def jantzen_identity_check(chi, provider, qrdata):
     for lam in rs.restricted_weights(p, r):
         lhs = lhs_cells.get(lam, {})
         rhs = {}
-        shifted = to_simple_basis(chi * qrdata.q(rs.dual_weight(lam)), provider)
-        for w, c in shifted.items():
+        factors = (chi, qrdata.q(rs.dual_weight(lam)))
+        for w, c in expand_above(factors, floor, provider):
             # w is dominant, so w = (q-1) rho mod q gives nu >= 0.
             nu, rest = zip(*(divmod(x - s, q) for x, s in zip(w, st_weight)))
             if not any(rest):

@@ -27,8 +27,14 @@ from liechar import (
     weyl_character,
 )
 
-from test_decomp import a1_p3_nabla6_document, a2_p2_document
+from test_decomp import (
+    A1XA1,
+    a1_p3_nabla6_document,
+    a1xa1_rows_document,
+    a2_p2_document,
+)
 from test_kernel import PROPERTY
+from test_pims import a1xa1_qhat_document
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # A1 at p = 5 with the wrong row nabla(3) = L(3) + L(1); the true row is L(3).
@@ -892,6 +898,23 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, ["verify", "lemma33", "-p", "2", "--bound", "4"])
         assert code == 0
         assert "mismatches=0" in out
+
+    def test_lemma33_rank_two_through_files(self, capsys, tmp_path):
+        # A1 x A1 at p = 3, r = 2 through --cartan: its rows and Q-hat data
+        # are the outer products of the A1 built-ins.
+        argv = ["verify", "lemma33", "-p", "3", "-r", "2", "--bound", "6"]
+        documents = {
+            "--cartan": A1XA1,
+            "--decomp-data": a1xa1_rows_document(3),
+            "--qhat-data": a1xa1_qhat_document(3, 2),
+        }
+        for flag, doc in documents.items():
+            path = tmp_path / f"{flag[2:]}.json"
+            path.write_text(json.dumps(doc))
+            argv += [flag, str(path)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out == "target=lemma33 checks=100 mismatches=0\n"
 
     def test_thm45a(self, capsys):
         code, out, _ = run(capsys, ["verify", "thm45a", "-p", "3"])

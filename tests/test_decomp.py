@@ -24,8 +24,8 @@ from liechar import (
     to_simple_basis,
     weyl_character,
 )
-from liechar.characters import from_weyl_basis
-from liechar.decomp import simple_multiplicity, weight_digits
+from liechar.characters import expand, from_weyl_basis
+from liechar.decomp import expand_above, simple_multiplicity, weight_digits
 
 from test_kernel import (
     PROPERTY,
@@ -392,3 +392,72 @@ class TestSimpleMultiplicity:
         provider = provider_for(ROOT_SYSTEMS["A2"])
         with pytest.raises(RankMismatchError):
             simple_multiplicity((Character(1, {(1,): 1}),), (0, 0), provider)
+
+
+A1XA1 = {"rank": 2, "matrix": [[2, 0], [0, 2]]}
+
+
+def a1xa1_rows_document(p):
+    """The rows of the block-diagonal A1 x A1 at p: [nabla(a, b) : L(c, d)]
+    is the product of the A1 built-in entries [nabla(a) : L(c)] and
+    [nabla(b) : L(d)]."""
+    sl2 = DecompositionProvider.builtin_sl2(p)
+    rows = []
+    for (a,), (b,) in itertools.product(sl2.rs.restricted_weights(p, 1), repeat=2):
+        factors = [
+            {"mu": [c, d], "mult": mc * md}
+            for (c,), mc in sl2.row((a,)).items()
+            for (d,), md in sl2.row((b,)).items()
+        ]
+        rows.append({"lambda": [a, b], "factors": factors})
+    return {"cartan": A1XA1, "p": p, "rows": rows}
+
+
+CUT_CASES = (("A1", 3), ("A1", 5), ("A2", 2), ("A1xA1", 3))
+
+
+@functools.cache
+def cut_provider(name, p):
+    """A1 at p = 3 and 5 from the built-in rows, A2 at p = 2 from A2_P2_ROWS,
+    A1 x A1 at p = 3 from a1xa1_rows_document."""
+    if name == "A1xA1":
+        return load_decomposition_data(a1xa1_rows_document(p))
+    if name == "A2":
+        return load_decomposition_data(a2_p2_document(), rs=ROOT_SYSTEMS["A2"])
+    return DecompositionProvider.builtin_sl2(p, rs=ROOT_SYSTEMS["A1"])
+
+
+@st.composite
+def cut_factors(draw, provider):
+    """1-3 W-invariant factors on provider's root system, each a Weyl or a
+    simple character, and a floor among the heights of their product."""
+    rs = provider.rs
+    highest = st.tuples(*[st.integers(0, 8 if rs.rank == 1 else 2)] * rs.rank)
+    factors = []
+    for _ in range(draw(st.integers(1, 3), label="factors")):
+        lam = draw(highest, label="lambda")
+        if draw(st.booleans(), label="simple"):
+            factors.append(provider.simple_character(lam))
+        else:
+            factors.append(weyl_character(lam, rs))
+    product = functools.reduce(operator.mul, factors)
+    heights = sorted({rs.scaled_height(w) for w in product.support})
+    return factors, product, draw(st.sampled_from(heights), label="floor")
+
+
+class TestExpandAbove:
+    """expand_above forms the simple-basis expansion of a W-invariant
+    product only at or above its floor; there it must yield the full
+    expansion's (lead, c) pairs, in the same order."""
+
+    @pytest.mark.parametrize("case", CUT_CASES, ids=lambda c: f"{c[0]}-p{c[1]}")
+    @settings(PROPERTY, max_examples=25)
+    @given(data=st.data())
+    def test_matches_the_full_expansion_above_the_floor(self, case, data):
+        provider = cut_provider(*case)
+        rs = provider.rs
+        factors, product, floor = data.draw(cut_factors(provider))
+        full = expand(product, rs, provider.simple_character)
+        expected = [(lam, c) for lam, c in full if rs.scaled_height(lam) >= floor]
+        assert list(expand_above(factors, floor, provider)) == expected
+

@@ -25,6 +25,7 @@ from liechar import (
     induced_socle_multiplicity,
     pims,
     jantzen_identity_check,
+    load_decomposition_data,
     steinberg_character,
     steinberg_multiplicity,
     theorem45a_socle_check,
@@ -37,6 +38,7 @@ from liechar.finite import (
     finite_composition_multiplicities,
 )
 
+from test_decomp import A1XA1, a1xa1_rows_document
 from test_finite import oracle_covers, untwisting_cases, use_wide_box
 
 
@@ -421,10 +423,34 @@ class TestTensorCache:
             assert coeffs == to_simple_basis(product, provider)
 
 
+def a1xa1_qhat_document(p, r):
+    """The Q-hat data of the block-diagonal A1 x A1 at (p, r): ch Q-hat_r(a, b)
+    is the outer product of the A1 built-in characters ch Q-hat_r(a) and
+    ch Q-hat_r(b)."""
+    entries = sorted(QrData.builtin_sl2(p, r).entries.items())
+    doc_entries = []
+    for (a, entry_a), (b, entry_b) in itertools.product(entries, repeat=2):
+        support = [
+            {"weight": [*wa, *wb], "mult": ma * mb}
+            for wa, ma in entry_a.qhat_char.support.items()
+            for wb, mb in entry_b.qhat_char.support.items()
+        ]
+        qhat = {"rank": 2, "entries": support}
+        doc_entries.append({"lambda": [*a, *b], "qhat": qhat})
+    return {"cartan": A1XA1, "p": p, "r": r, "entries": doc_entries}
+
+
+@pytest.fixture(scope="module")
+def a1xa1_p3_r2():
+    provider = load_decomposition_data(a1xa1_rows_document(3))
+    return provider, QrData.from_json_dict(a1xa1_qhat_document(3, 2), rs=provider.rs)
+
+
 def grid_records(chi, nus, provider, qrdata):
     """Both sides of Jantzen's identity at every restricted lam and every nu
-    in nus, zero cells included: the reference for the cells that
-    jantzen_identity_check reads off its expansions."""
+    in nus, zero cells included, each read off a full expansion: the
+    reference for the cells that jantzen_identity_check reads off its
+    expansions, its rhs cut at the Steinberg weight."""
     rs, p, r = provider.rs, provider.p, qrdata.r
     st_weight = rs.steinberg_weight(p, r)
     coeffs = to_simple_basis(chi, provider)
@@ -442,6 +468,19 @@ def jantzen_records(chi, provider, qrdata):
         (lam, nu): (lhs, rhs)
         for lam, nu, lhs, rhs in jantzen_identity_check(chi, provider, qrdata)
     }
+
+
+def check_sweep(sigmas, nus, provider, qrdata):
+    """The records of each chi(sigma) are the nonzero cells of the grid over
+    nus, in its order; there is one at least, and lhs = rhs in each."""
+    for sigma in sigmas:
+        chi = weyl_character(sigma, provider.rs)
+        records = list(jantzen_identity_check(chi, provider, qrdata))
+        grid = grid_records(chi, nus, provider, qrdata)
+        assert records == [rec for rec in grid if rec[2] or rec[3]], sigma
+        assert records, sigma
+        for lam, nu, lhs, rhs in records:
+            assert lhs == rhs, (sigma, lam, nu)
 
 
 class TestJantzenIdentity:
@@ -463,17 +502,35 @@ class TestJantzenIdentity:
         assert jantzen_records(chi, prov3, qr3) == {((0,), (0,)): (1, 1)}
 
     def test_sweep_p3(self, prov3, qr3):
-        # The records are the nonzero cells of the grid, in its order; every
-        # nonzero cell of chi(sigma), sigma < 9, has nu < 6.
-        nus = [(nu,) for nu in range(6)]
-        for sigma in range(9):
-            chi = weyl_character((sigma,), prov3.rs)
-            records = list(jantzen_identity_check(chi, prov3, qr3))
-            grid = grid_records(chi, nus, prov3, qr3)
-            assert records == [rec for rec in grid if rec[2] or rec[3]], sigma
-            assert records, sigma
-            for lam, nu, lhs, rhs in records:
-                assert lhs == rhs, (sigma, lam, nu)
+        # Every nonzero cell of chi(sigma), sigma < 9, has nu < 6.
+        sigmas = [(sigma,) for sigma in range(9)]
+        check_sweep(sigmas, [(nu,) for nu in range(6)], prov3, qr3)
+
+    def test_sweep_a1xa1_p3_r2(self, a1xa1_p3_r2):
+        # Rank 2 at r = 2; every nonzero cell has nu < (3, 3).
+        sigmas = itertools.product(range(0, 7, 3), repeat=2)
+        nus = list(itertools.product(range(3), repeat=2))
+        check_sweep(sigmas, nus, *a1xa1_p3_r2)
+
+    @pytest.mark.parametrize(
+        "rank, weight", [(1, (-4,)), (1, (7,)), (2, (1, -2)), (2, (20, 1))]
+    )
+    def test_non_invariant_chi_raises_before_any_record(
+        self, monkeypatch, prov3, qr3, a1xa1_p3_r2, rank, weight
+    ):
+        # The rhs is cut at the Steinberg weight, which is sound only for a
+        # W-invariant chi: the lhs's full expansion must reject chi first,
+        # whether the stray weight lies below the cut or above it.
+        provider, qrdata = (prov3, qr3) if rank == 1 else a1xa1_p3_r2
+        chi = weyl_character((1,) * rank, provider.rs) + Character(rank, {weight: 1})
+
+        def no_rhs(*args):
+            pytest.fail("the rhs was read before chi's expansion was checked")
+
+        monkeypatch.setattr(pims, "expand_above", no_rhs)
+        records = jantzen_identity_check(chi, provider, qrdata)
+        with pytest.raises(NonInvariantError):
+            next(records)
 
 
 class TestBarQ:
