@@ -94,6 +94,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+from functools import reduce
 from operator import itemgetter, mul, sub
 from types import MappingProxyType
 
@@ -422,6 +423,14 @@ def frobenius_twist(chi, p, s):
     return Character._wrap(
         chi.rank, {tuple(factor * c for c in w): m for w, m in chi.support.items()}
     )
+
+
+def twisted_product(factors, p):
+    """The product over i of frobenius_twist(factors[i], p, i), for a
+    nonempty sequence of factors: the Steinberg tensor product over base-p
+    digits (Jantzen, RAGS II.3.17).  The first factor is not twisted, so a
+    single factor is returned itself."""
+    return reduce(mul, (frobenius_twist(f, p, i) for i, f in enumerate(factors)))
 
 
 def formal_dual(chi):

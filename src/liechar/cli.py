@@ -95,8 +95,8 @@ def _load_json(path):
 
 def build_config(args):
     """The parsed options args of one run, checked, with the root system rs,
-    the data files' provider and qrdata (None for none; _require fills them
-    in) and the default bound set on them."""
+    the data files' provider and qrdata (None for none; _provider and
+    _qrdata fill them in) and the default bound set on them."""
     rs = root_system_of(
         {"cartan": _load_json(args.cartan)} if args.cartan else {"type": args.type}
     )
@@ -111,7 +111,7 @@ def build_config(args):
         raise CliError(f"bound must be nonnegative, got {args.bound}")
 
     # Data files are loaded and validated up front; the built-in rank-1
-    # data only when a command reads it (_require).
+    # data only when a command reads it (_provider, _qrdata).
     provider = None
     if args.decomp_data:
         from .decomp import load_decomposition_data
@@ -139,35 +139,29 @@ def build_config(args):
     return args
 
 
-_DATA_FLAGS = {"provider": "--decomp-data", "qrdata": "--qhat-data"}
+def _provider(config):
+    """config.provider: the --decomp-data file's or, for rank 1 without
+    one, the built-in data, built on first use and kept; CliError for
+    neither."""
+    if config.provider is None and config.rs.rank == 1:
+        from .decomp import DecompositionProvider
+
+        config.provider = DecompositionProvider.builtin_sl2(config.p, rs=config.rs)
+    if config.provider is None:
+        raise CliError("decomposition data required: supply --decomp-data")
+    return config.provider
 
 
-def _builtin_provider(config):
-    from .decomp import DecompositionProvider
+def _qrdata(config):
+    """config.qrdata: the --qhat-data file's or, for rank 1 without one,
+    the built-in data, built on first use and kept; CliError for neither."""
+    if config.qrdata is None and config.rs.rank == 1:
+        from .pims import QrData
 
-    return DecompositionProvider.builtin_sl2(config.p, rs=config.rs)
-
-
-def _builtin_qrdata(config):
-    from .pims import QrData
-
-    return QrData.builtin_sl2(config.p, config.r, rs=config.rs)
-
-
-# The built-in rank-1 data of each config attribute.
-_BUILTIN_DATA = {"provider": _builtin_provider, "qrdata": _builtin_qrdata}
-
-
-def _require(config, attr, what):
-    """config.<attr>: the data file's or, for rank 1 without one, the
-    built-in data, built on first use and kept; CliError for neither."""
-    value = getattr(config, attr)
-    if value is None and config.rs.rank == 1:
-        value = _BUILTIN_DATA[attr](config)
-        setattr(config, attr, value)
-    if value is None:
-        raise CliError(f"{what} required: supply {_DATA_FLAGS[attr]}")
-    return value
+        config.qrdata = QrData.builtin_sl2(config.p, config.r, rs=config.rs)
+    if config.qrdata is None:
+        raise CliError("Q-hat data required: supply --qhat-data")
+    return config.qrdata
 
 
 # -- expression grammar ----------------------------------------------------
@@ -251,7 +245,7 @@ class _Parser:
             value = weyl_character(self.weight(), config.rs)
         elif token == "simple":
             lam = self.weight()
-            provider = _require(config, "provider", "decomposition data")
+            provider = _provider(config)
             value = provider.simple_character(lam)
         else:
             value = self.expression()
@@ -371,8 +365,8 @@ def cmd_char(config, expression):
 def _cj_table(config):
     from . import pims
 
-    provider = _require(config, "provider", "decomposition data")
-    qrdata = _require(config, "qrdata", "Q-hat data")
+    provider = _provider(config)
+    qrdata = _qrdata(config)
     return pims.cj_table(provider, qrdata, config.method)
 
 
@@ -409,7 +403,7 @@ def _route_agreement(route):
     def sweep(config):
         from .finite import steinberg_multiplicity
 
-        provider = _require(config, "provider", "decomposition data")
+        provider = _provider(config)
         for lam in _dominant_grid(config.rs, config.bound):
             chi = weyl_character(lam, config.rs)
             yield (
@@ -424,8 +418,8 @@ def _route_agreement(route):
 def _lemma33(config):
     from . import pims
 
-    provider = _require(config, "provider", "decomposition data")
-    qrdata = _require(config, "qrdata", "Q-hat data")
+    provider = _provider(config)
+    qrdata = _qrdata(config)
     for sigma in _dominant_grid(config.rs, config.bound):
         chi = weyl_character(sigma, config.rs)
         for lam, nu, lhs, rhs in pims.jantzen_identity_check(chi, provider, qrdata):
@@ -446,7 +440,7 @@ def _thm41(config):
 def _thm45a(config):
     from . import pims
 
-    provider = _require(config, "provider", "decomposition data")
+    provider = _provider(config)
     for lam in config.rs.restricted_weights(config.p, config.r):
         for mu, lhs, rhs in pims.theorem45a_socle_check(lam, config.r, provider):
             yield f"lambda={_weight_label(lam)} mu={_weight_label(mu)}", lhs, rhs
@@ -455,7 +449,7 @@ def _thm45a(config):
 def _prop44delta(config):
     from . import pims
 
-    provider = _require(config, "provider", "decomposition data")
+    provider = _provider(config)
     restricted = config.rs.restricted_weights(config.p, config.r)
     for mu, sigma in itertools.product(restricted, repeat=2):
         value = pims.induced_socle_multiplicity(mu, sigma, config.r, provider)

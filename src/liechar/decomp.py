@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from operator import add, itemgetter
 
-from .characters import Character, expand, frobenius_twist, weyl_character
+from .characters import Character, expand, twisted_product, weyl_character
 from .errors import (
     CoverageError,
     DataValidationError,
@@ -97,8 +97,8 @@ class DecompositionProvider:
 
         For restricted lam, triangular inversion of the table's row:
         chi(lam) minus [nabla(lam) : L(mu)] ch L(mu) over mu < lam
-        (CoverageError when the table lacks the row).  Otherwise the
-        twisted tensor product of ch L(lam_i)^(i) over the base-p digits
+        (CoverageError when the table lacks the row).  Otherwise
+        characters.twisted_product of the ch L(lam_i) over the base-p digits
         lam_i of lam, refused with LiecharError before any product when the
         digit characters' support sizes multiply to more than
         MAX_WEYL_WEIGHTS (that product bounds the support, exactly in rank 1).
@@ -122,9 +122,7 @@ class DecompositionProvider:
                     f"L{lam} is too large: its digit characters' supports "
                     f"multiply to more than {MAX_WEYL_WEIGHTS} weights"
                 )
-            chi = Character(self.rs.rank, {(0,) * self.rs.rank: 1})
-            for i, factor in enumerate(factors):
-                chi = chi * frobenius_twist(factor, self.p, i)
+            chi = twisted_product(factors, self.p)
         self._simple_cache[lam] = chi
         return chi
 

@@ -15,8 +15,8 @@ from .characters import (
     _over_denominator,
     _times_denominator,
     check_printable_power,
-    frobenius_twist,
     leading_dominant_weights,
+    twisted_product,
     weyl_character,
 )
 from .decomp import expand_above, to_simple_basis, weight_digits
@@ -53,50 +53,40 @@ def character_divide(num, rs, p, r):
     )
 
 
-class QrEntry:
-    """ch Q-hat_r(lambda) and its quotient q_r(lambda) by ch St_r."""
-
-    __slots__ = ("qhat_char", "q_char")
-
-    def __init__(self, qhat_char, q_char):
-        self.qhat_char = qhat_char
-        self.q_char = q_char
-
-
 class QrData:
-    """ch Q-hat_r(lambda) and the quotient q_r(lambda) over the restricted weights.
+    """q_r(lambda) = ch Q-hat_r(lambda) / ch St_r over the restricted weights.
 
-    Validated at construction: each Q-hat character is W-invariant and
-    ch St_r * q_r(lambda) reproduces it exactly, and the Steinberg entry is
-    trivial.
+    Built from the Q-hat characters and validated at construction: each is
+    W-invariant and divided exactly by ch St_r, and the Steinberg entry
+    divides to the trivial character.  entries maps lambda to q_r(lambda);
+    no Q-hat character is kept, since ch Q-hat_r(lambda) is
+    steinberg_character(rs, p, r) * q.
     """
 
-    def __init__(self, rs, p, r, qhat_chars):
+    def __init__(self, rs, p, r, qhats):
         self.rs = rs
         self.p = p
         self.r = r
         self.entries = {}
         self._leads = {}
-        for lam, qhat in qhat_chars.items():
+        for lam, qhat in qhats.items():
             lam = tuple(lam)
             try:
-                q = character_divide(qhat, rs, p, r)
+                self.entries[lam] = character_divide(qhat, rs, p, r)
             except (DivisionFailure, NonInvariantError) as exc:
                 raise DataValidationError(
                     f"Q-hat character for {lam} is not divisible by the "
                     f"Steinberg character: {exc}"
                 ) from exc
-            self.entries[lam] = QrEntry(qhat, q)
-        unit = Character(rs.rank, {(0,) * rs.rank: 1})
-        st_weight = rs.steinberg_weight(p, r)
-        if st_weight in self.entries and self.entries[st_weight].q_char != unit:
+        st_q = self.entries.get(rs.steinberg_weight(p, r))
+        if st_q is not None and not st_q._is_unit():
             raise DataValidationError(
                 "Steinberg entry must divide to the trivial character"
             )
 
     def q(self, lam):
         try:
-            return self.entries[tuple(lam)].q_char
+            return self.entries[tuple(lam)]
         except KeyError:
             raise CoverageError(tuple(lam), f"no Q-hat data for weight {lam}")
 
@@ -122,8 +112,9 @@ class QrData:
         """Rank-1 data from the classical closed form.
 
         ch Q-hat_1(m) = chi(2p-2-m) + chi(m) for m <= p-2 and chi(p-1) at
-        the Steinberg weight; higher r comes from products of twisted
-        first-kernel characters over the base-p digits.
+        the Steinberg weight; for higher r, ch Q-hat_r(lambda) is
+        characters.twisted_product of the ch Q-hat_1 of lambda's r base-p
+        digits.
         """
         rs = rs or RootSystem(CartanMatrix.builtin("A1"))
         if rs.rank != 1:
@@ -134,15 +125,12 @@ class QrData:
                 return weyl_character((p - 1,), rs)
             return weyl_character((2 * p - 2 - m,), rs) + weyl_character((m,), rs)
 
-        qhat_chars = {}
+        qhats = {}
         for lam in rs.restricted_weights(p, r):
             digits = weight_digits(lam, p)
             digits += [(0,)] * (r - len(digits))
-            chi = Character(1, {(0,): 1})
-            for i, digit in enumerate(digits):
-                chi = chi * frobenius_twist(qhat1(digit[0]), p, i)
-            qhat_chars[lam] = chi
-        return cls(rs, p, r, qhat_chars)
+            qhats[lam] = twisted_product([qhat1(m) for (m,) in digits], p)
+        return cls(rs, p, r, qhats)
 
     @classmethod
     def from_json_dict(cls, doc, rs=None):
@@ -162,13 +150,13 @@ class QrData:
         if p < 2 or r < 1:
             raise DataValidationError(f"invalid (p, r): ({p!r}, {r!r})")
         check_printable_power(p, r, "r =")
-        qhat_chars = weight_keyed(
+        qhats = weight_keyed(
             doc.get("entries"),
             "lambda",
             lambda entry: Character.from_json_dict(entry["qhat"]),
             "entry for lambda",
         )
-        for lam, qhat in qhat_chars.items():
+        for lam, qhat in qhats.items():
             if len(lam) != rs.rank or not all(0 <= c < p**r for c in lam):
                 raise DataValidationError(
                     f"entry {lam}: lambda is not a {p**r}-restricted weight "
@@ -176,7 +164,7 @@ class QrData:
                 )
             if qhat.rank != rs.rank:
                 raise DataValidationError(f"entry {lam}: rank mismatch")
-        return cls(rs, p, r, qhat_chars)
+        return cls(rs, p, r, qhats)
 
 
 def _paired_p_r(provider, qrdata):

@@ -31,7 +31,7 @@ from liechar.finite import STEINBERG_METHODS
 
 from test_decomp import a2_p2_document
 from test_finite import oracle_covers, use_wide_box
-from test_pims import grid_records
+from test_pims import a1_qhat, grid_records
 
 TABLE_CASES = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 
@@ -134,10 +134,12 @@ def test_criterion_07_qhat_self_certification():
     for p in (2, 3, 5, 7):
         qrdata = qrdata_for(p, 1)
         st = steinberg_character(qrdata.rs, p, 1)
-        for (m,), entry in qrdata.entries.items():
-            ok = ok and st * entry.q_char == entry.qhat_char
+        ok = ok and sorted(qrdata.entries) == [(m,) for m in range(p)]
+        for m in range(p):
+            qhat = st * qrdata.q((m,))
+            ok = ok and qhat == a1_qhat(p, 1, m, qrdata.rs)
             expected = p if m == p - 1 else 2 * p
-            ok = ok and entry.qhat_char.dimension() == expected
+            ok = ok and qhat.dimension() == expected
     report(7, "injective-hull data divides and has the right dimensions", ok)
 
 

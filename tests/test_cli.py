@@ -34,7 +34,7 @@ from test_decomp import (
     a2_p2_document,
 )
 from test_kernel import PROPERTY
-from test_pims import a1xa1_qhat_document
+from test_pims import a1xa1_qhat_document, qhat_entries
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # A1 at p = 5 with the wrong row nabla(3) = L(3) + L(1); the true row is L(3).
@@ -52,10 +52,7 @@ def a1_p3_document(flag, label):
     if flag == "--decomp-data":
         rows = [{"lambda": [m], "factors": [{"mu": [m], "mult": 1}]} for m in range(3)]
         return {"type": label, "p": 3, "rows": rows}
-    entries = [
-        {"lambda": list(lam), "qhat": entry.qhat_char.to_json_dict()}
-        for lam, entry in sorted(QrData.builtin_sl2(3, 1).entries.items())
-    ]
+    entries = qhat_entries(QrData.builtin_sl2(3, 1))
     return {"type": label, "p": 3, "r": 1, "entries": entries}
 
 

@@ -22,6 +22,7 @@ from liechar import (
     cj_table,
     cli,
     finite,
+    frobenius_twist,
     induced_socle_multiplicity,
     pims,
     jantzen_identity_check,
@@ -70,6 +71,31 @@ class TestCharacterDivide:
             character_divide(num, rs_a1, 3, 1)
 
 
+def a1_qhat(p, r, m, rs):
+    """ch Q-hat_r(m) on A1, built from the closed form ch Q-hat_1(d) =
+    chi(2p-2-d) + chi(d), or chi(p-1) at d = p-1: the product of the
+    twisted ch Q-hat_1 of the r base-p digits d of m."""
+
+    def qhat1(d):
+        if d == p - 1:
+            return weyl_character((p - 1,), rs)
+        return weyl_character((2 * p - 2 - d,), rs) + weyl_character((d,), rs)
+
+    chi = qhat1(m % p)
+    for i in range(1, r):
+        chi = chi * frobenius_twist(qhat1(m // p**i % p), p, i)
+    return chi
+
+
+def qhat_entries(qrdata):
+    """The "entries" of a Q-hat document for qrdata: each Q-hat is St_r * q_r."""
+    st = steinberg_character(qrdata.rs, qrdata.p, qrdata.r)
+    return [
+        {"lambda": list(lam), "qhat": (st * q).to_json_dict()}
+        for lam, q in sorted(qrdata.entries.items())
+    ]
+
+
 class TestQrData:
     def test_p3_examples(self, qr3):
         rs = qr3.rs
@@ -82,30 +108,37 @@ class TestQrData:
     @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
     def test_division_invariant(self, p, r):
         qrdata = QrData.builtin_sl2(p, r)
-        st = steinberg_character(qrdata.rs, p, r)
-        for lam, entry in qrdata.entries.items():
-            assert st * entry.q_char == entry.qhat_char
+        rs = qrdata.rs
+        st = steinberg_character(rs, p, r)
+        assert sorted(qrdata.entries) == [(m,) for m in range(p**r)]
+        for m in range(p**r):
+            assert st * qrdata.q((m,)) == a1_qhat(p, r, m, rs)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_qhat_dimensions(self, p):
         qrdata = QrData.builtin_sl2(p, 1)
-        for (m,), entry in qrdata.entries.items():
+        st = steinberg_character(qrdata.rs, p, 1)
+        for (m,), q in qrdata.entries.items():
             expected = p if m == p - 1 else 2 * p
-            assert entry.qhat_char.dimension() == expected
+            assert (st * q).dimension() == expected
+
+    def test_a1xa1_entries_are_the_quotients(self, a1xa1_p3_r2):
+        # The document's Q-hat characters are not kept; St_r * q_r rebuilds
+        # every one of them.
+        _, qrdata = a1xa1_p3_r2
+        doc = a1xa1_qhat_document(3, 2)
+        st = steinberg_character(qrdata.rs, 3, 2)
+        assert len(qrdata.entries) == len(doc["entries"]) == 81
+        for entry in doc["entries"]:
+            lam = tuple(entry["lambda"])
+            assert qrdata.entries[lam] is qrdata.q(lam)
+            assert st * qrdata.q(lam) == Character.from_json_dict(entry["qhat"])
 
     def test_json_roundtrip(self, qr3):
-        doc = {
-            "type": "A1",
-            "p": 3,
-            "r": 1,
-            "entries": [
-                {"lambda": list(lam), "qhat": entry.qhat_char.to_json_dict()}
-                for lam, entry in sorted(qr3.entries.items())
-            ],
-        }
+        doc = {"type": "A1", "p": 3, "r": 1, "entries": qhat_entries(qr3)}
         loaded = QrData.from_json_dict(doc)
-        for lam, entry in qr3.entries.items():
-            assert loaded.q(lam) == entry.q_char
+        for lam, q in qr3.entries.items():
+            assert loaded.q(lam) == q
 
     def test_rejects_non_divisible_qhat(self, rs_a1):
         doc = {
@@ -198,11 +231,7 @@ class TestQrData:
             QrData.from_json_dict(doc)
 
     def test_given_root_system_must_match_the_document(self, qr3, rs_a1, rs_a2):
-        entries = [
-            {"lambda": list(lam), "qhat": entry.qhat_char.to_json_dict()}
-            for lam, entry in sorted(qr3.entries.items())
-        ]
-        doc = {"type": "A2", "p": 3, "r": 1, "entries": entries}
+        doc = {"type": "A2", "p": 3, "r": 1, "entries": qhat_entries(qr3)}
         with pytest.raises(DataValidationError, match="document is for"):
             QrData.from_json_dict(doc, rs=rs_a1)
         doc["type"] = "A1"
@@ -307,11 +336,6 @@ class TestMultiplicityTable:
         )
         assert table != other
         assert table != (table.labels, table.lhs, table.rhs, table.mismatches)
-
-    def test_entries_keep_their_fields(self, qr3):
-        entry = qr3.entries[(2,)]
-        assert entry.q_char == qr3.q((2,))
-        assert entry.qhat_char == weyl_character((2,), qr3.rs)
 
 
 class TestZeroCells:
@@ -426,14 +450,16 @@ class TestTensorCache:
 def a1xa1_qhat_document(p, r):
     """The Q-hat data of the block-diagonal A1 x A1 at (p, r): ch Q-hat_r(a, b)
     is the outer product of the A1 built-in characters ch Q-hat_r(a) and
-    ch Q-hat_r(b)."""
-    entries = sorted(QrData.builtin_sl2(p, r).entries.items())
+    ch Q-hat_r(b), each St_r * q_r."""
+    qrdata = QrData.builtin_sl2(p, r)
+    st = steinberg_character(qrdata.rs, p, r)
+    qhats = [(lam, st * q) for lam, q in sorted(qrdata.entries.items())]
     doc_entries = []
-    for (a, entry_a), (b, entry_b) in itertools.product(entries, repeat=2):
+    for (a, qhat_a), (b, qhat_b) in itertools.product(qhats, repeat=2):
         support = [
             {"weight": [*wa, *wb], "mult": ma * mb}
-            for wa, ma in entry_a.qhat_char.support.items()
-            for wb, mb in entry_b.qhat_char.support.items()
+            for wa, ma in qhat_a.support.items()
+            for wb, mb in qhat_b.support.items()
         ]
         qhat = {"rank": 2, "entries": support}
         doc_entries.append({"lambda": [*a, *b], "qhat": qhat})
