@@ -28,13 +28,10 @@ the residual are kept on a heap keyed by that order: a weight is pushed
 when it first gets a nonzero value and popped lazily, an entry whose weight
 has since cancelled being skipped.  Subtracting c * basis(lead) changes
 only weights below lead, so the leads come in strictly decreasing order and
-no later step touches a weight at or above the current lead.  Hence once a
-lead falls below a target weight t, t's coefficient is final (0 if t was
-never a lead), and a caller that wants one coefficient can stop there
-(decomp.simple_multiplicity).  Nor does a weight below a given scaled
-height ever change one above it, so a caller that wants only the
-coefficients at or above a floor passes the floor, and each basis element
-is subtracted only down to it (decomp.expand_above).
+no later step touches a weight at or above the current lead.  Nor does a
+weight below a given scaled height ever change one above it, so a caller
+that wants only the coefficients at or above a floor passes the floor, and
+each basis element is subtracted only down to it (decomp.expand_above).
 
 The product is a convolution on packed integer keys.  Both operands are
 shifted so that every coordinate starts at 0, and each weight becomes one
@@ -566,45 +563,45 @@ def leading_dominant_weights(support, rs):
     return [w for _, w in maximal]
 
 
-def _not_invariant(weight, mult):
+def _not_invariant(weight):
     return NonInvariantError(
         f"character is not W-invariant: residual leading weight {weight}"
     )
 
 
 def expand(chi, rs, basis, floor=-math.inf):
-    """Yield (lam, c) with chi = sum c * basis(lam), by leading-term elimination,
+    """{lam: c} with chi = sum c * basis(lam), by leading-term elimination,
     formed only at or above scaled height floor.
 
     basis(lam) is a character whose other weights lie strictly below lam in
     the (scaled height, tuple) order, so the leads come in strictly
-    decreasing order and a coefficient, once yielded, is final (see the
-    module docstring).  Each basis(lead) is walked in decreasing height
-    (Character.by_height) and subtracted only down to floor, so with a
-    floor chi must have no weight below it, and the residual stays the full
-    residual's part at or above the floor.  The dominant weights of the
-    residual sit on a heap keyed by that order, pushed when they enter it
-    and skipped when popped after they have cancelled.  NonInvariantError,
-    raised before the lead it names is yielded, when no dominant weight is
-    left or a lead's multiplicity is not a multiple of basis(lead)'s.
+    decreasing order, the order in which the dict is filled, and a
+    coefficient, once found, is final (see the module docstring).  Each
+    basis(lead) is walked in decreasing height (Character.by_height) and
+    subtracted only down to floor, so with a floor chi must have no weight
+    below it, and the residual stays the full residual's part at or above
+    the floor.  The dominant weights of the residual sit on a heap keyed by
+    that order, pushed when they enter it and skipped when popped after they
+    have cancelled.  NonInvariantError when no dominant weight is left or a
+    lead's multiplicity is not a multiple of basis(lead)'s.
     """
     height = rs.scaled_height
     work = dict(chi.support)
     heap = [(-height(w), tuple(-x for x in w), w) for w in work if min(w) >= 0]
     heapq.heapify(heap)
+    coeffs = {}
     while work:
         while heap and heap[0][2] not in work:
             heapq.heappop(heap)
         if not heap:
-            raise _not_invariant(*max(work.items()))
+            raise _not_invariant(max(work))
         lead = heapq.heappop(heap)[2]
         mult = work.pop(lead)
         element = basis(lead)
         unit = element.support.get(lead)
         if not unit or mult % unit:
-            raise _not_invariant(lead, mult)
-        c = mult // unit
-        yield lead, c
+            raise _not_invariant(lead)
+        c = coeffs[lead] = mult // unit
         for h, w, m in element.by_height(rs):
             if h < floor:
                 break
@@ -618,6 +615,7 @@ def expand(chi, rs, basis, floor=-math.inf):
                     heapq.heappush(heap, (-h, tuple(-x for x in w), w))
             else:
                 del work[w]
+    return coeffs
 
 
 def to_weyl_basis(chi, rs):

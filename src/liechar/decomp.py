@@ -128,55 +128,36 @@ class DecompositionProvider:
 
 
 def to_simple_basis(chi, provider):
-    """Coefficients [chi : chi_p(lam)]_G by leading-term elimination."""
-    return dict(expand(chi, provider.rs, provider.simple_character))
+    """Coefficients [chi : chi_p(lam)]_G by leading-term elimination, in
+    decreasing (scaled height, tuple) order."""
+    return expand(chi, provider.rs, provider.simple_character)
 
 
 def expand_above(factors, floor, provider):
-    """Yield the (lam, c) of the simple-basis expansion of the product of
-    factors with lam at or above scaled height floor, in decreasing
-    (scaled height, tuple) order.
+    """The {lam: c} of the simple-basis expansion of the product of factors
+    with lam at or above scaled height floor, in decreasing (scaled height,
+    tuple) order.
 
     Only the product's weights at or above the floor are formed
     (_product_above), and expand subtracts each ch L(lam) only down to the
     floor.  Subtracting L(lam) changes only weights below lam, so the cut
     residual is the full residual's part at or above the floor at every
-    step, and the leads are the full expansion's down to the floor.
+    step, and the leads are the full expansion's down to the floor.  One
+    coefficient [prod : L(t)]_G is expand_above(factors, scaled_height(t),
+    provider).get(t, 0).
 
     The cut is sound only for a W-invariant product, and the caller
-    certifies it.  Then the full residual stays W-invariant, and the
-    dominant conjugate of each of its weights lies above that weight, so
-    once no dominant weight at or above the floor is left, nothing at or
-    above the floor is.  Every lead processed is checked as in
-    to_simple_basis (NonInvariantError).  With a floor below every weight
-    nothing is cut, so a character that is not W-invariant raises the full
-    expansion's error.
+    certifies it (finite.steinberg_nu_sum, pims.jantzen_identity_check).
+    Then the full residual stays W-invariant, and the dominant conjugate of
+    each of its weights lies above that weight, so once no dominant weight
+    at or above the floor is left, nothing at or above the floor is.  Every
+    lead processed is checked as in to_simple_basis (NonInvariantError).
+    With a floor below every weight nothing is cut, so a character that is
+    not W-invariant raises the full expansion's error.
     """
     rs = provider.rs
     chi = Character._wrap(rs.rank, _product_above(factors, floor, rs))
     return expand(chi, rs, provider.simple_character, floor)
-
-
-def simple_multiplicity(factors, target, provider):
-    """[prod of factors : L(target)]_G, forming only the part at or above target.
-
-    A loop over expand_above at floor = scaled_height(target), which stops
-    at the lead equal to target or at the first lead below it, where the
-    coefficient is 0.  The caller certifies that the product is
-    W-invariant: steinberg_multiplicity through nu_bound's to_weyl_basis,
-    and cj_lhs by its factors, a simple character times a q_r(lambda) that
-    QrData has checked to be W-invariant.
-    """
-    rs = provider.rs
-    target = tuple(target)
-    floor = rs.scaled_height(target)
-    key = (floor, target)
-    for lead, c in expand_above(factors, floor, provider):
-        if lead == target:
-            return c
-        if (rs.scaled_height(lead), lead) < key:
-            return 0
-    return 0
 
 
 def _product_above(factors, floor, rs):
@@ -185,9 +166,13 @@ def _product_above(factors, floor, rs):
 
     Height is additive, so a weight of a partial product can reach the
     floor only if its height plus the top heights of the factors still to
-    come does: each partial product is cut at floor minus those.  Both
-    operands are walked in decreasing height, and each walk breaks at the
-    first pair below the cut.  A unit factor e^0 is skipped.
+    come does: each partial product is cut at floor minus those.  Each
+    factor is walked in decreasing height, and the walk breaks at the first
+    weight that takes the partial entry below the cut.  Every partial entry
+    lies at or above its own cut, which is the next cut less the next
+    factor's top height, so no entry needs a test of its own.  A unit factor
+    e^0 is skipped.  The product is empty when the top heights sum to less
+    than the floor; when every factor is a unit, that is the only cut.
     """
     for f in factors:
         if f.rank != rs.rank:
@@ -205,14 +190,12 @@ def _product_above(factors, floor, rs):
         cut = floor - rest
         out = {}
         for ha, wa, ma in partial:
-            if ha + top < cut:
-                break
             for hb, wb, mb in layer:
                 if ha + hb < cut:
                     break
                 key = (ha + hb, tuple(map(add, wa, wb)))
                 out[key] = out.get(key, 0) + ma * mb
-        partial = sorted(((h, w, m) for (h, w), m in out.items() if m), reverse=True)
+        partial = [(h, w, m) for (h, w), m in out.items() if m]
     return {w: m for _, w, m in partial}
 
 

@@ -24,7 +24,7 @@ from operator import add, mul, sub
 # CLI parser reads them without loading this module.
 from . import STEINBERG_METHODS  # noqa: F401
 from .characters import leading_dominant_weights, to_weyl_basis
-from .decomp import simple_multiplicity, to_simple_basis, weight_digits
+from .decomp import expand_above, to_simple_basis, weight_digits
 from .errors import LiecharError
 
 
@@ -146,11 +146,12 @@ def steinberg_nu_sum(factors, nus, r, provider, method):
     sum_w sgn(w) chi(t + rho - w(nu + rho)), one lookup in chi per element
     of the signed orbit of the regular weight nu + rho: no product and no
     expansion per nu.
-    simple_basis: M is the simple character L(nu), and each term is
-    simple_multiplicity of (*factors, L(nu)), which forms only the part of
-    that product at or above t and eliminates only down to t; chi itself is
-    never formed.  That route checks W-invariance only on the leads it
-    processes, so chi must be W-invariant, and the caller certifies it:
+    simple_basis: M is the simple character L(nu), and each term is read
+    off decomp.expand_above of (*factors, L(nu)) at floor scaled_height(t),
+    which forms only the part of that product at or above t and eliminates
+    only down to t; chi itself is never formed.  That route checks
+    W-invariance only on the leads it processes, so chi must be
+    W-invariant, and the caller certifies it:
     steinberg_multiplicity by nu_bound, cj_lhs by its factors.
     nus must contain every nu whose term can be nonzero; a term outside
     the range adds 0.  nu_bound(chi) is such a set, and so is
@@ -170,10 +171,9 @@ def steinberg_nu_sum(factors, nus, r, provider, method):
         return total
     if method == "simple_basis":
         for nu in nus:
-            target = tuple(s + p**r * n for s, n in zip(st_weight, nu))
-            total += simple_multiplicity(
-                (*factors, provider.simple_character(nu)), target, provider
-            )
+            t = tuple(s + p**r * n for s, n in zip(st_weight, nu))
+            factors_nu = (*factors, provider.simple_character(nu))
+            total += expand_above(factors_nu, rs.scaled_height(t), provider).get(t, 0)
         return total
     raise ValueError(f"unknown method {method!r}")
 

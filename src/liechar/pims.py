@@ -299,7 +299,7 @@ def jantzen_identity_check(chi, provider, qrdata):
         lhs = lhs_cells.get(lam, {})
         rhs = {}
         factors = (chi, qrdata.q(rs.dual_weight(lam)))
-        for w, c in expand_above(factors, floor, provider):
+        for w, c in expand_above(factors, floor, provider).items():
             # w is dominant, so w = (q-1) rho mod q gives nu >= 0.
             nu, rest = zip(*(divmod(x - s, q) for x, s in zip(w, st_weight)))
             if not any(rest):

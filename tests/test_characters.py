@@ -306,6 +306,10 @@ class TestSerialization:
         with pytest.raises(DataValidationError, match="must be an integer"):
             Character(1, support)
 
+    def test_constructor_rejects_weight_of_wrong_length(self):
+        with pytest.raises(RankMismatchError, match=r"\(1,\) has length 1, expected 2"):
+            Character(2, {(1,): 1})
+
     def test_dimension(self, rs_a1):
         assert weyl_character((2,), rs_a1).dimension() == 3
         assert Character(1).dimension() == 0

@@ -792,6 +792,8 @@ class TestSizeLimits:
             (["char", "-p", "3", "simple(100000000000000000000)"], "is too large"),
             (["char", "(" * 5000 + "weyl(1)" + ")" * 5000], "nests too deep"),
             (["char", "dual(" * 5000 + "weyl(1)" + ")" * 5000], "nests too deep"),
+            (["cj-table", "-p", "3", "-r", "0"], "r must be >= 1, got 0"),
+            (["verify", "prop31", "-p", "2", "--bound", "-1"], "must be nonnegative"),
         ],
     )
     def test_refused_with_exit_2(self, argv, message):

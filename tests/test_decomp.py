@@ -3,6 +3,7 @@ import functools
 import itertools
 import operator
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -25,7 +26,7 @@ from liechar import (
     weyl_character,
 )
 from liechar.characters import expand, from_weyl_basis
-from liechar.decomp import expand_above, simple_multiplicity, weight_digits
+from liechar.decomp import _product_above, expand_above, weight_digits
 
 from test_kernel import (
     PROPERTY,
@@ -272,6 +273,14 @@ class TestLoadDecompositionData:
         with pytest.raises(DataValidationError, match="must be an integer"):
             load_decomposition_data(doc)
 
+    def test_rejects_negative_multiplicity(self):
+        doc = a2_p2_document()
+        doc["rows"][1]["factors"].append({"mu": [0, 0], "mult": -1})
+        lam = tuple(doc["rows"][1]["lambda"])
+        message = f"row {lam}: negative multiplicity at (0, 0)"
+        with pytest.raises(DataValidationError, match=re.escape(message)):
+            load_decomposition_data(doc)
+
     def test_rejects_duplicate_factor(self):
         doc = a2_p2_document()
         doc["rows"][1]["factors"].append({"mu": [1, 0], "mult": 1})
@@ -320,7 +329,7 @@ SIMPLE_TYPES = ("A1", "A2", "B2", "G2")
 @st.composite
 def invariant_factors(draw, names=SIMPLE_TYPES):
     """A root system and 1-3 W-invariant factors on it, as steinberg_nu_sum
-    hands them to simple_multiplicity: a random invariant character, maybe a
+    hands them to expand_above: a random invariant character, maybe a
     second one, then L(nu) (the unit e^0 for nu = 0); maybe an extra e^0 at
     a random place."""
     rs, chi = draw(invariant_characters(names=names))
@@ -335,10 +344,16 @@ def invariant_factors(draw, names=SIMPLE_TYPES):
     return rs, nu, factors
 
 
+def coefficient_above(factors, t, provider):
+    """[prod of factors : L(t)]_G as steinberg_nu_sum reads it: off the
+    expansion cut at t's scaled height."""
+    return expand_above(factors, provider.rs.scaled_height(t), provider).get(t, 0)
+
+
 class TestSimpleMultiplicity:
-    """simple_multiplicity forms only the part of the product of its factors
-    at or above its target; it must read the coefficient that the full
-    expansion of the product has there."""
+    """[prod of factors : L(t)]_G read off expand_above cut at t's height,
+    which forms only the part of the product at or above t; it must be the
+    coefficient that the full expansion of the product has there."""
 
     @settings(PROPERTY, max_examples=30)
     @given(invariant_factors(), st.data())
@@ -362,7 +377,7 @@ class TestSimpleMultiplicity:
         if absent:
             targets.update(data.draw(st.lists(st.sampled_from(absent), max_size=3)))
         for t in targets:
-            assert simple_multiplicity(factors, t, provider) == coeffs.get(t, 0), t
+            assert coefficient_above(factors, t, provider) == coeffs.get(t, 0), t
 
     @settings(PROPERTY, max_examples=20)
     @given(invariant_characters(names=SIMPLE_TYPES), st.data())
@@ -377,21 +392,30 @@ class TestSimpleMultiplicity:
         chi = chi + Character(rs.rank, {weight: 1})
         with pytest.raises(NonInvariantError) as full:
             to_simple_basis(chi, provider)
-        with pytest.raises(NonInvariantError) as stopped:
-            simple_multiplicity((chi,), (-100,) * rs.rank, provider)
-        assert str(stopped.value) == str(full.value)
+        with pytest.raises(NonInvariantError) as cut:
+            coefficient_above((chi,), (-100,) * rs.rank, provider)
+        assert str(cut.value) == str(full.value)
 
     def test_unit_factors_only(self):
         provider = provider_for(ROOT_SYSTEMS["A2"])
         unit = Character(2, {(0, 0): 1})
-        assert simple_multiplicity((unit, unit), (0, 0), provider) == 1
-        assert simple_multiplicity((), (0, 0), provider) == 1
-        assert simple_multiplicity((unit,), (1, 0), provider) == 0
+        assert coefficient_above((unit, unit), (0, 0), provider) == 1
+        assert coefficient_above((), (0, 0), provider) == 1
+        assert coefficient_above((unit,), (1, 0), provider) == 0
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_unit_factors_above_zero_give_nothing(self, count):
+        # Unit factors are skipped, so only the test of the factors' summed
+        # top heights against the floor cuts e^0.
+        provider = provider_for(ROOT_SYSTEMS["A2"])
+        units = (Character(2, {(0, 0): 1}),) * count
+        assert _product_above(units, 1, provider.rs) == {}
+        assert expand_above(units, 1, provider) == {}
 
     def test_rank_mismatch(self):
         provider = provider_for(ROOT_SYSTEMS["A2"])
         with pytest.raises(RankMismatchError):
-            simple_multiplicity((Character(1, {(1,): 1}),), (0, 0), provider)
+            coefficient_above((Character(1, {(1,): 1}),), (0, 0), provider)
 
 
 A1XA1 = {"rank": 2, "matrix": [[2, 0], [0, 2]]}
@@ -447,7 +471,7 @@ def cut_factors(draw, provider):
 
 class TestExpandAbove:
     """expand_above forms the simple-basis expansion of a W-invariant
-    product only at or above its floor; there it must yield the full
+    product only at or above its floor; there it must return the full
     expansion's (lead, c) pairs, in the same order."""
 
     @pytest.mark.parametrize("case", CUT_CASES, ids=lambda c: f"{c[0]}-p{c[1]}")
@@ -457,7 +481,26 @@ class TestExpandAbove:
         provider = cut_provider(*case)
         rs = provider.rs
         factors, product, floor = data.draw(cut_factors(provider))
-        full = expand(product, rs, provider.simple_character)
+        full = expand(product, rs, provider.simple_character).items()
         expected = [(lam, c) for lam, c in full if rs.scaled_height(lam) >= floor]
-        assert list(expand_above(factors, floor, provider)) == expected
+        assert list(expand_above(factors, floor, provider).items()) == expected
+
+    @pytest.mark.parametrize("case", CUT_CASES, ids=lambda c: f"{c[0]}-p{c[1]}")
+    @settings(PROPERTY, max_examples=25)
+    @given(data=st.data())
+    def test_product_above_is_the_full_product_cut(self, case, data):
+        # Floors run from below the product's bottom height to above its
+        # top, and a unit factor may sit anywhere.
+        provider = cut_provider(*case)
+        rs = provider.rs
+        factors, product, _ = data.draw(cut_factors(provider))
+        if data.draw(st.booleans(), label="unit"):
+            unit = Character(rs.rank, {(0,) * rs.rank: 1})
+            factors.insert(data.draw(st.integers(0, len(factors))), unit)
+        heights = [rs.scaled_height(w) for w in product.support]
+        floors = st.integers(min(heights) - 2, max(heights) + 2)
+        floor = data.draw(floors, label="floor")
+        support = product.support.items()
+        expected = {w: m for w, m in support if rs.scaled_height(w) >= floor}
+        assert _product_above(factors, floor, rs) == expected
 

@@ -449,11 +449,11 @@ TYPES = ("A1", "A2", "B2", "G2")
 @PROPERTY
 @given(invariant_characters(names=TYPES))
 def test_heap_expand_matches_rescanning_reference(case):
-    # Coefficient for coefficient and in yield order: strictly decreasing
+    # Coefficient for coefficient and in insertion order: strictly decreasing
     # (scaled height, tuple).
     rs, chi = case
     basis = lambda lam: weyl_character(lam, rs)  # noqa: E731
-    found = list(expand(chi, rs, basis))
+    found = list(expand(chi, rs, basis).items())
     assert found == reference_expand(chi, rs, basis)
     keys = [(rs.scaled_height(lam), lam) for lam, _ in found]
     assert keys == sorted(keys, reverse=True) and len(set(keys)) == len(keys)
@@ -470,7 +470,7 @@ def test_heap_expand_rejects_off_orbit_input_as_reference(case, data):
     chi = chi + Character(rs.rank, {weight: mult})
     basis = lambda lam: weyl_character(lam, rs)  # noqa: E731
     with pytest.raises(NonInvariantError) as heap:
-        list(expand(chi, rs, basis))
+        expand(chi, rs, basis)
     with pytest.raises(NonInvariantError) as reference:
         reference_expand(chi, rs, basis)
     assert str(heap.value) == str(reference.value)

@@ -250,6 +250,30 @@ class TestQrData:
         with pytest.raises(DataValidationError, match="must be an integer"):
             QrData.from_json_dict(doc)
 
+    @pytest.mark.parametrize("p, r", [(3, 0), (1, 1)])
+    def test_rejects_invalid_p_and_r(self, p, r):
+        doc = {"type": "A1", "p": p, "r": r, "entries": []}
+        message = re.escape(f"invalid (p, r): ({p}, {r})")
+        with pytest.raises(DataValidationError, match=message):
+            QrData.from_json_dict(doc)
+
+    def test_rejects_qhat_of_wrong_rank(self):
+        qhat = {"rank": 2, "entries": [{"weight": [0, 0], "mult": 1}]}
+        doc = {"type": "A1", "p": 3, "r": 1, "entries": [{"lambda": [0], "qhat": qhat}]}
+        message = re.escape("entry (0,): rank mismatch")
+        with pytest.raises(DataValidationError, match=message):
+            QrData.from_json_dict(doc)
+
+    def test_rejects_steinberg_entry_that_is_not_trivial(self, rs_a1):
+        # 2 St divides by St, but to 2, not to the trivial character.
+        st = steinberg_character(rs_a1, 3, 1)
+        with pytest.raises(DataValidationError, match="Steinberg entry must divide"):
+            QrData(rs_a1, 3, 1, {(2,): 2 * st})
+
+    def test_builtin_rejects_rank_two(self, rs_a2):
+        with pytest.raises(DataValidationError, match="only rank 1"):
+            QrData.builtin_sl2(3, 1, rs=rs_a2)
+
     def test_missing_weight(self, qr3):
         from liechar import CoverageError
 
