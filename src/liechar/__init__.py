@@ -43,7 +43,6 @@ _EXPORTS = {
         "steinberg_nu_sum",
     ),
     "pims": (
-        "MultiplicityTable",
         "QrData",
         "barq_multiplicities",
         "character_divide",

@@ -320,36 +320,39 @@ def render_character(chi, fmt, out):
     out.write(text)
 
 
-def _json_matrix(values, labels):
-    rows = (
-        "[" + ",".join(str(values[(lam, mu)]) for mu in labels) + "]"
-        for lam in labels
-    )
+def _json_matrix(rows, side):
+    """The JSON matrix with one row per row of records, of their field side."""
+    rows = ("[" + ",".join(str(cell[side]) for cell in row) + "]" for row in rows)
     return "[" + ",".join(rows) + "]"
 
 
-def render_table(table, fmt, out):
-    labels = table.labels
+def render_table(labels, cells, fmt, out):
+    """Write the CJ table of cells, the records (lambda, mu, lhs, rhs) of
+    pims.cj_table, one per pair of labels in lambda-major order: the lhs
+    and rhs matrices with rows lambda and columns mu, and in JSON the
+    records where they differ."""
+    names = [_weight_label(w) for w in labels]
+    rows = [cells[i : i + len(names)] for i in range(0, len(cells), len(names))]
     if fmt == "json":
-        label_list = ",".join(f"[{_weight_label(w)}]" for w in labels)
+        label_list = ",".join(f"[{name}]" for name in names)
         mismatches = ",".join(
             f'{{"lambda":[{_weight_label(lam)}],"lhs":{a},'
             f'"mu":[{_weight_label(mu)}],"rhs":{b}}}'
-            for lam, mu, a, b in table.mismatches
+            for lam, mu, a, b in cells
+            if a != b
         )
         out.write(
-            f'{{"labels":[{label_list}],"lhs":{_json_matrix(table.lhs, labels)},'
-            f'"mismatches":[{mismatches}],"rhs":{_json_matrix(table.rhs, labels)}}}\n'
+            f'{{"labels":[{label_list}],"lhs":{_json_matrix(rows, 2)},'
+            f'"mismatches":[{mismatches}],"rhs":{_json_matrix(rows, 3)}}}\n'
         )
         return
     lines = []
-    for route in ("lhs", "rhs"):
-        values = getattr(table, route)
+    for side, route in ((2, "lhs"), (3, "rhs")):
         lines.append(f"# route={route}")
-        lines.append("\t" + "\t".join(_weight_label(mu) for mu in labels))
-        for lam in labels:
-            cells = "\t".join(str(values[(lam, mu)]) for mu in labels)
-            lines.append(f"{_weight_label(lam)}\t{cells}")
+        lines.append("\t" + "\t".join(names))
+        for name, row in zip(names, rows):
+            values = "\t".join(str(cell[side]) for cell in row)
+            lines.append(f"{name}\t{values}")
     out.write("\n".join(lines) + "\n")
 
 
@@ -362,26 +365,40 @@ def cmd_char(config, expression):
     return EXIT_OK
 
 
+def _restricted_weights(config):
+    """config.rs's p^r-restricted weights, the labels of a sweep over pairs
+    of them; CliError, before any data is built, when there are more than
+    MAX_WEYL_WEIGHTS pairs."""
+    labels = config.rs.restricted_weights(config.p, config.r)
+    if len(labels) ** 2 > MAX_WEYL_WEIGHTS:
+        raise CliError(
+            f"a sweep over pairs of the {len(labels)} {config.p}^{config.r}-"
+            f"restricted weights is more than {MAX_WEYL_WEIGHTS} cells"
+        )
+    return labels
+
+
 def _cj_table(config):
+    """The restricted weights and the records of pims.cj_table under config."""
     from . import pims
 
-    provider = _provider(config)
-    qrdata = _qrdata(config)
-    return pims.cj_table(provider, qrdata, config.method)
+    labels = _restricted_weights(config)
+    cells = pims.cj_table(_provider(config), _qrdata(config), config.method)
+    return labels, cells
 
 
 def cmd_cj_table(config):
-    table = _cj_table(config)
-    render_table(table, config.format, sys.stdout)
-    if table.mismatches:
-        for lam, mu, left, right in table.mismatches:
-            print(
-                f"mismatch at (lambda={_weight_label(lam)}, mu={_weight_label(mu)}): "
-                f"lhs={left} rhs={right} method={config.method}",
-                file=sys.stderr,
-            )
-        return EXIT_MISMATCH
-    return EXIT_OK
+    labels, cells = _cj_table(config)
+    cells = list(cells)
+    render_table(labels, cells, config.format, sys.stdout)
+    mismatches = [cell for cell in cells if cell[2] != cell[3]]
+    for lam, mu, left, right in mismatches:
+        print(
+            f"mismatch at (lambda={_weight_label(lam)}, mu={_weight_label(mu)}): "
+            f"lhs={left} rhs={right} method={config.method}",
+            file=sys.stderr,
+        )
+    return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
 def _dominant_grid(rs, bound):
@@ -431,17 +448,17 @@ def _lemma33(config):
 
 
 def _thm41(config):
-    table = _cj_table(config)
-    for lam, mu in itertools.product(table.labels, repeat=2):
-        label = f"lambda={_weight_label(lam)} mu={_weight_label(mu)}"
-        yield label, table.lhs[(lam, mu)], table.rhs[(lam, mu)]
+    _, cells = _cj_table(config)
+    for lam, mu, lhs, rhs in cells:
+        yield f"lambda={_weight_label(lam)} mu={_weight_label(mu)}", lhs, rhs
 
 
 def _thm45a(config):
     from . import pims
 
+    labels = _restricted_weights(config)
     provider = _provider(config)
-    for lam in config.rs.restricted_weights(config.p, config.r):
+    for lam in labels:
         for mu, lhs, rhs in pims.theorem45a_socle_check(lam, config.r, provider):
             yield f"lambda={_weight_label(lam)} mu={_weight_label(mu)}", lhs, rhs
 
@@ -449,8 +466,8 @@ def _thm45a(config):
 def _prop44delta(config):
     from . import pims
 
+    restricted = _restricted_weights(config)
     provider = _provider(config)
-    restricted = config.rs.restricted_weights(config.p, config.r)
     for mu, sigma in itertools.product(restricted, repeat=2):
         value = pims.induced_socle_multiplicity(mu, sigma, config.r, provider)
         label = f"mu={_weight_label(mu)} sigma={_weight_label(sigma)}"

@@ -4,6 +4,11 @@ Houses the q_r(lambda) characters, both sides of the Chastkofsky-Jantzen
 formula, Jantzen's basis identity, the bar-Q multiset, and the
 socle-multiplicity comparisons.  The prime p is the decomposition
 provider's and, where Q-hat data is read, r is the QrData's: q = provider.p^r.
+
+Each identity check is a generator of records holding both sides of one
+cell, in a fixed order, and lays out nothing: cj_table yields
+(lam, mu, lhs, rhs), jantzen_identity_check (lam, nu, lhs, rhs) and
+theorem45a_socle_check (mu, lhs, rhs).  The CLI compares and renders them.
 """
 
 from __future__ import annotations
@@ -232,42 +237,16 @@ def cj_rhs(lam, mu, r, provider):
     return total
 
 
-class MultiplicityTable:
-    """Both routes of the Chastkofsky-Jantzen table over X_r x X_r."""
-
-    __slots__ = ("labels", "lhs", "rhs", "mismatches")
-
-    def __init__(self, labels, lhs, rhs, mismatches=None):
-        self.labels = labels
-        self.lhs = lhs
-        self.rhs = rhs
-        self.mismatches = [] if mismatches is None else mismatches
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
-
-    def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"MultiplicityTable({fields})"
-
-
 def cj_table(provider, qrdata, method):
-    """Assemble both CJ routes for every (lambda, mu) pair of restricted weights."""
+    """Both sides of the Chastkofsky-Jantzen formula, as one record
+    (lam, mu, lhs, rhs) per pair of restricted weights, lam-major in
+    restricted_weights order: lhs is cj_lhs by method, rhs is cj_rhs.
+    """
     labels = provider.rs.restricted_weights(qrdata.p, qrdata.r)
-    lhs = {}
-    rhs = {}
-    mismatches = []
     for lam in labels:
         for mu in labels:
             left = cj_lhs(lam, mu, provider, qrdata, method)
-            right = cj_rhs(lam, mu, qrdata.r, provider)
-            lhs[(lam, mu)] = left
-            rhs[(lam, mu)] = right
-            if left != right:
-                mismatches.append((lam, mu, left, right))
-    return MultiplicityTable(labels, lhs, rhs, mismatches)
+            yield lam, mu, left, cj_rhs(lam, mu, qrdata.r, provider)
 
 
 def jantzen_identity_check(chi, provider, qrdata):

@@ -34,7 +34,8 @@ from .errors import (
 #: Largest set of weights built at once: the support of a Weyl character
 #: (characters.weyl_character), the digit product bounding a non-restricted
 #: simple character (DecompositionProvider.simple_character), the
-#: restricted weights X_r, the weight grid of a CLI sweep, or a W-orbit:
+#: restricted weights X_r, the weight grid of a CLI sweep, the pairs
+#: X_r x X_r of a CLI sweep over them (cli._restricted_weights), or a W-orbit:
 #: RootSystem refuses a Weyl group of larger order, since its Weyl
 #: denominator is the signed orbit of rho, of |W| weights.
 MAX_WEYL_WEIGHTS = 10**6

@@ -5,7 +5,10 @@
 Each manifest entry is one command line, ``argv``, with the exit code it must
 give (``exit``, default 0) and either its exact ``stdout`` or the ``sha256``
 of its stdout.  An entry may set ``timeout_s``: the exit-2 entries do, so that
-a size check that stops working fails instead of hanging.  Prints one
+a size check that stops working fails instead of hanging.  An exit-2 entry
+passes only if the last stderr line starts with ``error: ``, the line
+liechar's own handler prints: argparse also exits 2 on a usage error, so a
+renamed flag would otherwise pass every exit-2 entry.  Prints one
 ``ok``/``FAIL`` line per entry and exits 1 if any failed.
 
 Each entry runs as ``python -m liechar.cli`` from the repository root, so data
@@ -61,9 +64,11 @@ def check(entry):
     except subprocess.TimeoutExpired:
         return f"no exit within {entry['timeout_s']} s"
     expected_exit = entry.get("exit", 0)
+    last = proc.stderr.decode(errors="replace").strip().rpartition("\n")[2]
     if proc.returncode != expected_exit:
-        last = proc.stderr.decode(errors="replace").strip().rpartition("\n")[2]
         return f"exit {proc.returncode}, expected {expected_exit}: {last}"
+    if expected_exit == 2 and not last.startswith("error: "):
+        return f"exit 2 not from liechar's error handler, last stderr line: {last!r}"
     if "sha256" in entry:
         digest = hashlib.sha256(proc.stdout).hexdigest()
         if digest != entry["sha256"]:

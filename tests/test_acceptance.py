@@ -31,7 +31,7 @@ from liechar.finite import STEINBERG_METHODS
 
 from test_decomp import a2_p2_document
 from test_finite import oracle_covers, use_wide_box
-from test_pims import a1_qhat, grid_records
+from test_pims import a1_qhat, grid_records, lhs_rows
 
 TABLE_CASES = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 
@@ -63,9 +63,16 @@ def routes_agree(p, r):
     return True
 
 
+def cj_records(p, r):
+    return cj_table(provider_for(p), qrdata_for(p, r), "simple_basis")
+
+
+def cj_agrees(p, r):
+    return all(lhs == rhs for _, _, lhs, rhs in cj_records(p, r))
+
+
 def golden_rows(p, r):
-    table = cj_table(provider_for(p), qrdata_for(p, r), "simple_basis")
-    return [[table.lhs[(lam, mu)] for mu in table.labels] for lam in table.labels]
+    return lhs_rows(cj_records(p, r))
 
 
 def test_criterion_01_steinberg_route_triangulation():
@@ -74,21 +81,17 @@ def test_criterion_01_steinberg_route_triangulation():
 
 
 def test_criterion_02_cj_equality_on_restricted_square():
-    ok = True
-    for p, r in TABLE_CASES:
-        table = cj_table(provider_for(p), qrdata_for(p, r), "simple_basis")
-        ok = ok and not table.mismatches
+    ok = all(cj_agrees(p, r) for p, r in TABLE_CASES)
     report(2, "lhs equals rhs on the full restricted square", ok)
 
 
 def test_criterion_03_golden_table_and_steinberg_row():
     ok = golden_rows(3, 1) == [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
     for p, r in TABLE_CASES:
-        table = cj_table(provider_for(p), qrdata_for(p, r), "simple_basis")
         st_weight = (p**r - 1,)
-        for mu in table.labels:
-            expected = 1 if mu == st_weight else 0
-            ok = ok and table.lhs[(st_weight, mu)] == expected
+        row = {mu: lhs for lam, mu, lhs, _ in cj_records(p, r) if lam == st_weight}
+        expected = {(m,): int(m == p**r - 1) for m in range(p**r)}
+        ok = ok and row == expected
     report(3, "golden table and Steinberg delta row", ok)
 
 
@@ -193,9 +196,7 @@ def test_criterion_09_widening_invariance(monkeypatch):
     narrow = results()
     calls = use_wide_box(monkeypatch)
     ok = all(routes_agree(p, r) for p in (2, 3, 5, 7) for r in (1, 2))
-    for p, r in TABLE_CASES:
-        table = cj_table(provider_for(p), qrdata_for(p, r), "simple_basis")
-        ok = ok and not table.mismatches
+    ok = ok and all(cj_agrees(p, r) for p, r in TABLE_CASES)
     ok = ok and results() == narrow
     ok = ok and oracle_covers(calls)
     report(9, "box widening changes no result", ok)

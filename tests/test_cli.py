@@ -1,5 +1,6 @@
 import functools
 import io
+import itertools
 import json
 import math
 import operator
@@ -118,32 +119,49 @@ def json_oracle(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def table_doc(table):
-    """The document render_table's json branch prints for table, as the
-    dict that the renderer passed to json.dump before it formatted its own
-    string."""
-    labels = table.labels
+def table_doc(labels, cells):
+    """The document render_table's json branch prints for cells over labels,
+    as the dict that the renderer passed to json.dump before it formatted its
+    own string."""
+    lhs = {(lam, mu): a for lam, mu, a, _ in cells}
+    rhs = {(lam, mu): b for lam, mu, _, b in cells}
     return {
         "labels": [list(w) for w in labels],
-        "lhs": [[table.lhs[(lam, mu)] for mu in labels] for lam in labels],
-        "rhs": [[table.rhs[(lam, mu)] for mu in labels] for lam in labels],
+        "lhs": [[lhs[(lam, mu)] for mu in labels] for lam in labels],
+        "rhs": [[rhs[(lam, mu)] for mu in labels] for lam in labels],
         "mismatches": [
             {"lambda": list(lam), "mu": list(mu), "lhs": a, "rhs": b}
-            for lam, mu, a, b in table.mismatches
+            for lam, mu, a, b in cells
+            if a != b
         ],
     }
 
 
-def hand_table(labels, value, mismatched=()):
-    """A MultiplicityTable over labels with lhs = value(lam, mu), and rhs equal
-    to lhs except at each (lam, mu) in mismatched, where it is -lhs - 1."""
-    lhs = {(lam, mu): value(lam, mu) for lam in labels for mu in labels}
-    rhs = dict(lhs)
-    mismatches = []
-    for lam, mu in mismatched:
-        rhs[(lam, mu)] = -lhs[(lam, mu)] - 1
-        mismatches.append((lam, mu, lhs[(lam, mu)], rhs[(lam, mu)]))
-    return pims.MultiplicityTable(labels, lhs, rhs, mismatches)
+def table_text(labels, cells):
+    """The text render_table's pretty branch prints for cells over labels,
+    cell by cell: per route a header row of the labels, then one row per
+    lambda, tab-separated."""
+    values = {(lam, mu): (a, b) for lam, mu, a, b in cells}
+    names = {w: ",".join(map(str, w)) for w in labels}
+    text = ""
+    for side, route in enumerate(("lhs", "rhs")):
+        text += f"# route={route}\n"
+        text += "".join(f"\t{names[mu]}" for mu in labels) + "\n"
+        for lam in labels:
+            row = "".join(f"\t{values[(lam, mu)][side]}" for mu in labels)
+            text += f"{names[lam]}{row}\n"
+    return text
+
+
+def hand_records(labels, value, mismatched=()):
+    """labels and the records (lam, mu, lhs, rhs) over them, lambda-major,
+    with lhs = value(lam, mu) and rhs equal to lhs except at each (lam, mu)
+    in mismatched, where it is -lhs - 1."""
+    cells = []
+    for lam, mu in itertools.product(labels, repeat=2):
+        lhs = value(lam, mu)
+        cells.append((lam, mu, lhs, -lhs - 1 if (lam, mu) in mismatched else lhs))
+    return labels, cells
 
 
 class CountingOut:
@@ -168,12 +186,12 @@ RENDERED_CHARACTERS = {
     "4000-digit-mult": Character(2, {(0, -1): -(10**3999 + 7), (1, 1): 10**3999}),
 }
 RENDERED_TABLES = {
-    "rank-1": hand_table([(0,), (1,), (2,)], lambda lam, mu: lam[0] - mu[0]),
-    "rank-1-mismatched": hand_table(
+    "rank-1": hand_records([(0,), (1,), (2,)], lambda lam, mu: lam[0] - mu[0]),
+    "rank-1-mismatched": hand_records(
         [(0,), (1,), (2,)], lambda lam, mu: lam[0] * mu[0], [((1,), (2,))]
     ),
-    "rank-2": hand_table(RANK_2_LABELS, lambda lam, mu: lam[0] - 2 * mu[1]),
-    "rank-2-mismatched": hand_table(
+    "rank-2": hand_records(RANK_2_LABELS, lambda lam, mu: lam[0] - 2 * mu[1]),
+    "rank-2-mismatched": hand_records(
         RANK_2_LABELS,
         lambda lam, mu: lam[1] * mu[0] - 3,
         [((0, 0), (1, 1)), ((1, 0), (0, 1))],
@@ -204,15 +222,23 @@ class TestJsonRendering:
 
     @pytest.mark.parametrize("name", RENDERED_TABLES)
     def test_table_matches_stdlib_encoder(self, name):
-        table = RENDERED_TABLES[name]
+        labels, cells = RENDERED_TABLES[name]
         out = CountingOut()
-        cli.render_table(table, "json", out)
-        assert out.text == json_oracle(table_doc(table))
+        cli.render_table(labels, cells, "json", out)
+        assert out.text == json_oracle(table_doc(labels, cells))
         assert out.writes == 1
         out = CountingOut()
-        cli.render_table(table, "pretty", out)
+        cli.render_table(labels, cells, "pretty", out)
         assert out.writes == 1
-        assert out.text.count("\n") == 2 * (len(table.labels) + 2)
+        assert out.text == table_text(labels, cells)
+
+    def test_pretty_table_text(self):
+        out = CountingOut()
+        cli.render_table(*RENDERED_TABLES["rank-1-mismatched"], "pretty", out)
+        assert out.text == (
+            "# route=lhs\n\t0\t1\t2\n0\t0\t0\t0\n1\t0\t1\t2\n2\t0\t2\t4\n"
+            "# route=rhs\n\t0\t1\t2\n0\t0\t0\t0\n1\t0\t1\t-3\n2\t0\t2\t4\n"
+        )
 
 
 class TestInputErrors:
@@ -794,6 +820,11 @@ class TestSizeLimits:
             (["char", "dual(" * 5000 + "weyl(1)" + ")" * 5000], "nests too deep"),
             (["cj-table", "-p", "3", "-r", "0"], "r must be >= 1, got 0"),
             (["verify", "prop31", "-p", "2", "--bound", "-1"], "must be nonnegative"),
+            # 2^19 labels pass restricted_weights, but not their pairs.
+            (["cj-table", "-p", "2", "-r", "19"], "pairs of the 524288"),
+            (["verify", "thm41", "-p", "2", "-r", "19"], "pairs of the 524288"),
+            (["verify", "thm45a", "-p", "2", "-r", "19"], "pairs of the 524288"),
+            (["verify", "prop44delta", "-p", "2", "-r", "19"], "pairs of the 524288"),
         ],
     )
     def test_refused_with_exit_2(self, argv, message):

@@ -37,6 +37,19 @@ class TestCheck:
         message = golden.check({**PROP44_SHA256, "sha256": "0" * 64})
         assert message is not None and message.startswith("stdout sha256 ")
 
+    def test_exit_2_from_liechar_passes(self):
+        entry = {"argv": ["cj-table", "-p", "3", "-r", "0"], "exit": 2, "stdout": ""}
+        assert golden.check(entry) is None
+
+    def test_exit_2_from_a_usage_error_is_named(self):
+        # argparse exits 2 with an empty stdout too, so a renamed flag would
+        # otherwise pass an exit-2 entry.
+        entry = {"argv": ["cj-table", "--rr", "3"], "exit": 2, "stdout": ""}
+        message = golden.check(entry)
+        assert message is not None
+        assert "not from liechar's error handler" in message
+        assert "unrecognized arguments: --rr 3" in message
+
 
 class TestManifest:
     def test_entry_shape(self):

@@ -19,7 +19,6 @@ STAR_NAMES = [
     "DecompositionProvider",
     "DivisionFailure",
     "LiecharError",
-    "MultiplicityTable",
     "NonDominantError",
     "NonInvariantError",
     "NotFiniteTypeError",

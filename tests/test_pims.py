@@ -281,6 +281,15 @@ class TestQrData:
             qr3.q((7,))
 
 
+def lhs_rows(records):
+    """The lhs matrix of cj_table's records: one row per lambda, in the
+    order the records give."""
+    rows = {}
+    for lam, _, lhs, _ in records:
+        rows.setdefault(lam, []).append(lhs)
+    return list(rows.values())
+
+
 class TestChastkofskyJantzen:
     def test_lhs_row_lambda_zero(self, prov3, qr3):
         values = [cj_lhs((0,), (m,), prov3, qr3, "simple_basis") for m in range(3)]
@@ -295,17 +304,34 @@ class TestChastkofskyJantzen:
         assert values == [0, 1, 0]
 
     def test_golden_table_p3(self, prov3, qr3):
-        table = cj_table(prov3, qr3, "simple_basis")
-        assert not table.mismatches
-        rows = [[table.lhs[(lam, mu)] for mu in table.labels] for lam in table.labels]
-        assert rows == [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
+        records = list(cj_table(prov3, qr3, "simple_basis"))
+        assert all(lhs == rhs for _, _, lhs, rhs in records)
+        assert lhs_rows(records) == [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
 
     def test_golden_table_p2(self):
         provider = DecompositionProvider.builtin_sl2(2)
-        table = cj_table(provider, QrData.builtin_sl2(2, 1), "simple_basis")
-        assert not table.mismatches
-        rows = [[table.lhs[(lam, mu)] for mu in table.labels] for lam in table.labels]
-        assert rows == [[1, 1], [0, 1]]
+        records = list(cj_table(provider, QrData.builtin_sl2(2, 1), "simple_basis"))
+        assert all(lhs == rhs for _, _, lhs, rhs in records)
+        assert lhs_rows(records) == [[1, 1], [0, 1]]
+
+    @pytest.mark.parametrize("method", STEINBERG_METHODS)
+    def test_table_is_its_cells_lambda_major(self, method):
+        # The CLI lays the records out as rows lambda and columns mu, so
+        # their order is part of cj_table's contract.
+        provider = DecompositionProvider.builtin_sl2(3)
+        qrdata = QrData.builtin_sl2(3, 2)
+        labels = provider.rs.restricted_weights(3, 2)
+        expected = [
+            (
+                lam,
+                mu,
+                cj_lhs(lam, mu, provider, qrdata, method),
+                cj_rhs(lam, mu, 2, provider),
+            )
+            for lam, mu in itertools.product(labels, repeat=2)
+        ]
+        fresh = DecompositionProvider.builtin_sl2(3)
+        assert list(cj_table(fresh, qrdata, method)) == expected
 
     @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2)])
     def test_steinberg_row_is_delta(self, p, r):
@@ -349,19 +375,6 @@ def two_lead_qrdata(p, r):
     return QrData.from_json_dict(doc), q
 
 
-class TestMultiplicityTable:
-    def test_equality_is_by_fields(self):
-        table = pims.MultiplicityTable([(0,)], {((0,), (0,)): 1}, {((0,), (0,)): 1})
-        assert table.mismatches == []
-        same = pims.MultiplicityTable([(0,)], {((0,), (0,)): 1}, {((0,), (0,)): 1}, [])
-        assert table == same
-        other = pims.MultiplicityTable(
-            [(0,)], {((0,), (0,)): 1}, {((0,), (0,)): 1}, [((0,), (0,), 1, 2)]
-        )
-        assert table != other
-        assert table != (table.labels, table.lhs, table.rhs, table.mismatches)
-
-
 class TestZeroCells:
     """cj_lhs returns 0 without forming the product when no nu passes the
     bound from mu + (leads of q); otherwise it is the Steinberg multiplicity
@@ -397,15 +410,15 @@ class TestZeroCells:
     def test_direct_route_never_reads_leads(self, monkeypatch):
         provider = DecompositionProvider.builtin_sl2(3)
         qrdata = QrData.builtin_sl2(3, 2)
-        before = cj_table(provider, qrdata, "direct")
-        assert not before.mismatches
+        before = list(cj_table(provider, qrdata, "direct"))
+        assert all(lhs == rhs for _, _, lhs, rhs in before)
 
         def leads(self, lam):
             raise AssertionError("the direct route read QrData.leads")
 
         monkeypatch.setattr(QrData, "leads", leads)
         fresh = DecompositionProvider.builtin_sl2(3)
-        after = cj_table(fresh, qrdata, "direct")
+        after = list(cj_table(fresh, qrdata, "direct"))
         assert after == before
 
     def test_nu_sum_routes_never_call_nu_bound(self, monkeypatch):
@@ -413,15 +426,15 @@ class TestZeroCells:
         # the product would be wasted work on every nonzero cell.
         qrdata = QrData.builtin_sl2(3, 2)
         new_provider = DecompositionProvider.builtin_sl2
-        direct = cj_table(new_provider(3), qrdata, "direct")
+        direct = list(cj_table(new_provider(3), qrdata, "direct"))
 
         def nu_bound(*args):
             raise AssertionError("cj_lhs called nu_bound")
 
         monkeypatch.setattr(finite, "nu_bound", nu_bound)
         for method in ("simple_basis", "good_filtration"):
-            table = cj_table(new_provider(3), qrdata, method)
-            assert table == direct, method
+            records = list(cj_table(new_provider(3), qrdata, method))
+            assert records == direct, method
 
     def test_leads(self, qr3):
         # q_1(0) = e^2 + e^-2 and q_1(2) = e^0 at p = 3.
@@ -683,7 +696,7 @@ class TestDataPairing:
     def mismatched_calls(self, provider, qrdata):
         chi = weyl_character((0,) * provider.rs.rank, provider.rs)
         return [
-            lambda: cj_table(provider, qrdata, "direct"),
+            lambda: list(cj_table(provider, qrdata, "direct")),
             lambda: cj_lhs((0,) * qrdata.rs.rank, (0,), provider, qrdata, "direct"),
             lambda: list(jantzen_identity_check(chi, provider, qrdata)),
         ]
