@@ -470,17 +470,22 @@ def weyl_character(lam, rs: RootSystem):
     return chi
 
 
-def _times_denominator(chi, rs):
-    """The support of chi * d, d = rs.weyl_denominator, for a W-invariant chi;
-    NonInvariantError naming a weight w with chi(s_i w) != chi(w) otherwise."""
+def _check_invariant(chi, rs):
+    """NonInvariantError naming a weight w with chi(s_i w) != chi(w), unless
+    chi is W-invariant: the simple reflections s_i generate W."""
     support = chi.support
-    indices = range(rs.rank)
     for w, m in support.items():
         # s_i fixes w when w_i = 0.
-        for i in indices:
+        for i in range(rs.rank):
             if w[i] and support.get(rs.simple_reflection(i, w)) != m:
                 raise NonInvariantError(f"character is not W-invariant at {w}")
-    return _convolve(support, rs.weyl_denominator) if support else {}
+
+
+def _times_denominator(chi, rs):
+    """The support of chi * d, d = rs.weyl_denominator, for a W-invariant chi;
+    NonInvariantError (_check_invariant) otherwise."""
+    _check_invariant(chi, rs)
+    return _convolve(chi.support, rs.weyl_denominator) if chi else {}
 
 
 def _over_denominator(f, rs, m):

@@ -5,6 +5,12 @@ formula, Jantzen's basis identity, the bar-Q multiset, and the
 socle-multiplicity comparisons.  The prime p is the decomposition
 provider's and, where Q-hat data is read, r is the QrData's: q = provider.p^r.
 
+The data is q_r(lambda), never ch Q-hat_r(lambda) = ch St_r * q_r(lambda).
+Every q_r comes from an exact division by ch St_r (character_divide): the
+built-in rank-1 data divides the p classical ch Q-hat_1(m) once each and
+forms q_r as a twisted product, and QrData.from_json_dict divides each
+Q-hat of a document as it is read.
+
 Each identity check is a generator of records holding both sides of one
 cell, in a fixed order, and lays out nothing: cj_table yields
 (lam, mu, lhs, rhs), jantzen_identity_check (lam, nu, lhs, rhs) and
@@ -17,14 +23,15 @@ from operator import add
 
 from .characters import (
     Character,
+    _check_invariant,
     _over_denominator,
     _times_denominator,
     check_printable_power,
+    from_weyl_basis,
     leading_dominant_weights,
     twisted_product,
-    weyl_character,
 )
-from .decomp import expand_above, to_simple_basis, weight_digits
+from .decomp import expand_above, to_simple_basis
 from .errors import (
     CoverageError,
     DataValidationError,
@@ -61,28 +68,23 @@ def character_divide(num, rs, p, r):
 class QrData:
     """q_r(lambda) = ch Q-hat_r(lambda) / ch St_r over the restricted weights.
 
-    Built from the Q-hat characters and validated at construction: each is
-    W-invariant and divided exactly by ch St_r, and the Steinberg entry
-    divides to the trivial character.  entries maps lambda to q_r(lambda);
-    no Q-hat character is kept, since ch Q-hat_r(lambda) is
-    steinberg_character(rs, p, r) * q.
+    Built from entries, a map from lambda to q_r(lambda), and validated at
+    construction: each q_r(lambda) is W-invariant, and the Steinberg entry
+    is the trivial character.  No Q-hat character is kept, since
+    ch Q-hat_r(lambda) is steinberg_character(rs, p, r) * q.
     """
 
-    def __init__(self, rs, p, r, qhats):
+    def __init__(self, rs, p, r, entries):
         self.rs = rs
         self.p = p
         self.r = r
-        self.entries = {}
+        self.entries = {tuple(lam): q for lam, q in entries.items()}
         self._leads = {}
-        for lam, qhat in qhats.items():
-            lam = tuple(lam)
+        for lam, q in self.entries.items():
             try:
-                self.entries[lam] = character_divide(qhat, rs, p, r)
-            except (DivisionFailure, NonInvariantError) as exc:
-                raise DataValidationError(
-                    f"Q-hat character for {lam} is not divisible by the "
-                    f"Steinberg character: {exc}"
-                ) from exc
+                _check_invariant(q, rs)
+            except NonInvariantError as exc:
+                raise DataValidationError(f"q_r for {lam}: {exc}") from exc
         st_q = self.entries.get(rs.steinberg_weight(p, r))
         if st_q is not None and not st_q._is_unit():
             raise DataValidationError(
@@ -98,11 +100,10 @@ class QrData:
     def leads(self, lam):
         """The leading dominant weights of q_r(lam).
 
-        q_r(lam) is W-invariant (an exact quotient of W-invariant
-        characters), so every weight of its support lies below its dominant
-        W-conjugate, which is in the support, and hence below one of these;
-        cj_lhs bounds nu by them.  Computed on first use, not at
-        construction.
+        q_r(lam) is W-invariant (checked at construction), so every weight
+        of its support lies below its dominant W-conjugate, which is in the
+        support, and hence below one of these; cj_lhs bounds nu by them.
+        Computed on first use, not at construction.
         """
         lam = tuple(lam)
         cached = self._leads.get(lam)
@@ -114,28 +115,24 @@ class QrData:
 
     @classmethod
     def builtin_sl2(cls, p, r, rs=None):
-        """Rank-1 data from the classical closed form.
+        """Rank-1 data from the classical ch Q-hat_1, with p divisions.
 
-        ch Q-hat_1(m) = chi(2p-2-m) + chi(m) for m <= p-2 and chi(p-1) at
-        the Steinberg weight; for higher r, ch Q-hat_r(lambda) is
-        characters.twisted_product of the ch Q-hat_1 of lambda's r base-p
-        digits.
+        ch Q-hat_1(m) = chi(2p-2-m) + chi(m) for m <= p-2 and chi(p-1) =
+        ch St_1 at the Steinberg weight: the Weyl-basis map {2p-2-m: 1,
+        m: 1}, whose two keys coincide at m = p-1.  Each is divided by
+        ch St_1 once, and q_r(lambda) is characters.twisted_product of the
+        q_1 of lambda's r base-p digits, as ch Q-hat_r and ch St_r are.
         """
         rs = rs or RootSystem(CartanMatrix.builtin("A1"))
         if rs.rank != 1:
             raise DataValidationError("built-in Q-hat data supports only rank 1")
-
-        def qhat1(m):
-            if m == p - 1:
-                return weyl_character((p - 1,), rs)
-            return weyl_character((2 * p - 2 - m,), rs) + weyl_character((m,), rs)
-
-        qhats = {}
-        for lam in rs.restricted_weights(p, r):
-            digits = weight_digits(lam, p)
-            digits += [(0,)] * (r - len(digits))
-            qhats[lam] = twisted_product([qhat1(m) for (m,) in digits], p)
-        return cls(rs, p, r, qhats)
+        qhat1 = [from_weyl_basis({(2 * p - 2 - m,): 1, (m,): 1}, rs) for m in range(p)]
+        q1 = [character_divide(qhat, rs, p, 1) for qhat in qhat1]
+        entries = {
+            lam: twisted_product([q1[lam[0] // p**i % p] for i in range(r)], p)
+            for lam in rs.restricted_weights(p, r)
+        }
+        return cls(rs, p, r, entries)
 
     @classmethod
     def from_json_dict(cls, doc, rs=None):
@@ -143,9 +140,11 @@ class QrData:
         [{"lambda": [...], "qhat": <character JSON>}, ...]}.
 
         The entries are read by errors.weight_keyed, so a malformed entry or
-        a repeated lambda raises DataValidationError.  Without rs the
-        document must name its root system; with rs, a document that names
-        one must name rs's Cartan matrix (see root_system_of).
+        a repeated lambda raises DataValidationError.  Each Q-hat is divided
+        by ch St_r as its entry is read, so at most one is held at a time,
+        and the first bad entry in document order is the one named.  Without
+        rs the document must name its root system; with rs, a document that
+        names one must name rs's Cartan matrix (see root_system_of).
         """
         if not isinstance(doc, dict):
             raise DataValidationError("Q-hat document must be an object")
@@ -155,21 +154,28 @@ class QrData:
         if p < 2 or r < 1:
             raise DataValidationError(f"invalid (p, r): ({p!r}, {r!r})")
         check_printable_power(p, r, "r =")
-        qhats = weight_keyed(
-            doc.get("entries"),
-            "lambda",
-            lambda entry: Character.from_json_dict(entry["qhat"]),
-            "entry for lambda",
-        )
-        for lam, qhat in qhats.items():
+
+        def read_q(entry):
+            # weight_keyed has checked entry["lambda"] already.
+            lam = tuple(entry["lambda"])
             if len(lam) != rs.rank or not all(0 <= c < p**r for c in lam):
                 raise DataValidationError(
                     f"entry {lam}: lambda is not a {p**r}-restricted weight "
                     f"of rank {rs.rank}"
                 )
+            qhat = Character.from_json_dict(entry["qhat"])
             if qhat.rank != rs.rank:
                 raise DataValidationError(f"entry {lam}: rank mismatch")
-        return cls(rs, p, r, qhats)
+            try:
+                return character_divide(qhat, rs, p, r)
+            except (DivisionFailure, NonInvariantError) as exc:
+                raise DataValidationError(
+                    f"Q-hat character for {lam} is not divisible by the "
+                    f"Steinberg character: {exc}"
+                ) from exc
+
+        entries = weight_keyed(doc.get("entries"), "lambda", read_q, "entry for lambda")
+        return cls(rs, p, r, entries)
 
 
 def _paired_p_r(provider, qrdata):

@@ -105,7 +105,9 @@ class TestQrData:
             (0,), rs
         )
 
-    @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize(
+        "p,r", [(2, 1), (3, 1), (5, 1), (11, 1), (2, 2), (3, 2), (7, 2), (5, 3)]
+    )
     def test_division_invariant(self, p, r):
         qrdata = QrData.builtin_sl2(p, r)
         rs = qrdata.rs
@@ -113,6 +115,21 @@ class TestQrData:
         assert sorted(qrdata.entries) == [(m,) for m in range(p**r)]
         for m in range(p**r):
             assert st * qrdata.q((m,)) == a1_qhat(p, r, m, rs)
+
+    def test_builtin_divides_only_the_rank_one_qhats(self, monkeypatch):
+        # One division per ch Q-hat_1(m), by ch St_1: q_r is the twisted
+        # product of the quotients, not a quotient of each ch Q-hat_r.
+        divisions = []
+        divide = pims.character_divide
+
+        def counting(num, rs, p, r):
+            divisions.append((p, r))
+            return divide(num, rs, p, r)
+
+        monkeypatch.setattr(pims, "character_divide", counting)
+        qrdata = QrData.builtin_sl2(7, 2)
+        assert len(qrdata.entries) == 49
+        assert divisions == [(7, 1)] * 7
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_qhat_dimensions(self, p):
@@ -265,10 +282,40 @@ class TestQrData:
             QrData.from_json_dict(doc)
 
     def test_rejects_steinberg_entry_that_is_not_trivial(self, rs_a1):
+        # q_r at the Steinberg weight must be e^0, not 2 e^0.
+        with pytest.raises(DataValidationError, match="Steinberg entry must divide"):
+            QrData(rs_a1, 3, 1, {(2,): Character(1, {(0,): 2})})
+
+    def test_rejects_q_that_is_not_invariant(self, rs_a1):
+        with pytest.raises(DataValidationError, match=r"not W-invariant at \(1,\)"):
+            QrData(rs_a1, 3, 1, {(0,): Character(1, {(1,): 1})})
+
+    def test_rejects_document_whose_steinberg_qhat_is_not_st(self, rs_a1):
         # 2 St divides by St, but to 2, not to the trivial character.
         st = steinberg_character(rs_a1, 3, 1)
+        qhat = (2 * st).to_json_dict()
+        doc = {"type": "A1", "p": 3, "r": 1, "entries": [{"lambda": [2], "qhat": qhat}]}
         with pytest.raises(DataValidationError, match="Steinberg entry must divide"):
-            QrData(rs_a1, 3, 1, {(2,): 2 * st})
+            QrData.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "later",
+        [
+            pytest.param(
+                {"lambda": [7], "qhat": {"rank": 1, "entries": []}},
+                id="unrestricted-lambda",
+            ),
+            pytest.param({"lambda": [1]}, id="malformed"),
+        ],
+    )
+    def test_names_the_first_bad_entry_in_document_order(self, rs_a1, later):
+        # Each entry is checked and divided as it is read, so a later bad
+        # entry is not reached.
+        first = {"lambda": [0], "qhat": weyl_character((1,), rs_a1).to_json_dict()}
+        doc = {"type": "A1", "p": 3, "r": 1, "entries": [first, later]}
+        prefix = "Q-hat character for (0,) is not divisible by the Steinberg character"
+        with pytest.raises(DataValidationError, match=re.escape(prefix)):
+            QrData.from_json_dict(doc)
 
     def test_builtin_rejects_rank_two(self, rs_a2):
         with pytest.raises(DataValidationError, match="only rank 1"):

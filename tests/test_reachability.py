@@ -14,8 +14,6 @@ PACKAGE = os.path.join(
 )
 
 KEPT_ON_PURPOSE = {
-    # The inverse of to_weyl_basis, and the tests' builder of characters.
-    "from_weyl_basis",
     # The Freudenthal reference in the tests.
     "dominant_weights_below",
     # The benchmark self-test and the dimension oracles.
