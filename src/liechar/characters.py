@@ -124,11 +124,7 @@ class Character:
         checked = {}
         if support:
             for weight, mult in support.items():
-                if len(weight) != rank:
-                    raise RankMismatchError(
-                        f"weight {weight} has length {len(weight)}, expected {rank}"
-                    )
-                mult = strict_int(mult, "multiplicity")
+                mult = _entry_mult(rank, weight, mult)
                 if mult != 0:
                     checked[strict_int_tuple(weight, "weight")] = mult
         object.__setattr__(self, "rank", rank)
@@ -248,16 +244,33 @@ class Character:
 
     @classmethod
     def from_json_dict(cls, doc):
-        """Load from {"rank": l, "entries": [{"weight": [...], "mult": n}, ...]}."""
+        """Load from {"rank": l, "entries": [{"weight": [...], "mult": n}, ...]}.
+
+        errors.weight_keyed validates each weight, once; then each entry is
+        checked as the constructor checks it.
+        """
         if not isinstance(doc, dict):
             raise DataValidationError(f"character must be an object, got {doc!r}")
         rank = strict_int(doc.get("rank"), "rank")
         entries = doc.get("entries")
-        return cls(rank, weight_keyed(entries, "weight", itemgetter("mult"), "weight"))
+        support = weight_keyed(entries, "weight", itemgetter("mult"), "weight")
+        return cls._wrap(
+            rank, {w: m for w, m in support.items() if _entry_mult(rank, w, m)}
+        )
 
     def __repr__(self):
         items = ", ".join(f"{w}: {m}" for w, m in self.sorted_items())
         return f"Character({{{items}}})"
+
+
+def _entry_mult(rank, weight, mult):
+    """mult, once weight has length rank (RankMismatchError) and mult is an
+    int (errors.strict_int)."""
+    if len(weight) != rank:
+        raise RankMismatchError(
+            f"weight {weight} has length {len(weight)}, expected {rank}"
+        )
+    return strict_int(mult, "multiplicity")
 
 
 def _convolve(a, b):

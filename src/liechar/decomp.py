@@ -5,6 +5,13 @@ p-restricted lam for a fixed root system and prime.  Restricted simple
 characters are recovered from those rows by triangular inversion; every
 other simple character comes from the twisted tensor product over base-p
 digits, and every other row from the simple-basis expansion of chi(lam).
+
+A simple-basis expansion is a leading-term elimination (to_simple_basis),
+and expand_above cuts it at a floor.  One coefficient [X : L(t)]_G of a
+W-invariant X needs none: X is a sum of W-orbit sums m(kappa), so
+simple_coefficient adds up X(kappa) [m(kappa) : L(t)]_G, and those orbit
+coefficients, unitriangular in the simple characters, are memoized on the
+provider and shared by every product read at the same t.
 """
 
 from __future__ import annotations
@@ -12,7 +19,13 @@ from __future__ import annotations
 import math
 from operator import add, itemgetter
 
-from .characters import Character, expand, twisted_product, weyl_character
+from .characters import (
+    Character,
+    _not_invariant,
+    expand,
+    twisted_product,
+    weyl_character,
+)
 from .errors import (
     CoverageError,
     DataValidationError,
@@ -59,6 +72,9 @@ class DecompositionProvider:
         self._finite_cache = {}
         # (mu, nu) -> simple-basis coefficients of L(mu) * L(nu), for cj_rhs.
         self._tensor_cache = {}
+        # (kappa, t) -> [m(kappa) : L(t)]_G, m(kappa) the W-orbit sum of
+        # kappa, for simple_coefficient.
+        self._orbit_cache = {}
 
     @classmethod
     def builtin_sl2(cls, p, rs=None):
@@ -144,10 +160,10 @@ def expand_above(factors, floor, provider):
     residual is the full residual's part at or above the floor at every
     step, and the leads are the full expansion's down to the floor.  One
     coefficient [prod : L(t)]_G is expand_above(factors, scaled_height(t),
-    provider).get(t, 0).
+    provider).get(t, 0), which simple_coefficient reads with no elimination.
 
     The cut is sound only for a W-invariant product, and the caller
-    certifies it (finite.steinberg_nu_sum, pims.jantzen_identity_check).
+    certifies it (pims.jantzen_identity_check).
     Then the full residual stays W-invariant, and the dominant conjugate of
     each of its weights lies above that weight, so once no dominant weight
     at or above the floor is left, nothing at or above the floor is.  Every
@@ -158,6 +174,70 @@ def expand_above(factors, floor, provider):
     rs = provider.rs
     chi = Character._wrap(rs.rank, _product_above(factors, floor, rs))
     return expand(chi, rs, provider.simple_character, floor)
+
+
+def simple_coefficient(factors, t, provider):
+    """[prod : L(t)]_G for the product of factors, with no elimination.
+
+    A W-invariant X is the sum of X(kappa) m(kappa) over dominant kappa,
+    m(kappa) being the W-orbit sum of kappa, so [X : L(t)]_G is the sum of
+    X(kappa) a(kappa, t) with a(kappa, t) = [m(kappa) : L(t)]_G
+    (_orbit_coefficients).  a(kappa, t) is 0 unless kappa lies at or above
+    t's scaled height, so only that part of the product is formed
+    (_product_above), and only its dominant weights are read.
+
+    The identity holds only for a W-invariant product, and the caller
+    certifies it, as for expand_above (finite.steinberg_nu_sum).  A cut
+    product that is not empty but holds no dominant weight raises
+    NonInvariantError, as expand does.
+    """
+    rs = provider.rs
+    product = _product_above(factors, rs.scaled_height(t), rs)
+    dominant = [kappa for kappa in product if min(kappa) >= 0]
+    if product and not dominant:
+        raise _not_invariant(max(product))
+    _orbit_coefficients(dominant, t, provider)
+    memo = provider._orbit_cache
+    return sum(product[kappa] * memo[kappa, t] for kappa in dominant)
+
+
+def _orbit_coefficients(kappas, t, provider):
+    """Memoize a(kappa, t) = [m(kappa) : L(t)]_G in provider._orbit_cache
+    for each kappa in kappas.
+
+    ch L(kappa) is m(kappa) plus dim L(kappa)_lam m(lam) over the dominant
+    lam < kappa, so a(kappa, t) is delta(kappa, t) less the sum of
+    dim L(kappa)_lam a(lam, t).  A lam below t's scaled height has no
+    L(t) in m(lam), so each ch L(kappa) is walked in decreasing height
+    (Character.by_height) down to that height.  Each lam lies below kappa,
+    so the chain ends; it can be longer than the recursion limit, so it
+    runs on a stack of the weights still to be found.
+    """
+    rs = provider.rs
+    memo = provider._orbit_cache
+    floor = rs.scaled_height(t)
+    stack = list(kappas)
+    while stack:
+        top = stack[-1]
+        if (top, t) in memo:
+            stack.pop()
+            continue
+        value = int(top == t)
+        missing = []
+        for h, lam, m in provider.simple_character(top).by_height(rs):
+            if h < floor:
+                break
+            if lam != top and min(lam) >= 0:
+                a = memo.get((lam, t))
+                if a is None:
+                    missing.append(lam)
+                else:
+                    value -= m * a
+        if missing:
+            stack += missing
+        else:
+            memo[top, t] = value
+            stack.pop()
 
 
 def _product_above(factors, floor, rs):

@@ -24,7 +24,7 @@ from operator import add, mul, sub
 # CLI parser reads them without loading this module.
 from . import STEINBERG_METHODS  # noqa: F401
 from .characters import leading_dominant_weights, to_weyl_basis
-from .decomp import expand_above, to_simple_basis, weight_digits
+from .decomp import simple_coefficient, to_simple_basis, weight_digits
 from .errors import LiecharError
 
 
@@ -146,13 +146,15 @@ def steinberg_nu_sum(factors, nus, r, provider, method):
     sum_w sgn(w) chi(t + rho - w(nu + rho)), one lookup in chi per element
     of the signed orbit of the regular weight nu + rho: no product and no
     expansion per nu.
-    simple_basis: M is the simple character L(nu), and each term is read
-    off decomp.expand_above of (*factors, L(nu)) at floor scaled_height(t),
-    which forms only the part of that product at or above t and eliminates
-    only down to t; chi itself is never formed.  That route checks
-    W-invariance only on the leads it processes, so chi must be
-    W-invariant, and the caller certifies it:
-    steinberg_multiplicity by nu_bound, cj_lhs by its factors.
+    simple_basis: M is the simple character L(nu), and each term is
+    decomp.simple_coefficient of (*factors, L(nu)) at t: the product's
+    dominant weights kappa at or above t's scaled height, the only part of
+    it that is formed, each times the orbit coefficient [m(kappa) : L(t)]_G,
+    memoized on the provider; chi itself is never formed and nothing is
+    eliminated.  That identity holds only for a W-invariant chi, and the
+    route refuses only a cut product with no dominant weight, so the caller
+    certifies the invariance: steinberg_multiplicity by nu_bound, cj_lhs by
+    its factors.
     nus must contain every nu whose term can be nonzero; a term outside
     the range adds 0.  nu_bound(chi) is such a set, and so is
     contributing_nus on any weights that each weight of chi lies below one
@@ -173,7 +175,7 @@ def steinberg_nu_sum(factors, nus, r, provider, method):
         for nu in nus:
             t = tuple(s + p**r * n for s, n in zip(st_weight, nu))
             factors_nu = (*factors, provider.simple_character(nu))
-            total += expand_above(factors_nu, rs.scaled_height(t), provider).get(t, 0)
+            total += simple_coefficient(factors_nu, t, provider)
         return total
     raise ValueError(f"unknown method {method!r}")
 

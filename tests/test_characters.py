@@ -15,6 +15,7 @@ from liechar import (
     NonInvariantError,
     RankMismatchError,
     characters,
+    errors,
     formal_dual,
     frobenius_twist,
     steinberg_character,
@@ -298,6 +299,29 @@ class TestSerialization:
         entries = [{"weight": [0], "mult": 1}, {"weight": [0], "mult": 2}]
         with pytest.raises(DataValidationError, match=r"duplicate weight \(0,\)"):
             Character.from_json_dict({"rank": 1, "entries": entries})
+
+    def test_from_json_reads_each_weight_once(self, monkeypatch):
+        entries = [{"weight": [w], "mult": 1} for w in (-2, 0, 2)]
+        entries.append({"weight": [4], "mult": 0})
+        expected = Character(1, {(-2,): 1, (0,): 1, (2,): 1})
+        calls = []
+
+        def counting(value, what):
+            calls.append(value)
+            return original(value, what)
+
+        original = errors.strict_int_tuple
+        monkeypatch.setattr(errors, "strict_int_tuple", counting)
+        monkeypatch.setattr(characters, "strict_int_tuple", counting)
+        assert Character.from_json_dict({"rank": 1, "entries": entries}) == expected
+        assert calls == [e["weight"] for e in entries]
+
+    @pytest.mark.parametrize("mult", [1, 0])
+    def test_from_json_rejects_weight_of_wrong_length(self, mult):
+        doc = {"rank": 2, "entries": [{"weight": [1], "mult": mult}]}
+        message = r"^weight \(1,\) has length 1, expected 2$"
+        with pytest.raises(RankMismatchError, match=message):
+            Character.from_json_dict(doc)
 
     @pytest.mark.parametrize(
         "support", [{(2,): 1.7}, {(2,): True}, {(2,): "3"}, {(1.9,): 1}]

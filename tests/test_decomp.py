@@ -26,7 +26,12 @@ from liechar import (
     weyl_character,
 )
 from liechar.characters import expand, from_weyl_basis
-from liechar.decomp import _product_above, expand_above, weight_digits
+from liechar.decomp import (
+    _product_above,
+    expand_above,
+    simple_coefficient,
+    weight_digits,
+)
 
 from test_kernel import (
     PROPERTY,
@@ -329,7 +334,7 @@ SIMPLE_TYPES = ("A1", "A2", "B2", "G2")
 @st.composite
 def invariant_factors(draw, names=SIMPLE_TYPES):
     """A root system and 1-3 W-invariant factors on it, as steinberg_nu_sum
-    hands them to expand_above: a random invariant character, maybe a
+    hands them to simple_coefficient: a random invariant character, maybe a
     second one, then L(nu) (the unit e^0 for nu = 0); maybe an extra e^0 at
     a random place."""
     rs, chi = draw(invariant_characters(names=names))
@@ -345,7 +350,7 @@ def invariant_factors(draw, names=SIMPLE_TYPES):
 
 
 def coefficient_above(factors, t, provider):
-    """[prod of factors : L(t)]_G as steinberg_nu_sum reads it: off the
+    """[prod of factors : L(t)]_G as expand_above gives it: off the
     expansion cut at t's scaled height."""
     return expand_above(factors, provider.rs.scaled_height(t), provider).get(t, 0)
 
@@ -416,6 +421,58 @@ class TestSimpleMultiplicity:
         provider = provider_for(ROOT_SYSTEMS["A2"])
         with pytest.raises(RankMismatchError):
             coefficient_above((Character(1, {(1,): 1}),), (0, 0), provider)
+
+
+class TestSimpleCoefficient:
+    """simple_coefficient reads [prod of factors : L(t)]_G off the W-orbit
+    sums of the product cut at t's height, with no elimination; it must be
+    the coefficient that the full expansion of the product has there."""
+
+    @settings(PROPERTY, max_examples=100)
+    @given(invariant_factors(), st.data())
+    def test_matches_the_full_expansion(self, case, data):
+        rs, nu, factors = case
+        provider = provider_for(rs)
+        coeffs = to_simple_basis(functools.reduce(operator.mul, factors), provider)
+        targets = set(coeffs)
+        # the Steinberg-sum target, r = 1, and one random dominant weight
+        targets.add(tuple((provider.p - 1) + provider.p * n for n in nu))
+        targets.add(data.draw(st.tuples(*[st.integers(0, 6)] * rs.rank), label="t"))
+        for t in targets:
+            assert simple_coefficient(factors, t, provider) == coeffs.get(t, 0), t
+
+    @pytest.mark.parametrize(
+        "name, support, t",
+        [("A1", {(-1,): 1}, (-3,)), ("A2", {(1, -2): 1, (-1, 0): 2}, (-2, -2))],
+    )
+    def test_cut_with_no_dominant_weight_raises_as_the_full_expansion(
+        self, name, support, t
+    ):
+        provider = provider_for(ROOT_SYSTEMS[name])
+        chi = Character(provider.rs.rank, support)
+        with pytest.raises(NonInvariantError) as full:
+            to_simple_basis(chi, provider)
+        with pytest.raises(NonInvariantError) as cut:
+            simple_coefficient((chi,), t, provider)
+        assert str(cut.value) == str(full.value)
+
+    def test_a_chain_longer_than_the_recursion_limit(self):
+        # L(0) in the orbit sum of 3^7 - 1 at p = 3 reads the orbit
+        # coefficients of all 1,094 even weights from 2186 down to 0.
+        provider = DecompositionProvider.builtin_sl2(3, rs=ROOT_SYSTEMS["A1"])
+        orbit = Character(1, {(2186,): 1, (-2186,): 1})
+        expected = expand_above((orbit,), 0, provider).get((0,), 0)
+        assert simple_coefficient((orbit,), (0,), provider) == expected
+        assert len(provider._orbit_cache) == 1094
+
+    def test_a_second_call_reads_the_memo(self):
+        provider = DecompositionProvider.builtin_sl2(5, rs=ROOT_SYSTEMS["A1"])
+        factors = [provider.simple_character(lam) for lam in ((7,), (3,), (9,))]
+        first = simple_coefficient(factors, (4,), provider)
+        size = len(provider._orbit_cache)
+        assert size
+        assert simple_coefficient(factors, (4,), provider) == first
+        assert len(provider._orbit_cache) == size
 
 
 A1XA1 = {"rank": 2, "matrix": [[2, 0], [0, 2]]}
