@@ -581,7 +581,9 @@ def leading_dominant_weights(support, rs):
     return [w for _, w in maximal]
 
 
-def _not_invariant(weight):
+def not_invariant_error(weight):
+    """The refusal of an expansion whose residual is led by weight (expand,
+    decomp.simple_coefficient)."""
     return NonInvariantError(
         f"character is not W-invariant: residual leading weight {weight}"
     )
@@ -612,13 +614,13 @@ def expand(chi, rs, basis, floor=-math.inf):
         while heap and heap[0][2] not in work:
             heapq.heappop(heap)
         if not heap:
-            raise _not_invariant(max(work))
+            raise not_invariant_error(max(work))
         lead = heapq.heappop(heap)[2]
         mult = work.pop(lead)
         element = basis(lead)
         unit = element.support.get(lead)
         if not unit or mult % unit:
-            raise _not_invariant(lead)
+            raise not_invariant_error(lead)
         c = coeffs[lead] = mult // unit
         for h, w, m in element.by_height(rs):
             if h < floor:

@@ -8,10 +8,13 @@ digits, and every other row from the simple-basis expansion of chi(lam).
 
 A simple-basis expansion is a leading-term elimination (to_simple_basis),
 and expand_above cuts it at a floor.  One coefficient [X : L(t)]_G of a
-W-invariant X needs none: X is a sum of W-orbit sums m(kappa), so
-simple_coefficient adds up X(kappa) [m(kappa) : L(t)]_G, and those orbit
-coefficients, unitriangular in the simple characters, are memoized on the
-provider and shared by every product read at the same t.
+W-invariant X can also be read with none: X is a sum of W-orbit sums
+m(kappa), so it is the sum of X(kappa) [m(kappa) : L(t)]_G, and those orbit
+coefficients, unitriangular in the simple characters, can be memoized on
+the provider and shared by every product read at the same t.
+simple_coefficient eliminates on the first read of a t and sums over the
+memo from the second, since filling the memo of a t can cost far more
+than one elimination.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from operator import add, itemgetter
 
 from .characters import (
     Character,
-    _not_invariant,
     expand,
+    not_invariant_error,
     twisted_product,
     weyl_character,
 )
@@ -72,8 +75,8 @@ class DecompositionProvider:
         self._finite_cache = {}
         # (mu, nu) -> simple-basis coefficients of L(mu) * L(nu), for cj_rhs.
         self._tensor_cache = {}
-        # (kappa, t) -> [m(kappa) : L(t)]_G, m(kappa) the W-orbit sum of
-        # kappa, for simple_coefficient.
+        # t -> {kappa: [m(kappa) : L(t)]_G}, m(kappa) the W-orbit sum of
+        # kappa, for simple_coefficient; a t read once maps to {}.
         self._orbit_cache = {}
 
     @classmethod
@@ -160,7 +163,7 @@ def expand_above(factors, floor, provider):
     residual is the full residual's part at or above the floor at every
     step, and the leads are the full expansion's down to the floor.  One
     coefficient [prod : L(t)]_G is expand_above(factors, scaled_height(t),
-    provider).get(t, 0), which simple_coefficient reads with no elimination.
+    provider).get(t, 0), as simple_coefficient reads it the first time.
 
     The cut is sound only for a W-invariant product, and the caller
     certifies it (pims.jantzen_identity_check).
@@ -177,7 +180,7 @@ def expand_above(factors, floor, provider):
 
 
 def simple_coefficient(factors, t, provider):
-    """[prod : L(t)]_G for the product of factors, with no elimination.
+    """[prod : L(t)]_G for the product of factors.
 
     A W-invariant X is the sum of X(kappa) m(kappa) over dominant kappa,
     m(kappa) being the W-orbit sum of kappa, so [X : L(t)]_G is the sum of
@@ -186,24 +189,34 @@ def simple_coefficient(factors, t, provider):
     t's scaled height, so only that part of the product is formed
     (_product_above), and only its dominant weights are read.
 
+    Finding the a(kappa, t) of one t can cost far more than one elimination
+    (expand_above), and pays only when the same t is read again.  So the
+    first read of a target t is expand_above's, and marks t in
+    provider._orbit_cache; every later read of t sums over the memo.
+
     The identity holds only for a W-invariant product, and the caller
     certifies it, as for expand_above (finite.steinberg_nu_sum).  A cut
     product that is not empty but holds no dominant weight raises
     NonInvariantError, as expand does.
     """
     rs = provider.rs
-    product = _product_above(factors, rs.scaled_height(t), rs)
+    floor = rs.scaled_height(t)
+    memo = provider._orbit_cache.get(t)
+    if memo is None:
+        value = expand_above(factors, floor, provider).get(t, 0)
+        provider._orbit_cache[t] = {}
+        return value
+    product = _product_above(factors, floor, rs)
     dominant = [kappa for kappa in product if min(kappa) >= 0]
     if product and not dominant:
-        raise _not_invariant(max(product))
-    _orbit_coefficients(dominant, t, provider)
-    memo = provider._orbit_cache
-    return sum(product[kappa] * memo[kappa, t] for kappa in dominant)
+        raise not_invariant_error(max(product))
+    _orbit_coefficients(dominant, t, memo, provider)
+    return sum(product[kappa] * memo[kappa] for kappa in dominant)
 
 
-def _orbit_coefficients(kappas, t, provider):
-    """Memoize a(kappa, t) = [m(kappa) : L(t)]_G in provider._orbit_cache
-    for each kappa in kappas.
+def _orbit_coefficients(kappas, t, memo, provider):
+    """Store a(kappa, t) = [m(kappa) : L(t)]_G in memo[kappa] for each
+    kappa in kappas.
 
     ch L(kappa) is m(kappa) plus dim L(kappa)_lam m(lam) over the dominant
     lam < kappa, so a(kappa, t) is delta(kappa, t) less the sum of
@@ -214,12 +227,11 @@ def _orbit_coefficients(kappas, t, provider):
     runs on a stack of the weights still to be found.
     """
     rs = provider.rs
-    memo = provider._orbit_cache
     floor = rs.scaled_height(t)
     stack = list(kappas)
     while stack:
         top = stack[-1]
-        if (top, t) in memo:
+        if top in memo:
             stack.pop()
             continue
         value = int(top == t)
@@ -228,7 +240,7 @@ def _orbit_coefficients(kappas, t, provider):
             if h < floor:
                 break
             if lam != top and min(lam) >= 0:
-                a = memo.get((lam, t))
+                a = memo.get(lam)
                 if a is None:
                     missing.append(lam)
                 else:
@@ -236,7 +248,7 @@ def _orbit_coefficients(kappas, t, provider):
         if missing:
             stack += missing
         else:
-            memo[top, t] = value
+            memo[top] = value
             stack.pop()
 
 

@@ -147,14 +147,16 @@ def steinberg_nu_sum(factors, nus, r, provider, method):
     of the signed orbit of the regular weight nu + rho: no product and no
     expansion per nu.
     simple_basis: M is the simple character L(nu), and each term is
-    decomp.simple_coefficient of (*factors, L(nu)) at t: the product's
-    dominant weights kappa at or above t's scaled height, the only part of
-    it that is formed, each times the orbit coefficient [m(kappa) : L(t)]_G,
-    memoized on the provider; chi itself is never formed and nothing is
-    eliminated.  That identity holds only for a W-invariant chi, and the
-    route refuses only a cut product with no dominant weight, so the caller
-    certifies the invariance: steinberg_multiplicity by nu_bound, cj_lhs by
-    its factors.
+    decomp.simple_coefficient of (*factors, L(nu)) at t, which forms only
+    the part of that product at or above t's scaled height; chi itself is
+    never formed.  The first read of a t on the provider eliminates that
+    part down to t (decomp.expand_above); each later read, as across the
+    cells of cj_table, sums its dominant weights kappa, each times the
+    orbit coefficient [m(kappa) : L(t)]_G memoized on the provider.  Both
+    hold only for a W-invariant chi: the elimination checks only the leads
+    it processes, and the memo refuses only a cut product with no dominant
+    weight, so the caller certifies the invariance: steinberg_multiplicity
+    by nu_bound, cj_lhs by its factors.
     nus must contain every nu whose term can be nonzero; a term outside
     the range adds 0.  nu_bound(chi) is such a set, and so is
     contributing_nus on any weights that each weight of chi lies below one

@@ -350,15 +350,28 @@ def invariant_factors(draw, names=SIMPLE_TYPES):
 
 
 def coefficient_above(factors, t, provider):
-    """[prod of factors : L(t)]_G as expand_above gives it: off the
-    expansion cut at t's scaled height."""
+    """[prod of factors : L(t)]_G as expand_above gives it, off the
+    expansion cut at t's scaled height: the first read of t in
+    steinberg_nu_sum."""
     return expand_above(factors, provider.rs.scaled_height(t), provider).get(t, 0)
+
+
+def coefficient_from_memo(factors, t, provider):
+    """[prod of factors : L(t)]_G as simple_coefficient gives it once t has
+    been read: off the orbit coefficients, as every later read of t in
+    steinberg_nu_sum."""
+    simple_coefficient((), t, provider)
+    return simple_coefficient(factors, t, provider)
+
+
+READERS = (coefficient_above, coefficient_from_memo)
 
 
 class TestSimpleMultiplicity:
     """[prod of factors : L(t)]_G read off expand_above cut at t's height,
-    which forms only the part of the product at or above t; it must be the
-    coefficient that the full expansion of the product has there."""
+    which forms only the part of the product at or above t, and off the
+    orbit-coefficient memo; both must be the coefficient that the full
+    expansion of the product has there."""
 
     @settings(PROPERTY, max_examples=30)
     @given(invariant_factors(), st.data())
@@ -367,7 +380,7 @@ class TestSimpleMultiplicity:
         provider = provider_for(rs)
         chi = functools.reduce(operator.mul, factors)
         coeffs = to_simple_basis(chi, provider)
-        targets = {w for w in chi.support if min(w) >= 0}
+        targets = {w for w in chi.support if min(w) >= 0} | set(coeffs)
         # the Steinberg-sum target, r = 1
         targets.add(tuple((provider.p - 1) + provider.p * n for n in nu))
         if coeffs:
@@ -382,13 +395,16 @@ class TestSimpleMultiplicity:
         if absent:
             targets.update(data.draw(st.lists(st.sampled_from(absent), max_size=3)))
         for t in targets:
-            assert coefficient_above(factors, t, provider) == coeffs.get(t, 0), t
+            for read in READERS:
+                assert read(factors, t, provider) == coeffs.get(t, 0), (read, t)
 
     @settings(PROPERTY, max_examples=20)
     @given(invariant_characters(names=SIMPLE_TYPES), st.data())
     def test_off_orbit_input_raises_as_the_full_expansion(self, case, data):
         # A target below every weight cuts nothing, so every lead is
-        # processed and the residual's error is the full expansion's.
+        # processed and the residual's error is the full expansion's.  The
+        # memo refuses only a cut with no dominant weight
+        # (TestSimpleCoefficient).
         rs, chi = case
         provider = provider_for(rs)
         weight = data.draw(
@@ -404,9 +420,10 @@ class TestSimpleMultiplicity:
     def test_unit_factors_only(self):
         provider = provider_for(ROOT_SYSTEMS["A2"])
         unit = Character(2, {(0, 0): 1})
-        assert coefficient_above((unit, unit), (0, 0), provider) == 1
-        assert coefficient_above((), (0, 0), provider) == 1
-        assert coefficient_above((unit,), (1, 0), provider) == 0
+        for read in READERS:
+            assert read((unit, unit), (0, 0), provider) == 1
+            assert read((), (0, 0), provider) == 1
+            assert read((unit,), (1, 0), provider) == 0
 
     @pytest.mark.parametrize("count", [0, 1, 2])
     def test_unit_factors_above_zero_give_nothing(self, count):
@@ -419,27 +436,15 @@ class TestSimpleMultiplicity:
 
     def test_rank_mismatch(self):
         provider = provider_for(ROOT_SYSTEMS["A2"])
-        with pytest.raises(RankMismatchError):
-            coefficient_above((Character(1, {(1,): 1}),), (0, 0), provider)
+        for read in READERS:
+            with pytest.raises(RankMismatchError):
+                read((Character(1, {(1,): 1}),), (0, 0), provider)
 
 
 class TestSimpleCoefficient:
-    """simple_coefficient reads [prod of factors : L(t)]_G off the W-orbit
-    sums of the product cut at t's height, with no elimination; it must be
-    the coefficient that the full expansion of the product has there."""
-
-    @settings(PROPERTY, max_examples=100)
-    @given(invariant_factors(), st.data())
-    def test_matches_the_full_expansion(self, case, data):
-        rs, nu, factors = case
-        provider = provider_for(rs)
-        coeffs = to_simple_basis(functools.reduce(operator.mul, factors), provider)
-        targets = set(coeffs)
-        # the Steinberg-sum target, r = 1, and one random dominant weight
-        targets.add(tuple((provider.p - 1) + provider.p * n for n in nu))
-        targets.add(data.draw(st.tuples(*[st.integers(0, 6)] * rs.rank), label="t"))
-        for t in targets:
-            assert simple_coefficient(factors, t, provider) == coeffs.get(t, 0), t
+    """simple_coefficient eliminates on the first read of a target and sums
+    over the W-orbit coefficients from the second (TestSimpleMultiplicity
+    checks both against the full expansion)."""
 
     @pytest.mark.parametrize(
         "name, support, t",
@@ -453,7 +458,7 @@ class TestSimpleCoefficient:
         with pytest.raises(NonInvariantError) as full:
             to_simple_basis(chi, provider)
         with pytest.raises(NonInvariantError) as cut:
-            simple_coefficient((chi,), t, provider)
+            coefficient_from_memo((chi,), t, provider)
         assert str(cut.value) == str(full.value)
 
     def test_a_chain_longer_than_the_recursion_limit(self):
@@ -461,18 +466,20 @@ class TestSimpleCoefficient:
         # coefficients of all 1,094 even weights from 2186 down to 0.
         provider = DecompositionProvider.builtin_sl2(3, rs=ROOT_SYSTEMS["A1"])
         orbit = Character(1, {(2186,): 1, (-2186,): 1})
-        expected = expand_above((orbit,), 0, provider).get((0,), 0)
-        assert simple_coefficient((orbit,), (0,), provider) == expected
-        assert len(provider._orbit_cache) == 1094
+        expected = coefficient_above((orbit,), (0,), provider)
+        assert coefficient_from_memo((orbit,), (0,), provider) == expected
+        assert len(provider._orbit_cache[0,]) == 1094
 
-    def test_a_second_call_reads_the_memo(self):
+    def test_only_a_target_read_again_fills_the_memo(self):
         provider = DecompositionProvider.builtin_sl2(5, rs=ROOT_SYSTEMS["A1"])
         factors = [provider.simple_character(lam) for lam in ((7,), (3,), (9,))]
         first = simple_coefficient(factors, (4,), provider)
-        size = len(provider._orbit_cache)
+        assert provider._orbit_cache == {(4,): {}}
+        assert simple_coefficient(factors, (4,), provider) == first
+        size = len(provider._orbit_cache[4,])
         assert size
         assert simple_coefficient(factors, (4,), provider) == first
-        assert len(provider._orbit_cache) == size
+        assert len(provider._orbit_cache[4,]) == size
 
 
 A1XA1 = {"rank": 2, "matrix": [[2, 0], [0, 2]]}
