@@ -188,9 +188,11 @@ class Character:
         The convolution packs each weight into one mixed-radix integer key
         (see the module docstring), forms the product of the packed
         operands by one big-integer multiply or, for sparse boxes, a dict
-        loop, and decodes only the nonzero coefficients.  A product with
-        the trivial character e^0 is the other factor itself, shared, since
-        characters are read-only.
+        loop, and decodes only the nonzero coefficients.  A product whose
+        term count and packed box both exceed MAX_WEYL_WEIGHTS is refused
+        with LiecharError before any packing.  A product with the trivial
+        character e^0 is the other factor itself, shared, since characters
+        are read-only.
         """
         if isinstance(other, int):
             if other == 0:
@@ -205,7 +207,9 @@ class Character:
             return other
         if not (self.support and other.support):
             return Character(self.rank)
-        return Character._wrap(self.rank, _convolve(self.support, other.support))
+        return Character._wrap(
+            self.rank, _convolve(self.support, other.support, MAX_WEYL_WEIGHTS)
+        )
 
     __rmul__ = __mul__
 
@@ -273,15 +277,23 @@ def _entry_mult(rank, weight, mult):
     return strict_int(mult, "multiplicity")
 
 
-def _convolve(a, b):
-    """The support of the product of two nonempty supports of equal rank."""
+def _convolve(a, b, limit=math.inf):
+    """The support of the product of two nonempty supports of equal rank;
+    LiecharError, before any packing, when its term count len(a) * len(b)
+    and its packed box prod(radices) both exceed limit."""
     low_a, span_a = _bounds(a)
     low_b, span_b = _bounds(b)
     radices = [sa + sb + 1 for sa, sb in zip(span_a, span_b)]
+    slots = math.prod(radices)
+    count = len(a) * len(b)
+    if min(slots, count) > limit:
+        raise LiecharError(
+            f"product of {len(a)} by {len(b)} weights is too large: {count} "
+            f"terms in a box of {slots} slots, both more than {limit}"
+        )
     packed_a = _pack(a, low_a, radices)
     packed_b = _pack(b, low_b, radices)
-    slots = math.prod(radices)
-    if slots <= len(a) * len(b):
+    if slots <= count:
         terms = _kronecker_product(packed_a, packed_b, slots)
     else:
         terms = _loop_product(packed_a, packed_b)
@@ -593,8 +605,11 @@ def expand(chi, rs, basis, floor=-math.inf):
     """{lam: c} with chi = sum c * basis(lam), by leading-term elimination,
     formed only at or above scaled height floor.
 
-    basis(lam) is a character whose other weights lie strictly below lam in
-    the (scaled height, tuple) order, so the leads come in strictly
+    basis is unitriangular: basis(lam) has multiplicity 1 at lam, as
+    chi(lam) has by Weyl's formula and ch L(lam) by the unit diagonal of
+    the decomposition rows and their twisted products, and its other
+    weights lie strictly below lam in the (scaled height, tuple) order.  So
+    a lead's coefficient is its multiplicity, the leads come in strictly
     decreasing order, the order in which the dict is filled, and a
     coefficient, once found, is final (see the module docstring).  Each
     basis(lead) is walked in decreasing height (Character.by_height) and
@@ -602,8 +617,7 @@ def expand(chi, rs, basis, floor=-math.inf):
     below it, and the residual stays the full residual's part at or above
     the floor.  The dominant weights of the residual sit on a heap keyed by
     that order, pushed when they enter it and skipped when popped after they
-    have cancelled.  NonInvariantError when no dominant weight is left or a
-    lead's multiplicity is not a multiple of basis(lead)'s.
+    have cancelled.  NonInvariantError when no dominant weight is left.
     """
     height = rs.scaled_height
     work = dict(chi.support)
@@ -616,13 +630,8 @@ def expand(chi, rs, basis, floor=-math.inf):
         if not heap:
             raise not_invariant_error(max(work))
         lead = heapq.heappop(heap)[2]
-        mult = work.pop(lead)
-        element = basis(lead)
-        unit = element.support.get(lead)
-        if not unit or mult % unit:
-            raise not_invariant_error(lead)
-        c = coeffs[lead] = mult // unit
-        for h, w, m in element.by_height(rs):
+        c = coeffs[lead] = work.pop(lead)
+        for h, w, m in basis(lead).by_height(rs):
             if h < floor:
                 break
             if w == lead:

@@ -96,7 +96,12 @@ def _load_json(path):
 def build_config(args):
     """The parsed options args of one run, checked, with the root system rs,
     the data files' provider and qrdata (None for none; _provider and
-    _qrdata fill them in) and the default bound set on them."""
+    _qrdata fill them in) and the default bound set on them.
+
+    A --qhat-data file is read over _provider, the --decomp-data file's or,
+    for rank 1, the built-in provider, so the loader refuses a file for
+    another prime or root system; only its r is checked here.
+    """
     rs = root_system_of(
         {"cartan": _load_json(args.cartan)} if args.cartan else {"type": args.type}
     )
@@ -111,29 +116,25 @@ def build_config(args):
         raise CliError(f"bound must be nonnegative, got {args.bound}")
 
     # Data files are loaded and validated up front; the built-in rank-1
-    # data only when a command reads it (_provider, _qrdata).
-    provider = None
+    # data only when a command or a --qhat-data file reads it (_provider,
+    # _qrdata).
+    args.rs, args.provider, args.qrdata = rs, None, None
     if args.decomp_data:
         from .decomp import load_decomposition_data
 
-        provider = load_decomposition_data(_load_json(args.decomp_data), rs=rs)
-        if provider.p != args.p:
+        args.provider = load_decomposition_data(_load_json(args.decomp_data), rs=rs)
+        if args.provider.p != args.p:
             raise CliError(
-                f"decomposition data is for p={provider.p}, requested p={args.p}"
+                f"decomposition data is for p={args.provider.p}, requested p={args.p}"
             )
 
-    qrdata = None
     if args.qhat_data:
         from .pims import QrData
 
-        qrdata = QrData.from_json_dict(_load_json(args.qhat_data), rs=rs)
-        if (qrdata.p, qrdata.r) != (args.p, args.r):
-            raise CliError(
-                f"Q-hat data is for (p, r)=({qrdata.p}, {qrdata.r}), "
-                f"requested ({args.p}, {args.r})"
-            )
+        args.qrdata = QrData.from_json_dict(_load_json(args.qhat_data), _provider(args))
+        if args.qrdata.r != args.r:
+            raise CliError(f"Q-hat data is for r={args.qrdata.r}, requested r={args.r}")
 
-    args.rs, args.provider, args.qrdata = rs, provider, qrdata
     if args.bound is None:
         args.bound = 2 * args.p**args.r
     return args
@@ -154,11 +155,12 @@ def _provider(config):
 
 def _qrdata(config):
     """config.qrdata: the --qhat-data file's or, for rank 1 without one,
-    the built-in data, built on first use and kept; CliError for neither."""
+    the built-in data over _provider, built on first use and kept; CliError
+    for neither."""
     if config.qrdata is None and config.rs.rank == 1:
         from .pims import QrData
 
-        config.qrdata = QrData.builtin_sl2(config.p, config.r, rs=config.rs)
+        config.qrdata = QrData.builtin_sl2(_provider(config), config.r)
     if config.qrdata is None:
         raise CliError("Q-hat data required: supply --qhat-data")
     return config.qrdata
@@ -383,7 +385,7 @@ def _cj_table(config):
     from . import pims
 
     labels = _restricted_weights(config)
-    cells = pims.cj_table(_provider(config), _qrdata(config), config.method)
+    cells = pims.cj_table(_qrdata(config), config.method)
     return labels, cells
 
 
@@ -435,11 +437,10 @@ def _route_agreement(route):
 def _lemma33(config):
     from . import pims
 
-    provider = _provider(config)
     qrdata = _qrdata(config)
     for sigma in _dominant_grid(config.rs, config.bound):
         chi = weyl_character(sigma, config.rs)
-        for lam, nu, lhs, rhs in pims.jantzen_identity_check(chi, provider, qrdata):
+        for lam, nu, lhs, rhs in pims.jantzen_identity_check(chi, qrdata):
             label = (
                 f"sigma={_weight_label(sigma)} lambda={_weight_label(lam)} "
                 f"nu={_weight_label(nu)}"

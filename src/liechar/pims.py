@@ -4,6 +4,9 @@ Houses the q_r(lambda) characters, both sides of the Chastkofsky-Jantzen
 formula, Jantzen's basis identity, the bar-Q multiset, and the
 socle-multiplicity comparisons.  The prime p is the decomposition
 provider's and, where Q-hat data is read, r is the QrData's: q = provider.p^r.
+A QrData is built over its provider and reads the root system and p from
+it, so the two sides of an identity are always for one group and one
+prime; the functions that read Q-hat data take the provider from it.
 
 The data is q_r(lambda), never ch Q-hat_r(lambda) = ch St_r * q_r(lambda).
 Every q_r comes from an exact division by ch St_r (character_divide): the
@@ -46,7 +49,7 @@ from .finite import (
     steinberg_multiplicity,
     steinberg_nu_sum,
 )
-from .rootdata import CartanMatrix, RootSystem, root_system_of
+from .rootdata import root_system_of
 
 
 def character_divide(num, rs, p, r):
@@ -66,7 +69,8 @@ def character_divide(num, rs, p, r):
 
 
 class QrData:
-    """q_r(lambda) = ch Q-hat_r(lambda) / ch St_r over the restricted weights.
+    """q_r(lambda) = ch Q-hat_r(lambda) / ch St_r over the restricted weights,
+    for the root system and prime of a decomposition provider.
 
     Built from entries, a map from lambda to q_r(lambda), and validated at
     construction: each q_r(lambda) is W-invariant, and the Steinberg entry
@@ -74,18 +78,18 @@ class QrData:
     ch Q-hat_r(lambda) is steinberg_character(rs, p, r) * q.
     """
 
-    def __init__(self, rs, p, r, entries):
-        self.rs = rs
-        self.p = p
+    def __init__(self, provider, r, entries):
+        self.provider = provider
         self.r = r
         self.entries = {tuple(lam): q for lam, q in entries.items()}
         self._leads = {}
+        rs = provider.rs
         for lam, q in self.entries.items():
             try:
                 _check_invariant(q, rs)
             except NonInvariantError as exc:
                 raise DataValidationError(f"q_r for {lam}: {exc}") from exc
-        st_q = self.entries.get(rs.steinberg_weight(p, r))
+        st_q = self.entries.get(rs.steinberg_weight(provider.p, r))
         if st_q is not None and not st_q._is_unit():
             raise DataValidationError(
                 "Steinberg entry must divide to the trivial character"
@@ -109,12 +113,12 @@ class QrData:
         cached = self._leads.get(lam)
         if cached is None:
             cached = self._leads[lam] = tuple(
-                leading_dominant_weights(self.q(lam).support, self.rs)
+                leading_dominant_weights(self.q(lam).support, self.provider.rs)
             )
         return cached
 
     @classmethod
-    def builtin_sl2(cls, p, r, rs=None):
+    def builtin_sl2(cls, provider, r):
         """Rank-1 data from the classical ch Q-hat_1, with p divisions.
 
         ch Q-hat_1(m) = chi(2p-2-m) + chi(m) for m <= p-2 and chi(p-1) =
@@ -123,7 +127,7 @@ class QrData:
         ch St_1 once, and q_r(lambda) is characters.twisted_product of the
         q_1 of lambda's r base-p digits, as ch Q-hat_r and ch St_r are.
         """
-        rs = rs or RootSystem(CartanMatrix.builtin("A1"))
+        rs, p = provider.rs, provider.p
         if rs.rank != 1:
             raise DataValidationError("built-in Q-hat data supports only rank 1")
         qhat1 = [from_weyl_basis({(2 * p - 2 - m,): 1, (m,): 1}, rs) for m in range(p)]
@@ -132,27 +136,32 @@ class QrData:
             lam: twisted_product([q1[lam[0] // p**i % p] for i in range(r)], p)
             for lam in rs.restricted_weights(p, r)
         }
-        return cls(rs, p, r, entries)
+        return cls(provider, r, entries)
 
     @classmethod
-    def from_json_dict(cls, doc, rs=None):
+    def from_json_dict(cls, doc, provider):
         """Load from {"type"/"cartan": ..., "p": ..., "r": ..., "entries":
-        [{"lambda": [...], "qhat": <character JSON>}, ...]}.
+        [{"lambda": [...], "qhat": <character JSON>}, ...]} over provider.
 
-        The entries are read by errors.weight_keyed, so a malformed entry or
-        a repeated lambda raises DataValidationError.  Each Q-hat is divided
-        by ch St_r as its entry is read, so at most one is held at a time,
-        and the first bad entry in document order is the one named.  Without
-        rs the document must name its root system; with rs, a document that
-        names one must name rs's Cartan matrix (see root_system_of).
+        A document that names a root system must name the provider's Cartan
+        matrix (see root_system_of), and its p must be the provider's; each
+        refusal is a DataValidationError naming both.  The entries are read
+        by errors.weight_keyed, so a malformed entry or a repeated lambda
+        raises DataValidationError.  Each Q-hat is divided by ch St_r as its
+        entry is read, so at most one is held at a time, and the first bad
+        entry in document order is the one named.
         """
         if not isinstance(doc, dict):
             raise DataValidationError("Q-hat document must be an object")
-        rs = root_system_of(doc, rs)
+        rs = root_system_of(doc, provider.rs)
         p = strict_int(doc.get("p"), "p")
         r = strict_int(doc.get("r"), "r")
         if p < 2 or r < 1:
             raise DataValidationError(f"invalid (p, r): ({p!r}, {r!r})")
+        if p != provider.p:
+            raise DataValidationError(
+                f"Q-hat data is for p={p}, decomposition data is for p={provider.p}"
+            )
         check_printable_power(p, r, "r =")
 
         def read_q(entry):
@@ -175,21 +184,10 @@ class QrData:
                 ) from exc
 
         entries = weight_keyed(doc.get("entries"), "lambda", read_q, "entry for lambda")
-        return cls(rs, p, r, entries)
+        return cls(provider, r, entries)
 
 
-def _paired_p_r(provider, qrdata):
-    """qrdata's (p, r); DataValidationError, naming both, unless qrdata is
-    for provider's Cartan matrix and prime."""
-    if (qrdata.p, qrdata.rs.cartan) != (provider.p, provider.rs.cartan):
-        raise DataValidationError(
-            f"Q-hat data is for p={qrdata.p}, {qrdata.rs.cartan!r}; decomposition "
-            f"data is for p={provider.p}, {provider.rs.cartan!r}"
-        )
-    return qrdata.p, qrdata.r
-
-
-def cj_lhs(lam, mu, provider, qrdata, method):
+def cj_lhs(lam, mu, qrdata, method):
     """[Q-hat_r(lambda) : U_r(mu)] = [chi_p(mu) . q_r(lambda*) : St_r]_{G(F_q)}.
 
     The two nu-sum routes bound nu by the factors' leads rather than by
@@ -206,8 +204,8 @@ def cj_lhs(lam, mu, provider, qrdata, method):
     route is the independent check of the other two, so it forms the whole
     product on every cell and never reads the leads.
     """
-    p, r = _paired_p_r(provider, qrdata)
-    rs = provider.rs
+    provider, r = qrdata.provider, qrdata.r
+    rs, p = provider.rs, provider.p
     mu = tuple(mu)
     dual = rs.dual_weight(tuple(lam))
     # Looked up before the bound, so that a bad mu raises on every cell.
@@ -243,19 +241,20 @@ def cj_rhs(lam, mu, r, provider):
     return total
 
 
-def cj_table(provider, qrdata, method):
+def cj_table(qrdata, method):
     """Both sides of the Chastkofsky-Jantzen formula, as one record
     (lam, mu, lhs, rhs) per pair of restricted weights, lam-major in
     restricted_weights order: lhs is cj_lhs by method, rhs is cj_rhs.
     """
-    labels = provider.rs.restricted_weights(qrdata.p, qrdata.r)
+    provider, r = qrdata.provider, qrdata.r
+    labels = provider.rs.restricted_weights(provider.p, r)
     for lam in labels:
         for mu in labels:
-            left = cj_lhs(lam, mu, provider, qrdata, method)
-            yield lam, mu, left, cj_rhs(lam, mu, qrdata.r, provider)
+            left = cj_lhs(lam, mu, qrdata, method)
+            yield lam, mu, left, cj_rhs(lam, mu, r, provider)
 
 
-def jantzen_identity_check(chi, provider, qrdata):
+def jantzen_identity_check(chi, qrdata):
     """Both sides of [chi : chi_p(p^r nu + lam)]_G =
     [chi . q_r(lambda*) : chi_p((p^r-1) rho + p^r nu)]_G, as one record
     (lam, nu, lhs, rhs) per cell where either side is nonzero: restricted
@@ -271,8 +270,8 @@ def jantzen_identity_check(chi, provider, qrdata):
     the Steinberg weight's scaled height (decomp.expand_above), where every
     (q-1) rho + q nu with nu dominant lies.
     """
-    p, r = _paired_p_r(provider, qrdata)
-    rs = provider.rs
+    provider, r = qrdata.provider, qrdata.r
+    rs, p = provider.rs, provider.p
     q = p**r
     st_weight = rs.steinberg_weight(p, r)
     floor = rs.scaled_height(st_weight)

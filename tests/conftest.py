@@ -30,5 +30,5 @@ def prov3():
 
 
 @pytest.fixture(scope="session")
-def qr3():
-    return QrData.builtin_sl2(3, 1)
+def qr3(prov3):
+    return QrData.builtin_sl2(prov3, 1)

@@ -43,7 +43,7 @@ def provider_for(p):
 
 @functools.lru_cache(maxsize=None)
 def qrdata_for(p, r):
-    return QrData.builtin_sl2(p, r, rs=provider_for(p).rs)
+    return QrData.builtin_sl2(provider_for(p), r)
 
 
 def report(number, label, ok):
@@ -64,7 +64,7 @@ def routes_agree(p, r):
 
 
 def cj_records(p, r):
-    return cj_table(provider_for(p), qrdata_for(p, r), "simple_basis")
+    return cj_table(qrdata_for(p, r), "simple_basis")
 
 
 def cj_agrees(p, r):
@@ -104,8 +104,8 @@ def test_criterion_04_identity_shift_sweep():
         nus = [(nu,) for nu in range(6)]
         for sigma in range(4 * p + 1):
             chi = weyl_character((sigma,), provider.rs)
-            records = list(jantzen_identity_check(chi, provider, qrdata))
-            grid = grid_records(chi, nus, provider, qrdata)
+            records = list(jantzen_identity_check(chi, qrdata))
+            grid = grid_records(chi, nus, qrdata)
             ok = ok and records == [rec for rec in grid if rec[2] or rec[3]]
             ok = ok and bool(records)
             ok = ok and all(lhs == rhs for _, _, lhs, rhs in records)
@@ -136,11 +136,11 @@ def test_criterion_07_qhat_self_certification():
     ok = True
     for p in (2, 3, 5, 7):
         qrdata = qrdata_for(p, 1)
-        st = steinberg_character(qrdata.rs, p, 1)
+        st = steinberg_character(qrdata.provider.rs, p, 1)
         ok = ok and sorted(qrdata.entries) == [(m,) for m in range(p)]
         for m in range(p):
             qhat = st * qrdata.q((m,))
-            ok = ok and qhat == a1_qhat(p, 1, m, qrdata.rs)
+            ok = ok and qhat == a1_qhat(p, 1, m, qrdata.provider.rs)
             expected = p if m == p - 1 else 2 * p
             ok = ok and qhat.dimension() == expected
     report(7, "injective-hull data divides and has the right dimensions", ok)

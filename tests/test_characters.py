@@ -78,6 +78,31 @@ class TestMultiply:
             b = weyl_character(mu, rs_b2)
             assert (a * b).dimension() == a.dimension() * b.dimension()
 
+    def test_refuses_a_product_past_the_size_bound(self, rs_a1, monkeypatch):
+        # 20,001 by 20,001 terms in a box of 87,520,001 slots: refused before
+        # either product path builds a buffer.
+        def unreachable(*args):
+            pytest.fail("a product buffer was built")
+
+        monkeypatch.setattr(characters, "_kronecker_operand", unreachable)
+        monkeypatch.setattr(characters, "_loop_product", unreachable)
+        chi = weyl_character((20000,), rs_a1)
+        twisted = frobenius_twist(chi, 3, 7)
+        message = "product of 20001 by 20001 weights is too large"
+        with pytest.raises(LiecharError, match=message):
+            twisted * chi
+
+    def test_size_bound_needs_both_terms_and_slots(self, rs_a1, monkeypatch):
+        # Under a bound of 100: 441 terms in 81 slots and 16 terms in 169
+        # slots are formed; 441 terms in 161 slots are not.
+        monkeypatch.setattr(characters, "MAX_WEYL_WEIGHTS", 100)
+        chi20 = weyl_character((20,), rs_a1)
+        chi3 = weyl_character((3,), rs_a1)
+        assert chi20 * chi20 == sl2_clebsch_gordan(20, 20)
+        assert (frobenius_twist(chi3, 3, 3) * chi3).dimension() == 16
+        with pytest.raises(LiecharError, match="441 terms in a box of 161 slots"):
+            frobenius_twist(chi20, 3, 1) * chi20
+
 
 class TestWeylCharacter:
     def test_a1_strings(self, rs_a1):

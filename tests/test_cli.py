@@ -53,7 +53,7 @@ def a1_p3_document(flag, label):
     if flag == "--decomp-data":
         rows = [{"lambda": [m], "factors": [{"mu": [m], "mult": 1}]} for m in range(3)]
         return {"type": label, "p": 3, "rows": rows}
-    entries = qhat_entries(QrData.builtin_sl2(3, 1))
+    entries = qhat_entries(QrData.builtin_sl2(DecompositionProvider.builtin_sl2(3), 1))
     return {"type": label, "p": 3, "r": 1, "entries": entries}
 
 
@@ -644,6 +644,33 @@ class TestDataResolution:
         assert code == 0
         assert json.loads(out)["lhs"] == [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["-p", "5"], "Q-hat data is for p=3, decomposition data is for p=5"),
+            (["-p", "3", "-r", "2"], "Q-hat data is for r=1, requested r=2"),
+        ],
+        ids=["other-p", "other-r"],
+    )
+    def test_qhat_data_for_another_p_or_r(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "qhat.json"
+        path.write_text(json.dumps(a1_p3_document("--qhat-data", "A1")))
+        code, out, err = run(capsys, ["cj-table", *argv, "--qhat-data", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_rank_two_qhat_data_needs_decomposition_data(self, capsys, tmp_path):
+        # The file is read over the provider, so even char, which reads no
+        # Q-hat data, needs one.
+        path = tmp_path / "qhat.json"
+        path.write_text(json.dumps(a1xa1_qhat_document(3, 2)))
+        argv = ["char", "--type", "A2", "-p", "3", "-r", "2", "--qhat-data", str(path)]
+        code, out, err = run(capsys, argv + ["weyl(1,0)"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: decomposition data required: supply --decomp-data\n"
+
     def test_factor_of_another_rank(self, capsys, tmp_path):
         factors = [{"mu": [0], "mult": 1}, {"mu": [5, 7, 9], "mult": 0}]
         doc = {"type": "A1", "p": 3, "rows": [{"lambda": [0], "factors": factors}]}
@@ -825,6 +852,10 @@ class TestSizeLimits:
             (["verify", "thm41", "-p", "2", "-r", "19"], "pairs of the 524288"),
             (["verify", "thm45a", "-p", "2", "-r", "19"], "pairs of the 524288"),
             (["verify", "prop44delta", "-p", "2", "-r", "19"], "pairs of the 524288"),
+            (
+                ["char", "-p", "3", "twist(weyl(20000), 7) * weyl(20000)"],
+                "product of 20001 by 20001 weights is too large",
+            ),
         ],
     )
     def test_refused_with_exit_2(self, argv, message):

@@ -53,6 +53,13 @@ def test_weight_digits_rejects_negative_coordinates(lam):
         weight_digits(lam, 3)
 
 
+@pytest.mark.parametrize("p", [1, 0, -2])
+def test_weight_digits_rejects_a_base_below_two(p):
+    # In base 1 the digits never end.
+    with pytest.raises(ValueError, match=f"need a base of at least 2, got {p}"):
+        weight_digits((1,), p)
+
+
 class TestSl2Rows:
     def test_steinberg_weight(self):
         assert DecompositionProvider.builtin_sl2(3).row((2,)) == {(2,): 1}
@@ -107,6 +114,11 @@ class TestSimpleCharacter:
             (-2,): 1,
             (-4,): 1,
         }
+
+    @pytest.mark.parametrize("lam", [(-1,), (-4,)])
+    def test_rejects_non_dominant(self, prov3, lam):
+        with pytest.raises(NonDominantError, match="is not dominant"):
+            prov3.simple_character(lam)
 
     def test_restricted_is_weyl(self, prov3):
         assert prov3.simple_character((2,)) == weyl_character((2,), prov3.rs)

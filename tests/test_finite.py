@@ -359,8 +359,8 @@ class TestContributingNus:
         # 4,802 calls over the 2,401 cells at p = 7, r = 2 (one per route)
         # have 97 distinct keys.
         provider = DecompositionProvider.builtin_sl2(7)
-        qrdata = pims.QrData.builtin_sl2(7, 2, provider.rs)
-        records = pims.cj_table(provider, qrdata, "simple_basis")
+        qrdata = pims.QrData.builtin_sl2(provider, 2)
+        records = pims.cj_table(qrdata, "simple_basis")
         assert all(lhs == rhs for _, _, lhs, rhs in records)
         assert len(provider.rs._nu_cache) == 97
 
@@ -374,7 +374,7 @@ class TestFactorLeadBound:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_a1_every_cell(self, p, r):
         provider = DecompositionProvider.builtin_sl2(p)
-        qrdata = pims.QrData.builtin_sl2(p, r)
+        qrdata = pims.QrData.builtin_sl2(provider, r)
         rs = provider.rs
         st_weight = tuple((p**r - 1) * c for c in rs.rho)
         labels = rs.restricted_weights(p, r)
@@ -400,7 +400,7 @@ class TestSteinbergNuSum:
     @pytest.mark.parametrize("p, r", [(3, 1), (2, 2), (5, 1)])
     def test_a1_cells(self, p, r):
         provider = DecompositionProvider.builtin_sl2(p)
-        qrdata = pims.QrData.builtin_sl2(p, r)
+        qrdata = pims.QrData.builtin_sl2(provider, r)
         rs = provider.rs
         for lam in rs.restricted_weights(p, r):
             q = qrdata.q(rs.dual_weight(lam))

@@ -89,7 +89,8 @@ def a1_qhat(p, r, m, rs):
 
 def qhat_entries(qrdata):
     """The "entries" of a Q-hat document for qrdata: each Q-hat is St_r * q_r."""
-    st = steinberg_character(qrdata.rs, qrdata.p, qrdata.r)
+    provider = qrdata.provider
+    st = steinberg_character(provider.rs, provider.p, qrdata.r)
     return [
         {"lambda": list(lam), "qhat": (st * q).to_json_dict()}
         for lam, q in sorted(qrdata.entries.items())
@@ -98,7 +99,7 @@ def qhat_entries(qrdata):
 
 class TestQrData:
     def test_p3_examples(self, qr3):
-        rs = qr3.rs
+        rs = qr3.provider.rs
         assert qr3.q((2,)) == weyl_character((0,), rs)
         assert qr3.q((1,)) == weyl_character((1,), rs)
         assert qr3.q((0,)) == weyl_character((2,), rs) - weyl_character(
@@ -109,8 +110,8 @@ class TestQrData:
         "p,r", [(2, 1), (3, 1), (5, 1), (11, 1), (2, 2), (3, 2), (7, 2), (5, 3)]
     )
     def test_division_invariant(self, p, r):
-        qrdata = QrData.builtin_sl2(p, r)
-        rs = qrdata.rs
+        qrdata = QrData.builtin_sl2(DecompositionProvider.builtin_sl2(p), r)
+        rs = qrdata.provider.rs
         st = steinberg_character(rs, p, r)
         assert sorted(qrdata.entries) == [(m,) for m in range(p**r)]
         for m in range(p**r):
@@ -127,14 +128,14 @@ class TestQrData:
             return divide(num, rs, p, r)
 
         monkeypatch.setattr(pims, "character_divide", counting)
-        qrdata = QrData.builtin_sl2(7, 2)
+        qrdata = QrData.builtin_sl2(DecompositionProvider.builtin_sl2(7), 2)
         assert len(qrdata.entries) == 49
         assert divisions == [(7, 1)] * 7
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_qhat_dimensions(self, p):
-        qrdata = QrData.builtin_sl2(p, 1)
-        st = steinberg_character(qrdata.rs, p, 1)
+        qrdata = QrData.builtin_sl2(DecompositionProvider.builtin_sl2(p), 1)
+        st = steinberg_character(qrdata.provider.rs, p, 1)
         for (m,), q in qrdata.entries.items():
             expected = p if m == p - 1 else 2 * p
             assert (st * q).dimension() == expected
@@ -142,9 +143,9 @@ class TestQrData:
     def test_a1xa1_entries_are_the_quotients(self, a1xa1_p3_r2):
         # The document's Q-hat characters are not kept; St_r * q_r rebuilds
         # every one of them.
-        _, qrdata = a1xa1_p3_r2
+        qrdata = a1xa1_p3_r2
         doc = a1xa1_qhat_document(3, 2)
-        st = steinberg_character(qrdata.rs, 3, 2)
+        st = steinberg_character(qrdata.provider.rs, 3, 2)
         assert len(qrdata.entries) == len(doc["entries"]) == 81
         for entry in doc["entries"]:
             lam = tuple(entry["lambda"])
@@ -153,11 +154,11 @@ class TestQrData:
 
     def test_json_roundtrip(self, qr3):
         doc = {"type": "A1", "p": 3, "r": 1, "entries": qhat_entries(qr3)}
-        loaded = QrData.from_json_dict(doc)
+        loaded = QrData.from_json_dict(doc, qr3.provider)
         for lam, q in qr3.entries.items():
             assert loaded.q(lam) == q
 
-    def test_rejects_non_divisible_qhat(self, rs_a1):
+    def test_rejects_non_divisible_qhat(self, prov3, rs_a1):
         doc = {
             "type": "A1",
             "p": 3,
@@ -167,7 +168,7 @@ class TestQrData:
             ],
         }
         with pytest.raises(DataValidationError, match="not divisible"):
-            QrData.from_json_dict(doc)
+            QrData.from_json_dict(doc, prov3)
 
     @pytest.mark.parametrize(
         "p, qhat_of, message",
@@ -197,8 +198,9 @@ class TestQrData:
             "entries": [{"lambda": [0], "qhat": qhat.to_json_dict()}],
         }
         prefix = "Q-hat character for (0,) is not divisible by the Steinberg character"
+        provider = DecompositionProvider.builtin_sl2(p, rs=rs_a1)
         with pytest.raises(DataValidationError, match=re.escape(prefix)) as info:
-            QrData.from_json_dict(doc)
+            QrData.from_json_dict(doc, provider)
         assert message in str(info.value)
         path = tmp_path / "qhat.json"
         path.write_text(json.dumps(doc))
@@ -218,13 +220,13 @@ class TestQrData:
             ([1.9], [2], 1),
         ],
     )
-    def test_rejects_non_integers(self, lam, weight, mult):
+    def test_rejects_non_integers(self, prov3, lam, weight, mult):
         qhat = {"rank": 1, "entries": [{"weight": weight, "mult": mult}]}
         doc = {"type": "A1", "p": 3, "r": 1, "entries": [{"lambda": lam, "qhat": qhat}]}
         with pytest.raises(DataValidationError, match="must be an integer"):
-            QrData.from_json_dict(doc)
+            QrData.from_json_dict(doc, prov3)
 
-    def test_rejects_duplicate_lambda(self, rs_a1):
+    def test_rejects_duplicate_lambda(self, prov3, rs_a1):
         st = steinberg_character(rs_a1, 3, 1)
         entries = [
             {"lambda": [0], "qhat": st.to_json_dict()},
@@ -232,10 +234,10 @@ class TestQrData:
         ]
         doc = {"type": "A1", "p": 3, "r": 1, "entries": entries}
         with pytest.raises(DataValidationError, match=r"duplicate entry for lambda \(0,\)"):
-            QrData.from_json_dict(doc)
+            QrData.from_json_dict(doc, prov3)
 
     @pytest.mark.parametrize("lam", [[0, 0], [7], [3], [-1]])
-    def test_rejects_lambda_of_wrong_rank_or_unrestricted(self, rs_a1, lam):
+    def test_rejects_lambda_of_wrong_rank_or_unrestricted(self, prov3, rs_a1, lam):
         st = steinberg_character(rs_a1, 3, 1)
         doc = {
             "type": "A1",
@@ -245,58 +247,61 @@ class TestQrData:
         }
         message = f"entry {tuple(lam)}: lambda is not a 3-restricted weight of rank 1"
         with pytest.raises(DataValidationError, match=re.escape(message)):
-            QrData.from_json_dict(doc)
+            QrData.from_json_dict(doc, prov3)
 
     def test_given_root_system_must_match_the_document(self, qr3, rs_a1, rs_a2):
         doc = {"type": "A2", "p": 3, "r": 1, "entries": qhat_entries(qr3)}
+        over_a1 = DecompositionProvider.builtin_sl2(3, rs=rs_a1)
         with pytest.raises(DataValidationError, match="document is for"):
-            QrData.from_json_dict(doc, rs=rs_a1)
+            QrData.from_json_dict(doc, over_a1)
         doc["type"] = "A1"
-        assert QrData.from_json_dict(doc, rs=rs_a1).rs is rs_a1
+        assert QrData.from_json_dict(doc, over_a1).provider.rs is rs_a1
         del doc["type"]
-        assert QrData.from_json_dict(doc, rs=rs_a1).rs is rs_a1
+        assert QrData.from_json_dict(doc, over_a1).provider.rs is rs_a1
         doc["cartan"] = {"rank": 1, "matrix": [[2]]}
-        assert QrData.from_json_dict(doc, rs=rs_a1).rs is rs_a1
+        assert QrData.from_json_dict(doc, over_a1).provider.rs is rs_a1
         with pytest.raises(DataValidationError, match="document is for"):
-            QrData.from_json_dict(doc, rs=rs_a2)
+            QrData.from_json_dict(doc, DecompositionProvider(rs_a2, 3, {}))
 
     @pytest.mark.parametrize("key", ["p", "r"])
-    def test_rejects_boolean_p_and_r(self, key):
+    def test_rejects_boolean_p_and_r(self, prov3, key):
         doc = {"type": "A1", "p": 3, "r": 1, "entries": []}
         doc[key] = True
         with pytest.raises(DataValidationError, match="must be an integer"):
-            QrData.from_json_dict(doc)
+            QrData.from_json_dict(doc, prov3)
 
     @pytest.mark.parametrize("p, r", [(3, 0), (1, 1)])
-    def test_rejects_invalid_p_and_r(self, p, r):
+    def test_rejects_invalid_p_and_r(self, prov3, p, r):
         doc = {"type": "A1", "p": p, "r": r, "entries": []}
         message = re.escape(f"invalid (p, r): ({p}, {r})")
         with pytest.raises(DataValidationError, match=message):
-            QrData.from_json_dict(doc)
+            QrData.from_json_dict(doc, prov3)
 
-    def test_rejects_qhat_of_wrong_rank(self):
+    def test_rejects_qhat_of_wrong_rank(self, prov3):
         qhat = {"rank": 2, "entries": [{"weight": [0, 0], "mult": 1}]}
         doc = {"type": "A1", "p": 3, "r": 1, "entries": [{"lambda": [0], "qhat": qhat}]}
         message = re.escape("entry (0,): rank mismatch")
         with pytest.raises(DataValidationError, match=message):
-            QrData.from_json_dict(doc)
+            QrData.from_json_dict(doc, prov3)
 
     def test_rejects_steinberg_entry_that_is_not_trivial(self, rs_a1):
         # q_r at the Steinberg weight must be e^0, not 2 e^0.
+        over_a1 = DecompositionProvider.builtin_sl2(3, rs=rs_a1)
         with pytest.raises(DataValidationError, match="Steinberg entry must divide"):
-            QrData(rs_a1, 3, 1, {(2,): Character(1, {(0,): 2})})
+            QrData(over_a1, 1, {(2,): Character(1, {(0,): 2})})
 
     def test_rejects_q_that_is_not_invariant(self, rs_a1):
+        over_a1 = DecompositionProvider.builtin_sl2(3, rs=rs_a1)
         with pytest.raises(DataValidationError, match=r"not W-invariant at \(1,\)"):
-            QrData(rs_a1, 3, 1, {(0,): Character(1, {(1,): 1})})
+            QrData(over_a1, 1, {(0,): Character(1, {(1,): 1})})
 
-    def test_rejects_document_whose_steinberg_qhat_is_not_st(self, rs_a1):
+    def test_rejects_document_whose_steinberg_qhat_is_not_st(self, prov3, rs_a1):
         # 2 St divides by St, but to 2, not to the trivial character.
         st = steinberg_character(rs_a1, 3, 1)
         qhat = (2 * st).to_json_dict()
         doc = {"type": "A1", "p": 3, "r": 1, "entries": [{"lambda": [2], "qhat": qhat}]}
         with pytest.raises(DataValidationError, match="Steinberg entry must divide"):
-            QrData.from_json_dict(doc)
+            QrData.from_json_dict(doc, prov3)
 
     @pytest.mark.parametrize(
         "later",
@@ -308,18 +313,18 @@ class TestQrData:
             pytest.param({"lambda": [1]}, id="malformed"),
         ],
     )
-    def test_names_the_first_bad_entry_in_document_order(self, rs_a1, later):
+    def test_names_the_first_bad_entry_in_document_order(self, prov3, rs_a1, later):
         # Each entry is checked and divided as it is read, so a later bad
         # entry is not reached.
         first = {"lambda": [0], "qhat": weyl_character((1,), rs_a1).to_json_dict()}
         doc = {"type": "A1", "p": 3, "r": 1, "entries": [first, later]}
         prefix = "Q-hat character for (0,) is not divisible by the Steinberg character"
         with pytest.raises(DataValidationError, match=re.escape(prefix)):
-            QrData.from_json_dict(doc)
+            QrData.from_json_dict(doc, prov3)
 
     def test_builtin_rejects_rank_two(self, rs_a2):
         with pytest.raises(DataValidationError, match="only rank 1"):
-            QrData.builtin_sl2(3, 1, rs=rs_a2)
+            QrData.builtin_sl2(DecompositionProvider(rs_a2, 3, {}), 1)
 
     def test_missing_weight(self, qr3):
         from liechar import CoverageError
@@ -338,8 +343,8 @@ def lhs_rows(records):
 
 
 class TestChastkofskyJantzen:
-    def test_lhs_row_lambda_zero(self, prov3, qr3):
-        values = [cj_lhs((0,), (m,), prov3, qr3, "simple_basis") for m in range(3)]
+    def test_lhs_row_lambda_zero(self, qr3):
+        values = [cj_lhs((0,), (m,), qr3, "simple_basis") for m in range(3)]
         assert values == [1, 0, 1]
 
     def test_rhs_row_lambda_zero(self, prov3):
@@ -350,14 +355,14 @@ class TestChastkofskyJantzen:
         values = [cj_rhs((1,), (m,), 1, prov3) for m in range(3)]
         assert values == [0, 1, 0]
 
-    def test_golden_table_p3(self, prov3, qr3):
-        records = list(cj_table(prov3, qr3, "simple_basis"))
+    def test_golden_table_p3(self, qr3):
+        records = list(cj_table(qr3, "simple_basis"))
         assert all(lhs == rhs for _, _, lhs, rhs in records)
         assert lhs_rows(records) == [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
 
     def test_golden_table_p2(self):
         provider = DecompositionProvider.builtin_sl2(2)
-        records = list(cj_table(provider, QrData.builtin_sl2(2, 1), "simple_basis"))
+        records = list(cj_table(QrData.builtin_sl2(provider, 1), "simple_basis"))
         assert all(lhs == rhs for _, _, lhs, rhs in records)
         assert lhs_rows(records) == [[1, 1], [0, 1]]
 
@@ -366,38 +371,38 @@ class TestChastkofskyJantzen:
         # The CLI lays the records out as rows lambda and columns mu, so
         # their order is part of cj_table's contract.
         provider = DecompositionProvider.builtin_sl2(3)
-        qrdata = QrData.builtin_sl2(3, 2)
+        qrdata = QrData.builtin_sl2(provider, 2)
         labels = provider.rs.restricted_weights(3, 2)
         expected = [
             (
                 lam,
                 mu,
-                cj_lhs(lam, mu, provider, qrdata, method),
+                cj_lhs(lam, mu, qrdata, method),
                 cj_rhs(lam, mu, 2, provider),
             )
             for lam, mu in itertools.product(labels, repeat=2)
         ]
         fresh = DecompositionProvider.builtin_sl2(3)
-        assert list(cj_table(fresh, qrdata, method)) == expected
+        assert list(cj_table(QrData.builtin_sl2(fresh, 2), method)) == expected
 
     @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2)])
     def test_steinberg_row_is_delta(self, p, r):
         provider = DecompositionProvider.builtin_sl2(p)
-        qrdata = QrData.builtin_sl2(p, r)
+        qrdata = QrData.builtin_sl2(provider, r)
         st_weight = (p**r - 1,)
         for mu in provider.rs.restricted_weights(p, r):
             expected = 1 if mu == st_weight else 0
-            assert cj_lhs(st_weight, mu, provider, qrdata, "simple_basis") == expected
+            assert cj_lhs(st_weight, mu, qrdata, "simple_basis") == expected
             assert cj_rhs(st_weight, mu, r, provider) == expected
 
-    def test_method_flag(self, prov3, qr3):
+    def test_method_flag(self, qr3):
         for method in ("direct", "good_filtration", "simple_basis"):
-            assert cj_lhs((0,), (2,), prov3, qr3, method) == 1
+            assert cj_lhs((0,), (2,), qr3, method) == 1
 
     def test_widening_changes_nothing(self, prov3, qr3, monkeypatch):
         def both_sides():
             return [
-                (cj_rhs(lam, mu, 1, prov3), cj_lhs(lam, mu, prov3, qr3, "simple_basis"))
+                (cj_rhs(lam, mu, 1, prov3), cj_lhs(lam, mu, qr3, "simple_basis"))
                 for lam, mu in itertools.product([(0,), (1,), (2,)], repeat=2)
             ]
 
@@ -407,10 +412,11 @@ class TestChastkofskyJantzen:
         assert calls and oracle_covers(calls)
 
 
-def two_lead_qrdata(p, r):
-    """User Q-hat data for lambda = 0 with q = chi(p^r) + chi(p^r - 1): two
-    leads of opposite parity, which are incomparable in A1."""
-    rs = RootSystem(CartanMatrix.builtin("A1"))
+def two_lead_qrdata(provider, r):
+    """User Q-hat data over the A1 provider for lambda = 0 with q =
+    chi(p^r) + chi(p^r - 1): two leads of opposite parity, which are
+    incomparable in A1."""
+    rs, p = provider.rs, provider.p
     q = weyl_character((p**r,), rs) + weyl_character((p**r - 1,), rs)
     qhat = steinberg_character(rs, p, r) * q
     doc = {
@@ -419,7 +425,7 @@ def two_lead_qrdata(p, r):
         "r": r,
         "entries": [{"lambda": [0], "qhat": qhat.to_json_dict()}],
     }
-    return QrData.from_json_dict(doc), q
+    return QrData.from_json_dict(doc, provider), q
 
 
 class TestZeroCells:
@@ -431,14 +437,14 @@ class TestZeroCells:
     def test_incomparable_leads(self, p, r):
         provider = DecompositionProvider.builtin_sl2(p)
         rs = provider.rs
-        qrdata, q = two_lead_qrdata(p, r)
+        qrdata, q = two_lead_qrdata(provider, r)
         assert sorted(qrdata.leads((0,))) == [(p**r - 1,), (p**r,)]
         st_weight = (p**r - 1,)
         needed = set()
         for mu in rs.restricted_weights(p, r):
             chi = provider.simple_character(mu) * q
             values = {
-                method: cj_lhs((0,), mu, provider, qrdata, method)
+                method: cj_lhs((0,), mu, qrdata, method)
                 for method in STEINBERG_METHODS
             }
             assert values == {
@@ -456,8 +462,7 @@ class TestZeroCells:
 
     def test_direct_route_never_reads_leads(self, monkeypatch):
         provider = DecompositionProvider.builtin_sl2(3)
-        qrdata = QrData.builtin_sl2(3, 2)
-        before = list(cj_table(provider, qrdata, "direct"))
+        before = list(cj_table(QrData.builtin_sl2(provider, 2), "direct"))
         assert all(lhs == rhs for _, _, lhs, rhs in before)
 
         def leads(self, lam):
@@ -465,22 +470,23 @@ class TestZeroCells:
 
         monkeypatch.setattr(QrData, "leads", leads)
         fresh = DecompositionProvider.builtin_sl2(3)
-        after = list(cj_table(fresh, qrdata, "direct"))
+        after = list(cj_table(QrData.builtin_sl2(fresh, 2), "direct"))
         assert after == before
 
     def test_nu_sum_routes_never_call_nu_bound(self, monkeypatch):
         # cj_lhs bounds nu by the factor leads alone; a second bound from
         # the product would be wasted work on every nonzero cell.
-        qrdata = QrData.builtin_sl2(3, 2)
-        new_provider = DecompositionProvider.builtin_sl2
-        direct = list(cj_table(new_provider(3), qrdata, "direct"))
+        def new_qrdata():
+            return QrData.builtin_sl2(DecompositionProvider.builtin_sl2(3), 2)
+
+        direct = list(cj_table(new_qrdata(), "direct"))
 
         def nu_bound(*args):
             raise AssertionError("cj_lhs called nu_bound")
 
         monkeypatch.setattr(finite, "nu_bound", nu_bound)
         for method in ("simple_basis", "good_filtration"):
-            records = list(cj_table(new_provider(3), qrdata, method))
+            records = list(cj_table(new_qrdata(), method))
             assert records == direct, method
 
     def test_leads(self, qr3):
@@ -535,8 +541,8 @@ def a1xa1_qhat_document(p, r):
     """The Q-hat data of the block-diagonal A1 x A1 at (p, r): ch Q-hat_r(a, b)
     is the outer product of the A1 built-in characters ch Q-hat_r(a) and
     ch Q-hat_r(b), each St_r * q_r."""
-    qrdata = QrData.builtin_sl2(p, r)
-    st = steinberg_character(qrdata.rs, p, r)
+    qrdata = QrData.builtin_sl2(DecompositionProvider.builtin_sl2(p), r)
+    st = steinberg_character(qrdata.provider.rs, p, r)
     qhats = [(lam, st * q) for lam, q in sorted(qrdata.entries.items())]
     doc_entries = []
     for (a, qhat_a), (b, qhat_b) in itertools.product(qhats, repeat=2):
@@ -553,15 +559,16 @@ def a1xa1_qhat_document(p, r):
 @pytest.fixture(scope="module")
 def a1xa1_p3_r2():
     provider = load_decomposition_data(a1xa1_rows_document(3))
-    return provider, QrData.from_json_dict(a1xa1_qhat_document(3, 2), rs=provider.rs)
+    return QrData.from_json_dict(a1xa1_qhat_document(3, 2), provider)
 
 
-def grid_records(chi, nus, provider, qrdata):
+def grid_records(chi, nus, qrdata):
     """Both sides of Jantzen's identity at every restricted lam and every nu
     in nus, zero cells included, each read off a full expansion: the
     reference for the cells that jantzen_identity_check reads off its
     expansions, its rhs cut at the Steinberg weight."""
-    rs, p, r = provider.rs, provider.p, qrdata.r
+    provider, r = qrdata.provider, qrdata.r
+    rs, p = provider.rs, provider.p
     st_weight = rs.steinberg_weight(p, r)
     coeffs = to_simple_basis(chi, provider)
     for lam in rs.restricted_weights(p, r):
@@ -572,21 +579,21 @@ def grid_records(chi, nus, provider, qrdata):
             yield lam, nu, lhs, rhs
 
 
-def jantzen_records(chi, provider, qrdata):
+def jantzen_records(chi, qrdata):
     """(lam, nu) -> (lhs, rhs) of jantzen_identity_check."""
     return {
         (lam, nu): (lhs, rhs)
-        for lam, nu, lhs, rhs in jantzen_identity_check(chi, provider, qrdata)
+        for lam, nu, lhs, rhs in jantzen_identity_check(chi, qrdata)
     }
 
 
-def check_sweep(sigmas, nus, provider, qrdata):
+def check_sweep(sigmas, nus, qrdata):
     """The records of each chi(sigma) are the nonzero cells of the grid over
     nus, in its order; there is one at least, and lhs = rhs in each."""
     for sigma in sigmas:
-        chi = weyl_character(sigma, provider.rs)
-        records = list(jantzen_identity_check(chi, provider, qrdata))
-        grid = grid_records(chi, nus, provider, qrdata)
+        chi = weyl_character(sigma, qrdata.provider.rs)
+        records = list(jantzen_identity_check(chi, qrdata))
+        grid = grid_records(chi, nus, qrdata)
         assert records == [rec for rec in grid if rec[2] or rec[3]], sigma
         assert records, sigma
         for lam, nu, lhs, rhs in records:
@@ -596,12 +603,12 @@ def check_sweep(sigmas, nus, provider, qrdata):
 class TestJantzenIdentity:
     def test_simple_input(self, prov3, qr3):
         chi = prov3.simple_character((1,))
-        records = jantzen_records(chi, prov3, qr3)
+        records = jantzen_records(chi, qr3)
         assert records[((1,), (0,))] == (1, 1)
 
     def test_twisted_input(self, prov3, qr3):
         chi = prov3.simple_character((4,))
-        lhs, rhs = jantzen_records(chi, prov3, qr3)[((1,), (1,))]
+        lhs, rhs = jantzen_records(chi, qr3)[((1,), (1,))]
         assert lhs == 1
         assert lhs == rhs
 
@@ -609,36 +616,36 @@ class TestJantzenIdentity:
         # Only the cell (0, 0) is nonzero; (0, 1), with 0 on both sides, is
         # left out.
         chi = weyl_character((0,), prov3.rs)
-        assert jantzen_records(chi, prov3, qr3) == {((0,), (0,)): (1, 1)}
+        assert jantzen_records(chi, qr3) == {((0,), (0,)): (1, 1)}
 
-    def test_sweep_p3(self, prov3, qr3):
+    def test_sweep_p3(self, qr3):
         # Every nonzero cell of chi(sigma), sigma < 9, has nu < 6.
         sigmas = [(sigma,) for sigma in range(9)]
-        check_sweep(sigmas, [(nu,) for nu in range(6)], prov3, qr3)
+        check_sweep(sigmas, [(nu,) for nu in range(6)], qr3)
 
     def test_sweep_a1xa1_p3_r2(self, a1xa1_p3_r2):
         # Rank 2 at r = 2; every nonzero cell has nu < (3, 3).
         sigmas = itertools.product(range(0, 7, 3), repeat=2)
         nus = list(itertools.product(range(3), repeat=2))
-        check_sweep(sigmas, nus, *a1xa1_p3_r2)
+        check_sweep(sigmas, nus, a1xa1_p3_r2)
 
     @pytest.mark.parametrize(
         "rank, weight", [(1, (-4,)), (1, (7,)), (2, (1, -2)), (2, (20, 1))]
     )
     def test_non_invariant_chi_raises_before_any_record(
-        self, monkeypatch, prov3, qr3, a1xa1_p3_r2, rank, weight
+        self, monkeypatch, qr3, a1xa1_p3_r2, rank, weight
     ):
         # The rhs is cut at the Steinberg weight, which is sound only for a
         # W-invariant chi: the lhs's full expansion must reject chi first,
         # whether the stray weight lies below the cut or above it.
-        provider, qrdata = (prov3, qr3) if rank == 1 else a1xa1_p3_r2
-        chi = weyl_character((1,) * rank, provider.rs) + Character(rank, {weight: 1})
+        qrdata = qr3 if rank == 1 else a1xa1_p3_r2
+        chi = weyl_character((1,) * rank, qrdata.provider.rs) + Character(rank, {weight: 1})
 
         def no_rhs(*args):
             pytest.fail("the rhs was read before chi's expansion was checked")
 
         monkeypatch.setattr(pims, "expand_above", no_rhs)
-        records = jantzen_identity_check(chi, provider, qrdata)
+        records = jantzen_identity_check(chi, qrdata)
         with pytest.raises(NonInvariantError):
             next(records)
 
@@ -737,28 +744,29 @@ class TestTheorem45a:
 
 
 class TestDataPairing:
-    """p comes from the provider and r from the Q-hat data; the functions
-    that read both refuse a pair for different primes or Cartan matrices."""
+    """p comes from the provider and r from the Q-hat data.  A QrData is
+    built over its provider, so the loader refuses a document for another
+    prime or Cartan matrix, once, before any entry is divided."""
 
-    def mismatched_calls(self, provider, qrdata):
-        chi = weyl_character((0,) * provider.rs.rank, provider.rs)
-        return [
-            lambda: list(cj_table(provider, qrdata, "direct")),
-            lambda: cj_lhs((0,) * qrdata.rs.rank, (0,), provider, qrdata, "direct"),
-            lambda: list(jantzen_identity_check(chi, provider, qrdata)),
-        ]
+    def refused(self, monkeypatch, doc, provider):
+        def divide(*args):
+            pytest.fail("an entry was divided before the document was refused")
 
-    def test_other_prime(self, prov3):
-        qr5 = QrData.builtin_sl2(5, 1)
-        for call in self.mismatched_calls(prov3, qr5):
-            with pytest.raises(DataValidationError, match="p=5.*p=3"):
-                call()
+        monkeypatch.setattr(pims, "character_divide", divide)
+        with pytest.raises(DataValidationError) as info:
+            QrData.from_json_dict(doc, provider)
+        return str(info.value)
 
-    def test_other_cartan_matrix(self, qr3):
+    def test_other_prime(self, monkeypatch, prov3):
+        qr5 = QrData.builtin_sl2(DecompositionProvider.builtin_sl2(5), 1)
+        doc = {"type": "A1", "p": 5, "r": 1, "entries": qhat_entries(qr5)}
+        assert re.search("p=5.*p=3", self.refused(monkeypatch, doc, prov3))
+
+    def test_other_cartan_matrix(self, monkeypatch, qr3):
         provider = DecompositionProvider(RootSystem(CartanMatrix.builtin("A2")), 3, {})
-        for call in self.mismatched_calls(provider, qr3):
-            with pytest.raises(DataValidationError, match=r"\[\[2\]\].*\[\[2, -1\]"):
-                call()
+        doc = {"type": "A1", "p": 3, "r": 1, "entries": qhat_entries(qr3)}
+        message = self.refused(monkeypatch, doc, provider)
+        assert re.search(r"\[\[2\]\].*\[\[2, -1\]", message)
 
     @pytest.mark.parametrize("module", [finite, pims], ids=["finite", "pims"])
     def test_one_source_for_each_value(self, module):
@@ -768,3 +776,4 @@ class TestDataPairing:
             params = inspect.signature(fn).parameters
             assert not {"provider", "p"} <= set(params), name
             assert not {"qrdata", "r"} <= set(params), name
+            assert not {"provider", "qrdata"} <= set(params), name

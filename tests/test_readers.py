@@ -16,6 +16,7 @@ from liechar import (
     CartanMatrix,
     Character,
     DataValidationError,
+    DecompositionProvider,
     LiecharError,
     QrData,
     load_decomposition_data,
@@ -48,7 +49,7 @@ LOADERS = {
         lambda v: {"type": "A1", "p": 3, "rows": v},
     ),
     "qhat": (
-        QrData.from_json_dict,
+        lambda doc: QrData.from_json_dict(doc, DecompositionProvider.builtin_sl2(3)),
         lambda v: {"type": "A1", "p": 3, "r": 1, "entries": v},
     ),
     "cartan": (CartanMatrix.from_json_dict, lambda v: {"rank": 2, "matrix": v}),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from liechar import (
     DataValidationError,
     LiecharError,
+    NonDominantError,
     NotFiniteTypeError,
     RankMismatchError,
 )
@@ -283,12 +285,23 @@ class TestWeylDimension:
         rs = RootSystem(CartanMatrix.builtin(name))
         assert rs.weyl_dimension(rs.rho) == 2 ** len(rs.positive_roots)
 
+    @pytest.mark.parametrize("lam", [(-1, 0), (2, -1)])
+    def test_rejects_non_dominant(self, rs_a2, lam):
+        with pytest.raises(NonDominantError, match=re.escape(f"{lam} is not dominant")):
+            rs_a2.weyl_dimension(lam)
+
     def test_rejects_non_integral_dimension(self, monkeypatch):
         # Over alpha_1 + alpha_2 alone, the product for (1, 0) is 9/6.
         rs = RootSystem(CartanMatrix.builtin("A2"))
         monkeypatch.setattr(rs, "positive_roots", ((1, 1),))
         with pytest.raises(LiecharError, match=r"\(1, 0\)"):
             rs.weyl_dimension((1, 0))
+
+
+@pytest.mark.parametrize("lam", [(-1, 0), (2, -1)])
+def test_count_dominant_below_rejects_non_dominant(rs_a2, lam):
+    with pytest.raises(NonDominantError, match=re.escape(f"{lam} is not dominant")):
+        rs_a2.count_dominant_below(lam)
 
 
 def test_dominant_weights_below(rs_a2):
