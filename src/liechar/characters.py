@@ -150,6 +150,8 @@ class Character:
         return Character, (self.rank, dict(self.support))
 
     def _check_compatible(self, other):
+        """RankMismatchError unless other, a Character or a RootSystem, has
+        this character's rank."""
         if self.rank != other.rank:
             raise RankMismatchError(
                 f"rank mismatch: {self.rank} versus {other.rank}"
@@ -496,8 +498,10 @@ def weyl_character(lam, rs: RootSystem):
 
 
 def _check_invariant(chi, rs):
-    """NonInvariantError naming a weight w with chi(s_i w) != chi(w), unless
-    chi is W-invariant: the simple reflections s_i generate W."""
+    """RankMismatchError unless chi has rs's rank; then NonInvariantError
+    naming a weight w with chi(s_i w) != chi(w), unless chi is W-invariant:
+    the simple reflections s_i generate W."""
+    chi._check_compatible(rs)
     support = chi.support
     for w, m in support.items():
         # s_i fixes w when w_i = 0.
@@ -507,8 +511,9 @@ def _check_invariant(chi, rs):
 
 
 def _times_denominator(chi, rs):
-    """The support of chi * d, d = rs.weyl_denominator, for a W-invariant chi;
-    NonInvariantError (_check_invariant) otherwise."""
+    """The support of chi * d, d = rs.weyl_denominator, for a W-invariant chi
+    of rs's rank; RankMismatchError or NonInvariantError (_check_invariant)
+    otherwise."""
     _check_invariant(chi, rs)
     return _convolve(chi.support, rs.weyl_denominator) if chi else {}
 
@@ -648,8 +653,9 @@ def expand(chi, rs, basis, floor=-math.inf):
 
 
 def to_weyl_basis(chi, rs):
-    """Weyl-basis coefficients of a W-invariant character, else NonInvariantError:
-    [chi : chi(lam)] is the multiplicity of lam + rho in chi * rs.weyl_denominator."""
+    """Weyl-basis coefficients of a W-invariant character of rs's rank, else
+    RankMismatchError or NonInvariantError (_check_invariant): [chi : chi(lam)]
+    is the multiplicity of lam + rho in chi * rs.weyl_denominator."""
     product = _times_denominator(chi, rs)
     return {tuple(c - 1 for c in w): m for w, m in product.items() if min(w) > 0}
 

@@ -4,7 +4,8 @@ A DecompositionProvider holds the rows [nabla(lam) : L(mu)] of the
 p-restricted lam for a fixed root system and prime.  Restricted simple
 characters are recovered from those rows by triangular inversion; every
 other simple character comes from the twisted tensor product over base-p
-digits, and every other row from the simple-basis expansion of chi(lam).
+digits.  Every row, a restricted one included, is the simple-basis
+expansion of chi(lam).
 
 A simple-basis expansion is a leading-term elimination (to_simple_basis),
 and expand_above cuts it at a floor.  One coefficient [X : L(t)]_G of a
@@ -34,7 +35,6 @@ from .errors import (
     DataValidationError,
     LiecharError,
     NonDominantError,
-    RankMismatchError,
     strict_int,
     weight_keyed,
 )
@@ -63,8 +63,9 @@ class DecompositionProvider:
 
     Holds a table of rows for p-restricted lam only: by Steinberg's tensor
     product theorem (Jantzen, RAGS II.3.17) those are the only rows that
-    are data.  Every simple character and every other row is derived from
-    them (simple_character, row).
+    are data.  Every simple character is derived from them
+    (simple_character, the one reader of the table), and every row is read
+    back off the simple characters (row).
     """
 
     def __init__(self, rs: RootSystem, p: int, rows):
@@ -90,25 +91,17 @@ class DecompositionProvider:
             raise DataValidationError("built-in provider supports only rank 1")
         return cls(rs, p, {m: {m: 1} for m in rs.restricted_weights(p, 1)})
 
-    def _table_row(self, lam):
-        try:
-            return self._rows[lam]
-        except KeyError:
-            raise CoverageError(lam, f"no decomposition row for weight {lam}")
-
     def row(self, lam):
-        """Map mu -> [nabla(lam) : L(mu)] over its nonzero entries.
+        """Map mu -> [nabla(lam) : L(mu)] over its nonzero entries: the
+        simple-basis expansion of chi(lam), for every dominant lam.
 
-        A restricted lam's row is a copy of the table's (CoverageError when
-        the table lacks it); any other row is the simple-basis expansion of
-        chi(lam), and LiecharError if that has a negative entry.
+        For a restricted lam that is the table's row, since simple_character
+        inverts exactly those rows; CoverageError when the table lacks a row
+        it needs, and LiecharError if the expansion has a negative entry.
         """
-        lam = tuple(lam)
-        if all(0 <= c < self.p for c in lam):
-            return dict(self._table_row(lam))
         row = to_simple_basis(weyl_character(lam, self.rs), self)
         if any(m < 0 for m in row.values()):
-            raise LiecharError(f"row {lam} has a negative entry: {row}")
+            raise LiecharError(f"row {tuple(lam)} has a negative entry: {row}")
         return row
 
     def simple_character(self, lam):
@@ -130,8 +123,10 @@ class DecompositionProvider:
             raise NonDominantError(f"highest weight {lam} is not dominant")
         digits = weight_digits(lam, self.p)
         if len(digits) == 1:
+            if lam not in self._rows:
+                raise CoverageError(lam, f"no decomposition row for weight {lam}")
             chi = weyl_character(lam, self.rs)
-            for mu, mult in self._table_row(lam).items():
+            for mu, mult in self._rows[lam].items():
                 if mu != lam:
                     chi = chi - mult * self.simple_character(mu)
         else:
@@ -267,8 +262,7 @@ def _product_above(factors, floor, rs):
     than the floor; when every factor is a unit, that is the only cut.
     """
     for f in factors:
-        if f.rank != rs.rank:
-            raise RankMismatchError(f"rank mismatch: {f.rank} versus {rs.rank}")
+        f._check_compatible(rs)
     layers = [f.by_height(rs) for f in factors if not f._is_unit()]
     if not all(layers):
         return {}

@@ -58,14 +58,25 @@ def character_divide(num, rs, p, r):
     By Weyl's formula ch St_r = chi((p^r - 1) rho) = d^(p^r) / d, so q_r is
     num * d over d^(p^r): one product with the Weyl denominator, then one
     exact root-string division per positive root (see the characters
-    module docstring).  NonInvariantError if num is not W-invariant (St_r * e^mu
-    is a multiple of St_r but is not); DivisionFailure, naming
-    the least lowest weight of a root string left over, if St_r does not
-    divide num.
+    module docstring).  RankMismatchError if num is not of rs's rank, and
+    NonInvariantError if num is not W-invariant (St_r * e^mu is a multiple
+    of St_r but is not); DivisionFailure, naming the least lowest weight of
+    a root string left over, if St_r does not divide num.
     """
     return Character._wrap(
         rs.rank, _over_denominator(_times_denominator(num, rs), rs, p**r)
     )
+
+
+def _check_entry(lam, chi, rs, q):
+    """DataValidationError unless lam is a q-restricted weight of rs's rank
+    and chi has rs's rank: the rule for every entry of a QrData."""
+    if len(lam) != rs.rank or not all(0 <= c < q for c in lam):
+        raise DataValidationError(
+            f"entry {lam}: lambda is not a {q}-restricted weight of rank {rs.rank}"
+        )
+    if chi.rank != rs.rank:
+        raise DataValidationError(f"entry {lam}: rank mismatch")
 
 
 class QrData:
@@ -73,9 +84,11 @@ class QrData:
     for the root system and prime of a decomposition provider.
 
     Built from entries, a map from lambda to q_r(lambda), and validated at
-    construction: each q_r(lambda) is W-invariant, and the Steinberg entry
-    is the trivial character.  No Q-hat character is kept, since
-    ch Q-hat_r(lambda) is steinberg_character(rs, p, r) * q.
+    construction: each lambda is a p^r-restricted weight of the provider's
+    rank, each q_r(lambda) is a W-invariant character of that rank, and the
+    Steinberg entry is the trivial character (DataValidationError).  No
+    Q-hat character is kept, since ch Q-hat_r(lambda) is
+    steinberg_character(rs, p, r) * q.
     """
 
     def __init__(self, provider, r, entries):
@@ -85,6 +98,7 @@ class QrData:
         self._leads = {}
         rs = provider.rs
         for lam, q in self.entries.items():
+            _check_entry(lam, q, rs, provider.p**r)
             try:
                 _check_invariant(q, rs)
             except NonInvariantError as exc:
@@ -147,9 +161,10 @@ class QrData:
         matrix (see root_system_of), and its p must be the provider's; each
         refusal is a DataValidationError naming both.  The entries are read
         by errors.weight_keyed, so a malformed entry or a repeated lambda
-        raises DataValidationError.  Each Q-hat is divided by ch St_r as its
-        entry is read, so at most one is held at a time, and the first bad
-        entry in document order is the one named.
+        raises DataValidationError.  Each entry is checked as the
+        constructor checks it (_check_entry), and its Q-hat divided by
+        ch St_r, as it is read, so at most one Q-hat is held at a time, and
+        the first bad entry in document order is the one named.
         """
         if not isinstance(doc, dict):
             raise DataValidationError("Q-hat document must be an object")
@@ -167,14 +182,8 @@ class QrData:
         def read_q(entry):
             # weight_keyed has checked entry["lambda"] already.
             lam = tuple(entry["lambda"])
-            if len(lam) != rs.rank or not all(0 <= c < p**r for c in lam):
-                raise DataValidationError(
-                    f"entry {lam}: lambda is not a {p**r}-restricted weight "
-                    f"of rank {rs.rank}"
-                )
             qhat = Character.from_json_dict(entry["qhat"])
-            if qhat.rank != rs.rank:
-                raise DataValidationError(f"entry {lam}: rank mismatch")
+            _check_entry(lam, qhat, rs, p**r)
             try:
                 return character_divide(qhat, rs, p, r)
             except (DivisionFailure, NonInvariantError) as exc:

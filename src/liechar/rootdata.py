@@ -169,11 +169,14 @@ class CartanMatrix:
 
     @classmethod
     def from_json_dict(cls, doc):
-        """Build from {"type": name} or {"rank": l, "matrix": [[...]]}; the
-        matrix must be a list of rows, and rank, if given, an integer equal
-        to its length (NotFiniteTypeError or DataValidationError otherwise)."""
+        """Build from {"type": name} or {"rank": l, "matrix": [[...]]}, not
+        both; the matrix must be a list of rows, and rank, if given, an
+        integer equal to its length (NotFiniteTypeError or
+        DataValidationError otherwise)."""
         if not isinstance(doc, dict):
             raise NotFiniteTypeError(f"Cartan document must be an object, got {doc!r}")
+        if "type" in doc and "matrix" in doc:
+            raise NotFiniteTypeError("Cartan document has both a 'type' and a 'matrix'")
         if "type" in doc:
             return cls.builtin(doc["type"])
         matrix = doc.get("matrix")
@@ -401,12 +404,15 @@ class RootSystem:
 
 
 def root_system_of(doc, rs=None):
-    """The root system a data document names by its "type" or "cartan" key.
+    """The root system a data document names by its "type" or "cartan" key;
+    a document with both keys raises DataValidationError.
 
     With rs given, a document that names no root system is read over rs,
     and one that names a Cartan matrix other than rs.cartan raises
     DataValidationError.  Without rs, the document must name one.
     """
+    if "type" in doc and "cartan" in doc:
+        raise DataValidationError("document has both a 'type' and a 'cartan' key")
     if "type" in doc:
         cartan = CartanMatrix.builtin(doc["type"])
     elif "cartan" in doc:

@@ -712,6 +712,43 @@ class TestDataResolution:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, flag, doc, message",
+        [
+            pytest.param(
+                ["char", "weyl(1,1)"],
+                "--cartan",
+                {"type": "A2", "matrix": [[2]]},
+                "both a 'type' and a 'matrix'",
+                id="cartan-file",
+            ),
+            pytest.param(
+                ["char", "--type", "A2", "-p", "2", "simple(1,1)"],
+                "--decomp-data",
+                {**a2_p2_document(), "cartan": {"type": "B2"}},
+                "both a 'type' and a 'cartan' key",
+                id="decomposition-data",
+            ),
+            pytest.param(
+                ["cj-table", "-p", "3"],
+                "--qhat-data",
+                {**a1_p3_document("--qhat-data", "A1"), "cartan": {"type": "A1"}},
+                "both a 'type' and a 'cartan' key",
+                id="qhat-data-that-agrees",
+            ),
+        ],
+    )
+    def test_root_system_named_twice(self, capsys, tmp_path, argv, flag, doc, message):
+        # A document names its root system by one key; both are refused,
+        # even when they agree.
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [*argv, flag, str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     @pytest.mark.parametrize("matrix", [[[2, -2], [-2, 2]], [[2, -1], [-4, 2]]])
     def test_cartan_file_not_of_finite_type(self, capsys, tmp_path, matrix):
         path = tmp_path / "cartan.json"

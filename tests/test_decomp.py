@@ -1,7 +1,9 @@
 import copy
 import functools
 import itertools
+import json
 import operator
+import os
 import random
 import re
 from unittest import mock
@@ -22,6 +24,7 @@ from liechar import (
     RankMismatchError,
     decomp,
     load_decomposition_data,
+    steinberg_multiplicity,
     to_simple_basis,
     weyl_character,
 )
@@ -78,12 +81,15 @@ class TestSl2Rows:
         with pytest.raises(DataValidationError, match="only rank 1"):
             DecompositionProvider.builtin_sl2(3, rs=rs_a2)
 
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_row_reconstruction(self, p):
-        # sum of [nabla(m):L(n)] * ch L(n) must recover ch nabla(m) exactly.
+        # sum of [nabla(m):L(n)] * ch L(n) must recover ch nabla(m) exactly,
+        # and below p the expansion is the table's row.
         provider = DecompositionProvider.builtin_sl2(p)
         for m in range(3 * p):
             row = provider.row((m,))
+            if m < p:
+                assert row == provider._rows[m,]
             total = sum(
                 (c * provider.simple_character(n) for n, c in row.items()), Character(1)
             )
@@ -320,6 +326,28 @@ class TestLoadDecompositionData:
         del doc["type"]
         assert load_decomposition_data(doc, rs=rs_a2).rs is rs_a2
 
+    def test_restricted_rows_are_the_benchmark_document_rows(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "perfbench", "data", "a2_p2.json")) as handle:
+            doc = json.load(handle)
+        provider = load_decomposition_data(doc)
+        restricted = [row for row in doc["rows"] if max(row["lambda"]) < doc["p"]]
+        assert len(restricted) == 4
+        for row in restricted:
+            expected = {tuple(f["mu"]): f["mult"] for f in row["factors"]}
+            assert provider.row(row["lambda"]) == expected
+
+    def test_restricted_row_with_lower_factors_is_the_table_row(self, rs_a2):
+        # Any unitriangular table inverts to a basis, so a made-up row with
+        # two lower factors must come back from the expansion of chi(1, 1).
+        rows = {lam: {lam: 1} for lam in rs_a2.restricted_weights(2, 1)}
+        rows[1, 1] = {(1, 1): 1, (0, 0): 2, (1, 0): 0}
+        provider = DecompositionProvider(rs_a2, 2, rows)
+        row = provider.row((1, 1))
+        assert row == {(1, 1): 1, (0, 0): 2}
+        row[0, 0] = 5
+        assert provider.row((1, 1)) == {(1, 1): 1, (0, 0): 2}
+
     def test_missing_row_is_coverage_error(self):
         provider = load_decomposition_data(a2_p2_document(without=(1, 1)))
         with pytest.raises(CoverageError) as info:
@@ -481,6 +509,28 @@ class TestSimpleCoefficient:
         expected = coefficient_above((orbit,), (0,), provider)
         assert coefficient_from_memo((orbit,), (0,), provider) == expected
         assert len(provider._orbit_cache[0,]) == 1094
+
+    def test_a_steinberg_sum_read_twice_fills_every_target(self):
+        # The first simple_basis run of chi(80) at p = 3 reads 40 targets
+        # once each and fills no orbit coefficients; the second run fills
+        # all 40 chains for one saved elimination each, and a third reads
+        # them.  A read-twice cost that drops shows here.
+        provider = DecompositionProvider.builtin_sl2(3, rs=ROOT_SYSTEMS["A1"])
+        chi = weyl_character((80,), provider.rs)
+
+        def run():
+            return steinberg_multiplicity(chi, 1, provider, "simple_basis")
+
+        expected = steinberg_multiplicity(chi, 1, provider, "direct")
+        assert run() == expected
+        cache = provider._orbit_cache
+        assert len(cache) == 40 and not any(cache.values())
+        assert run() == expected
+        assert len(cache) == 40 and all(cache.values())
+        filled = sum(map(len, cache.values()))
+        assert filled == 820
+        assert run() == expected
+        assert sum(map(len, cache.values())) == filled
 
     def test_only_a_target_read_again_fills_the_memo(self):
         provider = DecompositionProvider.builtin_sl2(5, rs=ROOT_SYSTEMS["A1"])

@@ -19,6 +19,7 @@ from liechar import (
     NonInvariantError,
     RankMismatchError,
     RootSystem,
+    character_divide,
     decomp,
     finite,
     finite_composition_multiplicities,
@@ -31,7 +32,7 @@ from liechar import (
     steinberg_multiplicity,
     weyl_character,
 )
-from liechar.characters import leading_dominant_weights
+from liechar.characters import leading_dominant_weights, to_weyl_basis
 from liechar.decomp import weight_digits
 from liechar.finite import STEINBERG_METHODS, contributing_nus
 
@@ -556,6 +557,38 @@ class TestRouteAgreementProperty:
             chi = chi * steinberg_character(rs, 2, 1)
         values = route_values(chi, 1, a2_p2_provider)
         assert len(set(values.values())) == 1, values
+
+
+RANK_GATED_CALLS = {
+    "to_weyl_basis": lambda chi, provider: to_weyl_basis(chi, provider.rs),
+    "nu_bound": lambda chi, provider: nu_bound(chi, 2, 1, provider.rs),
+    "good_filtration": lambda chi, provider: steinberg_multiplicity(
+        chi, 1, provider, "good_filtration"
+    ),
+    "simple_basis": lambda chi, provider: steinberg_multiplicity(
+        chi, 1, provider, "simple_basis"
+    ),
+    "character_divide": lambda chi, provider: character_divide(chi, provider.rs, 2, 1),
+}
+
+
+@pytest.mark.parametrize("call", RANK_GATED_CALLS.values(), ids=RANK_GATED_CALLS)
+@pytest.mark.parametrize(
+    "chi",
+    [
+        Character(1, {(1,): 1, (-1,): 1}),
+        Character(3, {(0, 0, 0): 1}),
+        Character(3, {(1, 0, 0): 1, (-1, 1, 0): 1}),
+    ],
+    ids=["rank-1", "rank-3-unit", "rank-3"],
+)
+def test_invariance_gate_refuses_another_rank(monkeypatch, rs_a2, chi, call):
+    # The rank is checked before any reflection is taken (simple_reflection
+    # is unset), so no weight of another length is indexed as a rank-2 one.
+    provider = DecompositionProvider(rs_a2, 2, {})
+    monkeypatch.setattr(rs_a2, "simple_reflection", None)
+    with pytest.raises(RankMismatchError, match=f"rank mismatch: {chi.rank} versus 2"):
+        call(chi, provider)
 
 
 # Each helper called at r = 0 (base p^0 = 1), by a child process: a helper

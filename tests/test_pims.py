@@ -322,6 +322,43 @@ class TestQrData:
         with pytest.raises(DataValidationError, match=re.escape(prefix)):
             QrData.from_json_dict(doc, prov3)
 
+    @pytest.mark.parametrize(
+        "lam, rank",
+        [((0, 0), 1), ((3,), 1), ((-1,), 1), ((0,), 2)],
+        ids=["lambda-of-rank-2", "lambda-past-p", "negative-lambda", "q-of-rank-2"],
+    )
+    def test_constructor_refuses_an_entry_as_the_loader(self, prov3, lam, rank):
+        # Both run one entry check, so a bad key or a q of the wrong rank
+        # is refused with the same message either way.
+        q = Character(rank, {(0,) * rank: 1})
+        entry = {"lambda": list(lam), "qhat": q.to_json_dict()}
+        doc = {"type": "A1", "p": 3, "r": 1, "entries": [entry]}
+        with pytest.raises(DataValidationError) as loaded:
+            QrData.from_json_dict(doc, prov3)
+        with pytest.raises(DataValidationError) as built:
+            QrData(prov3, 1, {lam: q})
+        assert str(built.value) == str(loaded.value)
+        assert str(built.value).startswith(f"entry {lam}: ")
+
+    @pytest.mark.parametrize(
+        "r, lam, rank, problem",
+        [
+            (1, (0,), 2, "lambda is not a 2-restricted weight of rank 2"),
+            (1, (5, 5), 2, "lambda is not a 2-restricted weight of rank 2"),
+            (1, (0, 0), 1, "rank mismatch"),
+            (2, (4, 0), 2, "lambda is not a 4-restricted weight of rank 2"),
+        ],
+        ids=["rank-1-lambda", "lambda-past-p", "rank-1-q", "lambda-past-p-squared"],
+    )
+    def test_constructor_refuses_an_entry_over_a2(self, rs_a2, r, lam, rank, problem):
+        # Each entry is checked before its q is tested for W-invariance,
+        # which would index a rank-1 q as a rank-2 one.
+        provider = DecompositionProvider(rs_a2, 2, {})
+        q = Character(rank, {(0,) * rank: 1})
+        message = f"entry {lam}: {problem}"
+        with pytest.raises(DataValidationError, match=re.escape(message)):
+            QrData(provider, r, {lam: q})
+
     def test_builtin_rejects_rank_two(self, rs_a2):
         with pytest.raises(DataValidationError, match="only rank 1"):
             QrData.builtin_sl2(DecompositionProvider(rs_a2, 3, {}), 1)
