@@ -13,19 +13,24 @@ W-invariant X can also be read with none: X is a sum of W-orbit sums
 m(kappa), so it is the sum of X(kappa) [m(kappa) : L(t)]_G, and those orbit
 coefficients, unitriangular in the simple characters, can be memoized on
 the provider and shared by every product read at the same t.
-simple_coefficient eliminates on the first read of a t and sums over the
-memo from the second, since filling the memo of a t can cost far more
-than one elimination.
+simple_coefficient eliminates on the first read of a t, since filling the
+memo of a t can cost far more than one elimination.  From the second it
+forms no product: it fills the memo below the sums of the factors' leads,
+which every dominant weight of the product lies below, and reads X(kappa)
+pointwise at the few kappa whose orbit coefficient is not 0.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from operator import add, itemgetter
+from operator import add, itemgetter, mul, sub
 
 from .characters import (
     Character,
     expand,
+    leading_dominant_weights,
     not_invariant_error,
     twisted_product,
     weyl_character,
@@ -65,31 +70,49 @@ class DecompositionProvider:
     product theorem (Jantzen, RAGS II.3.17) those are the only rows that
     are data.  Every simple character is derived from them
     (simple_character, the one reader of the table), and every row is read
-    back off the simple characters (row).
+    back off the simple characters (row).  With rows None, every
+    restricted nabla(lam) is simple, and no row is held.
     """
 
     def __init__(self, rs: RootSystem, p: int, rows):
         self.rs = rs
         self.p = p
-        self._rows = {tuple(lam): dict(factors) for lam, factors in rows.items()}
+        if rows is not None:
+            rows = {tuple(lam): dict(factors) for lam, factors in rows.items()}
+        self._rows = rows
         self._simple_cache = {}
         self._finite_cache = {}
-        # (mu, nu) -> simple-basis coefficients of L(mu) * L(nu), for cj_rhs.
+        # (mu, nu) -> simple-basis coefficients of L(mu) * L(nu), and
+        # (r, mu) -> {lam: cj_rhs(lam, mu, r)}, for pims.cj_rhs.
         self._tensor_cache = {}
+        self._rhs_columns = {}
         # t -> {kappa: [m(kappa) : L(t)]_G}, m(kappa) the W-orbit sum of
         # kappa, for simple_coefficient; a t read once maps to {}.
         self._orbit_cache = {}
+        # t -> (the dominant weights whose dominant weights below, at or
+        # above t's height, are in _orbit_cache[t]; its nonzero entries as
+        # (height, kappa, a), in increasing height), for simple_coefficient.
+        self._orbit_cover = {}
+        # id(chi) -> (chi, its leading dominant weights), for _leads.
+        self._lead_cache = {}
 
     @classmethod
     def builtin_sl2(cls, p, rs=None):
-        """Rank-1 rows: every restricted nabla(m), m < p, is simple.
+        """Rank-1 rows: every restricted nabla(m), m < p, is simple, so
+        the provider holds no rows.
 
-        LiecharError, from restricted_weights, for p > MAX_WEYL_WEIGHTS.
+        LiecharError, as restricted_weights refuses the p restricted
+        weights, for p > MAX_WEYL_WEIGHTS.
         """
         rs = rs or RootSystem(CartanMatrix.builtin("A1"))
         if rs.rank != 1:
             raise DataValidationError("built-in provider supports only rank 1")
-        return cls(rs, p, {m: {m: 1} for m in rs.restricted_weights(p, 1)})
+        if p > MAX_WEYL_WEIGHTS:
+            raise LiecharError(
+                f"the {p}^1-restricted weights of rank 1 number more than "
+                f"{MAX_WEYL_WEIGHTS}"
+            )
+        return cls(rs, p, None)
 
     def row(self, lam):
         """Map mu -> [nabla(lam) : L(mu)] over its nonzero entries: the
@@ -123,10 +146,11 @@ class DecompositionProvider:
             raise NonDominantError(f"highest weight {lam} is not dominant")
         digits = weight_digits(lam, self.p)
         if len(digits) == 1:
-            if lam not in self._rows:
+            row = {lam: 1} if self._rows is None else self._rows.get(lam)
+            if row is None:
                 raise CoverageError(lam, f"no decomposition row for weight {lam}")
             chi = weyl_character(lam, self.rs)
-            for mu, mult in self._rows[lam].items():
+            for mu, mult in row.items():
                 if mu != lam:
                     chi = chi - mult * self.simple_character(mu)
         else:
@@ -180,19 +204,29 @@ def simple_coefficient(factors, t, provider):
     A W-invariant X is the sum of X(kappa) m(kappa) over dominant kappa,
     m(kappa) being the W-orbit sum of kappa, so [X : L(t)]_G is the sum of
     X(kappa) a(kappa, t) with a(kappa, t) = [m(kappa) : L(t)]_G
-    (_orbit_coefficients).  a(kappa, t) is 0 unless kappa lies at or above
-    t's scaled height, so only that part of the product is formed
-    (_product_above), and only its dominant weights are read.
+    (_orbit_coefficients), which is 0 unless kappa lies at or above t's
+    scaled height.
 
     Finding the a(kappa, t) of one t can cost far more than one elimination
     (expand_above), and pays only when the same t is read again.  So the
     first read of a target t is expand_above's, and marks t in
-    provider._orbit_cache; every later read of t sums over the memo.
+    provider._orbit_cache; no later read of t forms the product.  Every
+    dominant weight of the product lies below a sum of leading dominant
+    weights of the factors, one each (_leads).  A later read fills the memo
+    of t for every dominant kappa at or above t's height below such a sum
+    (_cover; provider._orbit_cover keeps what is filled), then sums
+    a(kappa, t) X(kappa) over the nonzero a(kappa, t) at or below the
+    product's top height only, each X(kappa) read pointwise as the sum of
+    S(y) F(kappa - y): F is the factor of largest support, S the product of
+    the others.
 
     The identity holds only for a W-invariant product, and the caller
-    certifies it, as for expand_above (finite.steinberg_nu_sum).  A cut
-    product that is not empty but holds no dominant weight raises
-    NonInvariantError, as expand does.
+    certifies it, as for expand_above (finite.steinberg_nu_sum).  The top
+    weight of a W-invariant product, the sum of its factors' tops in
+    (scaled height, tuple) order, is dominant.  A product whose top reaches
+    t's height but is not dominant raises NonInvariantError, naming the
+    largest weight of its cut (_product_above), as expand names its
+    residual's.
     """
     rs = provider.rs
     floor = rs.scaled_height(t)
@@ -201,12 +235,87 @@ def simple_coefficient(factors, t, provider):
         value = expand_above(factors, floor, provider).get(t, 0)
         provider._orbit_cache[t] = {}
         return value
-    product = _product_above(factors, floor, rs)
-    dominant = [kappa for kappa in product if min(kappa) >= 0]
-    if product and not dominant:
-        raise not_invariant_error(max(product))
-    _orbit_coefficients(dominant, t, memo, provider)
-    return sum(product[kappa] * memo[kappa] for kappa in dominant)
+    for f in factors:
+        f._check_compatible(rs)
+    factors = sorted(
+        (f for f in factors if not f._is_unit()), key=lambda f: len(f.support)
+    )
+    if not factors:
+        return int(not any(t))
+    if not all(factors):
+        return 0
+    tops = [f.by_height(rs)[0] for f in factors]
+    height = sum(h for h, _, _ in tops)
+    if height < floor:
+        return 0
+    if min(map(sum, zip(*(w for _, w, _ in tops)))) < 0:
+        raise not_invariant_error(max(_product_above(factors, floor, rs)))
+    cover = provider._orbit_cover.get(t)
+    if cover is None:
+        cover = provider._orbit_cover[t] = (set(), [])
+    covered, nonzero = cover
+    leads = itertools.product(*(_leads(f, provider) for f in factors))
+    sums = {tuple(map(sum, zip(*ws))) for ws in leads} - covered
+    if sums:
+        known = len(memo)
+        _orbit_coefficients(_cover(sums, floor, covered, rs), t, memo, provider)
+        new = itertools.islice(memo.items(), known, None)
+        nonzero += [(rs.scaled_height(k), k, a) for k, a in new if a]
+        nonzero.sort()
+    big = factors.pop().support
+    rest = functools.reduce(mul, factors).support if factors else {(0,) * rs.rank: 1}
+    total = 0
+    for h, kappa, a in nonzero:
+        if h > height:
+            break
+        for y, m in rest.items():
+            total += a * m * big.get(tuple(map(sub, kappa, y)), 0)
+    return total
+
+
+def _cover(weights, floor, covered, rs):
+    """The dominant weights at or above scaled height floor below one of
+    weights and below no weight of covered, in decreasing height; each is
+    added to covered, and so are weights.
+
+    Dominant kappa < lam are joined by a chain of dominant weights, each a
+    positive root below the one before (Stembridge, Adv. Math. 136 (1998),
+    Cor. 2.7), whose heights fall from lam's to kappa's.  So a walk down
+    from weights by positive roots, through dominant weights at or above
+    the floor, reaches every such kappa.  It stops at a weight of covered,
+    every dominant weight below which, at or above the floor, is in covered
+    already, since each walk adds all it reaches.
+    """
+    height = rs.scaled_height
+    covered |= weights
+    stack = [w for w in weights if height(w) >= floor]
+    found = list(stack)
+    while stack:
+        kappa = stack.pop()
+        for root in rs.positive_roots:
+            low = tuple(map(sub, kappa, root))
+            if low not in covered and min(low) >= 0 and height(low) >= floor:
+                covered.add(low)
+                stack.append(low)
+                found.append(low)
+    # Lowest last, on top of _orbit_coefficients' stack, so that each chain
+    # is found once.
+    return sorted(found, key=height, reverse=True)
+
+
+def _leads(chi, provider):
+    """The leading dominant weights of chi, memoized on the provider by
+    identity (the entry holds chi, so that its id is not reused); for the
+    provider's cached simple character of a weight, that weight alone."""
+    entry = provider._lead_cache.get(id(chi))
+    if entry is None:
+        top = chi.by_height(provider.rs)[0][1]
+        if provider._simple_cache.get(top) is chi:
+            leads = (top,)
+        else:
+            leads = leading_dominant_weights(chi.support, provider.rs)
+        entry = provider._lead_cache[id(chi)] = (chi, leads)
+    return entry[1]
 
 
 def _orbit_coefficients(kappas, t, memo, provider):

@@ -22,6 +22,7 @@ theorem45a_socle_check (mu, lhs, rhs).  The CLI compares and renders them.
 
 from __future__ import annotations
 
+import itertools
 from operator import add
 
 from .characters import (
@@ -39,6 +40,7 @@ from .errors import (
     CoverageError,
     DataValidationError,
     DivisionFailure,
+    NonDominantError,
     NonInvariantError,
     strict_int,
     weight_keyed,
@@ -199,67 +201,110 @@ class QrData:
 def cj_lhs(lam, mu, qrdata, method):
     """[Q-hat_r(lambda) : U_r(mu)] = [chi_p(mu) . q_r(lambda*) : St_r]_{G(F_q)}.
 
-    The two nu-sum routes bound nu by the factors' leads rather than by
-    nu_bound of the product, which would expand the product in the Weyl
-    basis on every cell.  The factor leads are sound: every weight of L(mu)
-    lies below mu, and every weight of the W-invariant q_r(lambda*) below
-    some m in qrdata.leads(lambda*), so every weight of the product lies
-    below some mu + m, and contributing_nus on the weights mu + m keeps
-    every nu that nu_bound keeps.  When it keeps none, the cell is 0;
-    otherwise steinberg_nu_sum runs over those nu on the factors
-    (L(mu), q_r(lambda*)), which certify the W-invariance of their product,
-    so the simple_basis route forms only the part of each product at or
-    above its target and good_filtration forms the product once.  The direct
-    route is the independent check of the other two, so it forms the whole
-    product on every cell and never reads the leads.
+    One cell of cj_table, by the kernel _lhs_cell that the table runs on
+    every cell.
     """
     provider, r = qrdata.provider, qrdata.r
-    rs, p = provider.rs, provider.p
+    rs = provider.rs
     mu = tuple(mu)
     dual = rs.dual_weight(tuple(lam))
     # Looked up before the bound, so that a bad mu raises on every cell.
     chi_mu = provider.simple_character(mu)
-    if method in ("good_filtration", "simple_basis"):
-        leads = [tuple(map(add, mu, m)) for m in qrdata.leads(dual)]
-        nus = contributing_nus(leads, rs.steinberg_weight(p, r), p, r, rs)
-        if not nus:
-            return 0
-        return steinberg_nu_sum((chi_mu, qrdata.q(dual)), nus, r, provider, method)
-    return steinberg_multiplicity(chi_mu * qrdata.q(dual), r, provider, method)
+    leads = None if method == "direct" else qrdata.leads(dual)
+    st_weight = rs.steinberg_weight(provider.p, r)
+    return _lhs_cell(mu, chi_mu, qrdata.q(dual), leads, st_weight, r, provider, method)
+
+
+def _lhs_cell(mu, chi_mu, q, leads, st_weight, r, provider, method):
+    """cj_lhs of the cell with column mu, chi_mu = ch L(mu), and row
+    q = q_r(lambda*), leads its leading dominant weights (None on the
+    direct route, which reads none).
+
+    The two nu-sum routes bound nu by the factors' leads rather than by
+    nu_bound of the product, which would expand the product in the Weyl
+    basis on every cell.  The factor leads are sound: every weight of L(mu)
+    lies below mu, and every weight of the W-invariant q_r(lambda*) below
+    some m in leads, so every weight of the product lies below some mu + m,
+    and contributing_nus on the weights mu + m keeps every nu that nu_bound
+    keeps.  When it keeps none, the cell is 0; otherwise steinberg_nu_sum
+    runs over those nu on the factors (L(mu), q_r(lambda*)), which certify
+    the W-invariance of their product, so the simple_basis route forms no
+    product once its targets have been read and good_filtration forms the
+    product once.  The direct route is the independent check of the other
+    two, so it forms the whole product on every cell.
+    """
+    if method not in ("good_filtration", "simple_basis"):
+        return steinberg_multiplicity(chi_mu * q, r, provider, method)
+    rs, p = provider.rs, provider.p
+    tops = [tuple(map(add, mu, m)) for m in leads]
+    nus = contributing_nus(tops, st_weight, p, r, rs)
+    if not nus:
+        return 0
+    return steinberg_nu_sum((chi_mu, q), nus, r, provider, method)
 
 
 def cj_rhs(lam, mu, r, provider):
-    """sum over nu of [L(mu) x L(nu) : L(lambda + p^r nu)]_G.
+    """sum over nu of [L(mu) x L(nu) : L(lambda + p^r nu)]_G, for dominant
+    lambda (NonDominantError otherwise).
 
-    The simple-basis expansion of L(mu) x L(nu) does not depend on lambda or
-    r, so it is memoized on the provider and read, never handed out.
+    Read off the column of (r, mu), every lambda's sum at once, memoized on
+    the provider.  [L(mu) x L(nu) : L(w)]_G is 0 unless w <= mu + nu, so
+    the term of (lambda, nu) is 0 unless nu is in contributing_nus([mu],
+    lambda).  Every dominant lambda lies above the least dominant weight of
+    its coset of the root lattice, 0 or a minuscule weight, whose
+    coordinates are 0 or 1; so nu runs over the union of the boxes of the b
+    in {0, 1}^rank.  The simple-basis expansion of L(mu) x L(nu) does not
+    depend on lambda or r, so it is memoized on the provider too, and each
+    of its coefficients at w is read once, for the lambda = w - p^r nu that
+    is dominant.
     """
-    rs, p = provider.rs, provider.p
+    provider.rs.check_rank(lam)
     lam = tuple(lam)
+    if min(lam) < 0:
+        raise NonDominantError(f"weight {lam} is not dominant")
     mu = tuple(mu)
-    total = 0
-    chi_mu = provider.simple_character(mu)
-    cache = provider._tensor_cache
-    for nu in contributing_nus([mu], lam, p, r, rs):
-        coeffs = cache.get((mu, nu))
-        if coeffs is None:
-            product = chi_mu * provider.simple_character(nu)
-            coeffs = cache[(mu, nu)] = to_simple_basis(product, provider)
-        target = tuple(a + p**r * n for a, n in zip(lam, nu))
-        total += coeffs.get(target, 0)
-    return total
+    column = provider._rhs_columns.get((r, mu))
+    if column is None:
+        rs, p = provider.rs, provider.p
+        chi_mu = provider.simple_character(mu)
+        cache = provider._tensor_cache
+        bases = itertools.product((0, 1), repeat=rs.rank)
+        nus = (nu for b in bases for nu in contributing_nus([mu], b, p, r, rs))
+        column = {}
+        for nu in dict.fromkeys(nus):
+            coeffs = cache.get((mu, nu))
+            if coeffs is None:
+                product = chi_mu * provider.simple_character(nu)
+                coeffs = cache[(mu, nu)] = to_simple_basis(product, provider)
+            for w, c in coeffs.items():
+                cell = tuple(a - p**r * n for a, n in zip(w, nu))
+                if min(cell) >= 0:
+                    column[cell] = column.get(cell, 0) + c
+        provider._rhs_columns[r, mu] = column
+    return column.get(lam, 0)
 
 
 def cj_table(qrdata, method):
     """Both sides of the Chastkofsky-Jantzen formula, as one record
     (lam, mu, lhs, rhs) per pair of restricted weights, lam-major in
     restricted_weights order: lhs is cj_lhs by method, rhs is cj_rhs.
+
+    Each row's lambda*, q_r(lambda*) and its leads, each column's L(mu)
+    and the Steinberg weight are found once, and every lhs cell runs the
+    kernel of cj_lhs (_lhs_cell); the rhs of a cell is read off the column
+    of its mu (cj_rhs).
     """
     provider, r = qrdata.provider, qrdata.r
-    labels = provider.rs.restricted_weights(provider.p, r)
+    rs = provider.rs
+    st_weight = rs.steinberg_weight(provider.p, r)
+    labels = rs.restricted_weights(provider.p, r)
+    columns = [(mu, provider.simple_character(mu)) for mu in labels]
     for lam in labels:
-        for mu in labels:
-            left = cj_lhs(lam, mu, qrdata, method)
+        dual = rs.dual_weight(lam)
+        leads = None if method == "direct" else qrdata.leads(dual)
+        q = qrdata.q(dual)
+        for mu, chi_mu in columns:
+            left = _lhs_cell(mu, chi_mu, q, leads, st_weight, r, provider, method)
             yield lam, mu, left, cj_rhs(lam, mu, r, provider)
 
 

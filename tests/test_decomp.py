@@ -89,7 +89,7 @@ class TestSl2Rows:
         for m in range(3 * p):
             row = provider.row((m,))
             if m < p:
-                assert row == provider._rows[m,]
+                assert row == {(m,): 1}
             total = sum(
                 (c * provider.simple_character(n) for n, c in row.items()), Character(1)
             )
@@ -542,6 +542,35 @@ class TestSimpleCoefficient:
         assert size
         assert simple_coefficient(factors, (4,), provider) == first
         assert len(provider._orbit_cache[4,]) == size
+
+    def test_incomparable_leads(self):
+        # chi(3,0) + chi(0,3) on A2 has two incomparable leads, and its top
+        # (3,0) is the lead of the product read before it, so the memo of t
+        # must be filled below the lead (0,3) as well.
+        rs = ROOT_SYSTEMS["A2"]
+        first = weyl_character((3, 0), rs)
+        second = first + weyl_character((0, 3), rs)
+        expected = to_simple_basis(second, provider_for(rs))
+        for t in rs.dominant_weights_below((3, 0)) + rs.dominant_weights_below((0, 3)):
+            provider = load_decomposition_data(a2_p2_document(), rs=rs)
+            simple_coefficient((), t, provider)
+            simple_coefficient((first,), t, provider)
+            assert simple_coefficient((second,), t, provider) == expected.get(t, 0), t
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A1xA1"])
+def test_cover_is_every_dominant_weight_below_above_the_floor(name):
+    # decomp._cover walks down by positive roots through dominant weights;
+    # dominant_weights_below scans a box of root coordinates.
+    rs = cut_provider("A1xA1", 3).rs if name == "A1xA1" else ROOT_SYSTEMS[name]
+    covered = set()
+    for lam in itertools.product(range(4), repeat=rs.rank):
+        below = rs.dominant_weights_below(lam)
+        floor = rs.scaled_height(below[len(below) // 2])
+        expected = {k for k in below if rs.scaled_height(k) >= floor}
+        assert set(decomp._cover({lam}, floor, set(), rs)) == expected, lam
+        decomp._cover({lam} - covered, 0, covered, rs)
+        assert {k for k in below if rs.scaled_height(k) >= 0} <= covered, lam
 
 
 A1XA1 = {"rank": 2, "matrix": [[2, 0], [0, 2]]}

@@ -12,6 +12,7 @@ from liechar import (
     DataValidationError,
     DecompositionProvider,
     DivisionFailure,
+    NonDominantError,
     NonInvariantError,
     QrData,
     RootSystem,
@@ -597,6 +598,53 @@ def a1xa1_qhat_document(p, r):
 def a1xa1_p3_r2():
     provider = load_decomposition_data(a1xa1_rows_document(3))
     return QrData.from_json_dict(a1xa1_qhat_document(3, 2), provider)
+
+
+def rhs_reference(lam, mu, r, provider):
+    """cj_rhs by its definition, one cell at a time: the sum over the nu of
+    contributing_nus([mu], lam) of the coefficient at lam + p^r nu of the
+    full simple-basis expansion of L(mu) * L(nu)."""
+    q = provider.p**r
+    total = 0
+    for nu in contributing_nus([mu], lam, provider.p, r, provider.rs):
+        product = provider.simple_character(mu) * provider.simple_character(nu)
+        target = tuple(a + q * n for a, n in zip(lam, nu))
+        total += to_simple_basis(product, provider).get(target, 0)
+    return total
+
+
+class TestCjTableRoute:
+    """cj_table finds each row's and column's data once and reads rhs off
+    per-mu columns; every record must be the cell that cj_lhs and cj_rhs
+    give on their own, and every rhs the per-cell sum of its definition."""
+
+    @pytest.fixture(scope="class", params=["A1-p5-r2", "A1xA1-p3-r2"])
+    def case(self, request, a1xa1_p3_r2):
+        if request.param == "A1xA1-p3-r2":
+            return a1xa1_p3_r2
+        return QrData.builtin_sl2(DecompositionProvider.builtin_sl2(5), 2)
+
+    @pytest.mark.parametrize("method", STEINBERG_METHODS)
+    def test_table_is_its_cells(self, case, method):
+        provider, r = case.provider, case.r
+        expected = [
+            (lam, mu, cj_lhs(lam, mu, case, method), cj_rhs(lam, mu, r, provider))
+            for lam, mu, _, _ in cj_table(case, method)
+        ]
+        assert list(cj_table(case, method)) == expected
+        assert all(lhs == rhs for _, _, lhs, rhs in expected)
+
+    def test_rhs_columns_are_the_per_cell_sums(self, case):
+        provider, r = case.provider, case.r
+        labels = provider.rs.restricted_weights(provider.p, r)
+        for lam, mu in itertools.product(labels, repeat=2):
+            reference = rhs_reference(lam, mu, r, provider)
+            assert cj_rhs(lam, mu, r, provider) == reference, (lam, mu)
+
+    def test_rhs_refuses_a_weight_that_is_not_dominant(self, case):
+        rs = case.provider.rs
+        with pytest.raises(NonDominantError):
+            cj_rhs((-1,) * rs.rank, (0,) * rs.rank, case.r, case.provider)
 
 
 def grid_records(chi, nus, qrdata):
