@@ -115,10 +115,10 @@ class Character:
     Virtual characters (negative multiplicities) are allowed; W-invariance
     is a property of most public inputs but is not enforced here.  rank and
     support cannot be reassigned once set, so cached characters can be shared.
-    The only other state is the memo of by_height.
+    The only other state is the memos of by_height and _dominant_leads.
     """
 
-    __slots__ = ("rank", "support", "_by_height")
+    __slots__ = ("rank", "support", "_by_height", "_leads")
 
     def __init__(self, rank, support=None):
         checked = {}
@@ -228,6 +228,15 @@ class Character:
             items = self.support.items()
             memo = (rs, sorted(((height(w), w, m) for w, m in items), reverse=True))
             object.__setattr__(self, "_by_height", memo)
+        return memo[1]
+
+    def _dominant_leads(self, rs):
+        """leading_dominant_weights of the support, as a tuple; memoized for
+        the last root system asked, as by_height is."""
+        memo = getattr(self, "_leads", None)
+        if memo is None or memo[0] is not rs:
+            memo = (rs, tuple(leading_dominant_weights(self.support, rs)))
+            object.__setattr__(self, "_leads", memo)
         return memo[1]
 
     def dimension(self):

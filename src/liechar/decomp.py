@@ -15,9 +15,10 @@ coefficients, unitriangular in the simple characters, can be memoized on
 the provider and shared by every product read at the same t.
 simple_coefficient eliminates on the first read of a t, since filling the
 memo of a t can cost far more than one elimination.  From the second it
-forms no product: it fills the memo below the sums of the factors' leads,
-which every dominant weight of the product lies below, and reads X(kappa)
-pointwise at the few kappa whose orbit coefficient is not 0.
+forms no cut product: it fills the memo below the sums of the factors'
+leads, which every dominant weight of the product lies below, and reads
+X(kappa) pointwise at the few kappa whose orbit coefficient is not 0, off
+the largest factor and the product of the others.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from operator import add, itemgetter, mul, sub
 from .characters import (
     Character,
     expand,
-    leading_dominant_weights,
     not_invariant_error,
     twisted_product,
     weyl_character,
@@ -93,8 +93,6 @@ class DecompositionProvider:
         # above t's height, are in _orbit_cache[t]; its nonzero entries as
         # (height, kappa, a), in increasing height), for simple_coefficient.
         self._orbit_cover = {}
-        # id(chi) -> (chi, its leading dominant weights), for _leads.
-        self._lead_cache = {}
 
     @classmethod
     def builtin_sl2(cls, p, rs=None):
@@ -210,15 +208,16 @@ def simple_coefficient(factors, t, provider):
     Finding the a(kappa, t) of one t can cost far more than one elimination
     (expand_above), and pays only when the same t is read again.  So the
     first read of a target t is expand_above's, and marks t in
-    provider._orbit_cache; no later read of t forms the product.  Every
+    provider._orbit_cache; no later read of t forms the cut product.  Every
     dominant weight of the product lies below a sum of leading dominant
-    weights of the factors, one each (_leads).  A later read fills the memo
-    of t for every dominant kappa at or above t's height below such a sum
-    (_cover; provider._orbit_cover keeps what is filled), then sums
+    weights of the factors, one each (Character._dominant_leads, memoized
+    on each factor).  A later read fills the memo of t for every dominant
+    kappa at or above t's height below such a sum (_cover;
+    provider._orbit_cover keeps what is filled), then sums
     a(kappa, t) X(kappa) over the nonzero a(kappa, t) at or below the
     product's top height only, each X(kappa) read pointwise as the sum of
-    S(y) F(kappa - y): F is the factor of largest support, S the product of
-    the others.
+    S(y) F(kappa - y): F is the factor of largest support, and S, the
+    product of the others, is the one product such a read forms.
 
     The identity holds only for a W-invariant product, and the caller
     certifies it, as for expand_above (finite.steinberg_nu_sum).  The top
@@ -254,7 +253,7 @@ def simple_coefficient(factors, t, provider):
     if cover is None:
         cover = provider._orbit_cover[t] = (set(), [])
     covered, nonzero = cover
-    leads = itertools.product(*(_leads(f, provider) for f in factors))
+    leads = itertools.product(*(f._dominant_leads(rs) for f in factors))
     sums = {tuple(map(sum, zip(*ws))) for ws in leads} - covered
     if sums:
         known = len(memo)
@@ -301,21 +300,6 @@ def _cover(weights, floor, covered, rs):
     # Lowest last, on top of _orbit_coefficients' stack, so that each chain
     # is found once.
     return sorted(found, key=height, reverse=True)
-
-
-def _leads(chi, provider):
-    """The leading dominant weights of chi, memoized on the provider by
-    identity (the entry holds chi, so that its id is not reused); for the
-    provider's cached simple character of a weight, that weight alone."""
-    entry = provider._lead_cache.get(id(chi))
-    if entry is None:
-        top = chi.by_height(provider.rs)[0][1]
-        if provider._simple_cache.get(top) is chi:
-            leads = (top,)
-        else:
-            leads = leading_dominant_weights(chi.support, provider.rs)
-        entry = provider._lead_cache[id(chi)] = (chi, leads)
-    return entry[1]
 
 
 def _orbit_coefficients(kappas, t, memo, provider):

@@ -32,7 +32,6 @@ from .characters import (
     _times_denominator,
     check_printable_power,
     from_weyl_basis,
-    leading_dominant_weights,
     twisted_product,
 )
 from .decomp import expand_above, to_simple_basis
@@ -97,7 +96,6 @@ class QrData:
         self.provider = provider
         self.r = r
         self.entries = {tuple(lam): q for lam, q in entries.items()}
-        self._leads = {}
         rs = provider.rs
         for lam, q in self.entries.items():
             _check_entry(lam, q, rs, provider.p**r)
@@ -123,15 +121,9 @@ class QrData:
         q_r(lam) is W-invariant (checked at construction), so every weight
         of its support lies below its dominant W-conjugate, which is in the
         support, and hence below one of these; cj_lhs bounds nu by them.
-        Computed on first use, not at construction.
+        Computed on first use and memoized on q_r(lam), not at construction.
         """
-        lam = tuple(lam)
-        cached = self._leads.get(lam)
-        if cached is None:
-            cached = self._leads[lam] = tuple(
-                leading_dominant_weights(self.q(lam).support, self.provider.rs)
-            )
-        return cached
+        return self.q(lam)._dominant_leads(self.provider.rs)
 
     @classmethod
     def builtin_sl2(cls, provider, r):
@@ -201,46 +193,33 @@ class QrData:
 def cj_lhs(lam, mu, qrdata, method):
     """[Q-hat_r(lambda) : U_r(mu)] = [chi_p(mu) . q_r(lambda*) : St_r]_{G(F_q)}.
 
-    One cell of cj_table, by the kernel _lhs_cell that the table runs on
-    every cell.
-    """
-    provider, r = qrdata.provider, qrdata.r
-    rs = provider.rs
-    mu = tuple(mu)
-    dual = rs.dual_weight(tuple(lam))
-    # Looked up before the bound, so that a bad mu raises on every cell.
-    chi_mu = provider.simple_character(mu)
-    leads = None if method == "direct" else qrdata.leads(dual)
-    st_weight = rs.steinberg_weight(provider.p, r)
-    return _lhs_cell(mu, chi_mu, qrdata.q(dual), leads, st_weight, r, provider, method)
-
-
-def _lhs_cell(mu, chi_mu, q, leads, st_weight, r, provider, method):
-    """cj_lhs of the cell with column mu, chi_mu = ch L(mu), and row
-    q = q_r(lambda*), leads its leading dominant weights (None on the
-    direct route, which reads none).
-
     The two nu-sum routes bound nu by the factors' leads rather than by
     nu_bound of the product, which would expand the product in the Weyl
     basis on every cell.  The factor leads are sound: every weight of L(mu)
     lies below mu, and every weight of the W-invariant q_r(lambda*) below
-    some m in leads, so every weight of the product lies below some mu + m,
-    and contributing_nus on the weights mu + m keeps every nu that nu_bound
-    keeps.  When it keeps none, the cell is 0; otherwise steinberg_nu_sum
-    runs over those nu on the factors (L(mu), q_r(lambda*)), which certify
-    the W-invariance of their product, so the simple_basis route forms no
-    product once its targets have been read and good_filtration forms the
-    product once.  The direct route is the independent check of the other
-    two, so it forms the whole product on every cell.
+    some m in qrdata.leads(lambda*), so every weight of the product lies
+    below some mu + m, and contributing_nus on the weights mu + m keeps
+    every nu that nu_bound keeps.  When it keeps none, the cell is 0;
+    otherwise steinberg_nu_sum runs over those nu on the factors
+    (L(mu), q_r(lambda*)), which certify the W-invariance of their product,
+    so the simple_basis route forms no cut product once its targets have
+    been read, and good_filtration forms the product once.  The direct
+    route is the independent check of the other two, so it forms the whole
+    product on every cell and never reads the leads.
     """
-    if method not in ("good_filtration", "simple_basis"):
-        return steinberg_multiplicity(chi_mu * q, r, provider, method)
+    provider, r = qrdata.provider, qrdata.r
     rs, p = provider.rs, provider.p
-    tops = [tuple(map(add, mu, m)) for m in leads]
-    nus = contributing_nus(tops, st_weight, p, r, rs)
-    if not nus:
-        return 0
-    return steinberg_nu_sum((chi_mu, q), nus, r, provider, method)
+    mu = tuple(mu)
+    dual = rs.dual_weight(tuple(lam))
+    # Looked up before the bound, so that a bad mu raises on every cell.
+    chi_mu = provider.simple_character(mu)
+    if method in ("good_filtration", "simple_basis"):
+        leads = [tuple(map(add, mu, m)) for m in qrdata.leads(dual)]
+        nus = contributing_nus(leads, rs.steinberg_weight(p, r), p, r, rs)
+        if not nus:
+            return 0
+        return steinberg_nu_sum((chi_mu, qrdata.q(dual)), nus, r, provider, method)
+    return steinberg_multiplicity(chi_mu * qrdata.q(dual), r, provider, method)
 
 
 def cj_rhs(lam, mu, r, provider):
@@ -287,24 +266,14 @@ def cj_rhs(lam, mu, r, provider):
 def cj_table(qrdata, method):
     """Both sides of the Chastkofsky-Jantzen formula, as one record
     (lam, mu, lhs, rhs) per pair of restricted weights, lam-major in
-    restricted_weights order: lhs is cj_lhs by method, rhs is cj_rhs.
-
-    Each row's lambda*, q_r(lambda*) and its leads, each column's L(mu)
-    and the Steinberg weight are found once, and every lhs cell runs the
-    kernel of cj_lhs (_lhs_cell); the rhs of a cell is read off the column
-    of its mu (cj_rhs).
+    restricted_weights order: lhs is cj_lhs by method, rhs is cj_rhs, so
+    the rhs of a cell is read off the memoized column of its mu.
     """
     provider, r = qrdata.provider, qrdata.r
-    rs = provider.rs
-    st_weight = rs.steinberg_weight(provider.p, r)
-    labels = rs.restricted_weights(provider.p, r)
-    columns = [(mu, provider.simple_character(mu)) for mu in labels]
+    labels = provider.rs.restricted_weights(provider.p, r)
     for lam in labels:
-        dual = rs.dual_weight(lam)
-        leads = None if method == "direct" else qrdata.leads(dual)
-        q = qrdata.q(dual)
-        for mu, chi_mu in columns:
-            left = _lhs_cell(mu, chi_mu, q, leads, st_weight, r, provider, method)
+        for mu in labels:
+            left = cj_lhs(lam, mu, qrdata, method)
             yield lam, mu, left, cj_rhs(lam, mu, r, provider)
 
 

@@ -438,15 +438,21 @@ class TestChastkofskyJantzen:
             assert cj_lhs((0,), (2,), qr3, method) == 1
 
     def test_widening_changes_nothing(self, prov3, qr3, monkeypatch):
-        def both_sides():
+        def both_sides(provider, qrdata):
             return [
-                (cj_rhs(lam, mu, 1, prov3), cj_lhs(lam, mu, qr3, "simple_basis"))
+                (
+                    cj_rhs(lam, mu, 1, provider),
+                    cj_lhs(lam, mu, qrdata, "simple_basis"),
+                )
                 for lam, mu in itertools.product([(0,), (1,), (2,)], repeat=2)
             ]
 
-        narrow = both_sides()
+        narrow = both_sides(prov3, qr3)
         calls = use_wide_box(monkeypatch)
-        assert both_sides() == narrow
+        # A fresh provider, whose rhs columns and orbit memo are built in
+        # the wide boxes, not read off the narrow pass.
+        fresh = DecompositionProvider.builtin_sl2(3)
+        assert both_sides(fresh, QrData.builtin_sl2(fresh, 1)) == narrow
         assert calls and oracle_covers(calls)
 
 

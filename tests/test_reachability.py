@@ -14,9 +14,6 @@ PACKAGE = os.path.join(
 )
 
 KEPT_ON_PURPOSE = {
-    # One cell of the CJ table, public; cj_table runs its kernel on every
-    # cell with the row and column data found once.
-    "cj_lhs",
     # The Freudenthal reference in the tests.
     "dominant_weights_below",
     # The benchmark self-test and the dimension oracles.
