@@ -28,10 +28,7 @@ the residual are kept on a heap keyed by that order: a weight is pushed
 when it first gets a nonzero value and popped lazily, an entry whose weight
 has since cancelled being skipped.  Subtracting c * basis(lead) changes
 only weights below lead, so the leads come in strictly decreasing order and
-no later step touches a weight at or above the current lead.  Nor does a
-weight below a given scaled height ever change one above it, so a caller
-that wants only the coefficients at or above a floor passes the floor, and
-each basis element is subtracted only down to it (decomp.expand_above).
+no later step touches a weight at or above the current lead.
 
 The product is a convolution on packed integer keys.  Both operands are
 shifted so that every coordinate starts at 0, and each weight becomes one
@@ -615,9 +612,8 @@ def not_invariant_error(weight):
     )
 
 
-def expand(chi, rs, basis, floor=-math.inf):
-    """{lam: c} with chi = sum c * basis(lam), by leading-term elimination,
-    formed only at or above scaled height floor.
+def expand(chi, rs, basis):
+    """{lam: c} with chi = sum c * basis(lam), by leading-term elimination.
 
     basis is unitriangular: basis(lam) has multiplicity 1 at lam, as
     chi(lam) has by Weyl's formula and ch L(lam) by the unit diagonal of
@@ -625,13 +621,10 @@ def expand(chi, rs, basis, floor=-math.inf):
     weights lie strictly below lam in the (scaled height, tuple) order.  So
     a lead's coefficient is its multiplicity, the leads come in strictly
     decreasing order, the order in which the dict is filled, and a
-    coefficient, once found, is final (see the module docstring).  Each
-    basis(lead) is walked in decreasing height (Character.by_height) and
-    subtracted only down to floor, so with a floor chi must have no weight
-    below it, and the residual stays the full residual's part at or above
-    the floor.  The dominant weights of the residual sit on a heap keyed by
-    that order, pushed when they enter it and skipped when popped after they
-    have cancelled.  NonInvariantError when no dominant weight is left.
+    coefficient, once found, is final (see the module docstring).  The
+    dominant weights of the residual sit on a heap keyed by that order,
+    pushed when they enter it and skipped when popped after they have
+    cancelled.  NonInvariantError when no dominant weight is left.
     """
     height = rs.scaled_height
     work = dict(chi.support)
@@ -646,8 +639,6 @@ def expand(chi, rs, basis, floor=-math.inf):
         lead = heapq.heappop(heap)[2]
         c = coeffs[lead] = work.pop(lead)
         for h, w, m in basis(lead).by_height(rs):
-            if h < floor:
-                break
             if w == lead:
                 continue
             old = work.get(w, 0)

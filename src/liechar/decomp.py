@@ -5,20 +5,16 @@ p-restricted lam for a fixed root system and prime.  Restricted simple
 characters are recovered from those rows by triangular inversion; every
 other simple character comes from the twisted tensor product over base-p
 digits.  Every row, a restricted one included, is the simple-basis
-expansion of chi(lam).
+expansion of chi(lam), memoized: e_lam eliminated in the Weyl basis against
+the Weyl coefficients of the simple characters, so no chi(lam) is formed.
 
-A simple-basis expansion is a leading-term elimination (to_simple_basis),
-and expand_above cuts it at a floor.  One coefficient [X : L(t)]_G of a
-W-invariant X can also be read with none: X is a sum of W-orbit sums
-m(kappa), so it is the sum of X(kappa) [m(kappa) : L(t)]_G, and those orbit
-coefficients, unitriangular in the simple characters, can be memoized on
-the provider and shared by every product read at the same t.
-simple_coefficient eliminates on the first read of a t, since filling the
-memo of a t can cost far more than one elimination.  From the second it
-forms no cut product: it fills the memo below the sums of the factors'
-leads, which every dominant weight of the product lies below, and reads
-X(kappa) pointwise at the few kappa whose orbit coefficient is not 0, off
-the largest factor and the product of the others.
+A simple-basis expansion is a leading-term elimination (to_simple_basis).
+One coefficient [X : L(t)]_G of a W-invariant X is read with none, by
+Weyl's formula (Jantzen, RAGS II.5): X is the sum of c_mu(X) chi(mu) over
+dominant mu, with c_mu(X) = sum_w sgn(w) X(mu + rho - w rho), so
+[X : L(t)]_G is the sum of c_mu(X) [nabla(mu) : L(t)]_G.  The rows depend
+on neither X nor t, so one memo per mu serves every read, and
+simple_coefficient reads each c_mu(X) pointwise off the factors of X.
 """
 
 from __future__ import annotations
@@ -32,6 +28,7 @@ from .characters import (
     Character,
     expand,
     not_invariant_error,
+    to_weyl_basis,
     twisted_product,
     weyl_character,
 )
@@ -86,13 +83,11 @@ class DecompositionProvider:
         # (r, mu) -> {lam: cj_rhs(lam, mu, r)}, for pims.cj_rhs.
         self._tensor_cache = {}
         self._rhs_columns = {}
-        # t -> {kappa: [m(kappa) : L(t)]_G}, m(kappa) the W-orbit sum of
-        # kappa, for simple_coefficient; a t read once maps to {}.
-        self._orbit_cache = {}
-        # t -> (the dominant weights whose dominant weights below, at or
-        # above t's height, are in _orbit_cache[t]; its nonzero entries as
-        # (height, kappa, a), in increasing height), for simple_coefficient.
-        self._orbit_cover = {}
+        # lam -> _expansion(lam), kappa -> _weyl_simple(kappa), and
+        # (t, frozenset of lead sums) -> its weights in simple_coefficient.
+        self._row_cache = {}
+        self._weyl_cache = {}
+        self._read_cache = {}
 
     @classmethod
     def builtin_sl2(cls, p, rs=None):
@@ -120,10 +115,34 @@ class DecompositionProvider:
         inverts exactly those rows; CoverageError when the table lacks a row
         it needs, and LiecharError if the expansion has a negative entry.
         """
-        row = to_simple_basis(weyl_character(lam, self.rs), self)
+        lam = tuple(lam)
+        self.rs.check_rank(lam)
+        if not self.rs.is_dominant(lam):
+            raise NonDominantError(f"highest weight {lam} is not dominant")
+        row = self._expansion(lam)
         if any(m < 0 for m in row.values()):
-            raise LiecharError(f"row {tuple(lam)} has a negative entry: {row}")
+            raise LiecharError(f"row {lam} has a negative entry: {row}")
+        return dict(row)
+
+    def _expansion(self, lam):
+        """The simple-basis expansion of chi(lam), for a dominant lam,
+        memoized.  chi(lam) is e_lam in the Weyl basis, so it is e_lam
+        eliminated against the Weyl coefficients of each ch L(kappa), also
+        memoized, and no chi(lam) is formed."""
+        row = self._row_cache.get(lam)
+        if row is None:
+            unit = Character._wrap(self.rs.rank, {lam: 1})
+            row = self._row_cache[lam] = expand(unit, self.rs, self._weyl_simple)
         return row
+
+    def _weyl_simple(self, kappa):
+        """ch L(kappa) in the Weyl basis, as a character on the dominant
+        weights; memoized."""
+        chi = self._weyl_cache.get(kappa)
+        if chi is None:
+            coeffs = to_weyl_basis(self.simple_character(kappa), self.rs)
+            chi = self._weyl_cache[kappa] = Character._wrap(self.rs.rank, coeffs)
+        return chi
 
     def simple_character(self, lam):
         """ch L(lam), memoized.
@@ -169,71 +188,32 @@ def to_simple_basis(chi, provider):
     return expand(chi, provider.rs, provider.simple_character)
 
 
-def expand_above(factors, floor, provider):
-    """The {lam: c} of the simple-basis expansion of the product of factors
-    with lam at or above scaled height floor, in decreasing (scaled height,
-    tuple) order.
-
-    Only the product's weights at or above the floor are formed
-    (_product_above), and expand subtracts each ch L(lam) only down to the
-    floor.  Subtracting L(lam) changes only weights below lam, so the cut
-    residual is the full residual's part at or above the floor at every
-    step, and the leads are the full expansion's down to the floor.  One
-    coefficient [prod : L(t)]_G is expand_above(factors, scaled_height(t),
-    provider).get(t, 0), as simple_coefficient reads it the first time.
-
-    The cut is sound only for a W-invariant product, and the caller
-    certifies it (pims.jantzen_identity_check).
-    Then the full residual stays W-invariant, and the dominant conjugate of
-    each of its weights lies above that weight, so once no dominant weight
-    at or above the floor is left, nothing at or above the floor is.  Every
-    lead processed is checked as in to_simple_basis (NonInvariantError).
-    With a floor below every weight nothing is cut, so a character that is
-    not W-invariant raises the full expansion's error.
-    """
-    rs = provider.rs
-    chi = Character._wrap(rs.rank, _product_above(factors, floor, rs))
-    return expand(chi, rs, provider.simple_character, floor)
-
-
 def simple_coefficient(factors, t, provider):
     """[prod : L(t)]_G for the product of factors.
 
-    A W-invariant X is the sum of X(kappa) m(kappa) over dominant kappa,
-    m(kappa) being the W-orbit sum of kappa, so [X : L(t)]_G is the sum of
-    X(kappa) a(kappa, t) with a(kappa, t) = [m(kappa) : L(t)]_G
-    (_orbit_coefficients), which is 0 unless kappa lies at or above t's
-    scaled height.
-
-    Finding the a(kappa, t) of one t can cost far more than one elimination
-    (expand_above), and pays only when the same t is read again.  So the
-    first read of a target t is expand_above's, and marks t in
-    provider._orbit_cache; no later read of t forms the cut product.  Every
-    dominant weight of the product lies below a sum of leading dominant
-    weights of the factors, one each (Character._dominant_leads, memoized
-    on each factor).  A later read fills the memo of t for every dominant
-    kappa at or above t's height below such a sum (_cover;
-    provider._orbit_cover keeps what is filled), then sums
-    a(kappa, t) X(kappa) over the nonzero a(kappa, t) at or below the
-    product's top height only, each X(kappa) read pointwise as the sum of
+    By Weyl's formula it is the sum of c_mu(prod) row(mu)[t] over dominant
+    mu (see the module docstring), and row(mu)[t] is 0 unless mu lies at or
+    above t's scaled height.  Every dominant weight of the product lies
+    below a sum of leading dominant weights of the factors, one each
+    (Character._dominant_leads, memoized on each factor), and so does every
+    mu with c_mu(prod) not 0.  So mu runs over the dominant weights at or
+    above t's height below those sums (_dominant_below), and the read is
+    the sum of b(kappa) prod(kappa) over the kappa = mu + rho - w rho, with
+    b(kappa) the sum of sgn(w) row(mu)[t] over the (mu, w) that give
+    kappa.  Those b depend only on t and the sums, and are memoized on the
+    provider under them.  Each prod(kappa) is read pointwise as the sum of
     S(y) F(kappa - y): F is the factor of largest support, and S, the
-    product of the others, is the one product such a read forms.
+    product of the others, is the one product a read forms.
 
     The identity holds only for a W-invariant product, and the caller
-    certifies it, as for expand_above (finite.steinberg_nu_sum).  The top
-    weight of a W-invariant product, the sum of its factors' tops in
-    (scaled height, tuple) order, is dominant.  A product whose top reaches
-    t's height but is not dominant raises NonInvariantError, naming the
-    largest weight of its cut (_product_above), as expand names its
-    residual's.
+    certifies it (finite.steinberg_nu_sum, pims.jantzen_identity_check).
+    The top weight of a W-invariant product, the sum of its factors' tops
+    in (scaled height, tuple) order, is dominant.  A product whose top
+    reaches t's height but is not dominant raises NonInvariantError, naming
+    that top.
     """
     rs = provider.rs
     floor = rs.scaled_height(t)
-    memo = provider._orbit_cache.get(t)
-    if memo is None:
-        value = expand_above(factors, floor, provider).get(t, 0)
-        provider._orbit_cache[t] = {}
-        return value
     for f in factors:
         f._check_compatible(rs)
     factors = sorted(
@@ -244,138 +224,54 @@ def simple_coefficient(factors, t, provider):
     if not all(factors):
         return 0
     tops = [f.by_height(rs)[0] for f in factors]
-    height = sum(h for h, _, _ in tops)
-    if height < floor:
+    if sum(h for h, _, _ in tops) < floor:
         return 0
-    if min(map(sum, zip(*(w for _, w, _ in tops)))) < 0:
-        raise not_invariant_error(max(_product_above(factors, floor, rs)))
-    cover = provider._orbit_cover.get(t)
-    if cover is None:
-        cover = provider._orbit_cover[t] = (set(), [])
-    covered, nonzero = cover
+    top = tuple(map(sum, zip(*(w for _, w, _ in tops))))
+    if min(top) < 0:
+        raise not_invariant_error(top)
     leads = itertools.product(*(f._dominant_leads(rs) for f in factors))
-    sums = {tuple(map(sum, zip(*ws))) for ws in leads} - covered
-    if sums:
-        known = len(memo)
-        _orbit_coefficients(_cover(sums, floor, covered, rs), t, memo, provider)
-        new = itertools.islice(memo.items(), known, None)
-        nonzero += [(rs.scaled_height(k), k, a) for k, a in new if a]
-        nonzero.sort()
+    key = (t, frozenset(tuple(map(sum, zip(*ws))) for ws in leads))
+    weights = provider._read_cache.get(key)
+    if weights is None:
+        b = {}
+        for mu in _dominant_below(key[1], floor, rs):
+            a = provider._expansion(mu).get(t)
+            if a:
+                mu_rho = tuple(map(add, mu, rs.rho))
+                for x, sign in rs.weyl_denominator.items():
+                    kappa = tuple(map(sub, mu_rho, x))
+                    b[kappa] = b.get(kappa, 0) + sign * a
+        weights = provider._read_cache[key] = [(k, c) for k, c in b.items() if c]
     big = factors.pop().support
     rest = functools.reduce(mul, factors).support if factors else {(0,) * rs.rank: 1}
     total = 0
-    for h, kappa, a in nonzero:
-        if h > height:
-            break
+    for kappa, c in weights:
         for y, m in rest.items():
-            total += a * m * big.get(tuple(map(sub, kappa, y)), 0)
+            total += c * m * big.get(tuple(map(sub, kappa, y)), 0)
     return total
 
 
-def _cover(weights, floor, covered, rs):
+def _dominant_below(weights, floor, rs):
     """The dominant weights at or above scaled height floor below one of
-    weights and below no weight of covered, in decreasing height; each is
-    added to covered, and so are weights.
+    weights, a set of dominant weights, those included.
 
     Dominant kappa < lam are joined by a chain of dominant weights, each a
     positive root below the one before (Stembridge, Adv. Math. 136 (1998),
     Cor. 2.7), whose heights fall from lam's to kappa's.  So a walk down
     from weights by positive roots, through dominant weights at or above
-    the floor, reaches every such kappa.  It stops at a weight of covered,
-    every dominant weight below which, at or above the floor, is in covered
-    already, since each walk adds all it reaches.
+    the floor, reaches every such kappa.
     """
     height = rs.scaled_height
-    covered |= weights
-    stack = [w for w in weights if height(w) >= floor]
-    found = list(stack)
+    found = {w for w in weights if height(w) >= floor}
+    stack = list(found)
     while stack:
         kappa = stack.pop()
         for root in rs.positive_roots:
             low = tuple(map(sub, kappa, root))
-            if low not in covered and min(low) >= 0 and height(low) >= floor:
-                covered.add(low)
+            if low not in found and min(low) >= 0 and height(low) >= floor:
+                found.add(low)
                 stack.append(low)
-                found.append(low)
-    # Lowest last, on top of _orbit_coefficients' stack, so that each chain
-    # is found once.
-    return sorted(found, key=height, reverse=True)
-
-
-def _orbit_coefficients(kappas, t, memo, provider):
-    """Store a(kappa, t) = [m(kappa) : L(t)]_G in memo[kappa] for each
-    kappa in kappas.
-
-    ch L(kappa) is m(kappa) plus dim L(kappa)_lam m(lam) over the dominant
-    lam < kappa, so a(kappa, t) is delta(kappa, t) less the sum of
-    dim L(kappa)_lam a(lam, t).  A lam below t's scaled height has no
-    L(t) in m(lam), so each ch L(kappa) is walked in decreasing height
-    (Character.by_height) down to that height.  Each lam lies below kappa,
-    so the chain ends; it can be longer than the recursion limit, so it
-    runs on a stack of the weights still to be found.
-    """
-    rs = provider.rs
-    floor = rs.scaled_height(t)
-    stack = list(kappas)
-    while stack:
-        top = stack[-1]
-        if top in memo:
-            stack.pop()
-            continue
-        value = int(top == t)
-        missing = []
-        for h, lam, m in provider.simple_character(top).by_height(rs):
-            if h < floor:
-                break
-            if lam != top and min(lam) >= 0:
-                a = memo.get(lam)
-                if a is None:
-                    missing.append(lam)
-                else:
-                    value -= m * a
-        if missing:
-            stack += missing
-        else:
-            memo[top] = value
-            stack.pop()
-
-
-def _product_above(factors, floor, rs):
-    """The support of the product of factors, cut to the weights of scaled
-    height at least floor.
-
-    Height is additive, so a weight of a partial product can reach the
-    floor only if its height plus the top heights of the factors still to
-    come does: each partial product is cut at floor minus those.  Each
-    factor is walked in decreasing height, and the walk breaks at the first
-    weight that takes the partial entry below the cut.  Every partial entry
-    lies at or above its own cut, which is the next cut less the next
-    factor's top height, so no entry needs a test of its own.  A unit factor
-    e^0 is skipped.  The product is empty when the top heights sum to less
-    than the floor; when every factor is a unit, that is the only cut.
-    """
-    for f in factors:
-        f._check_compatible(rs)
-    layers = [f.by_height(rs) for f in factors if not f._is_unit()]
-    if not all(layers):
-        return {}
-    rest = sum(layer[0][0] for layer in layers)
-    if rest < floor:
-        return {}
-    partial = [(0, (0,) * rs.rank, 1)]
-    for layer in layers:
-        top = layer[0][0]
-        rest -= top
-        cut = floor - rest
-        out = {}
-        for ha, wa, ma in partial:
-            for hb, wb, mb in layer:
-                if ha + hb < cut:
-                    break
-                key = (ha + hb, tuple(map(add, wa, wb)))
-                out[key] = out.get(key, 0) + ma * mb
-        partial = [(h, w, m) for (h, w), m in out.items() if m]
-    return {w: m for _, w, m in partial}
+    return found
 
 
 def load_decomposition_data(doc, rs=None):

@@ -147,18 +147,12 @@ def steinberg_nu_sum(factors, nus, r, provider, method):
     of the signed orbit of the regular weight nu + rho: no product and no
     expansion per nu.
     simple_basis: M is the simple character L(nu), and each term is
-    decomp.simple_coefficient of (*factors, L(nu)) at t, which forms only
-    the part of that product at or above t's scaled height; chi itself is
-    never formed.  The first read of a t on the provider eliminates that
-    part down to t (decomp.expand_above); each later read, as across the
-    cells of cj_table, forms no cut product, only the product of the
-    factors other than the largest, and reads chi . L(nu) only at the
-    kappa whose orbit coefficient [m(kappa) : L(t)]_G, memoized on the
-    provider, is not 0.  Both hold only for a W-invariant chi: the
-    elimination checks only the leads it processes, and the memo refuses
-    only a product whose top weight is not dominant, so the caller
-    certifies the invariance: steinberg_multiplicity by nu_bound, cj_lhs by
-    its factors.
+    decomp.simple_coefficient of (*factors, L(nu)) at t: a sum over the
+    Weyl coefficients of that product, each read pointwise, times the
+    memoized rows [nabla(mu) : L(t)]_G, so chi itself is never formed.
+    Both hold only for a W-invariant chi: simple_coefficient refuses only a
+    product whose top weight is not dominant, so the caller certifies the
+    invariance: steinberg_multiplicity by nu_bound, cj_lhs by its factors.
     nus must contain every nu whose term can be nonzero; a term outside
     the range adds 0.  nu_bound(chi) is such a set, and so is
     contributing_nus on any weights that each weight of chi lies below one

@@ -34,7 +34,7 @@ from .characters import (
     from_weyl_basis,
     twisted_product,
 )
-from .decomp import expand_above, to_simple_basis
+from .decomp import simple_coefficient, to_simple_basis
 from .errors import (
     CoverageError,
     DataValidationError,
@@ -45,6 +45,7 @@ from .errors import (
     weight_keyed,
 )
 from .finite import (
+    _nus_below,
     contributing_nus,
     finite_simple_multiplicities,
     steinberg_multiplicity,
@@ -202,8 +203,8 @@ def cj_lhs(lam, mu, qrdata, method):
     every nu that nu_bound keeps.  When it keeps none, the cell is 0;
     otherwise steinberg_nu_sum runs over those nu on the factors
     (L(mu), q_r(lambda*)), which certify the W-invariance of their product,
-    so the simple_basis route forms no cut product once its targets have
-    been read, and good_filtration forms the product once.  The direct
+    so the simple_basis route forms no product of the two, and
+    good_filtration forms it once.  The direct
     route is the independent check of the other two, so it forms the whole
     product on every cell and never reads the leads.
     """
@@ -284,32 +285,34 @@ def jantzen_identity_check(chi, qrdata):
     lam in order, nu sorted within each lam.  A cell left out has 0 on both
     sides.
 
-    The cells are read off the two expansions: a coefficient of chi at w is
-    the lhs of (lam, nu) = (w mod q, w div q), and one of chi . q_r(lambda*)
-    at (q-1) rho + q nu is the rhs of (lam, nu).  chi is expanded once,
+    The lhs cells are read off the expansion of chi: its coefficient at w
+    is the lhs of (lam, nu) = (w mod q, w div q).  chi is expanded once,
     fully, before any rhs is read: a chi that is not W-invariant raises
-    NonInvariantError there.  So chi . q_r(lambda*), W-invariant since
-    QrData checks q_r(lambda*), is expanded once per lam only at or above
-    the Steinberg weight's scaled height (decomp.expand_above), where every
-    (q-1) rho + q nu with nu dominant lies.
+    NonInvariantError there.  So chi . q_r(lambda*) is W-invariant, since
+    QrData checks q_r(lambda*), and each rhs is one decomp.simple_coefficient
+    of the factors (chi, q_r(lambda*)) at (q-1) rho + q nu.  Every weight of
+    that product lies below a sum m of leads of the two factors, so nu runs
+    over the dominant nu with (q-1) rho + q nu <= some m (finite._nus_below).
     """
     provider, r = qrdata.provider, qrdata.r
     rs, p = provider.rs, provider.p
     q = p**r
     st_weight = rs.steinberg_weight(p, r)
-    floor = rs.scaled_height(st_weight)
     lhs_cells = {}
     for w, c in to_simple_basis(chi, provider).items():
         lam = tuple(x % q for x in w)
         lhs_cells.setdefault(lam, {})[tuple(x // q for x in w)] = c
     for lam in rs.restricted_weights(p, r):
         lhs = lhs_cells.get(lam, {})
+        dual = rs.dual_weight(lam)
+        factors = (chi, qrdata.q(dual))
+        leads = itertools.product(chi._dominant_leads(rs), qrdata.leads(dual))
+        diffs = {tuple(a + b - s for a, b, s in zip(*ab, st_weight)) for ab in leads}
         rhs = {}
-        factors = (chi, qrdata.q(rs.dual_weight(lam)))
-        for w, c in expand_above(factors, floor, provider).items():
-            # w is dominant, so w = (q-1) rho mod q gives nu >= 0.
-            nu, rest = zip(*(divmod(x - s, q) for x, s in zip(w, st_weight)))
-            if not any(rest):
+        for nu in _nus_below(diffs, q, rs):
+            t = tuple(s + q * n for s, n in zip(st_weight, nu))
+            c = simple_coefficient(factors, t, provider)
+            if c:
                 rhs[nu] = c
         for nu in sorted(lhs.keys() | rhs.keys()):
             yield lam, nu, lhs.get(nu, 0), rhs.get(nu, 0)

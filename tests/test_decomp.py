@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from liechar import (
     BUILTIN_CARTAN_MATRICES,
+    CartanMatrix,
     Character,
     CoverageError,
     DataValidationError,
@@ -22,6 +23,7 @@ from liechar import (
     NonDominantError,
     NonInvariantError,
     RankMismatchError,
+    RootSystem,
     decomp,
     load_decomposition_data,
     steinberg_multiplicity,
@@ -29,12 +31,7 @@ from liechar import (
     weyl_character,
 )
 from liechar.characters import expand, from_weyl_basis
-from liechar.decomp import (
-    _product_above,
-    expand_above,
-    simple_coefficient,
-    weight_digits,
-)
+from liechar.decomp import simple_coefficient, weight_digits
 
 from test_kernel import (
     PROPERTY,
@@ -355,6 +352,53 @@ class TestLoadDecompositionData:
         assert info.value.weight == (1, 1)
 
 
+def packaged_a2_provider():
+    """The provider of perfbench/data/a2_p2.json, the packaged A2 rows at p = 2."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "data", "a2_p2.json")) as handle:
+        return load_decomposition_data(json.load(handle))
+
+
+class TestRowIsTheExpansion:
+    """row(lam), memoized and read in the Weyl basis, is the simple-basis
+    expansion of chi(lam) for every dominant lam in a box: A1 at p = 3 and
+    A2 from their true rows, B2 and G2 on the placeholder rows nabla(lam) =
+    L(lam), restricted lam, at p = 2, whose expansions can go negative."""
+
+    @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+    def test_every_dominant_weight_in_a_box(self, name):
+        rs = ROOT_SYSTEMS[name]
+        if name == "A2":
+            provider = packaged_a2_provider()
+            rs = provider.rs
+        elif name == "A1":
+            provider = DecompositionProvider.builtin_sl2(3, rs=rs)
+        else:
+            provider = DecompositionProvider(rs, 2, None)
+        negative = 0
+        for lam in itertools.product(range(12 if rs.rank == 1 else 5), repeat=rs.rank):
+            expected = to_simple_basis(weyl_character(lam, rs), provider)
+            if min(expected.values()) < 0:
+                negative += 1
+                with pytest.raises(LiecharError, match="has a negative entry"):
+                    provider.row(lam)
+            else:
+                assert provider.row(lam) == expected, lam
+                assert provider.row(lam) == expected, lam
+        # True rows have no negative entry; the placeholder rows of G2 do.
+        assert (negative > 0) == (name == "G2")
+
+    def test_no_weyl_character_is_formed(self):
+        # Only the restricted simple characters read chi(lam), for their
+        # digits; the row of a larger lam does not.
+        rs = RootSystem(CartanMatrix.builtin("A1"))
+        provider = DecompositionProvider.builtin_sl2(3, rs=rs)
+        row = provider.row((25,))
+        assert set(rs._weyl_char_cache) <= {(0,), (1,), (2,)}
+        assert len(row) > 1
+        assert row == to_simple_basis(weyl_character((25,), rs), provider)
+
+
 @functools.cache
 def provider_for(rs):
     """A provider on rs: A1 at p = 3 and A2 at p = 2 from their true rows,
@@ -389,28 +433,17 @@ def invariant_factors(draw, names=SIMPLE_TYPES):
     return rs, nu, factors
 
 
-def coefficient_above(factors, t, provider):
-    """[prod of factors : L(t)]_G as expand_above gives it, off the
-    expansion cut at t's scaled height: the first read of t in
-    steinberg_nu_sum."""
-    return expand_above(factors, provider.rs.scaled_height(t), provider).get(t, 0)
-
-
-def coefficient_from_memo(factors, t, provider):
-    """[prod of factors : L(t)]_G as simple_coefficient gives it once t has
-    been read: off the orbit coefficients, as every later read of t in
-    steinberg_nu_sum."""
-    simple_coefficient((), t, provider)
-    return simple_coefficient(factors, t, provider)
-
-
-READERS = (coefficient_above, coefficient_from_memo)
+def read_twice(factors, t, provider):
+    """[prod of factors : L(t)]_G by simple_coefficient, read twice: the
+    second read takes the weights the first memoized, so both must agree."""
+    first = simple_coefficient(factors, t, provider)
+    assert simple_coefficient(factors, t, provider) == first
+    return first
 
 
 class TestSimpleMultiplicity:
-    """[prod of factors : L(t)]_G read off expand_above cut at t's height,
-    which forms only the part of the product at or above t, and off the
-    orbit-coefficient memo; both must be the coefficient that the full
+    """[prod of factors : L(t)]_G read off the Weyl coefficients of the
+    product and the memoized rows must be the coefficient that the full
     expansion of the product has there."""
 
     @settings(PROPERTY, max_examples=30)
@@ -435,56 +468,59 @@ class TestSimpleMultiplicity:
         if absent:
             targets.update(data.draw(st.lists(st.sampled_from(absent), max_size=3)))
         for t in targets:
-            for read in READERS:
-                assert read(factors, t, provider) == coeffs.get(t, 0), (read, t)
+            assert read_twice(factors, t, provider) == coeffs.get(t, 0), t
 
     @settings(PROPERTY, max_examples=20)
-    @given(invariant_characters(names=SIMPLE_TYPES), st.data())
+    @given(invariant_characters(names=("A2", "B2", "G2")), st.data())
     def test_off_orbit_input_raises_as_the_full_expansion(self, case, data):
-        # A target below every weight cuts nothing, so every lead is
-        # processed and the residual's error is the full expansion's.  The
-        # memo refuses only a cut with no dominant weight
-        # (TestSimpleCoefficient).
+        # The read refuses only a product whose top weight is not dominant,
+        # so the stray weight is put above chi's top, k steps up a simple
+        # root alpha_i with a negative coordinate j: the full expansion then
+        # eliminates all of chi and is left with the stray weight alone.  In
+        # rank 1 no weight that is not dominant lies above a dominant top.
         rs, chi = case
         provider = provider_for(rs)
-        weight = data.draw(
-            st.tuples(*[st.integers(-4, 4)] * rs.rank).filter(any), label="weight"
+        top = max(
+            chi.support,
+            key=lambda w: (rs.scaled_height(w), w),
+            default=(0,) * rs.rank,
         )
+        alpha = rs.cartan.entries[data.draw(st.integers(0, rs.rank - 1), label="i")]
+        j = next(j for j, a in enumerate(alpha) if a < 0)
+        k = top[j] // -alpha[j] + data.draw(st.integers(1, 3), label="k")
+        weight = tuple(c + k * a for c, a in zip(top, alpha))
         chi = chi + Character(rs.rank, {weight: 1})
         with pytest.raises(NonInvariantError) as full:
             to_simple_basis(chi, provider)
-        with pytest.raises(NonInvariantError) as cut:
-            coefficient_above((chi,), (-100,) * rs.rank, provider)
-        assert str(cut.value) == str(full.value)
+        with pytest.raises(NonInvariantError) as read:
+            simple_coefficient((chi,), (-100,) * rs.rank, provider)
+        assert str(read.value) == str(full.value)
 
     def test_unit_factors_only(self):
         provider = provider_for(ROOT_SYSTEMS["A2"])
         unit = Character(2, {(0, 0): 1})
-        for read in READERS:
-            assert read((unit, unit), (0, 0), provider) == 1
-            assert read((), (0, 0), provider) == 1
-            assert read((unit,), (1, 0), provider) == 0
+        assert read_twice((unit, unit), (0, 0), provider) == 1
+        assert read_twice((), (0, 0), provider) == 1
+        assert read_twice((unit,), (1, 0), provider) == 0
 
     @pytest.mark.parametrize("count", [0, 1, 2])
     def test_unit_factors_above_zero_give_nothing(self, count):
-        # Unit factors are skipped, so only the test of the factors' summed
-        # top heights against the floor cuts e^0.
+        # Unit factors are skipped, so e^0 alone is left, and its only
+        # simple-basis coefficient is at 0.
         provider = provider_for(ROOT_SYSTEMS["A2"])
         units = (Character(2, {(0, 0): 1}),) * count
-        assert _product_above(units, 1, provider.rs) == {}
-        assert expand_above(units, 1, provider) == {}
+        for t in ((1, 0), (0, 1), (1, 1)):
+            assert simple_coefficient(units, t, provider) == 0
 
     def test_rank_mismatch(self):
         provider = provider_for(ROOT_SYSTEMS["A2"])
-        for read in READERS:
-            with pytest.raises(RankMismatchError):
-                read((Character(1, {(1,): 1}),), (0, 0), provider)
+        with pytest.raises(RankMismatchError):
+            simple_coefficient((Character(1, {(1,): 1}),), (0, 0), provider)
 
 
 class TestSimpleCoefficient:
-    """simple_coefficient eliminates on the first read of a target and sums
-    over the W-orbit coefficients from the second (TestSimpleMultiplicity
-    checks both against the full expansion)."""
+    """simple_coefficient reads one coefficient without an elimination
+    (TestSimpleMultiplicity checks it against the full expansion)."""
 
     @pytest.mark.parametrize(
         "name, support, t",
@@ -497,56 +533,22 @@ class TestSimpleCoefficient:
         chi = Character(provider.rs.rank, support)
         with pytest.raises(NonInvariantError) as full:
             to_simple_basis(chi, provider)
-        with pytest.raises(NonInvariantError) as cut:
-            coefficient_from_memo((chi,), t, provider)
-        assert str(cut.value) == str(full.value)
+        with pytest.raises(NonInvariantError) as read:
+            simple_coefficient((chi,), t, provider)
+        assert str(read.value) == str(full.value)
 
     def test_a_chain_longer_than_the_recursion_limit(self):
-        # L(0) in the orbit sum of 3^7 - 1 at p = 3 reads the orbit
-        # coefficients of all 1,094 even weights from 2186 down to 0.
+        # L(0) in the orbit sum of 3^7 - 1 at p = 3 reads the rows of all
+        # 1,094 even weights from 2186 down to 0.
         provider = DecompositionProvider.builtin_sl2(3, rs=ROOT_SYSTEMS["A1"])
         orbit = Character(1, {(2186,): 1, (-2186,): 1})
-        expected = coefficient_above((orbit,), (0,), provider)
-        assert coefficient_from_memo((orbit,), (0,), provider) == expected
-        assert len(provider._orbit_cache[0,]) == 1094
-
-    def test_a_steinberg_sum_read_twice_fills_every_target(self):
-        # The first simple_basis run of chi(80) at p = 3 reads 40 targets
-        # once each and fills no orbit coefficients; the second run fills
-        # all 40 chains for one saved elimination each, and a third reads
-        # them.  A read-twice cost that drops shows here.
-        provider = DecompositionProvider.builtin_sl2(3, rs=ROOT_SYSTEMS["A1"])
-        chi = weyl_character((80,), provider.rs)
-
-        def run():
-            return steinberg_multiplicity(chi, 1, provider, "simple_basis")
-
-        expected = steinberg_multiplicity(chi, 1, provider, "direct")
-        assert run() == expected
-        cache = provider._orbit_cache
-        assert len(cache) == 40 and not any(cache.values())
-        assert run() == expected
-        assert len(cache) == 40 and all(cache.values())
-        filled = sum(map(len, cache.values()))
-        assert filled == 820
-        assert run() == expected
-        assert sum(map(len, cache.values())) == filled
-
-    def test_only_a_target_read_again_fills_the_memo(self):
-        provider = DecompositionProvider.builtin_sl2(5, rs=ROOT_SYSTEMS["A1"])
-        factors = [provider.simple_character(lam) for lam in ((7,), (3,), (9,))]
-        first = simple_coefficient(factors, (4,), provider)
-        assert provider._orbit_cache == {(4,): {}}
-        assert simple_coefficient(factors, (4,), provider) == first
-        size = len(provider._orbit_cache[4,])
-        assert size
-        assert simple_coefficient(factors, (4,), provider) == first
-        assert len(provider._orbit_cache[4,]) == size
+        expected = to_simple_basis(orbit, provider).get((0,), 0)
+        assert read_twice((orbit,), (0,), provider) == expected
 
     def test_incomparable_leads(self):
         # chi(3,0) + chi(0,3) on A2 has two incomparable leads, and its top
-        # (3,0) is the lead of the product read before it, so the memo of t
-        # must be filled below the lead (0,3) as well.
+        # (3,0) is the lead of the product read before it, so the read must
+        # walk below the lead (0,3) as well.
         rs = ROOT_SYSTEMS["A2"]
         first = weyl_character((3, 0), rs)
         second = first + weyl_character((0, 3), rs)
@@ -560,17 +562,19 @@ class TestSimpleCoefficient:
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A1xA1"])
 def test_cover_is_every_dominant_weight_below_above_the_floor(name):
-    # decomp._cover walks down by positive roots through dominant weights;
-    # dominant_weights_below scans a box of root coordinates.
+    # decomp._dominant_below walks down by positive roots through dominant
+    # weights; dominant_weights_below scans a box of root coordinates.
     rs = cut_provider("A1xA1", 3).rs if name == "A1xA1" else ROOT_SYSTEMS[name]
-    covered = set()
-    for lam in itertools.product(range(4), repeat=rs.rank):
+    height = rs.scaled_height
+    grid = list(itertools.product(range(4), repeat=rs.rank))
+    for lam, other in zip(grid, reversed(grid)):
         below = rs.dominant_weights_below(lam)
-        floor = rs.scaled_height(below[len(below) // 2])
-        expected = {k for k in below if rs.scaled_height(k) >= floor}
-        assert set(decomp._cover({lam}, floor, set(), rs)) == expected, lam
-        decomp._cover({lam} - covered, 0, covered, rs)
-        assert {k for k in below if rs.scaled_height(k) >= 0} <= covered, lam
+        floor = height(below[len(below) // 2])
+        expected = {k for k in below if height(k) >= floor}
+        assert decomp._dominant_below({lam}, floor, rs) == expected, lam
+        both = set(below) | set(rs.dominant_weights_below(other))
+        expected = {k for k in both if height(k) >= 0}
+        assert decomp._dominant_below({lam, other}, 0, rs) == expected, (lam, other)
 
 
 A1XA1 = {"rank": 2, "matrix": [[2, 0], [0, 2]]}
@@ -625,9 +629,9 @@ def cut_factors(draw, provider):
 
 
 class TestExpandAbove:
-    """expand_above forms the simple-basis expansion of a W-invariant
-    product only at or above its floor; there it must return the full
-    expansion's (lead, c) pairs, in the same order."""
+    """The simple-basis expansion of a W-invariant product above a floor,
+    read one target at a time by simple_coefficient, must be the full
+    expansion's there."""
 
     @pytest.mark.parametrize("case", CUT_CASES, ids=lambda c: f"{c[0]}-p{c[1]}")
     @settings(PROPERTY, max_examples=25)
@@ -636,26 +640,8 @@ class TestExpandAbove:
         provider = cut_provider(*case)
         rs = provider.rs
         factors, product, floor = data.draw(cut_factors(provider))
-        full = expand(product, rs, provider.simple_character).items()
-        expected = [(lam, c) for lam, c in full if rs.scaled_height(lam) >= floor]
-        assert list(expand_above(factors, floor, provider).items()) == expected
-
-    @pytest.mark.parametrize("case", CUT_CASES, ids=lambda c: f"{c[0]}-p{c[1]}")
-    @settings(PROPERTY, max_examples=25)
-    @given(data=st.data())
-    def test_product_above_is_the_full_product_cut(self, case, data):
-        # Floors run from below the product's bottom height to above its
-        # top, and a unit factor may sit anywhere.
-        provider = cut_provider(*case)
-        rs = provider.rs
-        factors, product, _ = data.draw(cut_factors(provider))
-        if data.draw(st.booleans(), label="unit"):
-            unit = Character(rs.rank, {(0,) * rs.rank: 1})
-            factors.insert(data.draw(st.integers(0, len(factors))), unit)
-        heights = [rs.scaled_height(w) for w in product.support]
-        floors = st.integers(min(heights) - 2, max(heights) + 2)
-        floor = data.draw(floors, label="floor")
-        support = product.support.items()
-        expected = {w: m for w, m in support if rs.scaled_height(w) >= floor}
-        assert _product_above(factors, floor, rs) == expected
-
+        full = expand(product, rs, provider.simple_character)
+        targets = {w for w in product.support if min(w) >= 0} | set(full)
+        for t in targets:
+            if rs.scaled_height(t) >= floor:
+                assert simple_coefficient(factors, t, provider) == full.get(t, 0), t

@@ -726,16 +726,16 @@ class TestJantzenIdentity:
     def test_non_invariant_chi_raises_before_any_record(
         self, monkeypatch, qr3, a1xa1_p3_r2, rank, weight
     ):
-        # The rhs is cut at the Steinberg weight, which is sound only for a
+        # The rhs is read off Weyl coefficients, which is sound only for a
         # W-invariant chi: the lhs's full expansion must reject chi first,
-        # whether the stray weight lies below the cut or above it.
+        # whether the stray weight lies below the Steinberg weight or above.
         qrdata = qr3 if rank == 1 else a1xa1_p3_r2
         chi = weyl_character((1,) * rank, qrdata.provider.rs) + Character(rank, {weight: 1})
 
         def no_rhs(*args):
             pytest.fail("the rhs was read before chi's expansion was checked")
 
-        monkeypatch.setattr(pims, "expand_above", no_rhs)
+        monkeypatch.setattr(pims, "simple_coefficient", no_rhs)
         records = jantzen_identity_check(chi, qrdata)
         with pytest.raises(NonInvariantError):
             next(records)
