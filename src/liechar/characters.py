@@ -112,10 +112,11 @@ class Character:
     Virtual characters (negative multiplicities) are allowed; W-invariance
     is a property of most public inputs but is not enforced here.  rank and
     support cannot be reassigned once set, so cached characters can be shared.
-    The only other state is the memos of by_height and _dominant_leads.
+    The only other state is the memos of by_height, _dominant_leads and
+    _numerator.
     """
 
-    __slots__ = ("rank", "support", "_by_height", "_leads")
+    __slots__ = ("rank", "support", "_by_height", "_leads", "_numerators")
 
     def __init__(self, rank, support=None):
         checked = {}
@@ -234,6 +235,17 @@ class Character:
         if memo is None or memo[0] is not rs:
             memo = (rs, tuple(leading_dominant_weights(self.support, rs)))
             object.__setattr__(self, "_leads", memo)
+        return memo[1]
+
+    def _numerator(self, rs):
+        """The support of chi * d, d = rs.weyl_denominator, for a W-invariant
+        chi, unchecked (_times_denominator): the signed orbit of lam + rho
+        for chi(lam), and [chi : chi(lam)] is its value at lam + rho.
+        Memoized for the last root system asked, as by_height is."""
+        memo = getattr(self, "_numerators", None)
+        if memo is None or memo[0] is not rs:
+            memo = (rs, _times_denominator(self, rs))
+            object.__setattr__(self, "_numerators", memo)
         return memo[1]
 
     def dimension(self):
@@ -518,10 +530,16 @@ def _check_invariant(chi, rs):
 
 def _times_denominator(chi, rs):
     """The support of chi * d, d = rs.weyl_denominator, for a W-invariant chi
-    of rs's rank; RankMismatchError or NonInvariantError (_check_invariant)
-    otherwise."""
-    _check_invariant(chi, rs)
+    of rs's rank.  Unchecked: to_weyl_basis and pims.character_divide check
+    chi first (_check_invariant); decomp reads it for simple characters and
+    for factors whose callers certify it (Character._numerator)."""
     return _convolve(chi.support, rs.weyl_denominator) if chi else {}
+
+
+def _weyl_coefficients(numerator):
+    """{lam: [chi : chi(lam)]} from numerator, the support of chi * d: the
+    multiplicity of lam + rho there, for each strictly dominant lam + rho."""
+    return {tuple(c - 1 for c in w): m for w, m in numerator.items() if min(w) > 0}
 
 
 def _over_denominator(f, rs, m):
@@ -616,9 +634,10 @@ def expand(chi, rs, basis):
     """{lam: c} with chi = sum c * basis(lam), by leading-term elimination.
 
     basis is unitriangular: basis(lam) has multiplicity 1 at lam, as
-    chi(lam) has by Weyl's formula and ch L(lam) by the unit diagonal of
-    the decomposition rows and their twisted products, and its other
-    weights lie strictly below lam in the (scaled height, tuple) order.  So
+    chi(lam) has by Weyl's formula, ch L(lam) by the unit diagonal of the
+    decomposition rows and their twisted products, and so the Weyl-basis
+    coefficients of ch L(lam) (decomp rows), and its other weights lie
+    strictly below lam in the (scaled height, tuple) order.  So
     a lead's coefficient is its multiplicity, the leads come in strictly
     decreasing order, the order in which the dict is filled, and a
     coefficient, once found, is final (see the module docstring).  The
@@ -656,8 +675,8 @@ def to_weyl_basis(chi, rs):
     """Weyl-basis coefficients of a W-invariant character of rs's rank, else
     RankMismatchError or NonInvariantError (_check_invariant): [chi : chi(lam)]
     is the multiplicity of lam + rho in chi * rs.weyl_denominator."""
-    product = _times_denominator(chi, rs)
-    return {tuple(c - 1 for c in w): m for w, m in product.items() if min(w) > 0}
+    _check_invariant(chi, rs)
+    return _weyl_coefficients(_times_denominator(chi, rs))
 
 
 def from_weyl_basis(coeffs, rs):

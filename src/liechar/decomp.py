@@ -26,9 +26,10 @@ from operator import add, itemgetter, mul, sub
 
 from .characters import (
     Character,
+    _times_denominator,
+    _weyl_coefficients,
     expand,
     not_invariant_error,
-    to_weyl_basis,
     twisted_product,
     weyl_character,
 )
@@ -84,7 +85,8 @@ class DecompositionProvider:
         self._tensor_cache = {}
         self._rhs_columns = {}
         # lam -> _expansion(lam), kappa -> _weyl_simple(kappa), and
-        # (t, frozenset of lead sums) -> its weights in simple_coefficient.
+        # (t, frozenset of lead sums) -> the (mu + rho, [nabla(mu) : L(t)])
+        # that simple_coefficient sums over.
         self._row_cache = {}
         self._weyl_cache = {}
         self._read_cache = {}
@@ -137,10 +139,12 @@ class DecompositionProvider:
 
     def _weyl_simple(self, kappa):
         """ch L(kappa) in the Weyl basis, as a character on the dominant
-        weights; memoized."""
+        weights; memoized.  A simple character is W-invariant, so this is
+        to_weyl_basis without its check."""
         chi = self._weyl_cache.get(kappa)
         if chi is None:
-            coeffs = to_weyl_basis(self.simple_character(kappa), self.rs)
+            product = _times_denominator(self.simple_character(kappa), self.rs)
+            coeffs = _weyl_coefficients(product)
             chi = self._weyl_cache[kappa] = Character._wrap(self.rs.rank, coeffs)
         return chi
 
@@ -191,19 +195,22 @@ def to_simple_basis(chi, provider):
 def simple_coefficient(factors, t, provider):
     """[prod : L(t)]_G for the product of factors.
 
-    By Weyl's formula it is the sum of c_mu(prod) row(mu)[t] over dominant
-    mu (see the module docstring), and row(mu)[t] is 0 unless mu lies at or
-    above t's scaled height.  Every dominant weight of the product lies
-    below a sum of leading dominant weights of the factors, one each
+    By Weyl's formula it is the sum of c_mu(prod) n_mu(t) over dominant mu
+    (see the module docstring), where n_mu(t) = [nabla(mu) : L(t)]_G is
+    read off the simple-basis expansion of chi(mu) (DecompositionProvider.
+    _expansion, memoized per mu) and is 0 unless mu lies at or above t's
+    scaled height.  Every dominant weight of the product lies below a sum
+    of leading dominant weights of the factors, one each
     (Character._dominant_leads, memoized on each factor), and so does every
     mu with c_mu(prod) not 0.  So mu runs over the dominant weights at or
-    above t's height below those sums (_dominant_below), and the read is
-    the sum of b(kappa) prod(kappa) over the kappa = mu + rho - w rho, with
-    b(kappa) the sum of sgn(w) row(mu)[t] over the (mu, w) that give
-    kappa.  Those b depend only on t and the sums, and are memoized on the
-    provider under them.  Each prod(kappa) is read pointwise as the sum of
-    S(y) F(kappa - y): F is the factor of largest support, and S, the
-    product of the others, is the one product a read forms.
+    above t's height below those sums (_dominant_below).  The mu with
+    n_mu(t) not 0 depend only on t and the sums, and are memoized on the
+    provider under them.  c_mu(prod) is the value of prod * d at mu + rho,
+    read pointwise as the sum of S(y) N(mu + rho - y): N is F * d, F the
+    factor of largest support (Character._numerator, memoized on F; for
+    F = chi(lam) it is the signed orbit of lam + rho), and S, the product
+    of the others, is the one product a read forms.  The sum runs over the
+    smaller of N and S.
 
     The identity holds only for a W-invariant product, and the caller
     certifies it (finite.steinberg_nu_sum, pims.jantzen_identity_check).
@@ -231,23 +238,20 @@ def simple_coefficient(factors, t, provider):
         raise not_invariant_error(top)
     leads = itertools.product(*(f._dominant_leads(rs) for f in factors))
     key = (t, frozenset(tuple(map(sum, zip(*ws))) for ws in leads))
-    weights = provider._read_cache.get(key)
-    if weights is None:
-        b = {}
-        for mu in _dominant_below(key[1], floor, rs):
-            a = provider._expansion(mu).get(t)
-            if a:
-                mu_rho = tuple(map(add, mu, rs.rho))
-                for x, sign in rs.weyl_denominator.items():
-                    kappa = tuple(map(sub, mu_rho, x))
-                    b[kappa] = b.get(kappa, 0) + sign * a
-        weights = provider._read_cache[key] = [(k, c) for k, c in b.items() if c]
-    big = factors.pop().support
+    entries = provider._read_cache.get(key)
+    if entries is None:
+        entries = provider._read_cache[key] = [
+            (tuple(map(add, mu, rs.rho)), n)
+            for mu in _dominant_below(key[1], floor, rs)
+            if (n := provider._expansion(mu).get(t))
+        ]
+    numerator = factors.pop()._numerator(rs)
     rest = functools.reduce(mul, factors).support if factors else {(0,) * rs.rank: 1}
+    small, large = sorted((numerator, rest), key=len)
     total = 0
-    for kappa, c in weights:
-        for y, m in rest.items():
-            total += c * m * big.get(tuple(map(sub, kappa, y)), 0)
+    for mu_rho, n in entries:
+        for y, m in small.items():
+            total += n * m * large.get(tuple(map(sub, mu_rho, y)), 0)
     return total
 
 
@@ -262,15 +266,17 @@ def _dominant_below(weights, floor, rs):
     the floor, reaches every such kappa.
     """
     height = rs.scaled_height
-    found = {w for w in weights if height(w) >= floor}
-    stack = list(found)
+    roots = [(root, height(root)) for root in rs.positive_roots]
+    stack = [(height(w), w) for w in weights if height(w) >= floor]
+    found = {w for _, w in stack}
     while stack:
-        kappa = stack.pop()
-        for root in rs.positive_roots:
-            low = tuple(map(sub, kappa, root))
-            if low not in found and min(low) >= 0 and height(low) >= floor:
-                found.add(low)
-                stack.append(low)
+        h, kappa = stack.pop()
+        for root, step in roots:
+            if h - step >= floor:
+                low = tuple(map(sub, kappa, root))
+                if min(low) >= 0 and low not in found:
+                    found.add(low)
+                    stack.append((h - step, low))
     return found
 
 

@@ -77,10 +77,9 @@ def contributing_nus(max_weights, base, p, r, rs):
     """Dominant nu that can satisfy base + p^r nu <= m + nu for some m.
 
     That is (p^r - 1) nu <= m - base, so the answer depends only on p^r and
-    the set of differences m - base: it is memoized in rs._nu_cache under
-    (p^r, frozenset of the m - base), and each call returns a fresh list.
-    RankMismatchError when base or some m is not of rs's rank, checked
-    before the key is formed; ValueError when p^r < 2.
+    the set of differences m - base (_nus_below, memoized), and each call
+    returns a fresh list.  RankMismatchError when base or some m is not of
+    rs's rank, checked before the key is formed; ValueError when p^r < 2.
     """
     q = p**r
     if q < 2:
@@ -91,21 +90,22 @@ def contributing_nus(max_weights, base, p, r, rs):
     for m in max_weights:
         rs.check_rank(m)
         diffs.add(tuple(map(sub, m, base)))
-    key = (q, frozenset(diffs))
-    nus = rs._nu_cache.get(key)
-    if nus is None:
-        nus = rs._nu_cache[key] = _nus_below(diffs, q - 1, rs)
-    return list(nus)
+    return list(_nus_below(diffs, q - 1, rs))
 
 
 def _nus_below(diffs, scale, rs):
-    """Dominant nu with scale * nu <= d for some d in diffs, in box order.
+    """Dominant nu with scale * nu <= d for some d in diffs, in box order,
+    as a tuple memoized in rs._nu_cache under (scale, frozenset(diffs)).
 
     Enumerates a sound coordinate box from the root coordinates of the d,
     then keeps each nu by the exact dominance test.  A dominant nu has
     nonnegative root coordinates, so a d with a negative root coordinate
     passes for no nu and is dropped first.
     """
+    key = (scale, frozenset(diffs))
+    nus = rs._nu_cache.get(key)
+    if nus is not None:
+        return nus
     box = [0] * rs.rank
     reachable = []
     for d in diffs:
@@ -116,11 +116,12 @@ def _nus_below(diffs, scale, rs):
         for i in range(rs.rank):
             # nu_i <= 2 * n_i(nu) since the Cartan diagonal is 2.
             box[i] = max(box[i], 2 * coords[i] // (scale * rs.det))
-    return tuple(
+    nus = rs._nu_cache[key] = tuple(
         nu
         for nu in itertools.product(*(range(b + 1) for b in box))
         if any(rs.dominance_leq(tuple(scale * n for n in nu), d) for d in reachable)
     )
+    return nus
 
 
 def nu_bound(chi, p, r, rs):

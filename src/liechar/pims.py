@@ -65,6 +65,7 @@ def character_divide(num, rs, p, r):
     of St_r but is not); DivisionFailure, naming the least lowest weight of
     a root string left over, if St_r does not divide num.
     """
+    _check_invariant(num, rs)
     return Character._wrap(
         rs.rank, _over_denominator(_times_denominator(num, rs), rs, p**r)
     )
@@ -202,11 +203,11 @@ def cj_lhs(lam, mu, qrdata, method):
     below some mu + m, and contributing_nus on the weights mu + m keeps
     every nu that nu_bound keeps.  When it keeps none, the cell is 0;
     otherwise steinberg_nu_sum runs over those nu on the factors
-    (L(mu), q_r(lambda*)), which certify the W-invariance of their product,
-    so the simple_basis route forms no product of the two, and
-    good_filtration forms it once.  The direct
-    route is the independent check of the other two, so it forms the whole
-    product on every cell and never reads the leads.
+    (L(mu), q_r(lambda*)), which certify the W-invariance of their product:
+    simple_basis reads each term pointwise off the factors
+    (decomp.simple_coefficient), and good_filtration forms the product
+    once.  The direct route is the independent check of the other two, so
+    it forms the whole product on every cell and never reads the leads.
     """
     provider, r = qrdata.provider, qrdata.r
     rs, p = provider.rs, provider.p

@@ -26,7 +26,6 @@ from liechar import (
     RootSystem,
     decomp,
     load_decomposition_data,
-    steinberg_multiplicity,
     to_simple_basis,
     weyl_character,
 )
