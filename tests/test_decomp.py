@@ -383,7 +383,7 @@ class TestRowIsTheExpansion:
                     provider.row(lam)
             else:
                 assert provider.row(lam) == expected, lam
-                assert provider.row(lam) == expected, lam
+                assert provider.row(lam) == expected, lam  # from the memo
         # True rows have no negative entry; the placeholder rows of G2 do.
         assert (negative > 0) == (name == "G2")
 
@@ -434,7 +434,7 @@ def invariant_factors(draw, names=SIMPLE_TYPES):
 
 def read_twice(factors, t, provider):
     """[prod of factors : L(t)]_G by simple_coefficient, read twice: the
-    second read takes the weights the first memoized, so both must agree."""
+    second read takes the entries memoized under t, so both must agree."""
     first = simple_coefficient(factors, t, provider)
     assert simple_coefficient(factors, t, provider) == first
     return first
